@@ -86,11 +86,13 @@ from .surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
+    iou_matrix,
     load_intrinsics,
     load_point_cloud,
     load_poses_6dof,
     project_points,
     surface_overlap,
+    visible_mask,
 )
 from .synth import SynthConfig, SynthWorld, generate_world, load_ground_truth, save_ground_truth, write_world
 

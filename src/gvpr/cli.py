@@ -15,6 +15,8 @@ import csv
 import math
 import sys
 
+import numpy as np
+
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import FovParams, calibrate_theta
 from .sampler import BatchStrategy
@@ -62,18 +64,15 @@ def cmd_overlap3d(args) -> int:
     if len(poses) < 2:
         raise ValueError(f"{args.poses}: need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
-    visible = [surf3d.project_points(cloud, pose, intr, image_id=i) for i, pose in poses]
-    labels = []
-    skipped = 0
-    for i in range(len(visible)):
-        for j in range(i + 1, len(visible)):
-            try:
-                psi = surf3d.surface_overlap(visible[i], visible[j])
-            except surf3d.UndefinedOverlapError:
-                skipped += 1
-                continue
-            qid, mid = sorted((visible[i].image_id, visible[j].image_id))
-            labels.append(relabel.SimilarityLabel(qid, mid, psi))
+    ids = [image_id for image_id, _ in poses]
+    iou = surf3d.iou_matrix(np.stack([surf3d.visible_mask(cloud, pose, intr) for _, pose in poses]))
+    iu, ju = np.triu_indices(len(ids), k=1)
+    labels = [
+        relabel.SimilarityLabel(*sorted((ids[i], ids[j])), psi)
+        for i, j, psi in zip(iu.tolist(), ju.tolist(), iou[iu, ju].tolist())
+        if not math.isnan(psi)
+    ]
+    skipped = len(iu) - len(labels)
     labels.sort(key=lambda lab: (lab.query_id, lab.map_id))
     relabel.save_labels(args.out, labels)
     print(f"labels={len(labels)}")

@@ -17,13 +17,14 @@ Binary formats (all little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gcl import LossConfig, cl_grad_d, cl_loss, gcl_grad_d, gcl_loss
-from .sampler import Batch, BatchSampler, BatchStrategy, index_labels
+from .sampler import BatchSampler, BatchStrategy, index_labels
 
 _NORM_EPS = 1e-12
 
@@ -191,11 +192,9 @@ def compute_descriptors(model: EmbedModel, feature_maps) -> tuple:
     return ids, mat
 
 
-def _batch_arrays(batch, pooled: dict):
-    xi = np.stack([pooled[lab.query_id] for lab in batch.pairs])
-    xj = np.stack([pooled[lab.map_id] for lab in batch.pairs])
-    psi = np.array([lab.psi for lab in batch.pairs])
-    return xi, xj, psi
+def _batch_arrays(rows, pooled, query_rows, map_rows, psi):
+    """Gather one batch: pooled query and map feature rows and psi of label ``rows``."""
+    return pooled[query_rows[rows]], pooled[map_rows[rows]], psi[rows]
 
 
 def batch_loss_and_grad(w, xi, xj, psi, loss_kind: str, loss_cfg: LossConfig):
@@ -250,17 +249,21 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         raise ValueError("no labels to train on")
     if not isinstance(features, dict):
         features = {fm.id: fm for fm in features}
-    needed = {lab.query_id for lab in labels} | {lab.map_id for lab in labels}
-    missing = sorted(needed - features.keys())
+    ids = sorted({lab.query_id for lab in labels} | {lab.map_id for lab in labels})
+    missing = [ident for ident in ids if ident not in features]
     if missing:
         raise ValueError(f"labels reference ids without features: {', '.join(missing[:5])}")
 
-    pooled = {i: gem_pool(features[i], model.gem_p) for i in sorted(needed)}
+    row_of = {ident: row for row, ident in enumerate(ids)}
+    pooled = np.stack([gem_pool(features[ident], model.gem_p) for ident in ids])
+    query_rows = np.array([row_of[lab.query_id] for lab in labels])
+    map_rows = np.array([row_of[lab.map_id] for lab in labels])
+    psi = np.array([lab.psi for lab in labels], dtype=np.float64)
     if len(labels) == 1:
-        next_batch = lambda: Batch((labels[0],) * cfg.batch_size)
+        next_rows = lambda: np.zeros(cfg.batch_size, dtype=np.intp)
     else:
         sampler = BatchSampler(index_labels(labels), cfg.strategy, cfg.batch_size, seed=cfg.seed)
-        next_batch = sampler.next_batch
+        next_rows = lambda: sampler.next_batch().rows
     loss_cfg = LossConfig(tau=cfg.tau)
     steps = cfg.epochs * max(1, len(labels) // cfg.batch_size)
 
@@ -268,9 +271,9 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     trace = []
     pairs_seen = 0
     for step in range(steps):
-        xi, xj, psi = _batch_arrays(next_batch(), pooled)
+        xi, xj, batch_psi = _batch_arrays(next_rows(), pooled, query_rows, map_rows, psi)
         try:
-            mean_loss, gw = batch_loss_and_grad(w, xi, xj, psi, cfg.loss_kind, loss_cfg)
+            mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch_psi, cfg.loss_kind, loss_cfg)
         except ValueError as e:
             raise TrainingDiverged(step, str(e)) from None
         if not np.isfinite(mean_loss):
@@ -278,7 +281,7 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         trace.append(mean_loss)
 
         lr = cfg.lr0 * 0.1 ** (pairs_seen // cfg.lr_decay_after)
-        pairs_seen += len(psi)
+        pairs_seen += len(batch_psi)
         w = w - lr * gw
         if not np.all(np.isfinite(w)):
             raise TrainingDiverged(step, "non-finite weights after update")
@@ -317,21 +320,36 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _read_header(fh, path, magic: bytes, kind: str, fmt: str) -> list:
+    """Check a binary file's magic and version; returns the other header fields."""
+    got = _read_exact(fh, 4, path, "magic")
+    if got != magic:
+        raise ValueError(f"{path}: not a {kind} file (bad magic {got!r})")
+    version, *fields = struct.unpack(fmt, _read_exact(fh, 16, path, "header"))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    return fields
+
+
+def _check_size(fh, path, need: int) -> None:
+    """Reject a header that implies more bytes than the file holds, before reading them."""
+    size = os.fstat(fh.fileno()).st_size
+    if need > size:
+        raise ValueError(f"{path}: truncated file: header implies {need} bytes or more, has {size}")
+
+
 def read_features(path) -> list:
     """Read a binary features file back into FeatureMaps, in file order."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != FEATURES_MAGIC:
-            raise ValueError(f"{path}: not a features file (bad magic {magic!r})")
-        version, count, channels, locations = struct.unpack(
-            "<IIII", _read_exact(fh, 16, path, "header")
-        )
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
+        count, channels, locations = _read_header(fh, path, FEATURES_MAGIC, "features", "<IIII")
+        _check_size(fh, path, 20 + count * (2 + 4 * channels * locations))
         maps = []
         for _ in range(count):
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
-            ident = _read_exact(fh, id_len, path, "id").decode("utf-8")
+            try:
+                ident = _read_exact(fh, id_len, path, "id").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: {e}") from None
             raw = _read_exact(fh, 4 * channels * locations, path, f"values of {ident!r}")
             values = np.frombuffer(raw, dtype="<f4").reshape(channels, locations)
             maps.append(FeatureMap(ident, values.astype(np.float64)))
@@ -350,14 +368,8 @@ def save_model(path, model: EmbedModel) -> None:
 def load_model(path) -> EmbedModel:
     """Read a model file; persisted models are treated as trained."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
-        version, d_out, channels, gem_p = struct.unpack(
-            "<IIIf", _read_exact(fh, 16, path, "header")
-        )
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
+        d_out, channels, gem_p = _read_header(fh, path, MODEL_MAGIC, "model", "<IIIf")
+        _check_size(fh, path, 20 + 4 * d_out * channels)
         raw = _read_exact(fh, 4 * d_out * channels, path, "weights")
         w = np.frombuffer(raw, dtype="<f4").reshape(d_out, channels).astype(np.float64)
         if fh.read(1):

@@ -91,6 +91,31 @@ def classify(psi: float) -> SimilarityClass:
     return SimilarityClass.HARD_NEGATIVE
 
 
+def text_lines(path):
+    """Lines of a UTF-8 text file, endings kept; bad UTF-8 is a ValueError naming the path."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def csv_rows(path, header: list):
+    """Yield (line number, fields) of each nonblank row of a UTF-8 CSV with ``header``.
+
+    A wrong header or field count is a ValueError naming the path and line.
+    """
+    reader = csv.reader(text_lines(path))
+    if next(reader, None) != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        yield lineno, row
+
+
 POSES_HEADER = ["id", "scene", "t0", "t1", "alpha_deg"]
 LABELS_HEADER = ["query_id", "map_id", "psi"]
 
@@ -98,26 +123,17 @@ LABELS_HEADER = ["query_id", "map_id", "psi"]
 def load_poses(path) -> PoseTable:
     """Parse a poses CSV; heading degrees are converted to radians and wrapped."""
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != POSES_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(POSES_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            image_id, scene = row[0], row[1]
-            try:
-                t0, t1, alpha_deg = float(row[2]), float(row[3]), float(row[4])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from None
-            try:
-                pose = CameraPose2D(t0, t1, math.radians(alpha_deg))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            records.append(PoseRecord(image_id, pose, scene))
+    for lineno, row in csv_rows(path, POSES_HEADER):
+        image_id, scene = row[0], row[1]
+        try:
+            t0, t1, alpha_deg = float(row[2]), float(row[3]), float(row[4])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from None
+        try:
+            pose = CameraPose2D(t0, t1, math.radians(alpha_deg))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        records.append(PoseRecord(image_id, pose, scene))
     try:
         return PoseTable(tuple(records))
     except ValueError as e:
@@ -137,24 +153,15 @@ def save_poses(path, table: PoseTable) -> None:
 
 def load_labels(path) -> list:
     labels = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(LABELS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                psi = float(row[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric psi") from None
-            try:
-                labels.append(SimilarityLabel(row[0], row[1], psi))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
+    for lineno, row in csv_rows(path, LABELS_HEADER):
+        try:
+            psi = float(row[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric psi") from None
+        try:
+            labels.append(SimilarityLabel(row[0], row[1], psi))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return labels
 
 
@@ -164,6 +171,24 @@ def save_labels(path, labels) -> None:
         writer.writerow(LABELS_HEADER)
         for lab in labels:
             writer.writerow([lab.query_id, lab.map_id, f"{lab.psi:.6f}"])
+
+
+def _same_scene_pairs(table: PoseTable):
+    """Every unordered same-scene pair as (a, b, center distance), a before b in the table."""
+    for recs in table.by_scene().values():
+        xy = np.array([[rec.pose.t0, rec.pose.t1] for rec in recs])
+        for i in range(len(recs) - 1):
+            d = xy[i] - xy[i + 1:]
+            dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+            for j, dij in enumerate(dist.tolist(), start=i + 1):
+                yield recs[i], recs[j], dij
+
+
+def _psi(a: CameraPose2D, b: CameraPose2D, dist: float, fov: FovParams, arc_segments: int) -> float:
+    """FoV overlap, short-circuited to 0 beyond 2r where the view circles cannot meet."""
+    if dist > 2.0 * fov.r:
+        return 0.0
+    return fov_overlap(a, b, fov, arc_segments)
 
 
 def pairwise_similarity(
@@ -185,24 +210,12 @@ def pairwise_similarity(
             f"candidate_radius must be at least 2r = {2.0 * fov.r} m (or infinite)"
         )
     labels = []
-    for recs in table.by_scene().values():
-        n = len(recs)
-        if n < 2:
+    for a, b, dist in _same_scene_pairs(table):
+        if dist > candidate_radius:
             continue
-        xy = np.array([[rec.pose.t0, rec.pose.t1] for rec in recs])
-        diff = xy[:, None, :] - xy[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        iu, ju = np.triu_indices(n, k=1)
-        for i, j, dij in zip(iu, ju, dist[iu, ju]):
-            if dij > candidate_radius:
-                continue
-            a, b = recs[i], recs[j]
-            if dij > 2.0 * fov.r:
-                psi = 0.0
-            else:
-                psi = fov_overlap(a.pose, b.pose, fov, arc_segments)
-            qid, mid = sorted((a.image_id, b.image_id))
-            labels.append(SimilarityLabel(qid, mid, psi))
+        psi = _psi(a.pose, b.pose, dist, fov, arc_segments)
+        qid, mid = sorted((a.image_id, b.image_id))
+        labels.append(SimilarityLabel(qid, mid, psi))
     labels.sort(key=lambda lab: (lab.query_id, lab.map_id))
     return labels
 
@@ -224,17 +237,9 @@ def fov_distance_profile(
     if len(table) < 2:
         raise ValueError("profile needs at least 2 poses")
     rows = []
-    for recs in table.by_scene().values():
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                a, b = recs[i].pose, recs[j].pose
-                t_dist = math.hypot(a.t0 - b.t0, a.t1 - b.t1)
-                r_dist = wrapped_angle_diff(a.alpha, b.alpha)
-                if t_dist > 2.0 * fov.r:
-                    psi = 0.0
-                else:
-                    psi = fov_overlap(a, b, fov, arc_segments)
-                rows.append((t_dist, r_dist, psi))
+    for a, b, dist in _same_scene_pairs(table):
+        psi = _psi(a.pose, b.pose, dist, fov, arc_segments)
+        rows.append((dist, wrapped_angle_diff(a.pose.alpha, b.pose.alpha), psi))
     if not rows:
         raise ValueError("no same-scene pairs to profile")
     out = np.array(sorted(rows), dtype=np.float64)

@@ -90,19 +90,21 @@ def strategy_denominator(strategy: BatchStrategy) -> int:
 
 @dataclass(frozen=True)
 class PairIndex:
-    """Labels bucketed by similarity band; every label sits in exactly one."""
+    """Labels and, per similarity band, the ascending positions of its labels."""
 
-    buckets: dict = field(repr=False)
+    labels: tuple = field(repr=False)
+    rows: dict = field(repr=False)
 
     def band_sizes(self) -> dict:
-        return {band: len(self.buckets[band]) for band in Band}
+        return {band: len(self.rows[band]) for band in Band}
 
 
 @dataclass(frozen=True)
 class Batch:
-    """Ordered labeled pairs composing one training batch."""
+    """Ordered labeled pairs composing one training batch, with their label rows if drawn."""
 
     pairs: tuple
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pairs:
@@ -121,24 +123,11 @@ class Batch:
 
 def index_labels(labels) -> PairIndex:
     """Bucket labels by band, preserving input order within each bucket."""
-    labels = list(labels)
+    labels = tuple(labels)
     if not labels:
         raise ValueError("cannot index an empty label list")
-    buckets = {band: [] for band in Band}
-    for lab in labels:
-        buckets[band_of(lab.psi)].append(lab)
-    return PairIndex({band: tuple(labs) for band, labs in buckets.items()})
-
-
-def _quota_counts(strategy: BatchStrategy, batch_size: int) -> list:
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    denom = strategy_denominator(strategy)
-    if batch_size % denom != 0:
-        raise ValueError(
-            f"strategy {strategy.value} needs batch_size divisible by {denom}, got {batch_size}"
-        )
-    return [(group, int(frac * batch_size)) for group, frac in _QUOTAS[strategy]]
+    bands = np.array([band_of(lab.psi) for lab in labels])
+    return PairIndex(labels, {band: np.flatnonzero(bands == band) for band in Band})
 
 
 def compose_batch(idx: PairIndex, strategy: BatchStrategy, batch_size: int, rng) -> Batch:
@@ -147,48 +136,43 @@ def compose_batch(idx: PairIndex, strategy: BatchStrategy, batch_size: int, rng)
     ``rng`` is a numpy Generator or an integer seed (deterministic either
     way). An empty required band group is an error naming the group.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    pairs = []
-    for group, count in _quota_counts(strategy, batch_size):
-        pool = [lab for band in group for lab in idx.buckets[band]]
-        if not pool:
-            raise ValueError(
-                f"strategy {strategy.value} needs pairs with psi in {_group_desc(group)}; none indexed"
-            )
-        picks = rng.integers(0, len(pool), size=count)
-        pairs.extend(pool[i] for i in picks)
-    return Batch(tuple(pairs))
+    return BatchSampler(idx, strategy, batch_size, seed=rng).next_batch()
 
 
 class BatchSampler:
     """Stateful batch stream: one RNG stream per instance, fixed strategy.
 
     Instances are independent; a single instance is meant for use from one
-    thread at a time.
+    thread at a time. ``seed`` may also be a Generator to draw from.
     """
 
-    def __init__(self, idx: PairIndex, strategy: BatchStrategy, batch_size: int, seed: int = 42):
+    def __init__(self, idx: PairIndex, strategy: BatchStrategy, batch_size: int, seed=42):
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        denom = strategy_denominator(strategy)
+        if batch_size % denom != 0:
+            raise ValueError(
+                f"strategy {strategy.value} needs batch_size divisible by {denom}, got {batch_size}"
+            )
         self.idx = idx
         self.strategy = strategy
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
-        # pools rebuilt once, not per batch; also surfaces config errors eagerly
-        self._groups = []
-        for group, count in _quota_counts(strategy, batch_size):
-            pool = [lab for band in group for lab in idx.buckets[band]]
-            if not pool:
+        # (label rows, pair count) per quota group, built once; config errors surface here
+        self._pools = []
+        for group, frac in _QUOTAS[strategy]:
+            pool = np.concatenate([idx.rows[band] for band in group])
+            if not len(pool):
                 raise ValueError(
                     f"strategy {strategy.value} needs pairs with psi in {_group_desc(group)}; none indexed"
                 )
-            self._groups.append((pool, count))
+            self._pools.append((pool, int(frac * batch_size)))
 
     def next_batch(self) -> Batch:
-        pairs = []
-        for pool, count in self._groups:
-            picks = self._rng.integers(0, len(pool), size=count)
-            pairs.extend(pool[i] for i in picks)
-        return Batch(tuple(pairs))
+        rows = np.concatenate(
+            [pool[self._rng.integers(0, len(pool), size=count)] for pool, count in self._pools]
+        )
+        return Batch([self.idx.labels[r] for r in rows.tolist()], rows)
 
     def batches(self, n: int):
         for _ in range(n):

@@ -11,11 +11,12 @@ it projects into the image with positive depth.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .relabel import csv_rows, text_lines
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
@@ -104,8 +105,8 @@ class VisibleSet:
         return len(self.indices)
 
 
-def project_points(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics, image_id: str = "") -> VisibleSet:
-    """Indices of cloud points that project inside the image.
+def visible_mask(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics) -> np.ndarray:
+    """Boolean mask over cloud points: which project inside the image.
 
     A point is visible when its camera-frame depth exceeds ``Z_NEAR`` and
     its pixel (fx*x/z + cx, fy*y/z + cy) lies in [0, width) x [0, height)
@@ -117,8 +118,12 @@ def project_points(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics, image_id: s
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.fx * cam[:, 0] / z + k.cx
         v = k.fy * cam[:, 1] / z + k.cy
-    vis = (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
-    return VisibleSet(image_id, tuple(np.flatnonzero(vis).tolist()))
+    return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
+
+
+def project_points(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics, image_id: str = "") -> VisibleSet:
+    """Indices of cloud points that project inside the image (see ``visible_mask``)."""
+    return VisibleSet(image_id, tuple(np.flatnonzero(visible_mask(cloud, pose, k)).tolist()))
 
 
 def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
@@ -135,20 +140,31 @@ def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
+def iou_matrix(masks: np.ndarray) -> np.ndarray:
+    """IoU of every pair of (cameras, points) visibility rows; NaN where both are empty.
+
+    Counts are exact integers, so each entry equals ``surface_overlap``.
+    """
+    inter = np.stack([np.count_nonzero(masks & row, axis=1) for row in masks])
+    sizes = np.diagonal(inter)
+    union = sizes[:, None] + sizes[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, np.nan)
+
+
 def load_point_cloud(path) -> PointCloud:
     """Parse a plain-text cloud: one `x y z` triple per line, blank lines skipped."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
+    for lineno, line in enumerate(text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
     if not rows:
         raise ValueError(f"{path}: empty point cloud")
     return PointCloud(np.array(rows))
@@ -165,29 +181,20 @@ def load_poses_6dof(path) -> list:
     """
     out = []
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _POSE6_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_POSE6_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 13:
-                raise ValueError(f"{path}:{lineno}: expected 13 fields, got {len(row)}")
-            image_id = row[0]
-            if image_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {image_id!r}")
-            seen.add(image_id)
-            try:
-                vals = [float(x) for x in row[1:]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from None
-            try:
-                pose = Pose6DOF(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            out.append((image_id, pose))
+    for lineno, row in csv_rows(path, _POSE6_HEADER):
+        image_id = row[0]
+        if image_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate id {image_id!r}")
+        seen.add(image_id)
+        try:
+            vals = [float(x) for x in row[1:]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from None
+        try:
+            pose = Pose6DOF(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        out.append((image_id, pose))
     return out
 
 
@@ -201,23 +208,22 @@ def load_intrinsics(path) -> Intrinsics:
     comment. Unknown or missing keys are errors.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = re.match(r"^(\w+)\s*[:=]?\s*(\S+)$", line)
-            if not m:
-                raise ValueError(f"{path}:{lineno}: expected `key value` line")
-            key, raw = m.group(1), m.group(2)
-            if key not in _INTR_FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown intrinsics field {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate field {key!r}")
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = re.match(r"^(\w+)\s*[:=]?\s*(\S+)$", line)
+        if not m:
+            raise ValueError(f"{path}:{lineno}: expected `key value` line")
+        key, raw = m.group(1), m.group(2)
+        if key not in _INTR_FIELDS:
+            raise ValueError(f"{path}:{lineno}: unknown intrinsics field {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate field {key!r}")
+        try:
+            values[key] = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
     missing = [k for k in _INTR_FIELDS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing intrinsics fields: {', '.join(missing)}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .embed import FeatureMap, write_features
 from .fov2d import CameraPose2D, wrapped_angle_diff
-from .relabel import PoseRecord, PoseTable, save_poses
+from .relabel import PoseRecord, PoseTable, csv_rows, save_poses
 
 PLACE_SPACING_M = 250.0
 CENTER_JITTER_M = 10.0
@@ -153,20 +153,10 @@ def save_ground_truth(path, gt: dict) -> None:
 def load_ground_truth(path, query_ids) -> dict:
     """Read positives, keyed over all of ``query_ids`` (empty set when absent)."""
     gt = {qid: set() for qid in query_ids}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GT_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(GT_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            qid, mid = row
-            if qid not in gt:
-                raise ValueError(f"{path}:{lineno}: unknown query id {qid!r}")
-            gt[qid].add(mid)
+    for lineno, (qid, mid) in csv_rows(path, GT_HEADER):
+        if qid not in gt:
+            raise ValueError(f"{path}:{lineno}: unknown query id {qid!r}")
+        gt[qid].add(mid)
     return {qid: tuple(sorted(mids)) for qid, mids in gt.items()}
 
 

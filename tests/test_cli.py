@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -368,6 +369,68 @@ class TestCalibrateTheta:
                    "--delta-t", "120", "--delta-alpha-deg", "0"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Each malformed input file ends as `error: <path>: ...` with exit 1."""
+
+    def run_with(self, tmp_path, capsys, world_dir, model_path, command, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        cloud, poses6, intr = write_toy_scene(tmp_path, [("camA", 0.125), ("camB", 0.5)])
+        features = str(world_dir / "query_features.bin")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("query_id,map_id,psi\n")
+        argv = {
+            "eval-query-features": ["eval", "--model", str(model_path), "--query-features", str(bad),
+                                    "--map-features", features, "--gt", str(world_dir / "gt.csv")],
+            "eval-model": ["eval", "--model", str(bad), "--query-features", features,
+                           "--map-features", features, "--gt", str(world_dir / "gt.csv")],
+            "train-features": ["train", "--labels", str(labels), "--features", str(bad),
+                               "--out", str(tmp_path / "m.bin")],
+            "train-labels": ["train", "--labels", str(bad), "--features", features,
+                             "--out", str(tmp_path / "m.bin")],
+            "eval-gt": ["eval", "--model", str(model_path), "--query-features", features,
+                        "--map-features", features, "--gt", str(bad), "--ks", "1"],
+            "relabel-poses": ["relabel", "--poses", str(bad), "--out", str(tmp_path / "o.csv")],
+            "overlap3d-poses": ["overlap3d", "--cloud", str(cloud), "--poses", str(bad),
+                                "--intrinsics", str(intr), "--out", str(tmp_path / "o.csv")],
+            "overlap3d-cloud": ["overlap3d", "--cloud", str(bad), "--poses", str(poses6),
+                                "--intrinsics", str(intr), "--out", str(tmp_path / "o.csv")],
+            "overlap3d-intrinsics": ["overlap3d", "--cloud", str(cloud), "--poses", str(poses6),
+                                     "--intrinsics", str(bad), "--out", str(tmp_path / "o.csv")],
+        }[command]
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    def test_features_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path, command):
+        header = b"GVPR" + struct.pack("<IIII", 1, 1, 2**31, 2**31)
+        self.run_with(tmp_path, capsys, world_dir, model_path, command, "huge.bin",
+                      header + struct.pack("<H", 1) + b"a" + b"\x00" * 64)
+
+    def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
+        header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)
+        self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "huge_model.bin",
+                      header + b"\x00" * 64)
+
+    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    def test_non_utf8_feature_id(self, tmp_path, capsys, world_dir, model_path, command):
+        header = b"GVPR" + struct.pack("<IIII", 1, 1, 8, 4)
+        record = struct.pack("<H", 2) + b"\xff\xfe" + np.ones(32, dtype="<f4").tobytes()
+        self.run_with(tmp_path, capsys, world_dir, model_path, command, "bad_id.bin", header + record)
+
+    @pytest.mark.parametrize("command, content", [
+        ("train-labels", b"query_id,map_id,psi\na,b\xff,0.5\n"),
+        ("eval-gt", b"query_id,map_id\nq\xff,m\n"),
+        ("relabel-poses", b"id,scene,t0,t1,alpha_deg\np\xe9,s,0,0,0\n"),
+        ("overlap3d-poses", (POSE6_HEADER + "\n").encode() + b"cam\xff,1,0,0,0,1,0,0,0,1,0,0,0\n"),
+        ("overlap3d-cloud", b"0 0 1\n0.5 0\xff 1\n"),
+        ("overlap3d-intrinsics", b"fx = 2 # \xff\nfy = 2\n"),
+    ])
+    def test_non_utf8_text_file(self, tmp_path, capsys, world_dir, model_path, command, content):
+        self.run_with(tmp_path, capsys, world_dir, model_path, command, "bad.txt", content)
 
 
 class TestUsage:

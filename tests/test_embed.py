@@ -25,7 +25,7 @@ from gvpr.embed import (
 )
 from gvpr.gcl import LossConfig
 from gvpr.relabel import SimilarityLabel
-from gvpr.sampler import BatchStrategy
+from gvpr.sampler import BatchStrategy, compose_batch, index_labels
 
 
 def random_maps(rng, n, channels=6, locations=10, prefix="m"):
@@ -251,7 +251,42 @@ def toy_training_setup(n_pos=6, n_soft=6, n_zero=6, channels=6, locations=8, see
     return labels, maps
 
 
+def reference_train(model, labels, maps, cfg):
+    """Final W of a training loop written label by label: one compose_batch draw
+    per step from one shared Generator, np.stack gathers, train's lr schedule."""
+    pooled = {ident: gem_pool(fm, model.gem_p) for ident, fm in maps.items()}
+    if len(labels) == 1:
+        draw = lambda: (labels[0],) * cfg.batch_size
+    else:
+        idx, rng = index_labels(labels), np.random.default_rng(cfg.seed)
+        draw = lambda: compose_batch(idx, cfg.strategy, cfg.batch_size, rng).pairs
+    w, seen = model.W.copy(), 0
+    for _ in range(cfg.epochs * max(1, len(labels) // cfg.batch_size)):
+        pairs = draw()
+        xi = np.stack([pooled[lab.query_id] for lab in pairs])
+        xj = np.stack([pooled[lab.map_id] for lab in pairs])
+        psi = np.array([lab.psi for lab in pairs])
+        _, gw = batch_loss_and_grad(w, xi, xj, psi, cfg.loss_kind, LossConfig(tau=cfg.tau))
+        lr = cfg.lr0 * 0.1 ** (seen // cfg.lr_decay_after)
+        seen += len(pairs)
+        w = w - lr * gw
+    return w
+
+
 class TestTrain:
+    @pytest.mark.parametrize("loss_kind", ["gcl", "cl"])
+    @pytest.mark.parametrize(
+        "strategy, n_labels", [(s, 24) for s in BatchStrategy] + [(BatchStrategy.A, 1)]
+    )
+    def test_matches_label_by_label_reference(self, strategy, n_labels, loss_kind):
+        labels, maps = toy_training_setup()
+        labels = labels[:n_labels]
+        model = init_model(d_out=4, channels=6, seed=0)
+        cfg = TrainConfig(loss_kind=loss_kind, strategy=strategy, epochs=5, batch_size=12,
+                          lr_decay_after=30, seed=4)
+        trained, _ = train(model, labels, maps, cfg)
+        assert np.array_equal(trained.W, reference_train(model, labels, maps, cfg))
+
     def test_step_count_and_trace_length(self):
         labels, maps = toy_training_setup()
         model = init_model(d_out=4, channels=6, seed=0)

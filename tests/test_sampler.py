@@ -50,9 +50,10 @@ class TestIndexLabels:
         assert sum(sizes.values()) == 13
 
     def test_bucket_order_preserved(self):
-        labels = make_labels([0.2, 0.1, 0.3])
+        labels = make_labels([0.2, 0.9, 0.1, 0.0, 0.3])
         idx = index_labels(labels)
-        assert list(idx.buckets[Band.LOW]) == labels
+        assert idx.rows[Band.LOW].tolist() == [0, 2, 4]
+        assert [idx.labels[r] for r in idx.rows[Band.LOW]] == [labels[0], labels[2], labels[4]]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from gvpr.surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
+    iou_matrix,
     load_intrinsics,
     load_point_cloud,
     load_poses_6dof,
@@ -159,6 +160,24 @@ class TestSurfaceOverlap:
         a = VisibleSet("a", (0, 1, 2, 5))
         b = VisibleSet("b", (2, 5, 7))
         assert surface_overlap(a, b) == surface_overlap(b, a)
+
+
+class TestIouMatrix:
+    def test_equals_surface_overlap_on_random_masks(self):
+        rng = np.random.default_rng(21)
+        masks = rng.random((9, 300)) < rng.uniform(0.0, 0.6, size=(9, 1))
+        masks[[2, 5]] = False  # two blind cameras: their pair is undefined
+        sets = [VisibleSet(f"c{i}", np.flatnonzero(m)) for i, m in enumerate(masks)]
+        iou = iou_matrix(masks)
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                if not a.indices and not b.indices:
+                    with pytest.raises(UndefinedOverlapError):
+                        surface_overlap(a, b)
+                    assert math.isnan(iou[i, j])
+                else:
+                    assert iou[i, j] == surface_overlap(a, b)
+        assert np.isnan(iou).sum() == 4
 
 
 class TestToyScene:
