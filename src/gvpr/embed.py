@@ -13,6 +13,8 @@ Binary formats (all little-endian):
     channels*locations float32 values row-major.
   model file: magic `GVPM`, version u32, d_out u32, channels u32,
     gem_p float32, then d_out*channels float32 weights row-major.
+Header fields must be positive. Model files hold gem_p and W as float32
+(p = 2.7 reloads as 2.700000047); `eval` on a model file uses those values.
 """
 
 from __future__ import annotations
@@ -328,6 +330,8 @@ def _read_header(fh, path, magic: bytes, kind: str, fmt: str) -> list:
     version, *fields = struct.unpack(fmt, _read_exact(fh, 16, path, "header"))
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
+    if not all(f > 0 for f in fields):  # also rejects a NaN gem_p
+        raise ValueError(f"{path}: {kind} header fields must be positive, got {fields}")
     return fields
 
 

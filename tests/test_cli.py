@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from gvpr import embed, retrieval
+from gvpr import embed, retrieval, synth
 from gvpr.cli import main
 
 TOY_CLOUD = "0 0 1\n0.25 0 1\n0.5 0 1\n0.75 0 1\n"
@@ -226,6 +226,34 @@ class TestEval:
         total = int(metrics["queries_evaluated"]) + int(metrics["queries_excluded"])
         assert total == 9
 
+    def test_saved_model_eval_uses_reloaded_float32_values(self, world_dir, labels_csv, tmp_path):
+        model_file = tmp_path / "p27.bin"
+        assert main([
+            "train", "--labels", str(labels_csv), "--features", str(world_dir / "train_features.bin"),
+            "--out", str(model_file), "--d-out", "8", "--epochs", "1", "--seed", "3", "--gem-p", "2.7",
+        ]) == 0
+        out_csv = tmp_path / "metrics.csv"
+        assert main([
+            "eval", "--model", str(model_file),
+            "--query-features", str(world_dir / "query_features.bin"),
+            "--map-features", str(world_dir / "map_features.bin"),
+            "--gt", str(world_dir / "gt.csv"), "--ks", "1,5", "--out", str(out_csv),
+        ]) == 0
+        model = embed.load_model(model_file)
+        assert model.gem_p == float(np.float32(2.7)) != 2.7
+        assert np.array_equal(model.W, model.W.astype(np.float32))
+
+        def descriptors(name):
+            ids, mat = embed.compute_descriptors(model, embed.read_features(world_dir / name))
+            return retrieval.DescriptorSet(tuple(ids), mat, normalized=True)
+
+        queries = descriptors("query_features.bin")
+        rankings = retrieval.nn_search(queries, descriptors("map_features.bin"), 5)
+        recall = retrieval.recall_at_k(rankings, synth.load_ground_truth(world_dir / "gt.csv", queries.ids), [1, 5])
+        expected = ["metric,value"] + [f"recall@{k},{recall.percent[k]:.4f}" for k in (1, 5)] + [
+            f"queries_evaluated,{recall.evaluated}", f"queries_excluded,{recall.excluded}"]
+        assert out_csv.read_text().splitlines() == expected
+
     def test_localization_rows(self, world_dir, model_path, capsys):
         rc = main([
             "eval", "--model", str(model_path),
@@ -414,6 +442,22 @@ class TestMalformedInputs:
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)
         self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "huge_model.bin",
                       header + b"\x00" * 64)
+
+    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    @pytest.mark.parametrize("count, channels, locations", [(1, 0, 4), (1, 8, 0), (0, 8, 4)])
+    def test_features_header_with_zero_field(self, tmp_path, capsys, world_dir, model_path, command,
+                                             count, channels, locations):
+        header = b"GVPR" + struct.pack("<IIII", 1, count, channels, locations)
+        record = struct.pack("<H", 1) + b"a" + np.ones(channels * locations, dtype="<f4").tobytes()
+        self.run_with(tmp_path, capsys, world_dir, model_path, command, "zero.bin", header + record * count)
+
+    @pytest.mark.parametrize("d_out, channels, gem_p", [
+        (0, 8, 3.0), (8, 0, 3.0), (8, 8, 0.0), (8, 8, -1.0), (8, 8, math.nan),
+    ])
+    def test_model_header_with_bad_field(self, tmp_path, capsys, world_dir, model_path, d_out, channels, gem_p):
+        header = b"GVPM" + struct.pack("<IIIf", 1, d_out, channels, gem_p)
+        self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "bad_model.bin",
+                      header + np.ones(d_out * channels, dtype="<f4").tobytes())
 
     @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
     def test_non_utf8_feature_id(self, tmp_path, capsys, world_dir, model_path, command):

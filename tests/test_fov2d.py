@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gvpr import relabel
 from gvpr.fov2d import (
     CameraPose2D,
     FovParams,
@@ -18,8 +19,53 @@ from gvpr.fov2d import (
     sector_polygon,
     wrapped_angle_diff,
 )
+from gvpr.synth import SynthConfig, generate_world
 
 FOV90_50 = FovParams(theta=math.radians(90.0), r=50.0)
+
+
+def _reference_clip_halfplane(pts, a, b):
+    """Keep the part of polygon ``pts`` left of the directed line a -> b."""
+    n = len(pts)
+    if n == 0:
+        return pts
+    e = b - a
+    d = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+    nxt = np.roll(pts, -1, axis=0)
+    dn = np.roll(d, -1)
+    keep = d >= 0.0
+    crossing = keep != (dn >= 0.0)
+    denom = np.where(crossing, d - dn, 1.0)
+    t = np.where(crossing, d / denom, 0.0)
+    ipts = pts + t[:, None] * (nxt - pts)
+    counts = keep.astype(np.intp) + crossing.astype(np.intp)
+    out = np.empty((int(counts.sum()), 2))
+    pos = np.cumsum(counts) - counts
+    out[pos[keep]] = pts[keep]
+    out[pos[crossing] + keep[crossing]] = ipts[crossing]
+    return out
+
+
+def _reference_fov_overlap(a, b, fov, arc_segments=256):
+    """The former fov_overlap: Sutherland-Hodgman clipping, one half-plane per sector edge."""
+    if a == b:
+        return 1.0
+    p, q = (a, b) if (a.t0, a.t1, a.alpha) <= (b.t0, b.t1, b.alpha) else (b, a)
+    pa, pb = sector_polygon(p, fov, arc_segments), sector_polygon(q, fov, arc_segments)
+    va, vb = pa.vertices, pb.vertices
+    if (np.max(va[:, 0]) < np.min(vb[:, 0]) or np.max(vb[:, 0]) < np.min(va[:, 0])
+            or np.max(va[:, 1]) < np.min(vb[:, 1]) or np.max(vb[:, 1]) < np.min(va[:, 1])):
+        return 0.0
+    out = va
+    for i in range(len(vb)):
+        out = _reference_clip_halfplane(out, vb[i], vb[(i + 1) % len(vb)])
+        if len(out) < 3:
+            return 0.0
+    x, y = out[:, 0], out[:, 1]
+    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    if area < 1e-12:
+        return 0.0
+    return min(max(area / min(polygon_area(pa), polygon_area(pb)), 0.0), 1.0)
 
 
 def random_pose(rng, span=30.0):
@@ -123,6 +169,25 @@ class TestConvexIntersection:
                 bound = min(polygon_area(a), polygon_area(b))
                 assert polygon_area(inter) <= bound + 1e-9
 
+    def test_shared_vertices_appear_once(self):
+        sq = self.square(0, 0)
+        inter = convex_intersection(sq, sq)
+        assert len(inter) == 4
+        assert len(np.unique(inter.vertices, axis=0)) == 4
+
+    def test_sector_intersection_area_matches_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            a, b = random_pose(rng, span=10), random_pose(rng, span=10)
+            inter = convex_intersection(sector_polygon(a, FOV90_50, 64), sector_polygon(b, FOV90_50, 64))
+            psi = _reference_fov_overlap(a, b, FOV90_50, 64)
+            if inter is None:
+                assert psi == 0.0
+            else:
+                sector = polygon_area(sector_polygon(a, FOV90_50, 64))
+                assert polygon_area(inter) / sector == pytest.approx(psi, abs=1e-12)
+                assert len(np.unique(inter.vertices, axis=0)) == len(inter)
+
     def test_nonconvex_input_rejected(self):
         hook = Polygon(np.array([
             [0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0],
@@ -196,6 +261,88 @@ class TestFovOverlap:
             coarse = fov_overlap(a, b, FOV90_50, arc_segments=256)
             fine = fov_overlap(a, b, FOV90_50, arc_segments=4096)
             assert abs(coarse - fine) <= 1e-3
+
+
+def _degenerate_sweep():
+    """Pose pairs whose sectors touch, share an apex, edge or tip, or nearly do."""
+    rng = np.random.default_rng(31)
+    half = FovParams(math.pi, 50.0)
+    cases = [  # a side test without tolerance loses a vertex on rounding noise in these two
+        (CameraPose2D(-7.963506198816667, 8.592644473482864, 5.111058590890684),
+         CameraPose2D(11.446125210063355, 54.671557314080765, 5.111058590890683), half, 2),
+        (CameraPose2D(27.871578431490803, 14.669477753198755, 2.0718347848082725),
+         CameraPose2D(3.8547478025327377, -29.184733521659915, 6.042116550797663), half, 7),
+    ]
+    for theta in (math.radians(90.0), math.radians(37.0), math.pi):
+        fov = FovParams(theta, 50.0)
+        for n in (2, 7, 256):
+            for _ in range(3):
+                x, y, al = *rng.uniform(-30.0, 30.0, 2), float(rng.uniform(0.0, 2.0 * math.pi))
+                a = CameraPose2D(x, y, al)
+                for rot in (0.0, theta, theta + 1e-12, theta - 1e-12, math.pi, theta / n):
+                    cases.append((a, CameraPose2D(x, y, al + rot), fov, n))
+                for ang in (al, al + 0.3):  # centers exactly 2r apart, facing each other
+                    cases.append((a, CameraPose2D(x + 100.0 * math.sin(ang), y + 100.0 * math.cos(ang),
+                                                  ang + math.pi), fov, n))
+                for dist in (0.0, 10.0, 99.0):  # opposite headings
+                    cases.append((a, CameraPose2D(x - dist * math.sin(al), y - dist * math.cos(al),
+                                                  al + math.pi), fov, n))
+                for edge in (al - theta / 2, al + theta / 2):  # apex on the other's edge line or its end
+                    for dist in (20.0, -20.0, 50.0):
+                        cases.append((a, CameraPose2D(x + dist * math.sin(edge), y + dist * math.cos(edge),
+                                                      al), fov, n))
+                for j in (0, n // 2):  # apex on an arc vertex of the other, looking back
+                    ang = al + theta / 2 - theta * j / n
+                    cases.append((a, CameraPose2D(x + 50.0 * math.sin(ang), y + 50.0 * math.cos(ang),
+                                                  al + math.pi + float(rng.uniform(-1.0, 1.0))), fov, n))
+    return cases
+
+
+class TestReferenceEquivalence:
+    """The one-shot kernel against the frozen Sutherland-Hodgman reference: |dpsi| <= 1e-12."""
+
+    def test_acceptance_geometry_pairs(self):
+        # the pair generator of tests/test_acceptance.py::test_03
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 50:
+            a = CameraPose2D(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(0, 2 * math.pi))
+            off_r = rng.uniform(0.0, 60.0)
+            off_ang = rng.uniform(0, 2 * math.pi)
+            b = CameraPose2D(a.t0 + off_r * math.sin(off_ang), a.t1 + off_r * math.cos(off_ang),
+                             rng.uniform(0, 2 * math.pi))
+            psi = fov_overlap(a, b, FOV90_50)
+            assert abs(psi - _reference_fov_overlap(a, b, FOV90_50)) <= 1e-12
+            if 0.05 <= psi <= 0.95:
+                checked += 1
+                rng.integers(0, 2 ** 31)  # test_03's Monte-Carlo seed; keeps the stream in step
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_synth_world_labels(self, seed, tmp_path, monkeypatch):
+        table = generate_world(SynthConfig(places=4, images_per_place=7, seed=seed)).train_poses
+        labels = relabel.pairwise_similarity(table, FOV90_50)
+        relabel.save_labels(tmp_path / "new.csv", labels)
+        monkeypatch.setattr(relabel, "fov_overlap", _reference_fov_overlap)
+        expected = relabel.pairwise_similarity(table, FOV90_50)
+        relabel.save_labels(tmp_path / "reference.csv", expected)
+        assert sum(0.0 < lab.psi < 1.0 for lab in expected) > 10
+        assert [(lab.query_id, lab.map_id) for lab in labels] == [(lab.query_id, lab.map_id) for lab in expected]
+        assert max(abs(x.psi - y.psi) for x, y in zip(labels, expected)) <= 1e-12
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_degenerate_layouts(self):
+        for a, b, fov, n in _degenerate_sweep():
+            got = fov_overlap(a, b, fov, n)
+            assert got == fov_overlap(b, a, fov, n)
+            assert abs(got - _reference_fov_overlap(a, b, fov, n)) <= 1e-12, (a, b, fov, n)
+
+    def test_shared_apex_rotated_by_whole_segments(self):
+        # the overlap is exactly (n - j) / n fan triangles of the discretized sector
+        a = CameraPose2D(4.0, -7.0, 0.3)
+        for n in (2, 7, 64):
+            for j in range(1, n + 1):
+                b = CameraPose2D(4.0, -7.0, 0.3 + j * FOV90_50.theta / n)
+                assert fov_overlap(a, b, FOV90_50, n) == pytest.approx((n - j) / n, abs=1e-12)
 
 
 class TestFovOverlapMc:
