@@ -356,7 +356,10 @@ def read_features(path) -> list:
                 raise ValueError(f"{path}: {e}") from None
             raw = _read_exact(fh, 4 * channels * locations, path, f"values of {ident!r}")
             values = np.frombuffer(raw, dtype="<f4").reshape(channels, locations)
-            maps.append(FeatureMap(ident, values.astype(np.float64)))
+            try:
+                maps.append(FeatureMap(ident, values.astype(np.float64)))
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after {count} records")
     return maps
@@ -378,4 +381,7 @@ def load_model(path) -> EmbedModel:
         w = np.frombuffer(raw, dtype="<f4").reshape(d_out, channels).astype(np.float64)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after weights")
-    return EmbedModel(gem_p=float(gem_p), W=w, trained=True)
+    try:
+        return EmbedModel(gem_p=float(gem_p), W=w, trained=True)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

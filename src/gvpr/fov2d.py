@@ -94,8 +94,10 @@ def wrapped_angle_diff(a: float, b: float) -> float:
 
 
 def _signed_area(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    """Shoelace area relative to the first vertex, so far-off coordinates keep their digits;
+    that vertex sits at the origin, so the terms that close the ring are zero."""
+    x, y = (v - v[:1]).T.copy()
+    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
 
 
 def polygon_area(p: Polygon) -> float:
@@ -204,7 +206,7 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     pa = sector_polygon(p, fov, arc_segments)
     pb = sector_polygon(q, fov, arc_segments)
     ring = _intersection_ring(pa.vertices, pb.vertices)
-    area = _signed_area(ring - ring[:1])  # relative coordinates keep the shoelace sum small
+    area = _signed_area(ring)
     if area < _EMPTY_AREA:
         return 0.0
     ratio = area / min(polygon_area(pa), polygon_area(pb))

@@ -1,13 +1,16 @@
 """Retrieval evaluation: exact nearest neighbors, recall, localization, whitening.
 
 Search is brute force by L2 distance with ties broken by map id, so
-rankings do not depend on row order. Recall@k is the percentage of
-queries with at least one true positive among their k nearest references;
-queries without any positive are excluded and counted. Localization
-accuracy checks the top-1 match's pose against translation and rotation
-thresholds, the query inheriting the pose of its best match. PCA
-whitening mean-centers, projects onto leading eigenvectors of the sample
-covariance and rescales each component to unit variance.
+rankings do not depend on row order. It runs on blocks of query rows,
+partitioning each block's distances to find the k-th smallest and
+sorting only the columns within it by (distance, id). Recall@k is the
+percentage of queries with at least one true positive among their k
+nearest references; queries without any positive are excluded and
+counted. Localization accuracy checks the top-1 match's pose against
+translation and rotation thresholds, the query inheriting the pose of
+its best match. PCA whitening mean-centers, projects onto leading
+eigenvectors of the sample covariance and rescales each component to
+unit variance.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ DEFAULT_LOC_THRESHOLDS = (
     (0.5, math.radians(5.0)),
     (5.0, math.radians(10.0)),
 )
+
+_BLOCK_ROWS = 256  # queries per nn_search block: 4 MB of float64 distances at 2,000 map rows
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,12 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
     """Exact top-k nearest references per query by L2 distance.
 
     Ties are broken by ascending map id, so the result is invariant under
-    permutation of the map rows.
+    permutation of the map rows. Distances use the expanded form
+    sqrt(max(|q|^2 + |m|^2 - 2 q.m, 0)). The inner products come from one
+    ``q @ m.T`` call, because BLAS rounds a block of rows differently
+    from the whole matrix; the rest runs on blocks of ``_BLOCK_ROWS``
+    queries, so beyond that nq x n_map product the temporaries stay
+    within a few block x n_map x 8 B arrays.
     """
     if queries.dim != map_set.dim:
         raise ValueError(f"dimension mismatch: queries {queries.dim}, map {map_set.dim}")
@@ -131,16 +141,36 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
         raise ValueError(f"k must be in [1, {len(map_set)}], got {k}")
     order = np.argsort(np.array(map_set.ids))  # canonical id order for tie-breaks
     m = map_set.matrix[order]
-    ids = [map_set.ids[i] for i in order]
+    ids = np.array(map_set.ids, dtype=object)[order]
     q = queries.matrix
-    d2 = np.sum(q * q, axis=1)[:, None] + np.sum(m * m, axis=1)[None, :] - 2.0 * (q @ m.T)
-    dist = np.sqrt(np.maximum(d2, 0.0))
+    qq, mm, qm = np.sum(q * q, axis=1), np.sum(m * m, axis=1), q @ m.T
     out = []
-    for qi, query_id in enumerate(queries.ids):
-        row = dist[qi]
-        top = np.lexsort((np.arange(len(ids)), row))[:k]
-        out.append(Ranking(query_id, tuple((ids[j], float(row[j])) for j in top)))
+    for lo in range(0, len(q), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        d2 = qq[block, None] + mm[None, :]
+        d2 -= 2.0 * qm[block]
+        dist = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+        cols, d = _block_top_k(dist, k)
+        for query_id, hit_ids, hit_d in zip(queries.ids[block], ids[cols].tolist(), d.tolist()):
+            out.append(Ranking(query_id, tuple(zip(hit_ids, hit_d))))
     return out
+
+
+def _block_top_k(dist: np.ndarray, k: int) -> tuple:
+    """Columns of each row's k smallest distances, ordered by (distance, column), and those
+    distances. Every column within the k-th smallest value is a candidate, so ties across the
+    k-th place are settled by column; only rows with such extra ties take a per-row sort."""
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    keep = ~(dist > kth)  # keeps NaN too, which sorts last as in a full-row lexsort
+    exact = np.count_nonzero(keep, axis=1) == k
+    cols = np.empty((len(dist), k), dtype=np.intp)
+    cols[exact] = np.nonzero(keep[exact])[1].reshape(-1, k)
+    for r in np.flatnonzero(~exact):
+        c = np.flatnonzero(keep[r])
+        cols[r] = c[np.lexsort((c, dist[r, c]))[:k]]
+    d = np.take_along_axis(dist, cols, axis=1)
+    rank = np.lexsort((cols, d), axis=1)
+    return np.take_along_axis(cols, rank, axis=1), np.take_along_axis(d, rank, axis=1)
 
 
 def recall_at_k(rankings, positives: dict, ks) -> RecallResult:

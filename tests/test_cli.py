@@ -465,6 +465,38 @@ class TestMalformedInputs:
         record = struct.pack("<H", 2) + b"\xff\xfe" + np.ones(32, dtype="<f4").tobytes()
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "bad_id.bin", header + record)
 
+    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_feature_value(self, tmp_path, capsys, world_dir, model_path, command, value):
+        header = b"GVPR" + struct.pack("<IIII", 1, 1, 8, 4)
+        values = np.ones(32, dtype="<f4")
+        values[5] = value
+        record = struct.pack("<H", 1) + b"a" + values.tobytes()
+        self.run_with(tmp_path, capsys, world_dir, model_path, command, "non_finite.bin", header + record)
+
+    def test_nan_model_weight(self, tmp_path, capsys, world_dir, model_path):
+        header = b"GVPM" + struct.pack("<IIIf", 1, 8, 8, 3.0)
+        w = np.ones(64, dtype="<f4")
+        w[9] = math.nan
+        self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "nan_model.bin", header + w.tobytes())
+
+    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    def test_features_truncated_at_every_byte(self, tmp_path, capsys, world_dir, model_path, command):
+        tiny = tmp_path / "tiny.bin"
+        embed.write_features(tiny, [embed.FeatureMap(i, np.ones((2, 2))) for i in ("a", "b")])
+        data = tiny.read_bytes()
+        assert len(embed.read_features(tiny)) == 2
+        for cut in range(len(data)):
+            self.run_with(tmp_path, capsys, world_dir, model_path, command, "cut.bin", data[:cut])
+
+    def test_model_truncated_at_every_byte(self, tmp_path, capsys, world_dir, model_path):
+        tiny = tmp_path / "tiny_model.bin"
+        embed.save_model(tiny, embed.init_model(2, 2))
+        data = tiny.read_bytes()
+        assert embed.load_model(tiny).W.shape == (2, 2)
+        for cut in range(len(data)):
+            self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "cut_model.bin", data[:cut])
+
     @pytest.mark.parametrize("command, content", [
         ("train-labels", b"query_id,map_id,psi\na,b\xff,0.5\n"),
         ("eval-gt", b"query_id,map_id\nq\xff,m\n"),

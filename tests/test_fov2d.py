@@ -245,6 +245,16 @@ class TestFovOverlap:
             after = fov_overlap(moved(a), moved(b), FOV90_50)
             assert after == pytest.approx(before, abs=1e-9)
 
+    def test_far_from_origin_keeps_the_label(self):
+        # at UTM-scale positions an absolute-coordinate shoelace loses ~0.05 m^2 of sector area
+        east, north = 500_000.0, 4_000_000.0
+        sector = polygon_area(sector_polygon(CameraPose2D(east, north, 0.0), FOV90_50))
+        assert sector == pytest.approx(polygon_area(sector_polygon(CameraPose2D(0, 0, 0), FOV90_50)), abs=1e-6)
+        near = fov_overlap(CameraPose2D(0.0, 0.0, 0.0), CameraPose2D(20.0, 10.0, 0.6), FOV90_50)
+        far = fov_overlap(CameraPose2D(east, north, 0.0), CameraPose2D(east + 20.0, north + 10.0, 0.6), FOV90_50)
+        assert far == pytest.approx(near, abs=1e-9)
+        assert f"{far:.6f}" == f"{near:.6f}"
+
     def test_translation_monotonicity(self):
         direction = math.radians(30.0)
         prev = 1.1

@@ -7,6 +7,7 @@ import pytest
 
 from gvpr.fov2d import CameraPose2D
 from gvpr.retrieval import (
+    _BLOCK_ROWS,
     DEFAULT_LOC_THRESHOLDS,
     DescriptorSet,
     Ranking,
@@ -22,6 +23,27 @@ from gvpr.retrieval import (
 
 def dset(ids, rows, **kw):
     return DescriptorSet(ids=tuple(ids), matrix=np.asarray(rows, dtype=float), **kw)
+
+
+def _reference_nn_search(queries, map_set, k):
+    """The former dense search: the full distance matrix, then one lexsort per query."""
+    order = np.argsort(np.array(map_set.ids))
+    m = map_set.matrix[order]
+    ids = [map_set.ids[i] for i in order]
+    q = queries.matrix
+    d2 = np.sum(q * q, axis=1)[:, None] + np.sum(m * m, axis=1)[None, :] - 2.0 * (q @ m.T)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    out = []
+    for qi, query_id in enumerate(queries.ids):
+        row = dist[qi]
+        top = np.lexsort((np.arange(len(ids)), row))[:k]
+        out.append(Ranking(query_id, tuple((ids[j], float(row[j])) for j in top)))
+    return out
+
+
+def unit_rows(rng, n, d):
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 class TestContainers:
@@ -93,6 +115,47 @@ class TestNnSearch:
                 nn_search(queries, refs, k=bad)
         with pytest.raises(ValueError, match="dimension"):
             nn_search(queries, dset(["a"], [[1.0, 0.0]]), k=1)
+
+
+class TestBlockedSearchMatchesReference:
+    """nn_search equals the dense reference exactly: ids and float distances, every block boundary."""
+
+    @pytest.mark.parametrize("nq", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+    def test_random_unit_descriptors(self, nq):
+        rng = np.random.default_rng(nq)
+        queries = dset([f"q{i:04d}" for i in range(nq)], unit_rows(rng, nq, 16), normalized=True)
+        refs = dset([f"m{i:03d}" for i in range(300)], unit_rows(rng, 300, 16), normalized=True)
+        for k in (1, 10, len(refs)):
+            assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
+
+    @pytest.mark.parametrize("nq", [3, _BLOCK_ROWS + 1])
+    def test_exact_ties_across_the_kth_place(self, nq):
+        rng = np.random.default_rng(7)
+        # integer rows give exact integer squared distances, so many ties straddle the k-th place
+        queries = dset([f"q{i}" for i in range(nq)], rng.integers(-1, 2, size=(nq, 3)))
+        refs = dset([f"m{i:03d}" for i in range(200)], rng.integers(-1, 2, size=(200, 3)))
+        for k in (1, 2, 5, 10, 57, len(refs)):
+            assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
+
+    def test_map_rows_in_shuffled_id_order(self):
+        rng = np.random.default_rng(11)
+        queries = dset([f"q{i}" for i in range(_BLOCK_ROWS + 5)], rng.normal(size=(_BLOCK_ROWS + 5, 6)))
+        rows = rng.normal(size=(150, 6)) * rng.uniform(0.5, 3.0, size=(150, 1))
+        refs = dset([f"m{i:03d}" for i in rng.permutation(150)], rows)
+        for k in (1, 10, len(refs)):
+            assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
+
+    def test_overflowing_rows_rank_like_the_reference(self):
+        # finite rows whose squared norms overflow give NaN distances, which sort last
+        rows = [[1e200, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, -1e200], [3.0, 3.0]]
+        refs = dset(["e", "a", "d", "b", "c"], rows)
+        queries = dset(["q0", "q1"], [[0.0, 0.0], [1e200, 1e200]])
+        for k in (1, 3, 5):
+            with np.errstate(over="ignore", invalid="ignore"):
+                pairs = list(zip(nn_search(queries, refs, k), _reference_nn_search(queries, refs, k)))
+            for got, want in pairs:
+                assert [mid for mid, _ in got.hits] == [mid for mid, _ in want.hits]
+                assert np.array_equal([d for _, d in got.hits], [d for _, d in want.hits], equal_nan=True)
 
 
 class TestRecall:
