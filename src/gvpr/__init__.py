@@ -10,8 +10,6 @@ from .embed import (
     forward,
     gem_pool,
     init_model,
-    l2_normalize,
-    l2_normalize_jvp,
     load_model,
     read_features,
     save_model,

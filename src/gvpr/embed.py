@@ -3,9 +3,11 @@
 A feature map of shape (channels, locations) stands in for the last layer
 of a convolutional backbone. The model pools it with a generalized mean,
 applies a single trainable linear layer and L2-normalizes, yielding a
-unit-norm descriptor. Training runs plain SGD over contrastive pairs
-streamed by the batch sampler; only the linear weights are trained, the
-pooling exponent stays fixed.
+unit-norm descriptor; ``forward``, ``compute_descriptors`` and the
+trainer share one batched project-and-normalize. Training runs plain SGD
+over contrastive pairs streamed by the batch sampler, on the graded loss
+(binary labels as psi in {0, 1}); only the linear weights are trained,
+the pooling exponent stays fixed.
 
 Binary formats (all little-endian):
   features file: magic `GVPR`, version u32, count u32, channels u32,
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gcl import LossConfig, cl_grad_d, cl_loss, gcl_grad_d, gcl_loss
+from .gcl import LossConfig, gcl_grad_d, gcl_loss
 from .sampler import BatchSampler, BatchStrategy, index_labels
 
 _NORM_EPS = 1e-12
@@ -79,7 +81,6 @@ class EmbedModel:
 
     gem_p: float
     W: np.ndarray = field(repr=False)
-    trained: bool = False
 
     def __post_init__(self):
         if not self.gem_p > 0.0:
@@ -146,52 +147,44 @@ def gem_pool(fm, p: float) -> np.ndarray:
     return np.mean(np.maximum(v, 0.0) ** p, axis=1) ** (1.0 / p)
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||; near-zero norm is an error rather than a NaN descriptor."""
-    v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
-    if n <= _NORM_EPS:
-        raise ValueError("cannot L2-normalize a (near-)zero vector")
-    return v / n
+def _pooled_rows(model: EmbedModel, maps) -> np.ndarray:
+    """GeM-pooled rows, (n, channels), of feature maps with the model's channel count."""
+    for fm in maps:
+        if fm.channels != model.channels:
+            raise ValueError(
+                f"feature map {fm.id!r} has {fm.channels} channels, model expects {model.channels}"
+            )
+    return np.stack([gem_pool(fm, model.gem_p) for fm in maps])
 
 
-def l2_normalize_jvp(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Directional derivative of l2_normalize at v along dv: (dv - u(u.dv))/||v||."""
-    v = np.asarray(v, dtype=np.float64)
-    dv = np.asarray(dv, dtype=np.float64)
-    if v.shape != dv.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {dv.shape}")
-    n = float(np.linalg.norm(v))
-    if n <= _NORM_EPS:
-        raise ValueError("cannot differentiate normalization at a (near-)zero vector")
-    u = v / n
-    return (dv - u * float(np.dot(u, dv))) / n
+def _unit_rows(w: np.ndarray, x: np.ndarray) -> tuple:
+    """Unit rows of ``x @ w.T`` for pooled rows ``x``, (n, channels), and their norms before
+    normalization; a (near-)zero norm is an error rather than a NaN descriptor."""
+    z = x @ w.T
+    norms = np.linalg.norm(z, axis=1)
+    if np.any(norms <= _NORM_EPS):
+        raise ValueError("zero-norm embedding before normalization")
+    return z / norms[:, None], norms
 
 
 def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
-    """Unit-norm descriptor: l2_normalize(W @ gem_pool(fm, gem_p))."""
-    if fm.channels != model.channels:
-        raise ValueError(
-            f"feature map has {fm.channels} channels, model expects {model.channels}"
-        )
-    return l2_normalize(model.W @ gem_pool(fm, model.gem_p))
+    """Unit-norm descriptor of one feature map, by the path of ``compute_descriptors``."""
+    return _unit_rows(model.W, _pooled_rows(model, [fm]))[0][0]
 
 
 def init_model(d_out: int, channels: int, gem_p: float = 3.0, seed: int = 0) -> EmbedModel:
     """Random untrained model; weights scaled so initial descriptors are tame."""
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(channels), size=(d_out, channels))
-    return EmbedModel(gem_p=gem_p, W=w, trained=False)
+    return EmbedModel(gem_p=gem_p, W=w)
 
 
 def compute_descriptors(model: EmbedModel, feature_maps) -> tuple:
-    """Descriptors for a batch of feature maps: (ids, (n, d_out) matrix)."""
+    """Descriptors for a batch of feature maps: (ids, (n, d_out) unit rows), one matmul."""
     maps = list(feature_maps)
     if not maps:
         raise ValueError("no feature maps given")
-    ids = [fm.id for fm in maps]
-    mat = np.stack([forward(model, fm) for fm in maps])
-    return ids, mat
+    return [fm.id for fm in maps], _unit_rows(model.W, _pooled_rows(model, maps))[0]
 
 
 def _batch_arrays(rows, pooled, query_rows, map_rows, psi):
@@ -206,21 +199,14 @@ def batch_loss_and_grad(w, xi, xj, psi, loss_kind: str, loss_cfg: LossConfig):
     is the model's (linear layer, then L2 normalization, then pair
     distance). Raises ValueError when an embedding collapses to zero norm.
     """
-    zi, zj = xi @ w.T, xj @ w.T
-    ni = np.linalg.norm(zi, axis=1)
-    nj = np.linalg.norm(zj, axis=1)
-    if np.any(ni <= _NORM_EPS) or np.any(nj <= _NORM_EPS):
-        raise ValueError("zero-norm embedding before normalization")
-    ui, uj = zi / ni[:, None], zj / nj[:, None]
+    ui, ni = _unit_rows(w, xi)
+    uj, nj = _unit_rows(w, xj)
     diff = ui - uj
     d = np.linalg.norm(diff, axis=1)
-    if loss_kind == "gcl":
-        losses = gcl_loss(d, psi, loss_cfg)
-        g = gcl_grad_d(d, psi, loss_cfg)
-    else:
-        y = (psi >= 0.5).astype(np.float64)
-        losses = cl_loss(d, y, loss_cfg)
-        g = cl_grad_d(d, y, loss_cfg)
+    # binary labels are the graded formula at psi in {0, 1}, where it equals cl_* exactly
+    target = psi if loss_kind == "gcl" else (psi >= 0.5).astype(np.float64)
+    losses = gcl_loss(d, target, loss_cfg)
+    g = gcl_grad_d(d, target, loss_cfg)
     scale = np.where(d > 0.0, g / np.where(d > 0.0, d, 1.0), 0.0)
     gu_i = scale[:, None] * diff
     gu_j = -gu_i
@@ -238,7 +224,8 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     covering every id in ``labels``. Descriptors are recomputed from the
     live weights each step; the gradient flows through normalization and
     the linear layer, while pooled features are fixed inputs. Binary-loss
-    training derives y = 1 iff psi >= 0.5. Deterministic for a fixed
+    training derives y = 1 iff psi >= 0.5 and feeds y to the graded
+    formula, which equals the binary one there. Deterministic for a fixed
     config and data; a non-finite loss or weight aborts with the step
     index.
 
@@ -257,7 +244,7 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         raise ValueError(f"labels reference ids without features: {', '.join(missing[:5])}")
 
     row_of = {ident: row for row, ident in enumerate(ids)}
-    pooled = np.stack([gem_pool(features[ident], model.gem_p) for ident in ids])
+    pooled = _pooled_rows(model, [features[ident] for ident in ids])
     query_rows = np.array([row_of[lab.query_id] for lab in labels])
     map_rows = np.array([row_of[lab.map_id] for lab in labels])
     psi = np.array([lab.psi for lab in labels], dtype=np.float64)
@@ -288,7 +275,7 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         if not np.all(np.isfinite(w)):
             raise TrainingDiverged(step, "non-finite weights after update")
 
-    return replace(model, W=w, trained=True), trace
+    return replace(model, W=w), trace
 
 
 def write_features(path, feature_maps) -> None:
@@ -373,7 +360,7 @@ def save_model(path, model: EmbedModel) -> None:
 
 
 def load_model(path) -> EmbedModel:
-    """Read a model file; persisted models are treated as trained."""
+    """Read a model file; gem_p and W come back as the float32 values stored."""
     with open(path, "rb") as fh:
         d_out, channels, gem_p = _read_header(fh, path, MODEL_MAGIC, "model", "<IIIf")
         _check_size(fh, path, 20 + 4 * d_out * channels)
@@ -382,6 +369,6 @@ def load_model(path) -> EmbedModel:
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after weights")
     try:
-        return EmbedModel(gem_p=float(gem_p), W=w, trained=True)
+        return EmbedModel(gem_p=float(gem_p), W=w)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

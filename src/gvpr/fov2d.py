@@ -305,6 +305,6 @@ def calibrate_theta(
             hi, g_hi = mid, g_mid
         else:
             lo, g_lo = mid, g_mid
-    if abs(g(mid)) > tol:
+    if abs(g_mid) > tol:
         raise RuntimeError(f"bisection failed to reach |overlap - target| <= {tol}")
     return mid

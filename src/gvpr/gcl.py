@@ -4,7 +4,9 @@ The binary form penalizes positive pairs by half the squared descriptor
 distance and negative pairs by a hinge on the margin ``tau``. The graded
 form blends the two branches with a continuous similarity ``psi`` in
 [0, 1], so a pair contributes to both attraction and repulsion in
-proportion to how similar it really is.
+proportion to how similar it really is. At psi in {0, 1} it equals the
+binary form bit for bit, so ``pair_grad`` and training run only the
+graded formulas; ``cl_loss``/``cl_grad_d`` are the binary reference.
 
 All scalar operations accept numpy arrays and broadcast; scalars in give
 Python floats out.
@@ -152,12 +154,9 @@ def pair_grad(fi, fj, label, cfg: LossConfig = LossConfig()) -> GradResult:
         raise ValueError(f"descriptor shapes differ: {fi.shape} vs {fj.shape}")
     diff = fi - fj
     d = float(np.linalg.norm(diff))
-    if label.kind == "binary":
-        loss = cl_loss(d, label.value, cfg)
-        g = cl_grad_d(d, label.value, cfg)
-    else:
-        loss = gcl_loss(d, label.value, cfg)
-        g = gcl_grad_d(d, label.value, cfg)
+    # a binary y is the graded formula at psi = y, where it equals cl_* exactly
+    loss = gcl_loss(d, label.value, cfg)
+    g = gcl_grad_d(d, label.value, cfg)
     if d == 0.0:
         grad_fi = np.zeros_like(fi)
     else:

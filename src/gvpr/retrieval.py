@@ -105,7 +105,6 @@ class WhitenTransform:
 
     mean: np.ndarray = field(repr=False)
     projection: np.ndarray = field(repr=False)
-    epsilon: float = 1e-9
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -256,7 +255,7 @@ def fit_pca_whitening(train: DescriptorSet, d_pca: int) -> WhitenTransform:
         if len(nz) and row[nz[0]] < 0.0:
             row *= -1.0
     proj = comps / np.sqrt(np.maximum(eigvals, 0.0) + eps)[:, None]
-    return WhitenTransform(mean=mean, projection=proj, epsilon=eps)
+    return WhitenTransform(mean=mean, projection=proj)
 
 
 def apply_whitening(t: WhitenTransform, s: DescriptorSet, renormalize: bool = True) -> DescriptorSet:

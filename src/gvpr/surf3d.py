@@ -11,6 +11,7 @@ it projects into the image with positive depth.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -62,10 +63,14 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("focal lengths and principal point must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image size must be at least 1x1 pixels")
+        if not all(n >= 1 and n % 1 == 0 for n in (self.width, self.height)):  # also NaN, inf
+            raise ValueError(f"image size must be whole pixels >= 1x1, got {self.width}x{self.height}")
+        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "height", int(self.height))
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,10 @@ def load_point_cloud(path) -> PointCloud:
             raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
     if not rows:
         raise ValueError(f"{path}: empty point cloud")
-    return PointCloud(np.array(rows))
+    try:
+        return PointCloud(np.array(rows))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]
@@ -205,7 +213,7 @@ def load_intrinsics(path) -> Intrinsics:
     """Parse a flat key-value file with fields fx, fy, cx, cy, width, height.
 
     Accepts `key value`, `key = value` or `key: value` lines; `#` starts a
-    comment. Unknown or missing keys are errors.
+    comment. Unknown or missing keys and values ``Intrinsics`` rejects are errors.
     """
     values = {}
     for lineno, line in enumerate(text_lines(path), start=1):
@@ -227,7 +235,7 @@ def load_intrinsics(path) -> Intrinsics:
     missing = [k for k in _INTR_FIELDS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing intrinsics fields: {', '.join(missing)}")
-    return Intrinsics(
-        fx=values["fx"], fy=values["fy"], cx=values["cx"], cy=values["cy"],
-        width=int(values["width"]), height=int(values["height"]),
-    )
+    try:
+        return Intrinsics(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import FeatureMap, write_features
-from .fov2d import CameraPose2D, wrapped_angle_diff
+from .fov2d import TWO_PI, CameraPose2D
 from .relabel import PoseRecord, PoseTable, csv_rows, save_poses
 
 PLACE_SPACING_M = 250.0
@@ -124,16 +124,17 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
 
 
 def _ground_truth(query_records, map_records) -> dict:
-    """Positive map ids per query: within 25 m and under 40 degrees heading."""
+    """Positive map ids per query (within 25 m and under 40 degrees heading), one row at a time."""
+    maps = sorted(map_records, key=lambda m: m.image_id)
+    ids = [m.image_id for m in maps]
+    t0, t1, alpha = (np.array([getattr(m.pose, k) for m in maps]) for k in ("t0", "t1", "alpha"))
     gt = {}
     for q in query_records:
-        pos = []
-        for m in map_records:
-            dist = math.hypot(q.pose.t0 - m.pose.t0, q.pose.t1 - m.pose.t1)
-            rot = wrapped_angle_diff(q.pose.alpha, m.pose.alpha)
-            if dist <= POSITIVE_DISTANCE_M and rot < POSITIVE_HEADING_RAD:
-                pos.append(m.image_id)
-        gt[q.image_id] = tuple(sorted(pos))
+        dist = np.hypot(q.pose.t0 - t0, q.pose.t1 - t1)
+        turn = np.abs(q.pose.alpha - alpha) % TWO_PI
+        rot = np.minimum(turn, TWO_PI - turn)
+        hits = np.flatnonzero((dist <= POSITIVE_DISTANCE_M) & (rot < POSITIVE_HEADING_RAD))
+        gt[q.image_id] = tuple(ids[i] for i in hits)
     return gt
 
 

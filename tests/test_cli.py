@@ -181,7 +181,7 @@ class TestTrain:
         assert "final_loss=" in stdout
         assert len(trace.read_text().splitlines()) == expected_steps + 1
         model = embed.load_model(out)
-        assert model.trained and model.d_out == 8
+        assert model.d_out == 8
 
     def test_rerun_is_byte_identical(self, world_dir, labels_csv, model_path, tmp_path):
         out = tmp_path / "model.bin"
@@ -496,6 +496,21 @@ class TestMalformedInputs:
         assert embed.load_model(tiny).W.shape == (2, 2)
         for cut in range(len(data)):
             self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "cut_model.bin", data[:cut])
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", "inf"), ("width", "1e400"), ("width", "nan"), ("width", "0"), ("height", "2.5"),
+        ("fx", "nan"), ("fy", "-inf"), ("cx", "nan"), ("cx", "inf"), ("cy", "-inf"),
+    ])
+    def test_bad_intrinsics_value(self, tmp_path, capsys, world_dir, model_path, field, value):
+        lines = [f"{field} = {value}" if line.startswith(f"{field} ") else line
+                 for line in TOY_INTRINSICS.splitlines()]
+        self.run_with(tmp_path, capsys, world_dir, model_path, "overlap3d-intrinsics", "bad_intr.txt",
+                      ("\n".join(lines) + "\n").encode())
+
+    @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
+    def test_non_finite_cloud_coordinate(self, tmp_path, capsys, world_dir, model_path, coordinate):
+        self.run_with(tmp_path, capsys, world_dir, model_path, "overlap3d-cloud", "bad_cloud.xyz",
+                      f"0 0 1\n0.5 {coordinate} 1\n".encode())
 
     @pytest.mark.parametrize("command, content", [
         ("train-labels", b"query_id,map_id,psi\na,b\xff,0.5\n"),

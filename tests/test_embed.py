@@ -1,4 +1,4 @@
-"""Pooling, normalization, descriptor model and trainer tests."""
+"""Pooling, descriptor model and trainer tests."""
 
 import math
 
@@ -15,15 +15,13 @@ from gvpr.embed import (
     forward,
     gem_pool,
     init_model,
-    l2_normalize,
-    l2_normalize_jvp,
     load_model,
     read_features,
     save_model,
     train,
     write_features,
 )
-from gvpr.gcl import LossConfig
+from gvpr.gcl import LossConfig, cl_grad_d, cl_loss, gcl_grad_d, gcl_loss
 from gvpr.relabel import SimilarityLabel
 from gvpr.sampler import BatchStrategy, compose_batch, index_labels
 
@@ -56,7 +54,6 @@ class TestContainers:
             EmbedModel(gem_p=3.0, W=np.ones(3))
         model = EmbedModel(gem_p=3.0, W=np.ones((2, 3)))
         assert (model.d_out, model.channels) == (2, 3)
-        assert not model.trained
 
     def test_train_config_defaults_follow_loss_kind(self):
         assert TrainConfig(loss_kind="gcl").lr0 == pytest.approx(0.1)
@@ -114,31 +111,10 @@ class TestGemPool:
             gem_pool(np.ones((1, 2)), 0.0)
 
 
-class TestNormalize:
-    def test_unit_norm_and_direction(self):
-        v = np.array([3.0, 4.0])
-        u = l2_normalize(v)
-        assert np.linalg.norm(u) == pytest.approx(1.0)
-        assert u == pytest.approx([0.6, 0.8])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            l2_normalize(np.zeros(4))
-
-    def test_jvp_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            v = rng.normal(size=6)
-            dv = rng.normal(size=6)
-            h = 1e-6
-            fd = (l2_normalize(v + h * dv) - l2_normalize(v - h * dv)) / (2 * h)
-            assert l2_normalize_jvp(v, dv) == pytest.approx(fd, abs=1e-6)
-
-    def test_jvp_is_tangent(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=5)
-        jvp = l2_normalize_jvp(v, rng.normal(size=5))
-        assert float(np.dot(jvp, l2_normalize(v))) == pytest.approx(0.0, abs=1e-12)
+def reference_descriptor(model, fm):
+    """Frozen per-map forward pass: W @ gem_pool(fm) as a gemv, then divided by its norm."""
+    v = model.W @ gem_pool(fm, model.gem_p)
+    return v / float(np.linalg.norm(v))
 
 
 class TestForward:
@@ -149,16 +125,40 @@ class TestForward:
             assert np.linalg.norm(forward(model, fm)) == pytest.approx(1.0)
 
     def test_matches_manual_composition(self):
+        # one matmul (gemm) over all maps rounds differently from one gemv per map,
+        # so agreement is to the last bits, not bit for bit
         rng = np.random.default_rng(5)
-        model = init_model(d_out=3, channels=6, gem_p=2.0, seed=1)
-        fm = random_maps(rng, 1)[0]
-        manual = l2_normalize(model.W @ gem_pool(fm, 2.0))
-        assert forward(model, fm) == pytest.approx(manual)
+        model = init_model(d_out=16, channels=32, gem_p=2.0, seed=1)
+        maps = random_maps(rng, 300, channels=32, locations=8)
+        manual = np.stack([reference_descriptor(model, fm) for fm in maps])
+        _, mat = compute_descriptors(model, maps)
+        assert np.max(np.abs(mat - manual)) <= 1e-15
+        one_by_one = np.stack([forward(model, fm) for fm in maps])
+        assert np.max(np.abs(one_by_one - manual)) <= 1e-15
 
     def test_channel_mismatch(self):
         model = init_model(d_out=3, channels=6, seed=0)
+        odd = FeatureMap("odd", np.ones((4, 2)))
         with pytest.raises(ValueError, match="channels"):
-            forward(model, FeatureMap("a", np.ones((4, 2))))
+            forward(model, odd)
+        rng = np.random.default_rng(14)
+        maps = random_maps(rng, 3) + [odd]
+        with pytest.raises(ValueError, match="'odd' has 4 channels, model expects 6"):
+            compute_descriptors(model, maps)
+        with pytest.raises(ValueError, match="'odd' has 4 channels, model expects 6"):
+            train(model, [SimilarityLabel("m000", "odd", 1.0)], maps, TrainConfig(batch_size=2))
+
+    def test_zero_norm_descriptor_rejected(self):
+        model = init_model(d_out=3, channels=6, seed=0)
+        dark = FeatureMap("dark", np.zeros((6, 4)))  # pools to zero, so W @ 0 = 0
+        with pytest.raises(ValueError, match="zero-norm"):
+            forward(model, dark)
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match="zero-norm"):
+            compute_descriptors(model, random_maps(rng, 2) + [dark])
+        with pytest.raises(TrainingDiverged, match="step 0: zero-norm"):
+            train(model, [SimilarityLabel("dark", "m000", 1.0)], random_maps(rng, 1) + [dark],
+                  TrainConfig(batch_size=2))
 
     def test_init_model_deterministic(self):
         a = init_model(d_out=4, channels=8, seed=7)
@@ -215,6 +215,20 @@ class TestBatchGradient:
         assert loss == 0.0
         assert np.array_equal(gw, np.zeros_like(w))
 
+    @pytest.mark.parametrize("loss_kind", ["gcl", "cl"])
+    def test_matches_frozen_per_kind_formulas(self, loss_kind):
+        rng = np.random.default_rng(16)
+        w = rng.normal(size=(4, 5))
+        xi = rng.uniform(0.1, 2.0, size=(40, 5))
+        xj = rng.uniform(0.1, 2.0, size=(40, 5))
+        psi = np.concatenate([rng.uniform(0.0, 1.0, size=36), [0.0, 0.5, 1.0, 0.4999]])
+        for tau in (0.2, 0.6, 1.4):
+            cfg = LossConfig(tau=tau)
+            loss, gw = batch_loss_and_grad(w, xi, xj, psi, loss_kind, cfg)
+            ref_loss, ref_gw = reference_loss_and_grad(w, xi, xj, psi, loss_kind, cfg)
+            assert loss == ref_loss
+            assert np.array_equal(gw, ref_gw)
+
     def test_zero_norm_embedding_raises(self):
         w = np.ones((2, 3))
         xi = np.zeros((1, 3))
@@ -251,9 +265,34 @@ def toy_training_setup(n_pos=6, n_soft=6, n_zero=6, channels=6, locations=8, see
     return labels, maps
 
 
+def reference_loss_and_grad(w, xi, xj, psi, loss_kind, loss_cfg):
+    """Frozen batch loss and gradient with a separate binary branch on cl_loss/cl_grad_d."""
+    zi, zj = xi @ w.T, xj @ w.T
+    ni = np.linalg.norm(zi, axis=1)
+    nj = np.linalg.norm(zj, axis=1)
+    ui, uj = zi / ni[:, None], zj / nj[:, None]
+    diff = ui - uj
+    d = np.linalg.norm(diff, axis=1)
+    if loss_kind == "gcl":
+        losses = gcl_loss(d, psi, loss_cfg)
+        g = gcl_grad_d(d, psi, loss_cfg)
+    else:
+        y = (psi >= 0.5).astype(np.float64)
+        losses = cl_loss(d, y, loss_cfg)
+        g = cl_grad_d(d, y, loss_cfg)
+    scale = np.where(d > 0.0, g / np.where(d > 0.0, d, 1.0), 0.0)
+    gu_i = scale[:, None] * diff
+    gu_j = -gu_i
+    gz_i = (gu_i - ui * np.sum(ui * gu_i, axis=1)[:, None]) / ni[:, None]
+    gz_j = (gu_j - uj * np.sum(uj * gu_j, axis=1)[:, None]) / nj[:, None]
+    gw = (gz_i.T @ xi + gz_j.T @ xj) / len(d)
+    return float(np.mean(losses)), gw
+
+
 def reference_train(model, labels, maps, cfg):
     """Final W of a training loop written label by label: one compose_batch draw
-    per step from one shared Generator, np.stack gathers, train's lr schedule."""
+    per step from one shared Generator, np.stack gathers, train's lr schedule,
+    and the frozen per-kind loss formulas."""
     pooled = {ident: gem_pool(fm, model.gem_p) for ident, fm in maps.items()}
     if len(labels) == 1:
         draw = lambda: (labels[0],) * cfg.batch_size
@@ -266,7 +305,7 @@ def reference_train(model, labels, maps, cfg):
         xi = np.stack([pooled[lab.query_id] for lab in pairs])
         xj = np.stack([pooled[lab.map_id] for lab in pairs])
         psi = np.array([lab.psi for lab in pairs])
-        _, gw = batch_loss_and_grad(w, xi, xj, psi, cfg.loss_kind, LossConfig(tau=cfg.tau))
+        _, gw = reference_loss_and_grad(w, xi, xj, psi, cfg.loss_kind, LossConfig(tau=cfg.tau))
         lr = cfg.lr0 * 0.1 ** (seen // cfg.lr_decay_after)
         seen += len(pairs)
         w = w - lr * gw
@@ -293,15 +332,12 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=8, seed=1)
         trained, trace = train(model, labels, maps, cfg)
         assert len(trace) == 2 * (len(labels) // 8)
-        assert trained.trained
-        assert not model.trained
 
     def test_zero_learning_rate_is_identity(self):
         labels, maps = toy_training_setup()
         model = init_model(d_out=4, channels=6, seed=0)
         trained, trace = train(model, labels, maps, TrainConfig(lr0=0.0, batch_size=8))
         assert np.array_equal(trained.W, model.W)
-        assert trained.trained
 
     def test_deterministic(self):
         labels, maps = toy_training_setup()
@@ -333,7 +369,7 @@ class TestTrain:
         labels, maps = toy_training_setup()
         model = init_model(d_out=4, channels=6, seed=0)
         trained, trace = train(model, labels, maps, TrainConfig(loss_kind="cl", batch_size=8))
-        assert trained.trained
+        assert not np.array_equal(trained.W, model.W)
         assert all(math.isfinite(v) for v in trace)
 
     def test_missing_features_named(self):
@@ -397,12 +433,11 @@ class TestBinaryFormats:
         with pytest.raises(ValueError, match="magic"):
             read_features(path)
 
-    def test_model_roundtrip_marks_trained(self, tmp_path):
+    def test_model_roundtrip(self, tmp_path):
         model = init_model(d_out=3, channels=5, gem_p=2.5, seed=4)
         path = tmp_path / "model.bin"
         save_model(path, model)
         again = load_model(path)
-        assert again.trained
         assert again.gem_p == pytest.approx(2.5)
         assert again.W == pytest.approx(model.W, rel=1e-6)
 

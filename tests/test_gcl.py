@@ -187,6 +187,19 @@ class TestPairGrad:
         assert res.loss == 0.0  # d=1 beyond margin
         assert res.d_loss_d_distance == 0.0
 
+    def test_binary_label_equals_binary_formulas(self):
+        rng = np.random.default_rng(7)
+        for tau in (0.3, 1.0):
+            cfg = LossConfig(tau=tau)
+            for _ in range(50):
+                fi, fj = rng.normal(size=3) * 0.4, rng.normal(size=3) * 0.4
+                d = float(np.linalg.norm(fi - fj))
+                for y in (0, 1):
+                    res = pair_grad(fi, fj, PairLabel.binary(y), cfg)
+                    assert res.loss == cl_loss(d, y, cfg)
+                    assert res.d_loss_d_distance == cl_grad_d(d, y, cfg)
+                    assert np.array_equal(res.grad_fi, (cl_grad_d(d, y, cfg) / d) * (fi - fj))
+
     def test_bare_float_is_graded(self):
         a = pair_grad([1.0, 0.0], [0.0, 0.0], 0.5, TAU_HALF)
         b = pair_grad([1.0, 0.0], [0.0, 0.0], PairLabel.graded(0.5), TAU_HALF)

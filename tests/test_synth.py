@@ -60,6 +60,23 @@ class TestGenerateWorld:
             )
             assert list(world.gt_positives[qid]) == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_ground_truth_matches_double_loop(self, seed):
+        """The per-query array test against the pairwise loop it replaced."""
+        world = generate_world(SynthConfig(places=12, images_per_place=30, channels=2,
+                                           locations=1, seed=seed))
+        expected = {}
+        for q in world.query_poses.records:
+            pos = []
+            for m in world.map_poses.records:
+                dist = math.hypot(q.pose.t0 - m.pose.t0, q.pose.t1 - m.pose.t1)
+                rot = wrapped_angle_diff(q.pose.alpha, m.pose.alpha)
+                if dist <= POSITIVE_DISTANCE_M and rot < POSITIVE_HEADING_RAD:
+                    pos.append(m.image_id)
+            expected[q.image_id] = tuple(sorted(pos))
+        assert world.gt_positives == expected
+        assert 0 < sum(map(len, expected.values())) < len(expected) * 15
+
     def test_same_place_images_usually_positive(self, world):
         # co-located images mostly stay within the positive thresholds
         n_pos = sum(len(v) for v in world.gt_positives.values())
