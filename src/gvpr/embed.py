@@ -4,10 +4,11 @@ A feature map of shape (channels, locations) stands in for the last layer
 of a convolutional backbone. The model pools it with a generalized mean,
 applies a single trainable linear layer and L2-normalizes, yielding a
 unit-norm descriptor; ``forward``, ``compute_descriptors`` and the
-trainer share one batched project-and-normalize. Training runs plain SGD
-over contrastive pairs streamed by the batch sampler, on the graded loss
-(binary labels as psi in {0, 1}); only the linear weights are trained,
-the pooling exponent stays fixed.
+trainer share one batched pool-project-normalize path, which stacks the
+maps of each location count and pools each stack with one GeM call.
+Training runs plain SGD over contrastive pairs streamed by the batch
+sampler, on the graded loss (binary labels as psi in {0, 1}); only the
+linear weights are trained, the pooling exponent stays fixed.
 
 Binary formats (all little-endian):
   features file: magic `GVPR`, version u32, count u32, channels u32,
@@ -15,7 +16,10 @@ Binary formats (all little-endian):
     channels*locations float32 values row-major.
   model file: magic `GVPM`, version u32, d_out u32, channels u32,
     gem_p float32, then d_out*channels float32 weights row-major.
-Header fields must be positive. Model files hold gem_p and W as float32
+Header fields must be positive. A features file is read in one pass into
+one (count, channels, locations) array; its ids (nonempty, unique) and
+values (finite) are checked once per file, and the FeatureMaps returned
+are views of that array. Model files hold gem_p and W as float32
 (p = 2.7 reloads as 2.700000047); `eval` on a model file uses those values.
 """
 
@@ -65,6 +69,14 @@ class FeatureMap:
         if not np.all(np.isfinite(v)):
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _trusted(cls, ident: str, values: np.ndarray) -> FeatureMap:
+        """Wrap values the caller has already checked (a float64 view), skipping validation."""
+        fm = object.__new__(cls)
+        object.__setattr__(fm, "id", ident)
+        object.__setattr__(fm, "values", values)
+        return fm
 
     @property
     def channels(self) -> int:
@@ -134,27 +146,35 @@ class TrainConfig:
 def gem_pool(fm, p: float) -> np.ndarray:
     """Generalized-mean pooling over locations: ((1/L) sum v^p)^(1/p) per channel.
 
-    Accepts a FeatureMap or a raw (channels, locations) array. Negative
-    values are clamped to 0 on ingest so fractional exponents stay
-    defined (backbone activations are nonnegative anyway). p=1 is the
-    mean; large p approaches the per-channel max.
+    Accepts a FeatureMap, a raw (channels, locations) array or a stack of
+    maps of one shape, (n, channels, locations), reducing over the last
+    axis either way. Negative values are clamped to 0 on ingest so
+    fractional exponents stay defined (backbone activations are
+    nonnegative anyway). p=1 is the mean; large p approaches the
+    per-channel max.
     """
     if not p > 0.0:
         raise ValueError(f"pooling exponent must be positive, got {p}")
     v = fm.values if isinstance(fm, FeatureMap) else np.asarray(fm, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError(f"expected (channels, locations), got shape {v.shape}")
-    return np.mean(np.maximum(v, 0.0) ** p, axis=1) ** (1.0 / p)
+    if v.ndim not in (2, 3):
+        raise ValueError(f"expected (channels, locations) or (n, channels, locations), got shape {v.shape}")
+    return np.mean(np.maximum(v, 0.0) ** p, axis=-1) ** (1.0 / p)
 
 
 def _pooled_rows(model: EmbedModel, maps) -> np.ndarray:
-    """GeM-pooled rows, (n, channels), of feature maps with the model's channel count."""
-    for fm in maps:
+    """GeM-pooled rows, (n, channels), in input order, of feature maps with the model's channel
+    count; the maps of each location count are stacked and pooled by one ``gem_pool`` call."""
+    rows_by_locations = {}
+    for row, fm in enumerate(maps):
         if fm.channels != model.channels:
             raise ValueError(
                 f"feature map {fm.id!r} has {fm.channels} channels, model expects {model.channels}"
             )
-    return np.stack([gem_pool(fm, model.gem_p) for fm in maps])
+        rows_by_locations.setdefault(fm.locations, []).append(row)
+    pooled = np.empty((len(maps), model.channels))
+    for rows in rows_by_locations.values():
+        pooled[rows] = gem_pool(np.stack([maps[r].values for r in rows]), model.gem_p)
+    return pooled
 
 
 def _unit_rows(w: np.ndarray, x: np.ndarray) -> tuple:
@@ -329,27 +349,48 @@ def _check_size(fh, path, need: int) -> None:
         raise ValueError(f"{path}: truncated file: header implies {need} bytes or more, has {size}")
 
 
-def read_features(path) -> list:
-    """Read a binary features file back into FeatureMaps, in file order."""
+def _read_feature_array(path) -> tuple:
+    """Ids and float64 values, (count, channels, locations), of a features file.
+
+    A repeated id fails as it is read; empty ids and non-finite values are
+    checked once for the whole file.
+    """
     with open(path, "rb") as fh:
         count, channels, locations = _read_header(fh, path, FEATURES_MAGIC, "features", "<IIII")
-        _check_size(fh, path, 20 + count * (2 + 4 * channels * locations))
-        maps = []
-        for _ in range(count):
+        record_bytes = 4 * channels * locations
+        _check_size(fh, path, 20 + count * (2 + record_bytes))
+        raw = np.empty(count * record_bytes, dtype=np.uint8)
+        ids, seen = [], set()
+        for lo in range(0, len(raw), record_bytes):
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
             try:
                 ident = _read_exact(fh, id_len, path, "id").decode("utf-8")
             except UnicodeDecodeError as e:
                 raise ValueError(f"{path}: {e}") from None
-            raw = _read_exact(fh, 4 * channels * locations, path, f"values of {ident!r}")
-            values = np.frombuffer(raw, dtype="<f4").reshape(channels, locations)
-            try:
-                maps.append(FeatureMap(ident, values.astype(np.float64)))
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from None
+            if ident in seen:
+                raise ValueError(f"{path}: duplicate feature id {ident!r}")
+            seen.add(ident)
+            if fh.readinto(memoryview(raw[lo:lo + record_bytes])) != record_bytes:
+                raise ValueError(f"{path}: truncated file while reading values of {ident!r}")
+            ids.append(ident)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after {count} records")
-    return maps
+    if "" in ids:
+        raise ValueError(f"{path}: feature map id must be nonempty")
+    values = raw.view("<f4").reshape(count, channels, locations).astype(np.float64)
+    del raw  # drop the float32 bytes before the finiteness mask is allocated: a lower peak RSS
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: feature values must be finite")
+    return ids, values
+
+
+def read_features(path) -> list:
+    """Read a binary features file back into FeatureMaps, in file order.
+
+    The maps are views of one (count, channels, locations) array.
+    """
+    ids, values = _read_feature_array(path)
+    return [FeatureMap._trusted(ident, v) for ident, v in zip(ids, values)]
 
 
 def save_model(path, model: EmbedModel) -> None:

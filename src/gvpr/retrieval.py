@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import FeatureMap, read_features, write_features
+from .embed import FeatureMap, _read_feature_array, write_features
 from .fov2d import CameraPose2D, wrapped_angle_diff
 
 # (meters, radians) thresholds a correctly localized query must meet
@@ -83,6 +83,14 @@ class Ranking:
             raise ValueError("hit distances must be non-decreasing")
         object.__setattr__(self, "hits", hits)
 
+    @classmethod
+    def _sorted(cls, query_id, hits: tuple) -> Ranking:
+        """Wrap hits already built as nearest-first (str, float) pairs, skipping validation."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "query_id", query_id)
+        object.__setattr__(r, "hits", hits)
+        return r
+
     def top(self, k: int) -> tuple:
         return self.hits[:k]
 
@@ -140,7 +148,7 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
         raise ValueError(f"k must be in [1, {len(map_set)}], got {k}")
     order = np.argsort(np.array(map_set.ids))  # canonical id order for tie-breaks
     m = map_set.matrix[order]
-    ids = np.array(map_set.ids, dtype=object)[order]
+    ids = np.array([str(i) for i in map_set.ids], dtype=object)[order]
     q = queries.matrix
     qq, mm, qm = np.sum(q * q, axis=1), np.sum(m * m, axis=1), q @ m.T
     out = []
@@ -151,7 +159,7 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
         dist = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
         cols, d = _block_top_k(dist, k)
         for query_id, hit_ids, hit_d in zip(queries.ids[block], ids[cols].tolist(), d.tolist()):
-            out.append(Ranking(query_id, tuple(zip(hit_ids, hit_d))))
+            out.append(Ranking._sorted(query_id, tuple(zip(hit_ids, hit_d))))
     return out
 
 
@@ -281,11 +289,7 @@ def write_descriptors(path, s: DescriptorSet) -> None:
 
 
 def read_descriptors(path, normalized: bool = False) -> DescriptorSet:
-    maps = read_features(path)
-    if any(fm.locations != 1 for fm in maps):
+    ids, values = _read_feature_array(path)
+    if values.shape[2] != 1:
         raise ValueError(f"{path}: not a descriptor file (multiple locations per channel)")
-    return DescriptorSet(
-        ids=tuple(fm.id for fm in maps),
-        matrix=np.stack([fm.values[:, 0] for fm in maps]),
-        normalized=normalized,
-    )
+    return DescriptorSet(ids=tuple(ids), matrix=values[:, :, 0], normalized=normalized)

@@ -173,7 +173,3 @@ class BatchSampler:
             [pool[self._rng.integers(0, len(pool), size=count)] for pool, count in self._pools]
         )
         return Batch([self.idx.labels[r] for r in rows.tolist()], rows)
-
-    def batches(self, n: int):
-        for _ in range(n):
-            yield self.next_batch()

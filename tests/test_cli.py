@@ -399,6 +399,15 @@ class TestCalibrateTheta:
         assert "error:" in capsys.readouterr().err
 
 
+FEATURE_FILE_COMMANDS = ["eval-query-features", "eval-map-features", "train-features",
+                         "eval-query-descriptors", "eval-map-descriptors"]
+
+
+def file_locations(command, default=4):
+    """Locations per channel of a well-formed file for the command: 1 for descriptor files."""
+    return 1 if command.endswith("descriptors") else default
+
+
 class TestMalformedInputs:
     """Each malformed input file ends as `error: <path>: ...` with exit 1."""
 
@@ -407,11 +416,19 @@ class TestMalformedInputs:
         bad.write_bytes(content)
         cloud, poses6, intr = write_toy_scene(tmp_path, [("camA", 0.125), ("camB", 0.5)])
         features = str(world_dir / "query_features.bin")
+        descriptors = tmp_path / "descriptors.bin"
+        retrieval.write_descriptors(descriptors, retrieval.DescriptorSet(("d0", "d1"), np.eye(2, 8)))
         labels = tmp_path / "labels.csv"
         labels.write_text("query_id,map_id,psi\n")
         argv = {
             "eval-query-features": ["eval", "--model", str(model_path), "--query-features", str(bad),
                                     "--map-features", features, "--gt", str(world_dir / "gt.csv")],
+            "eval-map-features": ["eval", "--model", str(model_path), "--query-features", features,
+                                  "--map-features", str(bad), "--gt", str(world_dir / "gt.csv")],
+            "eval-query-descriptors": ["eval", "--query-descriptors", str(bad), "--map-descriptors",
+                                       str(descriptors), "--gt", str(world_dir / "gt.csv")],
+            "eval-map-descriptors": ["eval", "--query-descriptors", str(descriptors), "--map-descriptors",
+                                     str(bad), "--gt", str(world_dir / "gt.csv")],
             "eval-model": ["eval", "--model", str(bad), "--query-features", features,
                            "--map-features", features, "--gt", str(world_dir / "gt.csv")],
             "train-features": ["train", "--labels", str(labels), "--features", str(bad),
@@ -430,7 +447,9 @@ class TestMalformedInputs:
         }[command]
         rc = main(argv)
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        return err
 
     @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
     def test_features_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path, command):
@@ -465,11 +484,12 @@ class TestMalformedInputs:
         record = struct.pack("<H", 2) + b"\xff\xfe" + np.ones(32, dtype="<f4").tobytes()
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "bad_id.bin", header + record)
 
-    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_feature_value(self, tmp_path, capsys, world_dir, model_path, command, value):
-        header = b"GVPR" + struct.pack("<IIII", 1, 1, 8, 4)
-        values = np.ones(32, dtype="<f4")
+        locations = file_locations(command)
+        header = b"GVPR" + struct.pack("<IIII", 1, 1, 8, locations)
+        values = np.ones(8 * locations, dtype="<f4")
         values[5] = value
         record = struct.pack("<H", 1) + b"a" + values.tobytes()
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "non_finite.bin", header + record)
@@ -480,14 +500,39 @@ class TestMalformedInputs:
         w[9] = math.nan
         self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "nan_model.bin", header + w.tobytes())
 
-    @pytest.mark.parametrize("command", ["eval-query-features", "train-features"])
+    @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
     def test_features_truncated_at_every_byte(self, tmp_path, capsys, world_dir, model_path, command):
         tiny = tmp_path / "tiny.bin"
-        embed.write_features(tiny, [embed.FeatureMap(i, np.ones((2, 2))) for i in ("a", "b")])
+        shape = (2, file_locations(command, default=2))
+        embed.write_features(tiny, [embed.FeatureMap(i, np.ones(shape)) for i in ("a", "b")])
         data = tiny.read_bytes()
         assert len(embed.read_features(tiny)) == 2
         for cut in range(len(data)):
             self.run_with(tmp_path, capsys, world_dir, model_path, command, "cut.bin", data[:cut])
+
+    @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
+    @pytest.mark.parametrize("offset, delta", [
+        (4, 1), (8, -1), (8, 1), (12, -1), (12, 1), (16, -1), (16, 1),
+    ], ids=["version", "count-1", "count+1", "channels-1", "channels+1", "locations-1", "locations+1"])
+    def test_features_header_field_mutated(self, tmp_path, capsys, world_dir, model_path, command,
+                                           offset, delta):
+        valid = tmp_path / "valid.bin"
+        rng = np.random.default_rng(offset + delta)
+        shape = (8, file_locations(command))
+        embed.write_features(valid, [embed.FeatureMap(i, rng.uniform(0.0, 2.0, shape)) for i in ("a", "bb", "c")])
+        assert len(embed.read_features(valid)) == 3
+        data = bytearray(valid.read_bytes())
+        (field,) = struct.unpack_from("<I", data, offset)
+        struct.pack_into("<I", data, offset, field + delta)
+        self.run_with(tmp_path, capsys, world_dir, model_path, command, "mutated.bin", bytes(data))
+
+    @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
+    def test_duplicate_feature_id(self, tmp_path, capsys, world_dir, model_path, command):
+        dup = tmp_path / "dup.bin"
+        shape = (8, file_locations(command))
+        embed.write_features(dup, [embed.FeatureMap(i, np.ones(shape)) for i in ("a", "b", "a")])
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "dup_ids.bin", dup.read_bytes())
+        assert err == f"error: {tmp_path / 'dup_ids.bin'}: duplicate feature id 'a'\n"
 
     def test_model_truncated_at_every_byte(self, tmp_path, capsys, world_dir, model_path):
         tiny = tmp_path / "tiny_model.bin"

@@ -1,6 +1,8 @@
 """Pooling, descriptor model and trainer tests."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gvpr.embed import (
     FeatureMap,
     TrainConfig,
     TrainingDiverged,
+    _pooled_rows,
     batch_loss_and_grad,
     compute_descriptors,
     forward,
@@ -109,6 +112,40 @@ class TestGemPool:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             gem_pool(np.ones((1, 2)), 0.0)
+
+
+def _reference_gem_pool(v, p):
+    """Frozen per-map GeM: one (channels, locations) map per call, reduced over axis 1."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.mean(np.maximum(v, 0.0) ** p, axis=1) ** (1.0 / p)
+
+
+class TestStackedGemPool:
+    """The stacked pool equals the frozen per-map pool bit for bit."""
+
+    @pytest.mark.parametrize("locations", [1, 7, 8, 9, 64, 257])
+    def test_stack_equals_per_map_reference(self, locations):
+        rng = np.random.default_rng(locations)
+        stack = rng.uniform(-0.5, 2.0, size=(40, 6, locations))
+        for p in (1.0, 2.700000047683716, 3.0, 8.0):
+            want = np.stack([_reference_gem_pool(v, p) for v in stack])
+            assert np.array_equal(gem_pool(stack, p), want)
+
+    def test_mixed_location_counts_keep_input_order(self):
+        rng = np.random.default_rng(3)
+        maps = random_maps(rng, 9, locations=8, prefix="a") + random_maps(rng, 7, locations=9, prefix="b")
+        maps = [maps[i] for i in rng.permutation(len(maps))]
+        model = init_model(d_out=4, channels=6, gem_p=2.7, seed=1)
+        want = np.stack([_reference_gem_pool(fm.values, model.gem_p) for fm in maps])
+        assert np.array_equal(_pooled_rows(model, maps), want)
+        ids, mat = compute_descriptors(model, maps)
+        assert ids == [fm.id for fm in maps]
+        assert mat[5] == pytest.approx(forward(model, maps[5]))
+
+    def test_rank_checked(self):
+        for shape in ((4,), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="expected"):
+                gem_pool(np.ones(shape), 3.0)
 
 
 def reference_descriptor(model, fm):
@@ -408,6 +445,38 @@ class TestBinaryFormats:
         again = read_features(path)[0]
         assert again.id == "café/001"
         assert np.array_equal(again.values, fm.values)
+
+    def test_values_equal_an_independent_parse(self, tmp_path):
+        rng = np.random.default_rng(13)
+        maps = [FeatureMap(ident, rng.normal(size=(3, 5))) for ident in ("a", "bb", "café", "x" * 300)]
+        path = tmp_path / "features.bin"
+        write_features(path, maps)
+        data = path.read_bytes()
+        _, count, channels, locations = struct.unpack_from("<IIII", data, 4)
+        offset, ids, rows = 20, [], []
+        for _ in range(count):
+            (id_len,) = struct.unpack_from("<H", data, offset)
+            ids.append(data[offset + 2:offset + 2 + id_len].decode("utf-8"))
+            offset += 2 + id_len
+            rows.append(np.frombuffer(data, "<f4", channels * locations, offset).reshape(channels, locations))
+            offset += 4 * channels * locations
+        got = read_features(path)
+        assert [fm.id for fm in got] == ids
+        for fm, want in zip(got, rows):
+            assert fm.values.dtype == np.float64
+            assert np.array_equal(fm.values, want.astype(np.float64))
+
+    def test_duplicate_and_empty_ids_named_with_path(self, tmp_path):
+        path = tmp_path / "dup.bin"
+        write_features(path, [FeatureMap(i, np.ones((2, 2))) for i in ("a", "b", "c", "b", "a")])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate feature id 'b'$"):
+            read_features(path)
+        empty = tmp_path / "empty_id.bin"
+        record = np.ones(4, dtype="<f4").tobytes()
+        empty.write_bytes(b"GVPR" + struct.pack("<IIII", 1, 2, 2, 2) + struct.pack("<H", 1) + b"a" + record
+                          + struct.pack("<H", 0) + record)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: feature map id must be nonempty$"):
+            read_features(empty)
 
     def test_mixed_shapes_rejected(self, tmp_path):
         maps = [FeatureMap("a", np.ones((2, 2))), FeatureMap("b", np.ones((2, 3)))]

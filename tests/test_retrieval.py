@@ -145,6 +145,17 @@ class TestBlockedSearchMatchesReference:
         for k in (1, 10, len(refs)):
             assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
 
+    def test_hits_are_str_float_pairs(self):
+        rng = np.random.default_rng(17)
+        ids = np.array([f"m{i:03d}" for i in range(40)])  # np.str_ ids come back as str
+        queries = dset(["q0", "q1", "q2"], unit_rows(rng, 3, 8))
+        refs = dset(ids, unit_rows(rng, 40, 8))
+        got = nn_search(queries, refs, 10)
+        assert got == _reference_nn_search(queries, refs, 10)
+        for r in got:
+            assert type(r.hits) is tuple
+            assert all(type(h) is tuple and type(h[0]) is str and type(h[1]) is float for h in r.hits)
+
     def test_overflowing_rows_rank_like_the_reference(self):
         # finite rows whose squared norms overflow give NaN distances, which sort last
         rows = [[1e200, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, -1e200], [3.0, 3.0]]

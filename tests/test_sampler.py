@@ -164,11 +164,10 @@ class TestBatchSampler:
 
     def test_batches_iterator_counts(self, mixed_index):
         sampler = BatchSampler(mixed_index, BatchStrategy.C, 6, seed=1)
-        got = list(sampler.batches(4))
-        assert len(got) == 4
-        assert all(len(b) == 6 for b in got)
+        assert all(len(sampler.next_batch()) == 6 for _ in range(4))
 
     def test_every_batch_meets_quota(self, mixed_index):
         sampler = BatchSampler(mixed_index, BatchStrategy.B, 8, seed=9)
-        for batch in sampler.batches(50):
+        for _ in range(50):
+            batch = sampler.next_batch()
             assert batch.band_counts() == {band: 2 for band in Band}
