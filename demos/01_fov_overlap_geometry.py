@@ -5,9 +5,9 @@ Field-of-view overlap geometry
 Two planar cameras see circular sectors of the world. The fraction of
 sector area they share is the graded similarity of the image pair. This
 script walks the overlap measure through rotations and translations,
-cross-checks the polygon intersection against Monte-Carlo integration, and
-solves for the opening angle that makes a chosen layout land exactly at
-overlap 0.5.
+cross-checks the discretized-sector overlap against Monte-Carlo
+integration, and solves for the opening angle that makes a chosen layout
+land exactly at overlap 0.5.
 """
 
 import math
@@ -38,7 +38,7 @@ for dt in (0.0, 10.0, 25.0, 50.0, 75.0, 100.0):
     psi = fov_overlap(origin, CameraPose2D(dt, 0.0, 0.0), fov)
     print(f"  {dt:5.0f}  {psi:.4f}")
 
-# The polygon-intersection result agrees with brute-force Monte-Carlo integration.
+# The discretized-sector overlap agrees with brute-force Monte-Carlo integration.
 est, stderr = fov_overlap_mc(origin, shifted, fov, samples=200_000, seed=0)
 exact = fov_overlap(origin, shifted, fov)
 print(f"\nMonte-Carlo check: exact={exact:.4f} estimate={est:.4f} stderr={stderr:.1e}")

@@ -21,7 +21,6 @@ from .fov2d import (
     FovParams,
     Polygon,
     calibrate_theta,
-    convex_intersection,
     fov_overlap,
     fov_overlap_mc,
     polygon_area,

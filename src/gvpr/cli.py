@@ -106,6 +106,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _file_descriptors(model, path):
+    """Descriptors of a features file; maps that parse but do not fit the model fail with the path."""
+    maps = embed.read_features(path)
+    try:
+        return embed.compute_descriptors(model, maps)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _load_eval_descriptors(parser, args):
     model_mode = args.model or args.query_features or args.map_features
     file_mode = args.query_descriptors or args.map_descriptors
@@ -115,8 +124,8 @@ def _load_eval_descriptors(parser, args):
         if not (args.model and args.query_features and args.map_features):
             parser.error("--model, --query-features and --map-features go together")
         model = embed.load_model(args.model)
-        q_ids, q_mat = embed.compute_descriptors(model, embed.read_features(args.query_features))
-        m_ids, m_mat = embed.compute_descriptors(model, embed.read_features(args.map_features))
+        q_ids, q_mat = _file_descriptors(model, args.query_features)
+        m_ids, m_mat = _file_descriptors(model, args.map_features)
         queries = retrieval.DescriptorSet(tuple(q_ids), q_mat, normalized=True)
         map_set = retrieval.DescriptorSet(tuple(m_ids), m_mat, normalized=True)
     else:

@@ -526,6 +526,29 @@ class TestMalformedInputs:
         struct.pack_into("<I", data, offset, field + delta)
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "mutated.bin", bytes(data))
 
+    @pytest.mark.parametrize("command", ["eval-query-features", "eval-map-features"])
+    @pytest.mark.parametrize("channels, fill, message", [
+        (5, 1.0, "feature map 'a' has 5 channels, model expects 8"),
+        (8, 0.0, "zero-norm embedding before normalization"),
+    ], ids=["channel-mismatch", "all-zero"])
+    def test_features_that_do_not_fit_the_model(self, tmp_path, capsys, world_dir, model_path, command,
+                                                channels, fill, message):
+        misfit = tmp_path / "misfit.bin"
+        embed.write_features(misfit, [embed.FeatureMap(i, np.full((channels, 4), fill)) for i in ("a", "b")])
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "misfit_maps.bin",
+                            misfit.read_bytes())
+        assert err == f"error: {tmp_path / 'misfit_maps.bin'}: {message}\n"
+
+    @pytest.mark.parametrize("offset, delta", [
+        (4, 1), (8, -1), (8, 1), (12, -1), (12, 1),
+    ], ids=["version", "d_out-1", "d_out+1", "channels-1", "channels+1"])
+    def test_model_header_field_mutated(self, tmp_path, capsys, world_dir, model_path, offset, delta):
+        data = bytearray(model_path.read_bytes())
+        assert embed.load_model(model_path).W.shape == (8, 8)
+        (field,) = struct.unpack_from("<I", data, offset)
+        struct.pack_into("<I", data, offset, field + delta)
+        self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "mutated_model.bin", bytes(data))
+
     @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
     def test_duplicate_feature_id(self, tmp_path, capsys, world_dir, model_path, command):
         dup = tmp_path / "dup.bin"

@@ -11,7 +11,6 @@ from gvpr.fov2d import (
     FovParams,
     Polygon,
     calibrate_theta,
-    convex_intersection,
     fov_overlap,
     fov_overlap_mc,
     polygon_area,
@@ -140,62 +139,6 @@ class TestPolygonArea:
         assert polygon_area(tri) == 0.0
 
 
-class TestConvexIntersection:
-    def square(self, x0, y0, size=1.0):
-        return Polygon(np.array([
-            [x0, y0], [x0 + size, y0], [x0 + size, y0 + size], [x0, y0 + size],
-        ]))
-
-    def test_self_intersection_is_identity_area(self):
-        sq = self.square(0, 0)
-        inter = convex_intersection(sq, sq)
-        assert inter is not None
-        assert polygon_area(inter) == pytest.approx(1.0, abs=1e-12)
-
-    def test_offset_squares(self):
-        inter = convex_intersection(self.square(0, 0), self.square(0.5, 0))
-        assert polygon_area(inter) == pytest.approx(0.5, abs=1e-12)
-
-    def test_disjoint_squares(self):
-        assert convex_intersection(self.square(0, 0), self.square(3, 3)) is None
-
-    def test_result_never_exceeds_either_area(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            a = sector_polygon(random_pose(rng, span=10), FOV90_50, 64)
-            b = sector_polygon(random_pose(rng, span=10), FOV90_50, 64)
-            inter = convex_intersection(a, b)
-            if inter is not None:
-                bound = min(polygon_area(a), polygon_area(b))
-                assert polygon_area(inter) <= bound + 1e-9
-
-    def test_shared_vertices_appear_once(self):
-        sq = self.square(0, 0)
-        inter = convex_intersection(sq, sq)
-        assert len(inter) == 4
-        assert len(np.unique(inter.vertices, axis=0)) == 4
-
-    def test_sector_intersection_area_matches_reference(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            a, b = random_pose(rng, span=10), random_pose(rng, span=10)
-            inter = convex_intersection(sector_polygon(a, FOV90_50, 64), sector_polygon(b, FOV90_50, 64))
-            psi = _reference_fov_overlap(a, b, FOV90_50, 64)
-            if inter is None:
-                assert psi == 0.0
-            else:
-                sector = polygon_area(sector_polygon(a, FOV90_50, 64))
-                assert polygon_area(inter) / sector == pytest.approx(psi, abs=1e-12)
-                assert len(np.unique(inter.vertices, axis=0)) == len(inter)
-
-    def test_nonconvex_input_rejected(self):
-        hook = Polygon(np.array([
-            [0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5], [0.0, 2.0],
-        ]))
-        with pytest.raises(ValueError, match="convex"):
-            convex_intersection(hook, self.square(0, 0))
-
-
 class TestFovOverlap:
     def test_identical_poses(self):
         p = CameraPose2D(3.2, -1.0, 0.7)
@@ -308,8 +251,57 @@ def _degenerate_sweep():
     return cases
 
 
+def _two_piece_layout(east=0.0, north=0.0):
+    """B's last radial edge runs west to east along a line 0.99 h north of A's apex, h = r cos(theta / 2n)
+    the inscribed radius: it meets A's annulus h <= |x - apex| <= r in two pieces, over two cells apart.
+    A comes first canonically, so the edge is off the apex the area terms are taken about."""
+    fov, n = FovParams(math.radians(120.0), 50.0), 16
+    h = fov.r * math.cos(fov.theta / (2 * n))
+    a = CameraPose2D(east, north, 0.0)
+    b = CameraPose2D(east + 20.0, north + 0.99 * h, 1.5 * math.pi + fov.theta / 2)
+    return a, b, fov, n
+
+
 class TestReferenceEquivalence:
-    """The one-shot kernel against the frozen Sutherland-Hodgman reference: |dpsi| <= 1e-12."""
+    """The windowed Cyrus-Beck kernel against the frozen Sutherland-Hodgman reference: |dpsi| <= 1e-12."""
+
+    @pytest.mark.parametrize("segments", [2, 7, 256])
+    @pytest.mark.parametrize("theta_deg", [37.0, 90.0, 120.0, 180.0])
+    def test_random_sweep(self, theta_deg, segments):
+        fov = FovParams(math.radians(theta_deg), 50.0)
+        rng = np.random.default_rng(1000 * int(theta_deg) + segments)
+        overlapping = 0
+        for _ in range(300):
+            a, b = random_pose(rng), random_pose(rng)
+            psi = fov_overlap(a, b, fov, segments)
+            assert abs(psi - _reference_fov_overlap(a, b, fov, segments)) <= 1e-12, (a, b)
+            overlapping += 0.0 < psi < 1.0
+        assert overlapping >= 50
+
+    def test_edge_with_two_annulus_pieces(self):
+        a, b, fov, n = _two_piece_layout()
+        h = fov.r * math.cos(fov.theta / (2 * n))
+        cells = [(fov.theta / 2 - math.atan2(x, 0.99 * h)) * n / fov.theta
+                 for x in (-math.sqrt(fov.r ** 2 - (0.99 * h) ** 2), math.sqrt(h ** 2 - (0.99 * h) ** 2))]
+        assert cells[0] - cells[1] > 2.0  # one window of four cells cannot hold both pieces
+        psi = fov_overlap(a, b, fov, n)
+        assert psi > 1e-4
+        assert abs(psi - _reference_fov_overlap(a, b, fov, n)) <= 1e-12
+
+    def test_two_annulus_pieces_far_from_origin(self):
+        near = fov_overlap(*_two_piece_layout())
+        far = fov_overlap(*_two_piece_layout(500_000.0, 4_000_000.0))
+        assert abs(far - near) <= 1e-12
+
+    @pytest.mark.parametrize("segments", [3, 9])
+    def test_edge_along_a_chord_from_outside(self, segments):
+        # B's last radial edge runs along the line of A's middle chord with B beyond it: they touch
+        # along a segment, and the shared piece of boundary must not count as area
+        fov = FovParams(math.radians(10.0), 50.0)
+        a = CameraPose2D(0.0, 0.0, 0.0)
+        b = CameraPose2D(5.0, fov.r * math.cos(fov.theta / (2 * segments)), 1.5 * math.pi + fov.theta / 2)
+        assert fov_overlap(a, b, fov, segments) == 0.0
+        assert _reference_fov_overlap(a, b, fov, segments) == 0.0
 
     def test_acceptance_geometry_pairs(self):
         # the pair generator of tests/test_acceptance.py::test_03
@@ -345,6 +337,18 @@ class TestReferenceEquivalence:
             got = fov_overlap(a, b, fov, n)
             assert got == fov_overlap(b, a, fov, n)
             assert abs(got - _reference_fov_overlap(a, b, fov, n)) <= 1e-12, (a, b, fov, n)
+
+    @pytest.mark.parametrize("theta_deg, segments", [(37.0, 256), (37.0, 9), (90.0, 7)])
+    def test_shared_apex_rotated_by_whole_segments_and_a_hair(self, theta_deg, segments):
+        # the arcs' chords are nearly collinear and cross at small angles: both sectors' clips must
+        # put each meeting point at the same place, or whole fan triangles go missing or count twice
+        fov = FovParams(math.radians(theta_deg), 50.0)
+        a = CameraPose2D(-9.475, 19.452, 2.843)
+        for j in (1, 2, segments // 2):
+            for eps in (1e-14, -1e-13, 1e-13, -1e-12, 1e-12, -1e-9, 1e-9):
+                b = CameraPose2D(a.t0, a.t1, a.alpha + j * fov.theta / segments + eps)
+                got = fov_overlap(a, b, fov, segments)
+                assert abs(got - _reference_fov_overlap(a, b, fov, segments)) <= 1e-12, (j, eps)
 
     def test_shared_apex_rotated_by_whole_segments(self):
         # the overlap is exactly (n - j) / n fan triangles of the discretized sector
