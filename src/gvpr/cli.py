@@ -11,7 +11,6 @@ success, 2 on usage errors, 1 on runtime errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -35,17 +34,10 @@ def _fov(args) -> FovParams:
     return FovParams(theta=math.radians(args.theta_deg), r=args.radius_m)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_relabel(args) -> int:
     table = relabel.load_poses(args.poses)
     if len(table) == 0:
-        raise ValueError(f"{args.poses}: no pose records")
+        raise relabel.InputError(args.poses, "no pose records")
     labels = relabel.pairwise_similarity(
         table, _fov(args), candidate_radius=args.candidate_radius_m,
         arc_segments=args.arc_segments,
@@ -62,18 +54,13 @@ def cmd_overlap3d(args) -> int:
     cloud = surf3d.load_point_cloud(args.cloud)
     poses = surf3d.load_poses_6dof(args.poses)
     if len(poses) < 2:
-        raise ValueError(f"{args.poses}: need at least 2 poses to form pairs")
+        raise relabel.InputError(args.poses, "need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
-    ids = [image_id for image_id, _ in poses]
     iou = surf3d.iou_matrix(np.stack([surf3d.visible_mask(cloud, pose, intr) for _, pose in poses]))
-    iu, ju = np.triu_indices(len(ids), k=1)
-    labels = [
-        relabel.SimilarityLabel(*sorted((ids[i], ids[j])), psi)
-        for i, j, psi in zip(iu.tolist(), ju.tolist(), iou[iu, ju].tolist())
-        if not math.isnan(psi)
-    ]
+    iu, ju = np.triu_indices(len(poses), k=1)
+    ids = [image_id for image_id, _ in poses]
+    labels = relabel.labels_of_pairs(ids, iu.tolist(), ju.tolist(), iou[iu, ju].tolist())
     skipped = len(iu) - len(labels)
-    labels.sort(key=lambda lab: (lab.query_id, lab.map_id))
     relabel.save_labels(args.out, labels)
     print(f"labels={len(labels)}")
     print(f"skipped_undefined={skipped}")
@@ -83,8 +70,11 @@ def cmd_overlap3d(args) -> int:
 def cmd_train(args) -> int:
     labels = relabel.load_labels(args.labels)
     features = embed.read_features(args.features)
-    if not features:
-        raise ValueError(f"{args.features}: no feature maps")
+    if not labels:
+        raise relabel.InputError(args.labels, "no labels to train on")
+    missing = sorted({i for lab in labels for i in (lab.query_id, lab.map_id)} - {fm.id for fm in features})
+    if missing:
+        raise relabel.InputError(args.labels, f"ids not in {args.features}: {', '.join(missing[:5])}")
     cfg = embed.TrainConfig(
         loss_kind=args.loss,
         tau=args.tau,
@@ -99,20 +89,18 @@ def cmd_train(args) -> int:
     trained, trace = embed.train(model, labels, features, cfg)
     embed.save_model(args.out, trained)
     if args.trace:
-        _write_csv(args.trace, ["step", "loss"],
-                   [[i, f"{loss:.10g}"] for i, loss in enumerate(trace)])
+        rows = [[i, f"{loss:.10g}"] for i, loss in enumerate(trace)]
+        relabel.write_csv(args.trace, ["step", "loss"], rows, "\n")
     print(f"steps={len(trace)}")
     print(f"final_loss={trace[-1]:.10g}")
     return 0
 
 
-def _file_descriptors(model, path):
+@relabel.file_reader
+def _file_descriptors(path, model):
     """Descriptors of a features file; maps that parse but do not fit the model fail with the path."""
-    maps = embed.read_features(path)
-    try:
-        return embed.compute_descriptors(model, maps)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    ids, matrix = embed.compute_descriptors(model, embed.read_features(path))
+    return retrieval.DescriptorSet(tuple(ids), matrix, normalized=True)
 
 
 def _load_eval_descriptors(parser, args):
@@ -124,10 +112,8 @@ def _load_eval_descriptors(parser, args):
         if not (args.model and args.query_features and args.map_features):
             parser.error("--model, --query-features and --map-features go together")
         model = embed.load_model(args.model)
-        q_ids, q_mat = _file_descriptors(model, args.query_features)
-        m_ids, m_mat = _file_descriptors(model, args.map_features)
-        queries = retrieval.DescriptorSet(tuple(q_ids), q_mat, normalized=True)
-        map_set = retrieval.DescriptorSet(tuple(m_ids), m_mat, normalized=True)
+        queries = _file_descriptors(args.query_features, model)
+        map_set = _file_descriptors(args.map_features, model)
     else:
         if not (args.query_descriptors and args.map_descriptors):
             parser.error("--query-descriptors and --map-descriptors go together")
@@ -171,7 +157,7 @@ def cmd_eval(args, parser) -> int:
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
     if args.out:
-        _write_csv(args.out, ["metric", "value"], rows)
+        relabel.write_csv(args.out, ["metric", "value"], rows, "\n")
     return 0
 
 
@@ -217,7 +203,7 @@ def cmd_profile(args) -> int:
         table, _fov(args), bins=args.bins, arc_segments=args.arc_segments
     )
     rows = [[f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records]
-    _write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows)
+    relabel.write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")
     print(f"records={len(rows)}")
     return 0
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gcl import LossConfig, gcl_grad_d, gcl_loss
+from .relabel import file_reader
 from .sampler import BatchSampler, BatchStrategy, index_labels
 
 _NORM_EPS = 1e-12
@@ -322,68 +323,66 @@ def write_features(path, feature_maps) -> None:
             fh.write(fm.values.astype("<f4").tobytes(order="C"))
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
+def _read_exact(fh, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise ValueError(f"{path}: truncated file while reading {what}")
+        raise ValueError(f"truncated file while reading {what}")
     return buf
 
 
-def _read_header(fh, path, magic: bytes, kind: str, fmt: str) -> list:
+def _read_header(fh, magic: bytes, kind: str, fmt: str) -> list:
     """Check a binary file's magic and version; returns the other header fields."""
-    got = _read_exact(fh, 4, path, "magic")
+    got = _read_exact(fh, 4, "magic")
     if got != magic:
-        raise ValueError(f"{path}: not a {kind} file (bad magic {got!r})")
-    version, *fields = struct.unpack(fmt, _read_exact(fh, 16, path, "header"))
+        raise ValueError(f"not a {kind} file (bad magic {got!r})")
+    version, *fields = struct.unpack(fmt, _read_exact(fh, 16, "header"))
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
+        raise ValueError(f"unsupported format version {version}")
     if not all(f > 0 for f in fields):  # also rejects a NaN gem_p
-        raise ValueError(f"{path}: {kind} header fields must be positive, got {fields}")
+        raise ValueError(f"{kind} header fields must be positive, got {fields}")
     return fields
 
 
-def _check_size(fh, path, need: int) -> None:
+def _check_size(fh, need: int) -> None:
     """Reject a header that implies more bytes than the file holds, before reading them."""
     size = os.fstat(fh.fileno()).st_size
     if need > size:
-        raise ValueError(f"{path}: truncated file: header implies {need} bytes or more, has {size}")
+        raise ValueError(f"truncated file: header implies {need} bytes or more, has {size}")
 
 
 def _read_feature_array(path) -> tuple:
     """Ids and float64 values, (count, channels, locations), of a features file.
 
     A repeated id fails as it is read; empty ids and non-finite values are
-    checked once for the whole file.
+    checked once for the whole file. Callers add the path.
     """
     with open(path, "rb") as fh:
-        count, channels, locations = _read_header(fh, path, FEATURES_MAGIC, "features", "<IIII")
+        count, channels, locations = _read_header(fh, FEATURES_MAGIC, "features", "<IIII")
         record_bytes = 4 * channels * locations
-        _check_size(fh, path, 20 + count * (2 + record_bytes))
+        _check_size(fh, 20 + count * (2 + record_bytes))
         raw = np.empty(count * record_bytes, dtype=np.uint8)
         ids, seen = [], set()
         for lo in range(0, len(raw), record_bytes):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
-            try:
-                ident = _read_exact(fh, id_len, path, "id").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ValueError(f"{path}: {e}") from None
+            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "id length"))
+            ident = _read_exact(fh, id_len, "id").decode("utf-8")
             if ident in seen:
-                raise ValueError(f"{path}: duplicate feature id {ident!r}")
+                raise ValueError(f"duplicate feature id {ident!r}")
             seen.add(ident)
             if fh.readinto(memoryview(raw[lo:lo + record_bytes])) != record_bytes:
-                raise ValueError(f"{path}: truncated file while reading values of {ident!r}")
+                raise ValueError(f"truncated file while reading values of {ident!r}")
             ids.append(ident)
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after {count} records")
+            raise ValueError(f"trailing bytes after {count} records")
     if "" in ids:
-        raise ValueError(f"{path}: feature map id must be nonempty")
+        raise ValueError("feature map id must be nonempty")
     values = raw.view("<f4").reshape(count, channels, locations).astype(np.float64)
     del raw  # drop the float32 bytes before the finiteness mask is allocated: a lower peak RSS
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: feature values must be finite")
+        raise ValueError("feature values must be finite")
     return ids, values
 
 
+@file_reader
 def read_features(path) -> list:
     """Read a binary features file back into FeatureMaps, in file order.
 
@@ -400,16 +399,14 @@ def save_model(path, model: EmbedModel) -> None:
         fh.write(model.W.astype("<f4").tobytes(order="C"))
 
 
+@file_reader
 def load_model(path) -> EmbedModel:
     """Read a model file; gem_p and W come back as the float32 values stored."""
     with open(path, "rb") as fh:
-        d_out, channels, gem_p = _read_header(fh, path, MODEL_MAGIC, "model", "<IIIf")
-        _check_size(fh, path, 20 + 4 * d_out * channels)
-        raw = _read_exact(fh, 4 * d_out * channels, path, "weights")
+        d_out, channels, gem_p = _read_header(fh, MODEL_MAGIC, "model", "<IIIf")
+        _check_size(fh, 20 + 4 * d_out * channels)
+        raw = _read_exact(fh, 4 * d_out * channels, "weights")
         w = np.frombuffer(raw, dtype="<f4").reshape(d_out, channels).astype(np.float64)
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after weights")
-    try:
-        return EmbedModel(gem_p=float(gem_p), W=w)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+            raise ValueError("trailing bytes after weights")
+    return EmbedModel(gem_p=float(gem_p), W=w)

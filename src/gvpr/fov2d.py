@@ -106,6 +106,11 @@ def polygon_area(p: Polygon) -> float:
     return max(_signed_area(p.vertices), 0.0)
 
 
+def check_arc_segments(arc_segments: int) -> None:
+    if arc_segments < 2:
+        raise ValueError("arc_segments must be >= 2")
+
+
 def _arc_directions(alpha, fov: FovParams, arc_segments: int) -> tuple[np.ndarray, np.ndarray]:
     """East and north components of the unit directions from the apex to the arc vertices.
 
@@ -125,8 +130,7 @@ def sector_polygon(pose: CameraPose2D, fov: FovParams, arc_segments: int = 256) 
     [alpha - theta/2, alpha + theta/2]. Its area converges to
     theta * r**2 / 2 from below as ``arc_segments`` grows.
     """
-    if arc_segments < 2:
-        raise ValueError("arc_segments must be >= 2")
+    check_arc_segments(arc_segments)
     ux, uy = _arc_directions(pose.alpha, fov, arc_segments)
     arc = np.column_stack((pose.t0 + fov.r * ux, pose.t1 + fov.r * uy))
     return Polygon(np.vstack(([pose.t0, pose.t1], arc)))
@@ -233,10 +237,9 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     as A's edge (B's edges are open). A collinear pair running opposite ways
     only touches, and counts for neither.
     """
+    check_arc_segments(arc_segments)
     if a == b:
         return 1.0
-    if arc_segments < 2:
-        raise ValueError("arc_segments must be >= 2")
     p, q = _canonical(a, b)
     n, r, theta = arc_segments, fov.r, fov.theta
     cx, cy = q.t0 - p.t0, q.t1 - p.t1

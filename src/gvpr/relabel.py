@@ -16,13 +16,15 @@ File formats (UTF-8 CSV, `.` decimal point):
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .fov2d import CameraPose2D, FovParams, fov_overlap, wrapped_angle_diff
+from .fov2d import CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
+from .sampler import Band, band_of
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,6 @@ class PoseTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_scene(self) -> dict:
-        out: dict = {}
-        for rec in self.records:
-            out.setdefault(rec.scene, []).append(rec)
-        return out
-
 
 @dataclass(frozen=True)
 class SimilarityLabel:
@@ -80,46 +76,79 @@ class SimilarityClass(Enum):
     HARD_NEGATIVE = "hard_negative"
 
 
+_CLASS_OF_BAND = {Band.HIGH: SimilarityClass.POSITIVE, Band.MID: SimilarityClass.POSITIVE,
+                  Band.LOW: SimilarityClass.SOFT_NEGATIVE, Band.ZERO: SimilarityClass.HARD_NEGATIVE}
+
+
 def classify(psi: float) -> SimilarityClass:
-    """Similarity class of a label: the positive boundary is closed at 0.5."""
-    if not 0.0 <= psi <= 1.0:
-        raise ValueError(f"psi must be in [0, 1], got {psi}")
-    if psi >= 0.5:
-        return SimilarityClass.POSITIVE
-    if psi > 0.0:
-        return SimilarityClass.SOFT_NEGATIVE
-    return SimilarityClass.HARD_NEGATIVE
+    """Similarity class of a label, from its sampler band: the positive boundary is closed at 0.5."""
+    return _CLASS_OF_BAND[band_of(psi)]
+
+
+class LineError(ValueError):
+    """A malformed line of an input file: the message, without the path, and the line number."""
+
+    def __init__(self, line: int, message):
+        super().__init__(message)
+        self.line = line
+
+
+class InputError(ValueError):
+    """`<path>: <message>`, or `<path>:<line>: <message>` for a LineError: the only code that
+    writes a file's location into an error message."""
+
+    def __init__(self, path, error):
+        line = getattr(error, "line", None)
+        super().__init__(f"{path}: {error}" if line is None else f"{path}:{line}: {error}")
+
+
+def file_reader(read):
+    """Decorate a reader whose first argument is a file path: each ValueError it raises (a LineError,
+    bad UTF-8, a rejected record) or csv.Error leaves it as an InputError naming the path."""
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except InputError:
+            raise
+        except (ValueError, csv.Error) as e:
+            raise InputError(path, e) from None
+    return reader
 
 
 def text_lines(path):
-    """Lines of a UTF-8 text file, endings kept; bad UTF-8 is a ValueError naming the path."""
+    """Lines of a UTF-8 text file, endings kept; bad UTF-8 is a UnicodeDecodeError (a ValueError)."""
     with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: {e}") from None
+        yield from fh
 
 
 def csv_rows(path, header: list):
-    """Yield (line number, fields) of each nonblank row of a UTF-8 CSV with ``header``.
-
-    A wrong header or field count is a ValueError naming the path and line.
-    """
+    """Yield (line number, fields) of each nonblank row of a UTF-8 CSV with ``header``; a wrong
+    header is a ValueError and a wrong field count a LineError, neither naming the path."""
     reader = csv.reader(text_lines(path))
     if next(reader, None) != header:
-        raise ValueError(f"{path}: expected header {','.join(header)}")
+        raise ValueError(f"expected header {','.join(header)}")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            raise LineError(lineno, f"expected {len(header)} fields, got {len(row)}")
         yield lineno, row
+
+
+def write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
+    """Write a UTF-8 CSV: the header, then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 POSES_HEADER = ["id", "scene", "t0", "t1", "alpha_deg"]
 LABELS_HEADER = ["query_id", "map_id", "psi"]
 
 
+@file_reader
 def load_poses(path) -> PoseTable:
     """Parse a poses CSV; heading degrees are converted to radians and wrapped."""
     records = []
@@ -128,67 +157,67 @@ def load_poses(path) -> PoseTable:
         try:
             t0, t1, alpha_deg = float(row[2]), float(row[3]), float(row[4])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from None
+            raise LineError(lineno, "non-numeric pose entry") from None
         try:
             pose = CameraPose2D(t0, t1, math.radians(alpha_deg))
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+            raise LineError(lineno, e) from None
         records.append(PoseRecord(image_id, pose, scene))
-    try:
-        return PoseTable(tuple(records))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return PoseTable(tuple(records))
 
 
 def save_poses(path, table: PoseTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSES_HEADER)
-        for rec in table.records:
-            writer.writerow([
-                rec.image_id, rec.scene,
-                repr(rec.pose.t0), repr(rec.pose.t1), repr(math.degrees(rec.pose.alpha)),
-            ])
+    write_csv(path, POSES_HEADER, (
+        [rec.image_id, rec.scene, repr(rec.pose.t0), repr(rec.pose.t1), repr(math.degrees(rec.pose.alpha))]
+        for rec in table.records
+    ))
 
 
+@file_reader
 def load_labels(path) -> list:
     labels = []
     for lineno, row in csv_rows(path, LABELS_HEADER):
         try:
             psi = float(row[2])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric psi") from None
+            raise LineError(lineno, "non-numeric psi") from None
         try:
             labels.append(SimilarityLabel(row[0], row[1], psi))
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+            raise LineError(lineno, e) from None
     return labels
 
 
 def save_labels(path, labels) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELS_HEADER)
-        for lab in labels:
-            writer.writerow([lab.query_id, lab.map_id, f"{lab.psi:.6f}"])
+    write_csv(path, LABELS_HEADER, ([lab.query_id, lab.map_id, f"{lab.psi:.6f}"] for lab in labels))
 
 
-def _same_scene_pairs(table: PoseTable):
-    """Every unordered same-scene pair as (a, b, center distance), a before b in the table."""
-    for recs in table.by_scene().values():
-        xy = np.array([[rec.pose.t0, rec.pose.t1] for rec in recs])
-        for i in range(len(recs) - 1):
-            d = xy[i] - xy[i + 1:]
-            dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-            for j, dij in enumerate(dist.tolist(), start=i + 1):
-                yield recs[i], recs[j], dij
+def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
+    """Lists (i, j, center distance, psi) of every unordered same-scene pair within ``reach``, i < j
+    positions in the table; psi is 0 without geometry beyond 2r, where the view circles cannot meet."""
+    check_arc_segments(arc_segments)
+    rows_of: dict = {}
+    for pos, rec in enumerate(table.records):
+        rows_of.setdefault(rec.scene, []).append(pos)
+    ij = [np.take(rows, np.triu_indices(len(rows), k=1)) for rows in rows_of.values()]
+    i, j = np.concatenate(ij, axis=1) if ij else np.empty((2, 0), dtype=np.intp)
+    xy = np.array([[rec.pose.t0, rec.pose.t1] for rec in table.records]).reshape(-1, 2)
+    d = xy[i] - xy[j]
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    near = dist <= reach
+    i, j, dist = i[near].tolist(), j[near].tolist(), dist[near].tolist()
+    poses = [rec.pose for rec in table.records]
+    psi = [0.0 if dd > 2.0 * fov.r else fov_overlap(poses[a], poses[b], fov, arc_segments)
+           for a, b, dd in zip(i, j, dist)]
+    return i, j, dist, psi
 
 
-def _psi(a: CameraPose2D, b: CameraPose2D, dist: float, fov: FovParams, arc_segments: int) -> float:
-    """FoV overlap, short-circuited to 0 beyond 2r where the view circles cannot meet."""
-    if dist > 2.0 * fov.r:
-        return 0.0
-    return fov_overlap(a, b, fov, arc_segments)
+def labels_of_pairs(ids, i, j, psi) -> list:
+    """Labels of the pairs (ids[i[k]], ids[j[k]]) with similarity psi[k], 2D or 3D, in canonical id
+    order within each pair and sorted by (query_id, map_id); a NaN psi (undefined) gets no label."""
+    labels = [SimilarityLabel(*sorted((ids[a], ids[b])), p) for a, b, p in zip(i, j, psi) if not math.isnan(p)]
+    labels.sort(key=lambda lab: (lab.query_id, lab.map_id))
+    return labels
 
 
 def pairwise_similarity(
@@ -205,19 +234,10 @@ def pairwise_similarity(
     deduplicated, canonically ordered within each pair and sorted, so it
     is deterministic regardless of record order.
     """
-    if candidate_radius < 2.0 * fov.r:
-        raise ValueError(
-            f"candidate_radius must be at least 2r = {2.0 * fov.r} m (or infinite)"
-        )
-    labels = []
-    for a, b, dist in _same_scene_pairs(table):
-        if dist > candidate_radius:
-            continue
-        psi = _psi(a.pose, b.pose, dist, fov, arc_segments)
-        qid, mid = sorted((a.image_id, b.image_id))
-        labels.append(SimilarityLabel(qid, mid, psi))
-    labels.sort(key=lambda lab: (lab.query_id, lab.map_id))
-    return labels
+    if not candidate_radius >= 2.0 * fov.r:  # also rejects NaN
+        raise ValueError(f"candidate_radius must be at least 2r = {2.0 * fov.r} m (or infinite)")
+    i, j, _, psi = _same_scene_pairs(table, fov, arc_segments, candidate_radius)
+    return labels_of_pairs([rec.image_id for rec in table.records], i, j, psi)
 
 
 def fov_distance_profile(
@@ -236,17 +256,16 @@ def fov_distance_profile(
     """
     if len(table) < 2:
         raise ValueError("profile needs at least 2 poses")
-    rows = []
-    for a, b, dist in _same_scene_pairs(table):
-        psi = _psi(a.pose, b.pose, dist, fov, arc_segments)
-        rows.append((dist, wrapped_angle_diff(a.pose.alpha, b.pose.alpha), psi))
-    if not rows:
+    if bins is not None and bins < 1:
+        raise ValueError("bins must be a positive count")
+    i, j, dist, psi = _same_scene_pairs(table, fov, arc_segments)
+    if not psi:
         raise ValueError("no same-scene pairs to profile")
-    out = np.array(sorted(rows), dtype=np.float64)
+    alpha = [rec.pose.alpha for rec in table.records]
+    rot = [wrapped_angle_diff(alpha[a], alpha[b]) for a, b in zip(i, j)]
+    out = np.array(sorted(zip(dist, rot, psi)), dtype=np.float64)
     if bins is None:
         return out
-    if bins < 1:
-        raise ValueError("bins must be a positive count")
     edges = np.linspace(0.0, float(np.max(out[:, 0])), bins + 1)
     which = np.clip(np.digitize(out[:, 0], edges[1:-1], right=True), 0, bins - 1)
     agg = []

@@ -22,6 +22,7 @@ import numpy as np
 
 from .embed import FeatureMap, _read_feature_array, write_features
 from .fov2d import CameraPose2D, wrapped_angle_diff
+from .relabel import file_reader
 
 # (meters, radians) thresholds a correctly localized query must meet
 DEFAULT_LOC_THRESHOLDS = (
@@ -288,8 +289,9 @@ def write_descriptors(path, s: DescriptorSet) -> None:
     write_features(path, [FeatureMap(i, row[:, None]) for i, row in zip(s.ids, s.matrix)])
 
 
+@file_reader
 def read_descriptors(path, normalized: bool = False) -> DescriptorSet:
     ids, values = _read_feature_array(path)
     if values.shape[2] != 1:
-        raise ValueError(f"{path}: not a descriptor file (multiple locations per channel)")
+        raise ValueError("not a descriptor file (multiple locations per channel)")
     return DescriptorSet(ids=tuple(ids), matrix=values[:, :, 0], normalized=normalized)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relabel import csv_rows, text_lines
+from .relabel import LineError, csv_rows, file_reader, text_lines
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
@@ -157,6 +157,7 @@ def iou_matrix(masks: np.ndarray) -> np.ndarray:
         return np.where(union > 0, inter / union, np.nan)
 
 
+@file_reader
 def load_point_cloud(path) -> PointCloud:
     """Parse a plain-text cloud: one `x y z` triple per line, blank lines skipped."""
     rows = []
@@ -165,22 +166,20 @@ def load_point_cloud(path) -> PointCloud:
         if not parts:
             continue
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
+            raise LineError(lineno, f"expected 3 coordinates, got {len(parts)}")
         try:
             rows.append([float(x) for x in parts])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
+            raise LineError(lineno, "non-numeric coordinate") from None
     if not rows:
-        raise ValueError(f"{path}: empty point cloud")
-    try:
-        return PointCloud(np.array(rows))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise ValueError("empty point cloud")
+    return PointCloud(np.array(rows))
 
 
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]
 
 
+@file_reader
 def load_poses_6dof(path) -> list:
     """Parse a 6DOF pose CSV with header id,r00..r22,t0,t1,t2.
 
@@ -192,16 +191,16 @@ def load_poses_6dof(path) -> list:
     for lineno, row in csv_rows(path, _POSE6_HEADER):
         image_id = row[0]
         if image_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate id {image_id!r}")
+            raise LineError(lineno, f"duplicate id {image_id!r}")
         seen.add(image_id)
         try:
             vals = [float(x) for x in row[1:]]
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric pose entry") from None
+            raise LineError(lineno, "non-numeric pose entry") from None
         try:
             pose = Pose6DOF(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+            raise LineError(lineno, e) from None
         out.append((image_id, pose))
     return out
 
@@ -209,6 +208,7 @@ def load_poses_6dof(path) -> list:
 _INTR_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
 
 
+@file_reader
 def load_intrinsics(path) -> Intrinsics:
     """Parse a flat key-value file with fields fx, fy, cx, cy, width, height.
 
@@ -222,20 +222,17 @@ def load_intrinsics(path) -> Intrinsics:
             continue
         m = re.match(r"^(\w+)\s*[:=]?\s*(\S+)$", line)
         if not m:
-            raise ValueError(f"{path}:{lineno}: expected `key value` line")
+            raise LineError(lineno, "expected `key value` line")
         key, raw = m.group(1), m.group(2)
         if key not in _INTR_FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown intrinsics field {key!r}")
+            raise LineError(lineno, f"unknown intrinsics field {key!r}")
         if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate field {key!r}")
+            raise LineError(lineno, f"duplicate field {key!r}")
         try:
             values[key] = float(raw)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
+            raise LineError(lineno, f"non-numeric value for {key!r}") from None
     missing = [k for k in _INTR_FIELDS if k not in values]
     if missing:
-        raise ValueError(f"{path}: missing intrinsics fields: {', '.join(missing)}")
-    try:
-        return Intrinsics(**values)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise ValueError(f"missing intrinsics fields: {', '.join(missing)}")
+    return Intrinsics(**values)

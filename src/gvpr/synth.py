@@ -24,7 +24,6 @@ headings differ by less than 40 degrees.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ import numpy as np
 
 from .embed import FeatureMap, write_features
 from .fov2d import TWO_PI, CameraPose2D
-from .relabel import PoseRecord, PoseTable, csv_rows, save_poses
+from .relabel import LineError, PoseRecord, PoseTable, csv_rows, file_reader, save_poses, write_csv
 
 PLACE_SPACING_M = 250.0
 CENTER_JITTER_M = 10.0
@@ -143,20 +142,16 @@ GT_HEADER = ["query_id", "map_id"]
 
 def save_ground_truth(path, gt: dict) -> None:
     """Write positive pairs as CSV rows; queries with no positives have none."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GT_HEADER)
-        for qid in sorted(gt):
-            for mid in gt[qid]:
-                writer.writerow([qid, mid])
+    write_csv(path, GT_HEADER, ([qid, mid] for qid in sorted(gt) for mid in gt[qid]))
 
 
+@file_reader
 def load_ground_truth(path, query_ids) -> dict:
     """Read positives, keyed over all of ``query_ids`` (empty set when absent)."""
     gt = {qid: set() for qid in query_ids}
     for lineno, (qid, mid) in csv_rows(path, GT_HEADER):
         if qid not in gt:
-            raise ValueError(f"{path}:{lineno}: unknown query id {qid!r}")
+            raise LineError(lineno, f"unknown query id {qid!r}")
         gt[qid].add(mid)
     return {qid: tuple(sorted(mids)) for qid, mids in gt.items()}
 

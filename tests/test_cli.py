@@ -113,6 +113,13 @@ class TestRelabel:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nan_candidate_radius_is_runtime_error(self, world_dir, tmp_path, capsys):
+        rc = main(["relabel", "--poses", str(world_dir / "train_poses.csv"),
+                   "--out", str(tmp_path / "o.csv"), "--candidate-radius-m", "nan"])
+        assert rc == 1
+        assert "candidate_radius must be at least 2r" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_header_only_table_is_runtime_error(self, tmp_path, capsys):
         poses = tmp_path / "empty.csv"
         poses.write_text("id,scene,t0,t1,alpha_deg\n")
@@ -590,6 +597,27 @@ class TestMalformedInputs:
     ])
     def test_non_utf8_text_file(self, tmp_path, capsys, world_dir, model_path, command, content):
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "bad.txt", content)
+
+    @pytest.mark.parametrize("command, header", [
+        ("train-labels", "query_id,map_id,psi"), ("eval-gt", "query_id,map_id"),
+        ("relabel-poses", "id,scene,t0,t1,alpha_deg"), ("overlap3d-poses", POSE6_HEADER),
+    ])
+    def test_csv_field_over_the_csv_module_limit(self, tmp_path, capsys, world_dir, model_path,
+                                                 command, header):
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "long_field.csv",
+                            f"{header}\n{'x' * 200_000},1\n".encode())
+        assert err == f"error: {tmp_path / 'long_field.csv'}: field larger than field limit (131072)\n"
+
+    def test_header_only_labels(self, tmp_path, capsys, world_dir, model_path):
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "no_labels.csv",
+                            b"query_id,map_id,psi\n")
+        assert err == f"error: {tmp_path / 'no_labels.csv'}: no labels to train on\n"
+
+    def test_labels_without_features(self, tmp_path, capsys, world_dir, model_path):
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "stray_labels.csv",
+                            b"query_id,map_id,psi\nyy,zz,0.5\n")
+        features = world_dir / "query_features.bin"
+        assert err == f"error: {tmp_path / 'stray_labels.csv'}: ids not in {features}: yy, zz\n"
 
 
 class TestUsage:

@@ -144,6 +144,11 @@ class TestFovOverlap:
         p = CameraPose2D(3.2, -1.0, 0.7)
         assert fov_overlap(p, p, FOV90_50) == 1.0
 
+    def test_identical_poses_still_check_arc_segments(self):
+        p = CameraPose2D(3.2, -1.0, 0.7)
+        with pytest.raises(ValueError, match="arc_segments"):
+            fov_overlap(p, p, FOV90_50, -3)
+
     def test_rotation_anchor(self):
         a, b = reference_pair(0.0, math.radians(40.0))
         assert fov_overlap(a, b, FOV90_50) == pytest.approx(0.5563, abs=0.002)

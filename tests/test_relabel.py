@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gvpr import relabel
 from gvpr.fov2d import CameraPose2D, FovParams, fov_overlap
 from gvpr.relabel import (
     PoseRecord,
@@ -36,12 +37,6 @@ class TestPoseTable:
     def test_rejects_empty_scene(self):
         with pytest.raises(ValueError, match="scene"):
             PoseTable((rec("a", 0, 0, 0, scene=""),))
-
-    def test_groups_by_scene(self):
-        table = PoseTable((rec("a", 0, 0, 0, "x"), rec("b", 0, 0, 0, "y"), rec("c", 0, 0, 0, "x")))
-        scenes = table.by_scene()
-        assert sorted(scenes) == ["x", "y"]
-        assert len(scenes["x"]) == 2
 
 
 class TestClassify:
@@ -106,6 +101,16 @@ class TestPairwiseSimilarity:
         with pytest.raises(ValueError, match="2r"):
             pairwise_similarity(table, FOV, candidate_radius=80.0)
 
+    def test_nan_candidate_radius_rejected(self):
+        table = PoseTable((rec("a", 0, 0, 0), rec("b", 1, 0, 0)))
+        with pytest.raises(ValueError, match="2r"):
+            pairwise_similarity(table, FOV, candidate_radius=math.nan)
+
+    def test_arc_segments_checked_when_no_pair_reaches_geometry(self):
+        table = PoseTable((rec("a", 0, 0, 0), rec("b", 500.0, 0, 0)))
+        with pytest.raises(ValueError, match="arc_segments"):
+            pairwise_similarity(table, FOV, arc_segments=1)
+
     def test_canonical_order_and_sorting(self):
         table = PoseTable((rec("zz", 0, 0, 0), rec("aa", 1, 0, 0), rec("mm", 2, 0, 0)))
         labels = pairwise_similarity(table, FOV)
@@ -146,6 +151,18 @@ class TestProfile:
     def test_needs_two_poses(self):
         with pytest.raises(ValueError):
             fov_distance_profile(PoseTable((rec("a", 0, 0, 0),)), FOV)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bins": 0}, "bins"), ({"arc_segments": 1}, "arc_segments"),
+    ])
+    def test_arguments_checked_before_any_pair(self, monkeypatch, kwargs, message):
+        def no_geometry(*args):
+            raise AssertionError("fov_overlap evaluated before the arguments were checked")
+
+        monkeypatch.setattr(relabel, "fov_overlap", no_geometry)
+        recs = tuple(rec(f"p{i}", 9.0 * i, 0, 0) for i in range(4))
+        with pytest.raises(ValueError, match=message):
+            fov_distance_profile(PoseTable(recs), FOV, **kwargs)
 
 
 class TestPersistence:
