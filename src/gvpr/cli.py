@@ -139,7 +139,7 @@ def cmd_eval(args, parser) -> int:
         queries = retrieval.apply_whitening(transform, queries)
 
     rankings = retrieval.nn_search(queries, map_set, max(ks))
-    gt = synth.load_ground_truth(args.gt, queries.ids)
+    gt = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
     recall = retrieval.recall_at_k(rankings, gt, ks)
 
     rows = [(f"recall@{k}", f"{recall.percent[k]:.4f}") for k in ks]

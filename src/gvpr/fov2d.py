@@ -18,6 +18,7 @@ estimator over the exact (non-discretized) sectors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,8 +108,9 @@ def polygon_area(p: Polygon) -> float:
 
 
 def check_arc_segments(arc_segments: int) -> None:
-    if arc_segments < 2:
-        raise ValueError("arc_segments must be >= 2")
+    """Reject anything but a Python or NumPy integer >= 2: floats (also NaN and inf) included."""
+    if not isinstance(arc_segments, numbers.Integral) or arc_segments < 2:
+        raise ValueError(f"arc_segments must be an integer >= 2, got {arc_segments!r}")
 
 
 def _arc_directions(alpha, fov: FovParams, arc_segments: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .relabel import LineError, csv_rows, file_reader, text_lines
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
+_IOU_BLOCK = 4096
+_CLOUD_BLOCK_CHARS = 1 << 14
 
 
 class UndefinedOverlapError(ValueError):
@@ -118,11 +121,15 @@ def visible_mask(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics) -> np.ndarray
     (half-open bounds). The result does not depend on point order beyond
     the index labels themselves.
     """
-    cam = cloud.points @ pose.rotation.T + pose.translation
-    z = cam[:, 2]
+    # The translation is added per column where each is used, not as an (n, 3) broadcast:
+    # every element still sees the same operations in the same order, so the mask is
+    # bit-identical, without one full-size temporary per camera.
+    cam = cloud.points @ pose.rotation.T
+    t = pose.translation
+    z = cam[:, 2] + t[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * cam[:, 0] / z + k.cx
-        v = k.fy * cam[:, 1] / z + k.cy
+        u = k.fx * (cam[:, 0] + t[0]) / z + k.cx
+        v = k.fy * (cam[:, 1] + t[1]) / z + k.cy
     return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
 
 
@@ -148,9 +155,18 @@ def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
 def iou_matrix(masks: np.ndarray) -> np.ndarray:
     """IoU of every pair of (cameras, points) visibility rows; NaN where both are empty.
 
-    Counts are exact integers, so each entry equals ``surface_overlap``.
+    The intersection counts come from ``m @ m.T`` over blocks of at most
+    ``_IOU_BLOCK`` = 4,096 points, with ``m`` the block's rows as float32 0/1.
+    They are exact whatever the cloud size or the BLAS summation order: every
+    partial sum of a block is an integer <= 4,096 < 2**24, so float32 holds it
+    exactly, and the blocks are added into an int64 total. Each entry
+    therefore equals ``surface_overlap``. One block's float32 copy stays under
+    1 MB for up to 64 cameras.
     """
-    inter = np.stack([np.count_nonzero(masks & row, axis=1) for row in masks])
+    inter = np.zeros((len(masks), len(masks)), dtype=np.int64)
+    for lo in range(0, masks.shape[1], _IOU_BLOCK):
+        m = masks[:, lo:lo + _IOU_BLOCK].astype(np.float32)
+        inter += (m @ m.T).astype(np.int64)
     sizes = np.diagonal(inter)
     union = sizes[:, None] + sizes[None, :] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,21 +175,46 @@ def iou_matrix(masks: np.ndarray) -> np.ndarray:
 
 @file_reader
 def load_point_cloud(path) -> PointCloud:
-    """Parse a plain-text cloud: one `x y z` triple per line, blank lines skipped."""
-    rows = []
-    for lineno, line in enumerate(text_lines(path), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise LineError(lineno, f"expected 3 coordinates, got {len(parts)}")
+    """Parse a plain-text cloud: one `x y z` triple per line, blank lines skipped.
+
+    The file is read once, in blocks of whole lines (about 16k characters;
+    lines end at LF, CRLF or a lone CR, as everywhere else). Each line is
+    split once; a block whose lines all have 0 or 3 tokens is converted by
+    ``float`` into one float64 run, so the values are exactly those of a
+    line-by-line parse. When a block fails, only that block is scanned again
+    line by line, so the error is the ``LineError`` of its first bad line,
+    numbered from the start of the file: a wrong token count or a
+    non-numeric coordinate. Bad UTF-8 fails while a block is read, so it is
+    reported before a bad line earlier in the same block.
+    """
+    blocks = []
+    lines_before = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        while lines := fh.readlines(_CLOUD_BLOCK_CHARS):
+            parts = [line.split() for line in lines]
+            try:
+                if not set(map(len, parts)) <= {0, 3}:
+                    raise ValueError
+                blocks.append(np.fromiter(map(float, chain.from_iterable(parts)), np.float64))
+            except ValueError:
+                _raise_first_bad_line(parts, lines_before)
+                raise
+            lines_before += len(lines)
+    points = np.concatenate(blocks) if blocks else np.empty(0)
+    if not len(points):
+        raise ValueError("empty point cloud")
+    return PointCloud(points.reshape(-1, 3))
+
+
+def _raise_first_bad_line(parts: list, lines_before: int) -> None:
+    """Raise the LineError of the first malformed line among a block's split lines."""
+    for lineno, p in enumerate(parts, start=lines_before + 1):
+        if p and len(p) != 3:
+            raise LineError(lineno, f"expected 3 coordinates, got {len(p)}")
         try:
-            rows.append([float(x) for x in parts])
+            [float(x) for x in p]
         except ValueError:
             raise LineError(lineno, "non-numeric coordinate") from None
-    if not rows:
-        raise ValueError("empty point cloud")
-    return PointCloud(np.array(rows))
 
 
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]

@@ -146,12 +146,19 @@ def save_ground_truth(path, gt: dict) -> None:
 
 
 @file_reader
-def load_ground_truth(path, query_ids) -> dict:
-    """Read positives, keyed over all of ``query_ids`` (empty set when absent)."""
+def load_ground_truth(path, query_ids, map_ids) -> dict:
+    """Read positives, keyed over all of ``query_ids`` (empty set when absent).
+
+    A row naming a query outside ``query_ids`` or a map image outside
+    ``map_ids`` is a LineError: such a positive could never be retrieved.
+    """
     gt = {qid: set() for qid in query_ids}
+    known_maps = set(map_ids)
     for lineno, (qid, mid) in csv_rows(path, GT_HEADER):
         if qid not in gt:
             raise LineError(lineno, f"unknown query id {qid!r}")
+        if mid not in known_maps:
+            raise LineError(lineno, f"unknown map id {mid!r}")
         gt[qid].add(mid)
     return {qid: tuple(sorted(mids)) for qid, mids in gt.items()}
 

@@ -254,9 +254,10 @@ class TestEval:
             ids, mat = embed.compute_descriptors(model, embed.read_features(world_dir / name))
             return retrieval.DescriptorSet(tuple(ids), mat, normalized=True)
 
-        queries = descriptors("query_features.bin")
-        rankings = retrieval.nn_search(queries, descriptors("map_features.bin"), 5)
-        recall = retrieval.recall_at_k(rankings, synth.load_ground_truth(world_dir / "gt.csv", queries.ids), [1, 5])
+        queries, map_set = descriptors("query_features.bin"), descriptors("map_features.bin")
+        rankings = retrieval.nn_search(queries, map_set, 5)
+        gt = synth.load_ground_truth(world_dir / "gt.csv", queries.ids, map_set.ids)
+        recall = retrieval.recall_at_k(rankings, gt, [1, 5])
         expected = ["metric,value"] + [f"recall@{k},{recall.percent[k]:.4f}" for k in (1, 5)] + [
             f"queries_evaluated,{recall.evaluated}", f"queries_excluded,{recall.excluded}"]
         assert out_csv.read_text().splitlines() == expected
@@ -607,6 +608,22 @@ class TestMalformedInputs:
         err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "long_field.csv",
                             f"{header}\n{'x' * 200_000},1\n".encode())
         assert err == f"error: {tmp_path / 'long_field.csv'}: field larger than field limit (131072)\n"
+
+    def test_gt_positive_outside_the_map_set(self, tmp_path, capsys):
+        assert main(["synth", "--out-dir", str(tmp_path), "--places", "8", "--images-per-place", "2",
+                     "--channels", "4", "--locations", "1", "--seed", "1"]) == 0
+        argv = ["eval", "--query-descriptors", str(tmp_path / "query_features.bin"),
+                "--map-descriptors", str(tmp_path / "map_features.bin"), "--ks", "1,2"]
+        gt = (tmp_path / "gt.csv").read_text().splitlines()
+        assert len(gt) == 5  # header and one positive for each of the 4 queries
+        assert main(argv + ["--gt", str(tmp_path / "gt.csv")]) == 0
+        query, _ = gt[3].split(",")
+        gt[3] = f"{query},no_such_map"
+        bad = tmp_path / "bad_gt.csv"
+        bad.write_text("\n".join(gt) + "\n")
+        capsys.readouterr()
+        assert main(argv + ["--gt", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:4: unknown map id 'no_such_map'\n"
 
     def test_header_only_labels(self, tmp_path, capsys, world_dir, model_path):
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "no_labels.csv",

@@ -149,6 +149,16 @@ class TestFovOverlap:
         with pytest.raises(ValueError, match="arc_segments"):
             fov_overlap(p, p, FOV90_50, -3)
 
+    @pytest.mark.parametrize("arc_segments", [2.5, math.nan, math.inf, 8.0])
+    def test_non_integer_arc_segments_rejected(self, arc_segments):
+        a, b = CameraPose2D(0.0, 0.0, 0.0), CameraPose2D(10.0, 0.0, 0.3)
+        with pytest.raises(ValueError, match="arc_segments"):
+            fov_overlap(a, b, FOV90_50, arc_segments)
+
+    def test_numpy_integer_arc_segments_accepted(self):
+        a, b = CameraPose2D(0.0, 0.0, 0.0), CameraPose2D(10.0, 0.0, 0.3)
+        assert fov_overlap(a, b, FOV90_50, np.int64(8)) == fov_overlap(a, b, FOV90_50, 8)
+
     def test_rotation_anchor(self):
         a, b = reference_pair(0.0, math.radians(40.0))
         assert fov_overlap(a, b, FOV90_50) == pytest.approx(0.5563, abs=0.002)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gvpr.relabel import LineError, file_reader, text_lines
 from gvpr.surf3d import (
+    Z_NEAR,
     Intrinsics,
     PointCloud,
     Pose6DOF,
@@ -17,7 +19,9 @@ from gvpr.surf3d import (
     load_poses_6dof,
     project_points,
     surface_overlap,
+    visible_mask,
 )
+from perfbench import corridor
 
 IDENTITY = np.eye(3)
 CENTERED = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
@@ -252,3 +256,157 @@ class TestLoaders:
         path.write_text("fx 1\nfy 1\ncx 0\ncy 0\nwidth 10\nheight 10\nskew 3\n")
         with pytest.raises(ValueError, match="unknown"):
             load_intrinsics(path)
+
+
+# Frozen references: the line-by-line parser, the broadcast projection and the
+# per-row intersection counts that load_point_cloud, visible_mask and
+# iou_matrix replaced. The fast versions must match them bit for bit.
+@file_reader
+def _reference_load_point_cloud(path) -> PointCloud:
+    rows = []
+    for lineno, line in enumerate(text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise LineError(lineno, f"expected 3 coordinates, got {len(parts)}")
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError:
+            raise LineError(lineno, "non-numeric coordinate") from None
+    if not rows:
+        raise ValueError("empty point cloud")
+    return PointCloud(np.array(rows))
+
+
+def _reference_visible_mask(cloud, pose, k):
+    cam = cloud.points @ pose.rotation.T + pose.translation
+    z = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.fx * cam[:, 0] / z + k.cx
+        v = k.fy * cam[:, 1] / z + k.cy
+    return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
+
+
+def _reference_iou_matrix(masks):
+    inter = np.stack([np.count_nonzero(masks & row, axis=1) for row in masks])
+    sizes = np.diagonal(inter)
+    union = sizes[:, None] + sizes[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, np.nan)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def load_error(loader, path):
+    with pytest.raises(ValueError) as err:
+        loader(path)
+    return str(err.value)
+
+
+class TestMatchesReference:
+    # 4,096-point blocks: 5,000 ends in a partial block, 13,001 spans four.
+    @pytest.mark.parametrize("points, seed", [(5_000, 3), (13_001, 11), (9_999, 29)])
+    def test_corridor_scenes(self, tmp_path, points, seed):
+        scene = corridor.generate_scene(points, 12, seed)
+        paths = corridor.write_scene(tmp_path, scene)
+        cloud = load_point_cloud(paths["cloud"])
+        assert_bit_equal(cloud.points, _reference_load_point_cloud(paths["cloud"]).points)
+        assert_bit_equal(cloud.points, scene.points)
+        k = load_intrinsics(paths["intrinsics"])
+        masks = []
+        for _, pose in load_poses_6dof(paths["poses"]):
+            masks.append(visible_mask(cloud, pose, k))
+            assert_bit_equal(masks[-1], _reference_visible_mask(cloud, pose, k))
+        masks = np.stack(masks)
+        assert 0 < masks.sum() < masks.size
+        assert_bit_equal(iou_matrix(masks), _reference_iou_matrix(masks))
+
+    def test_points_on_the_image_edges(self):
+        # Points placed on the four image edges of each camera project to within a few ulps
+        # of a bound, so a projection that rounds differently flips some of them.
+        scene = corridor.generate_scene(10, 12, 7)
+        cam = scene.camera
+        k = Intrinsics(cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height)
+        rng = np.random.default_rng(8)
+        for rot, t in zip(scene.rotations, scene.translations):
+            n = 4_000
+            z = rng.uniform(0.5, 20.0, n)
+            u = rng.uniform(0.0, cam.width, n)
+            v = rng.uniform(0.0, cam.height, n)
+            edge = rng.integers(0, 4, n)
+            u = np.where(edge == 0, 0.0, np.where(edge == 1, cam.width, u))
+            v = np.where(edge == 2, 0.0, np.where(edge == 3, cam.height, v))
+            xyz = np.column_stack(((u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy, z))
+            cloud = PointCloud((xyz - t) @ rot)
+            pose = Pose6DOF(rot, t)
+            want = _reference_visible_mask(cloud, pose, k)
+            assert 0.05 < want.mean() < 0.95
+            assert_bit_equal(visible_mask(cloud, pose, k), want)
+
+    @pytest.mark.parametrize("shape", [(9, 3 * 4096 + 7), (6, 4096), (1, 5_000), (1, 0), (4, 1)])
+    def test_masks_with_empty_rows(self, shape):
+        rng = np.random.default_rng(shape[1])
+        masks = rng.random(shape) < rng.uniform(0.0, 0.9, size=(shape[0], 1))
+        masks[::3] = False  # blind cameras: pairs of them are NaN
+        want = _reference_iou_matrix(masks)
+        assert np.isnan(want).any()
+        assert_bit_equal(iou_matrix(masks), want)
+
+    def test_single_seeing_camera(self):
+        masks = np.ones((1, 10), dtype=bool)
+        assert_bit_equal(iou_matrix(masks), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("content", [
+        b"0 0 1\r\n0.5 -1 2\r\n3 4 5\r\n",
+        b"0 0 1\r0.5 -1 2\r3 4 5\r",
+        b"\n\n0 0 1\n\n   \n0.5 -1 2\n\n",
+        b"0\t0\t1\n\t0.5 -1\t2 \n",
+        b"0 0 1\n0.5 -1 2",
+        b"0 0 1\r\n\r0.5 -1 2\n\r\n3\t4 5",
+        b"1e-320 -0.0 1_0.25\n",
+    ], ids=["crlf", "lone-cr", "blank-lines", "tabs", "no-final-newline", "mixed", "signed-zero-and-subnormal"])
+    def test_cloud_file_layouts(self, tmp_path, content):
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(content)
+        assert_bit_equal(load_point_cloud(path).points, _reference_load_point_cloud(path).points)
+
+    def test_mixed_endings_across_read_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        endings = [b"\n", b"\r\n", b"\r", b"\n\n", b"\r\n \t\r\n"]
+        lines = [b"%r\t%r %r" % tuple(xyz) + endings[e]
+                 for xyz, e in zip(rng.normal(size=(4_000, 3)).tolist(), rng.integers(0, 5, 4_000))]
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(b"".join(lines))
+        cloud = load_point_cloud(path)
+        assert len(cloud) == 4_000
+        assert_bit_equal(cloud.points, _reference_load_point_cloud(path).points)
+
+    @pytest.mark.parametrize("bad", ["1 2", "1 2 x"], ids=["two-tokens", "non-numeric"])
+    @pytest.mark.parametrize("lineno", [1, 2_345, 4_999, 5_000])
+    def test_bad_line_far_into_the_file(self, tmp_path, bad, lineno):
+        rng = np.random.default_rng(lineno)
+        lines = [f"{x!r} {y!r} {z!r}" for x, y, z in rng.normal(size=(5_000, 3)).tolist()]
+        lines[lineno - 1] = bad
+        path = tmp_path / "cloud.xyz"
+        path.write_text("\n".join(lines) + "\n")
+        message = load_error(load_point_cloud, path)
+        reason = "expected 3 coordinates, got 2" if bad == "1 2" else "non-numeric coordinate"
+        assert message == f"{path}:{lineno}: {reason}"
+        assert message == load_error(_reference_load_point_cloud, path)
+
+    def test_first_of_two_bad_lines_reported(self, tmp_path):
+        lines = ["0 0 1"] * 3_000
+        lines[1_500], lines[1_501] = "0 0 z", "1 2"
+        path = tmp_path / "cloud.xyz"
+        path.write_text("\n".join(lines))
+        assert load_error(load_point_cloud, path) == f"{path}:1501: non-numeric coordinate"
+
+    @pytest.mark.parametrize("content", [b"", b"\n\r\n  \n"], ids=["empty", "blank"])
+    def test_empty_cloud(self, tmp_path, content):
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(content)
+        assert load_error(load_point_cloud, path) == f"{path}: empty point cloud"

@@ -103,20 +103,21 @@ class TestGroundTruthIO:
         path = tmp_path / "gt.csv"
         save_ground_truth(path, world.gt_positives)
         query_ids = [r.image_id for r in world.query_poses.records]
-        again = load_ground_truth(path, query_ids)
+        map_ids = [r.image_id for r in world.map_poses.records]
+        again = load_ground_truth(path, query_ids, map_ids)
         assert {q: tuple(sorted(m)) for q, m in again.items()} == dict(world.gt_positives)
 
     def test_unknown_query_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("query_id,map_id\nmystery,m1\n")
         with pytest.raises(ValueError, match="mystery"):
-            load_ground_truth(path, ["q1"])
+            load_ground_truth(path, ["q1"], ["m1"])
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="header"):
-            load_ground_truth(path, ["q1"])
+            load_ground_truth(path, ["q1"], ["m1"])
 
     def test_write_world_creates_all_files(self, tmp_path, world):
         paths = write_world(tmp_path / "w", world)
