@@ -129,6 +129,8 @@ def cmd_eval(args, parser) -> int:
         parser.error("--ks must list at least one rank")
     if (args.query_poses is None) != (args.map_poses is None):
         parser.error("--query-poses and --map-poses go together")
+    # a malformed gt file fails before any whitening or search
+    gt = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
 
     if args.pca_dim is not None:
         args.whiten = True
@@ -139,7 +141,6 @@ def cmd_eval(args, parser) -> int:
         queries = retrieval.apply_whitening(transform, queries)
 
     rankings = retrieval.nn_search(queries, map_set, max(ks))
-    gt = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
     recall = retrieval.recall_at_k(rankings, gt, ks)
 
     rows = [(f"recall@{k}", f"{recall.percent[k]:.4f}") for k in ks]

@@ -25,13 +25,15 @@ are views of that array. Model files hold gem_p and W as float32
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gcl import LossConfig, gcl_grad_d, gcl_loss
+from .gcl import LossConfig, _gcl_kernel
+from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
 from .relabel import file_reader
 from .sampler import BatchSampler, BatchStrategy, index_labels
 
@@ -178,19 +180,23 @@ def _pooled_rows(model: EmbedModel, maps) -> np.ndarray:
     return pooled
 
 
-def _unit_rows(w: np.ndarray, x: np.ndarray) -> tuple:
-    """Unit rows of ``x @ w.T`` for pooled rows ``x``, (n, channels), and their norms before
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """L2 norm of each row: the ops of ``np.linalg.norm(z, axis=1)``, so the same bits, minus its overhead."""
+    return np.sqrt(np.add.reduce(z * z, axis=1))
+
+
+def _unit_rows(z: np.ndarray) -> tuple:
+    """Unit rows of embeddings ``z = x @ W.T``, (n, d_out), and their norms before
     normalization; a (near-)zero norm is an error rather than a NaN descriptor."""
-    z = x @ w.T
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms <= _NORM_EPS):
+    norms = _row_norms(z)
+    if (norms <= _NORM_EPS).any():
         raise ValueError("zero-norm embedding before normalization")
     return z / norms[:, None], norms
 
 
 def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
     """Unit-norm descriptor of one feature map, by the path of ``compute_descriptors``."""
-    return _unit_rows(model.W, _pooled_rows(model, [fm]))[0][0]
+    return _unit_rows(_pooled_rows(model, [fm]) @ model.W.T)[0][0]
 
 
 def init_model(d_out: int, channels: int, gem_p: float = 3.0, seed: int = 0) -> EmbedModel:
@@ -205,7 +211,7 @@ def compute_descriptors(model: EmbedModel, feature_maps) -> tuple:
     maps = list(feature_maps)
     if not maps:
         raise ValueError("no feature maps given")
-    return [fm.id for fm in maps], _unit_rows(model.W, _pooled_rows(model, maps))[0]
+    return [fm.id for fm in maps], _unit_rows(_pooled_rows(model, maps) @ model.W.T)[0]
 
 
 def _batch_arrays(rows, pooled, query_rows, map_rows, psi):
@@ -218,24 +224,33 @@ def batch_loss_and_grad(w, xi, xj, psi, loss_kind: str, loss_cfg: LossConfig):
 
     ``xi``/``xj`` are pooled feature rows, (n, channels); the forward pass
     is the model's (linear layer, then L2 normalization, then pair
-    distance). Raises ValueError when an embedding collapses to zero norm.
+    distance). ``psi`` must lie in [0, 1]; ``train`` checks it once per
+    call, so only d is checked here. Raises ValueError when an embedding
+    collapses to zero norm or a distance is not finite.
     """
-    ui, ni = _unit_rows(w, xi)
-    uj, nj = _unit_rows(w, xj)
-    diff = ui - uj
-    d = np.linalg.norm(diff, axis=1)
+    n = len(xi)
+    # query and map rows are normalized and backpropagated as one (2n, d_out) stack, filled in
+    # place to spare copies; still two products, as one (2n, channels) product rounds differently
+    z = np.empty((2 * n, len(w)))
+    np.matmul(xi, w.T, out=z[:n])
+    np.matmul(xj, w.T, out=z[n:])
+    u, norms = _unit_rows(z)
+    diff = u[:n] - u[n:]
+    d = _row_norms(diff)
+    if not np.isfinite(d).all():
+        raise ValueError("d must be finite")
     # binary labels are the graded formula at psi in {0, 1}, where it equals cl_* exactly
     target = psi if loss_kind == "gcl" else (psi >= 0.5).astype(np.float64)
-    losses = gcl_loss(d, target, loss_cfg)
-    g = gcl_grad_d(d, target, loss_cfg)
-    scale = np.where(d > 0.0, g / np.where(d > 0.0, d, 1.0), 0.0)
-    gu_i = scale[:, None] * diff
-    gu_j = -gu_i
+    losses, g = _gcl_kernel(d, target, loss_cfg.tau)
+    moved = d > 0.0
+    scale = np.where(moved, g / np.where(moved, d, 1.0), 0.0)
+    gu = np.empty_like(u)
+    np.multiply(scale[:, None], diff, out=gu[:n])
+    np.negative(gu[:n], out=gu[n:])
     # normalization backprop: project out the radial component, divide by norm
-    gz_i = (gu_i - ui * np.sum(ui * gu_i, axis=1)[:, None]) / ni[:, None]
-    gz_j = (gu_j - uj * np.sum(uj * gu_j, axis=1)[:, None]) / nj[:, None]
-    gw = (gz_i.T @ xi + gz_j.T @ xj) / len(d)
-    return float(np.mean(losses)), gw
+    gz = (gu - u * np.add.reduce(u * gu, axis=1)[:, None]) / norms[:, None]
+    gw = (gz[:n].T @ xi + gz[n:].T @ xj) / n
+    return float(np.add.reduce(losses) / n), gw
 
 
 def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
@@ -247,7 +262,8 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     the linear layer, while pooled features are fixed inputs. Binary-loss
     training derives y = 1 iff psi >= 0.5 and feeds y to the graded
     formula, which equals the binary one there. Deterministic for a fixed
-    config and data; a non-finite loss or weight aborts with the step
+    config and data. A label psi outside [0, 1] is a ValueError before the
+    first step; a non-finite distance, loss or weight aborts with the step
     index.
 
     A single-label list cannot satisfy any strategy's band quotas, so it
@@ -269,6 +285,8 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     query_rows = np.array([row_of[lab.query_id] for lab in labels])
     map_rows = np.array([row_of[lab.map_id] for lab in labels])
     psi = np.array([lab.psi for lab in labels], dtype=np.float64)
+    if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
+        raise ValueError("label psi must be in [0, 1]")
     if len(labels) == 1:
         next_rows = lambda: np.zeros(cfg.batch_size, dtype=np.intp)
     else:
@@ -286,14 +304,14 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
             mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch_psi, cfg.loss_kind, loss_cfg)
         except ValueError as e:
             raise TrainingDiverged(step, str(e)) from None
-        if not np.isfinite(mean_loss):
+        if not math.isfinite(mean_loss):
             raise TrainingDiverged(step, "non-finite loss")
         trace.append(mean_loss)
 
         lr = cfg.lr0 * 0.1 ** (pairs_seen // cfg.lr_decay_after)
         pairs_seen += len(batch_psi)
         w = w - lr * gw
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise TrainingDiverged(step, "non-finite weights after update")
 
     return replace(model, W=w), trace

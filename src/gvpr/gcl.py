@@ -8,6 +8,12 @@ proportion to how similar it really is. At psi in {0, 1} it equals the
 binary form bit for bit, so ``pair_grad`` and training run only the
 graded formulas; ``cl_loss``/``cl_grad_d`` are the binary reference.
 
+The graded loss and its derivative are written once, in the unchecked
+kernel ``_gcl_kernel``. ``gcl_loss`` and ``gcl_grad_d`` check their
+inputs (finite, d >= 0, psi in [0, 1]) and then call it. The trainer
+calls the kernel directly: it checks psi once per ``train`` call and d
+for finiteness once per step; a distance is never negative.
+
 All scalar operations accept numpy arrays and broadcast; scalars in give
 Python floats out.
 """
@@ -72,19 +78,30 @@ class GradResult:
 
 def _as_array(x, name: str, lo: float | None = None, hi: float | None = None):
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    if lo is not None and np.any(arr < lo):
+    if lo is not None and (arr < lo).any():
         raise ValueError(f"{name} must be >= {lo}")
-    if hi is not None and np.any(arr > hi):
+    if hi is not None and (arr > hi).any():
         raise ValueError(f"{name} must be <= {hi}")
     return arr
 
 
-def _unwrap(out: np.ndarray, *inputs) -> float | np.ndarray:
-    if all(np.ndim(x) == 0 for x in inputs):
-        return float(out)
-    return out
+def _unwrap(out: np.ndarray) -> float | np.ndarray:
+    """A Python float for 0-d output (all inputs 0-d: broadcasting never lowers ndim)."""
+    return float(out) if out.ndim == 0 else out
+
+
+def _gcl_kernel(d: np.ndarray, psi: np.ndarray, tau: float) -> tuple:
+    """Graded loss and d(loss)/dd of float64 arrays, without input checks.
+
+    The caller guarantees d finite and >= 0 and psi in [0, 1]; ``gcl_loss``
+    and ``gcl_grad_d`` document the formulas.
+    """
+    hinge = np.maximum(tau - d, 0.0)
+    loss = psi * 0.5 * d * d + (1.0 - psi) * 0.5 * hinge * hinge
+    grad = np.where(d < tau, d + tau * (psi - 1.0), d * psi)
+    return loss, grad
 
 
 def descriptor_distance(fi: np.ndarray, fj: np.ndarray) -> float:
@@ -100,30 +117,28 @@ def cl_loss(d, label, cfg: LossConfig = LossConfig()):
     """Binary contrastive loss: y=1 -> d^2/2, y=0 -> max(tau - d, 0)^2/2."""
     d = _as_array(d, "d", lo=0.0)
     y = _as_array(label, "label")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("binary label must be 0 or 1")
     hinge = np.maximum(cfg.tau - d, 0.0)
     out = np.where(y == 1.0, 0.5 * d * d, 0.5 * hinge * hinge)
-    return _unwrap(out, d, y)
+    return _unwrap(out)
 
 
 def gcl_loss(d, psi, cfg: LossConfig = LossConfig()):
     """Graded contrastive loss: psi-weighted blend of the two binary branches."""
     d = _as_array(d, "d", lo=0.0)
     psi = _as_array(psi, "psi", lo=0.0, hi=1.0)
-    hinge = np.maximum(cfg.tau - d, 0.0)
-    out = psi * 0.5 * d * d + (1.0 - psi) * 0.5 * hinge * hinge
-    return _unwrap(out, d, psi)
+    return _unwrap(_gcl_kernel(d, psi, cfg.tau)[0])
 
 
 def cl_grad_d(d, label, cfg: LossConfig = LossConfig()):
     """d(cl_loss)/dd: y=1 -> d, y=0 -> min(d - tau, 0)."""
     d = _as_array(d, "d", lo=0.0)
     y = _as_array(label, "label")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("binary label must be 0 or 1")
     out = np.where(y == 1.0, d, np.minimum(d - cfg.tau, 0.0))
-    return _unwrap(out, d, y)
+    return _unwrap(out)
 
 
 def gcl_grad_d(d, psi, cfg: LossConfig = LossConfig()):
@@ -134,8 +149,7 @@ def gcl_grad_d(d, psi, cfg: LossConfig = LossConfig()):
     """
     d = _as_array(d, "d", lo=0.0)
     psi = _as_array(psi, "psi", lo=0.0, hi=1.0)
-    out = np.where(d < cfg.tau, d + cfg.tau * (psi - 1.0), d * psi)
-    return _unwrap(out, d, psi)
+    return _unwrap(_gcl_kernel(d, psi, cfg.tau)[1])
 
 
 def pair_grad(fi, fj, label, cfg: LossConfig = LossConfig()) -> GradResult:

@@ -151,15 +151,17 @@ def load_ground_truth(path, query_ids, map_ids) -> dict:
 
     A row naming a query outside ``query_ids`` or a map image outside
     ``map_ids`` is a LineError: such a positive could never be retrieved.
+    Positives hold the strings of ``map_ids`` rather than copies read from
+    the file, so the table costs little memory while ``eval`` searches.
     """
     gt = {qid: set() for qid in query_ids}
-    known_maps = set(map_ids)
+    known_maps = {mid: mid for mid in map_ids}
     for lineno, (qid, mid) in csv_rows(path, GT_HEADER):
         if qid not in gt:
             raise LineError(lineno, f"unknown query id {qid!r}")
         if mid not in known_maps:
             raise LineError(lineno, f"unknown map id {mid!r}")
-        gt[qid].add(mid)
+        gt[qid].add(known_maps[mid])
     return {qid: tuple(sorted(mids)) for qid, mids in gt.items()}
 
 

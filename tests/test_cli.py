@@ -625,6 +625,23 @@ class TestMalformedInputs:
         assert main(argv + ["--gt", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad}:4: unknown map id 'no_such_map'\n"
 
+    @pytest.mark.parametrize("whiten", [[], ["--whiten"]], ids=["plain", "whiten"])
+    def test_malformed_gt_fails_before_search(self, tmp_path, capsys, monkeypatch, world_dir, model_path,
+                                              whiten):
+        gt = (world_dir / "gt.csv").read_text().splitlines()
+        gt[2] = gt[2].split(",")[0] + ",no_such_map"
+        bad = tmp_path / "bad_gt.csv"
+        bad.write_text("\n".join(gt) + "\n")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("nn_search ran before the gt file was read")
+
+        monkeypatch.setattr(retrieval, "nn_search", no_search)
+        argv = ["eval", "--model", str(model_path), "--query-features", str(world_dir / "query_features.bin"),
+                "--map-features", str(world_dir / "map_features.bin"), "--gt", str(bad), "--ks", "1"]
+        assert main(argv + whiten) == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: unknown map id 'no_such_map'\n"
+
     def test_header_only_labels(self, tmp_path, capsys, world_dir, model_path):
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "no_labels.csv",
                             b"query_id,map_id,psi\n")

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,6 +267,26 @@ class TestBatchGradient:
             assert loss == ref_loss
             assert np.array_equal(gw, ref_gw)
 
+    @pytest.mark.parametrize("loss_kind", ["gcl", "cl"])
+    @pytest.mark.parametrize("n", [1, 3, 64, 128])
+    def test_matches_reference_bit_for_bit_at_edges(self, loss_kind, n):
+        """Batch sizes from 1 to 128, rows at d = 0 and psi at both ends and inside."""
+        rng = np.random.default_rng(100 + n)
+        w = rng.normal(size=(8, 6))
+        xi = rng.uniform(0.1, 2.0, size=(n, 6))
+        xj = rng.uniform(0.1, 2.0, size=(n, 6))
+        xj[::3] = xi[::3]  # identical rows give d = 0 exactly
+        unit = lambda x: (x @ w.T) / np.linalg.norm(x @ w.T, axis=1)[:, None]
+        assert not np.linalg.norm(unit(xi) - unit(xj), axis=1)[::3].any()
+        psi = rng.uniform(0.0, 1.0, size=n)
+        psi[1::4], psi[2::4] = 0.0, 1.0
+        for tau in (0.3, 1.0):
+            cfg = LossConfig(tau=tau)
+            loss, gw = batch_loss_and_grad(w, xi, xj, psi, loss_kind, cfg)
+            ref_loss, ref_gw = reference_loss_and_grad(w, xi, xj, psi, loss_kind, cfg)
+            assert loss == ref_loss
+            assert np.array_equal(gw, ref_gw)
+
     def test_zero_norm_embedding_raises(self):
         w = np.ones((2, 3))
         xi = np.zeros((1, 3))
@@ -425,6 +446,31 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(model, [SimilarityLabel("a", "b", 1.0)], maps, TrainConfig(batch_size=2))
         assert err.value.step == 0
+
+    @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
+    def test_non_finite_distance_diverges_at_step_zero(self, n_labels):
+        """Features near 1e300 are finite, but pooling cubes them past the float range."""
+        labels, maps = toy_training_setup()
+        huge = {ident: FeatureMap(ident, fm.values * 1e300) for ident, fm in maps.items()}
+        model = init_model(d_out=4, channels=6, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train(model, labels[:n_labels], huge, TrainConfig(batch_size=12))
+        assert str(err.value) == "step 0: d must be finite"
+        assert err.value.step == 0
+
+    @pytest.mark.parametrize("loss_kind", ["gcl", "cl"])
+    @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
+    @pytest.mark.parametrize("psi", [-0.5, 1.5, math.nan, math.inf])
+    def test_label_psi_outside_the_unit_interval_is_rejected(self, loss_kind, n_labels, psi):
+        labels, maps = toy_training_setup()
+        # duck-typed labels: SimilarityLabel itself already rejects such a psi
+        labels = [SimpleNamespace(query_id=lab.query_id, map_id=lab.map_id, psi=lab.psi)
+                  for lab in labels[:n_labels]]
+        labels[0].psi = psi
+        model = init_model(d_out=4, channels=6, seed=0)
+        with pytest.raises(ValueError, match=r"^label psi must be in \[0, 1\]$"):
+            train(model, labels, maps, TrainConfig(loss_kind=loss_kind, batch_size=12))
 
 
 class TestBinaryFormats:

@@ -1,5 +1,7 @@
 """Loss values and closed-form gradients against pinned values and finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,81 @@ class TestArrayBroadcasting:
         gvec = gcl_grad_d(d, psi, TAU_HALF)
         for i in range(3):
             assert gvec[i] == gcl_grad_d(float(d[i]), float(psi[i]), TAU_HALF)
+
+
+NAN, INF = float("nan"), float("inf")
+GRADED = [gcl_loss, gcl_grad_d]
+BINARY = [cl_loss, cl_grad_d]
+
+
+def _raises(fn, d, label, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(d, label, TAU_HALF)
+
+
+class TestInputContract:
+    """The public loss functions check d, then the label, each in a fixed order."""
+
+    @pytest.mark.parametrize("fn", GRADED + BINARY)
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_d_is_reported_as_non_finite(self, fn, bad):
+        _raises(fn, bad, 1.0, "d must be finite")
+        _raises(fn, [0.2, bad], [1.0, 0.0], "d must be finite")
+
+    @pytest.mark.parametrize("fn", GRADED + BINARY)
+    def test_negative_d(self, fn):
+        _raises(fn, -1e-300, 1.0, "d must be >= 0.0")
+        _raises(fn, [0.3, -0.1], [1.0, 0.0], "d must be >= 0.0")
+
+    @pytest.mark.parametrize("fn", GRADED)
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_psi_is_reported_as_non_finite(self, fn, bad):
+        _raises(fn, 0.3, bad, "psi must be finite")
+        _raises(fn, [0.3, 0.4], [0.5, bad], "psi must be finite")
+
+    @pytest.mark.parametrize("fn", GRADED)
+    def test_psi_outside_the_unit_interval(self, fn):
+        _raises(fn, 0.3, -1e-12, "psi must be >= 0.0")
+        _raises(fn, 0.3, 1.0 + 1e-12, "psi must be <= 1.0")
+        # both bounds broken: the lower bound is checked first
+        _raises(fn, [0.3, 0.3], [2.0, -1.0], "psi must be >= 0.0")
+
+    @pytest.mark.parametrize("fn", BINARY)
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_binary_label(self, fn, bad):
+        _raises(fn, 0.3, bad, "label must be finite")
+
+    @pytest.mark.parametrize("fn", BINARY)
+    @pytest.mark.parametrize("bad", [-1.0, 0.5, 2.0])
+    def test_binary_label_outside_zero_one(self, fn, bad):
+        _raises(fn, 0.3, bad, "binary label must be 0 or 1")
+
+    @pytest.mark.parametrize("fn", GRADED + BINARY)
+    def test_d_is_checked_before_the_label(self, fn):
+        _raises(fn, NAN, NAN, "d must be finite")
+        _raises(fn, -1.0, 2.0, "d must be >= 0.0")
+        _raises(fn, -1.0, NAN, "d must be >= 0.0")
+
+    @pytest.mark.parametrize("fn", GRADED + BINARY)
+    def test_empty_arrays_pass(self, fn):
+        out = fn(np.array([]), np.array([]), TAU_HALF)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        assert fn([], [], TAU_HALF).shape == (0,)
+
+    @pytest.mark.parametrize("fn", GRADED + BINARY)
+    def test_zero_d_inputs_give_python_floats(self, fn):
+        for d, label in [(0.3, 1.0), (np.float64(0.3), np.float64(1.0)),
+                         (np.array(0.3), np.array(1.0)), (0.3, 1)]:
+            out = fn(d, label, TAU_HALF)
+            assert type(out) is float
+            assert out == fn(0.3, 1.0, TAU_HALF)
+
+    @pytest.mark.parametrize("fn", GRADED + BINARY)
+    def test_list_and_tuple_inputs(self, fn):
+        d, label = [0.1, 0.4, 0.7], [1.0, 0.0, 1.0]
+        out = fn(np.array(d), np.array(label), TAU_HALF)
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        assert np.array_equal(fn(d, label, TAU_HALF), out)
+        assert np.array_equal(fn(tuple(d), tuple(label), TAU_HALF), out)
+        # a 0-d argument broadcasts against an array and the result stays an array
+        assert np.array_equal(fn(0.4, label, TAU_HALF), fn([0.4] * 3, label, TAU_HALF))

@@ -107,6 +107,15 @@ class TestGroundTruthIO:
         again = load_ground_truth(path, query_ids, map_ids)
         assert {q: tuple(sorted(m)) for q, m in again.items()} == dict(world.gt_positives)
 
+    def test_positives_share_the_map_id_strings(self, tmp_path, world):
+        path = tmp_path / "gt.csv"
+        save_ground_truth(path, world.gt_positives)
+        query_ids = [r.image_id for r in world.query_poses.records]
+        map_ids = {r.image_id: r.image_id for r in world.map_poses.records}
+        gt = load_ground_truth(path, query_ids, list(map_ids))
+        positives = [m for ms in gt.values() for m in ms]
+        assert positives and all(m is map_ids[m] for m in positives)
+
     def test_unknown_query_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("query_id,map_id\nmystery,m1\n")
