@@ -19,22 +19,17 @@ from .embed import (
 from .fov2d import (
     CameraPose2D,
     FovParams,
-    Polygon,
     calibrate_theta,
     fov_overlap,
     fov_overlap_mc,
-    polygon_area,
     reference_pair,
-    sector_polygon,
     wrapped_angle_diff,
 )
 from .gcl import (
     GradResult,
     LossConfig,
-    PairLabel,
     cl_grad_d,
     cl_loss,
-    descriptor_distance,
     gcl_grad_d,
     gcl_loss,
     pair_grad,
@@ -73,7 +68,6 @@ from .sampler import (
     BatchStrategy,
     PairIndex,
     band_of,
-    compose_batch,
     index_labels,
     strategy_denominator,
 )

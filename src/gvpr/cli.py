@@ -131,6 +131,8 @@ def cmd_eval(args, parser) -> int:
         parser.error("--query-poses and --map-poses go together")
     # a malformed gt file fails before any whitening or search
     gt = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
+    if not any(gt.values()):
+        raise relabel.InputError(args.gt, "every query has an empty positive set; recall undefined")
 
     if args.pca_dim is not None:
         args.whiten = True
@@ -145,8 +147,8 @@ def cmd_eval(args, parser) -> int:
 
     rows = [(f"recall@{k}", f"{recall.percent[k]:.4f}") for k in ks]
     if args.query_poses:
-        q_poses = {r.image_id: r.pose for r in relabel.load_poses(args.query_poses).records}
-        m_poses = {r.image_id: r.pose for r in relabel.load_poses(args.map_poses).records}
+        q_poses = _poses_covering(args.query_poses, queries.ids, "query")
+        m_poses = _poses_covering(args.map_poses, (r.hits[0][0] for r in rankings), "map")
         thresholds = _parse_thresholds(parser, args.loc_thresholds)
         loc = retrieval.localization_accuracy(rankings, q_poses, m_poses, thresholds)
         for (meters, rad), pct in loc.items():
@@ -160,6 +162,16 @@ def cmd_eval(args, parser) -> int:
     if args.out:
         relabel.write_csv(args.out, ["metric", "value"], rows, "\n")
     return 0
+
+
+@relabel.file_reader
+def _poses_covering(path, ids, kind: str) -> dict:
+    """Image id -> pose of a poses file that must hold every one of ``ids``."""
+    poses = {r.image_id: r.pose for r in relabel.load_poses(path).records}
+    for ident in ids:
+        if ident not in poses:
+            raise ValueError(f"missing {kind} pose for {ident!r}")
+    return poses
 
 
 def _parse_thresholds(parser, spec: str):

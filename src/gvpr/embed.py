@@ -146,19 +146,18 @@ class TrainConfig:
             raise ValueError("tau must be positive")
 
 
-def gem_pool(fm, p: float) -> np.ndarray:
+def gem_pool(v, p: float) -> np.ndarray:
     """Generalized-mean pooling over locations: ((1/L) sum v^p)^(1/p) per channel.
 
-    Accepts a FeatureMap, a raw (channels, locations) array or a stack of
-    maps of one shape, (n, channels, locations), reducing over the last
-    axis either way. Negative values are clamped to 0 on ingest so
-    fractional exponents stay defined (backbone activations are
-    nonnegative anyway). p=1 is the mean; large p approaches the
-    per-channel max.
+    Accepts a (channels, locations) array or a stack of maps of one
+    shape, (n, channels, locations), reducing over the last axis either
+    way. Negative values are clamped to 0 on ingest so fractional
+    exponents stay defined (backbone activations are nonnegative anyway).
+    p=1 is the mean; large p approaches the per-channel max.
     """
     if not p > 0.0:
         raise ValueError(f"pooling exponent must be positive, got {p}")
-    v = fm.values if isinstance(fm, FeatureMap) else np.asarray(fm, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (2, 3):
         raise ValueError(f"expected (channels, locations) or (n, channels, locations), got shape {v.shape}")
     return np.mean(np.maximum(v, 0.0) ** p, axis=-1) ** (1.0 / p)
@@ -393,7 +392,8 @@ def _read_feature_array(path) -> tuple:
             raise ValueError(f"trailing bytes after {count} records")
     if "" in ids:
         raise ValueError("feature map id must be nonempty")
-    values = raw.view("<f4").reshape(count, channels, locations).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below, not as a warning
+        values = raw.view("<f4").reshape(count, channels, locations).astype(np.float64)
     del raw  # drop the float32 bytes before the finiteness mask is allocated: a lower peak RSS
     if not np.all(np.isfinite(values)):
         raise ValueError("feature values must be finite")
@@ -424,7 +424,8 @@ def load_model(path) -> EmbedModel:
         d_out, channels, gem_p = _read_header(fh, MODEL_MAGIC, "model", "<IIIf")
         _check_size(fh, 20 + 4 * d_out * channels)
         raw = _read_exact(fh, 4 * d_out * channels, "weights")
-        w = np.frombuffer(raw, dtype="<f4").reshape(d_out, channels).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN fails EmbedModel's check, not as a warning
+            w = np.frombuffer(raw, dtype="<f4").reshape(d_out, channels).astype(np.float64)
         if fh.read(1):
             raise ValueError("trailing bytes after weights")
     return EmbedModel(gem_p=float(gem_p), W=w)

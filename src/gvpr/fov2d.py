@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,42 +69,10 @@ class FovParams:
             raise ValueError(f"r must be positive, got {self.r}")
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Simple polygon with counter-clockwise vertices, shape (n, 2)."""
-
-    vertices: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("polygon needs at least 3 (x, y) vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polygon vertices must be finite")
-        if _signed_area(v) < -_EMPTY_AREA:
-            raise ValueError("polygon vertices must be counter-clockwise")
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
 def wrapped_angle_diff(a: float, b: float) -> float:
     """Absolute angular difference on the circle: min(|d|, 2*pi - |d|)."""
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d)
-
-
-def _signed_area(v: np.ndarray) -> float:
-    """Shoelace area relative to the first vertex, so far-off coordinates keep their digits;
-    that vertex sits at the origin, so the terms that close the ring are zero."""
-    x, y = (v - v[:1]).T.copy()
-    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
-
-
-def polygon_area(p: Polygon) -> float:
-    """Shoelace area of a CCW polygon, clamped to be nonnegative."""
-    return max(_signed_area(p.vertices), 0.0)
 
 
 def check_arc_segments(arc_segments: int) -> None:
@@ -122,20 +90,6 @@ def _arc_directions(alpha, fov: FovParams, arc_segments: int) -> tuple[np.ndarra
     # decreasing compass angle = counter-clockwise in the (east, north) plane
     ang = alpha + fov.theta / 2 - fov.theta * np.arange(arc_segments + 1) / arc_segments
     return np.sin(ang), np.cos(ang)
-
-
-def sector_polygon(pose: CameraPose2D, fov: FovParams, arc_segments: int = 256) -> Polygon:
-    """Discretize the camera's field-of-view sector as a convex CCW polygon.
-
-    The polygon is the apex followed by ``arc_segments + 1`` points on the
-    arc of radius ``fov.r`` spanning compass angles
-    [alpha - theta/2, alpha + theta/2]. Its area converges to
-    theta * r**2 / 2 from below as ``arc_segments`` grows.
-    """
-    check_arc_segments(arc_segments)
-    ux, uy = _arc_directions(pose.alpha, fov, arc_segments)
-    arc = np.column_stack((pose.t0 + fov.r * ux, pose.t1 + fov.r * uy))
-    return Polygon(np.vstack(([pose.t0, pose.t1], arc)))
 
 
 def _side(u, p, q):
@@ -362,16 +316,16 @@ def calibrate_theta(
     delta_alpha: float,
     r: float,
     arc_segments: int = 256,
-    tol: float = 1e-3,
 ) -> float:
     """Find the opening angle whose overlap at a reference offset hits a target.
 
     Bisects ``fov_overlap`` over theta in (0, pi] for the ``reference_pair``
     layout; the overlap must be monotone in theta on the bracket. The
-    result satisfies |overlap(theta) - target| <= ``tol``. When the overlap
+    result satisfies |overlap(theta) - target| <= 1e-3. When the overlap
     equals the target over the whole bracket (e.g. target 1.0 at zero
     offset) the bracket midpoint is returned.
     """
+    tol = 1e-3
     pose_a, pose_b = reference_pair(delta_t, delta_alpha)
 
     def g(theta: float) -> float:

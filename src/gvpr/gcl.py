@@ -9,10 +9,11 @@ binary form bit for bit, so ``pair_grad`` and training run only the
 graded formulas; ``cl_loss``/``cl_grad_d`` are the binary reference.
 
 The graded loss and its derivative are written once, in the unchecked
-kernel ``_gcl_kernel``. ``gcl_loss`` and ``gcl_grad_d`` check their
-inputs (finite, d >= 0, psi in [0, 1]) and then call it. The trainer
-calls the kernel directly: it checks psi once per ``train`` call and d
-for finiteness once per step; a distance is never negative.
+kernel ``_gcl_kernel``. ``gcl_loss``, ``gcl_grad_d`` and ``pair_grad``
+check their inputs (finite, d >= 0, psi in [0, 1]) once and then call
+it. The trainer calls the kernel directly: it checks psi once per
+``train`` call and d for finiteness once per step; a distance is never
+negative.
 
 All scalar operations accept numpy arrays and broadcast; scalars in give
 Python floats out.
@@ -36,30 +37,6 @@ class LossConfig:
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class PairLabel:
-    """Supervision for one pair: binary y in {0, 1} or graded psi in [0, 1]."""
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("binary", "graded"):
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        if self.kind == "binary" and self.value not in (0.0, 1.0):
-            raise ValueError(f"binary label must be 0 or 1, got {self.value}")
-        if self.kind == "graded" and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"graded label must be in [0, 1], got {self.value}")
-
-    @classmethod
-    def binary(cls, y: int) -> "PairLabel":
-        return cls("binary", float(y))
-
-    @classmethod
-    def graded(cls, psi: float) -> "PairLabel":
-        return cls("graded", float(psi))
 
 
 @dataclass(frozen=True)
@@ -104,15 +81,6 @@ def _gcl_kernel(d: np.ndarray, psi: np.ndarray, tau: float) -> tuple:
     return loss, grad
 
 
-def descriptor_distance(fi: np.ndarray, fj: np.ndarray) -> float:
-    """L2 distance between two descriptors of equal dimension."""
-    fi = np.asarray(fi, dtype=np.float64)
-    fj = np.asarray(fj, dtype=np.float64)
-    if fi.shape != fj.shape:
-        raise ValueError(f"descriptor shapes differ: {fi.shape} vs {fj.shape}")
-    return float(np.linalg.norm(fi - fj))
-
-
 def cl_loss(d, label, cfg: LossConfig = LossConfig()):
     """Binary contrastive loss: y=1 -> d^2/2, y=0 -> max(tau - d, 0)^2/2."""
     d = _as_array(d, "d", lo=0.0)
@@ -152,25 +120,22 @@ def gcl_grad_d(d, psi, cfg: LossConfig = LossConfig()):
     return _unwrap(_gcl_kernel(d, psi, cfg.tau)[1])
 
 
-def pair_grad(fi, fj, label, cfg: LossConfig = LossConfig()) -> GradResult:
-    """Loss and descriptor-space gradients for one labeled pair.
+def pair_grad(fi, fj, psi: float, cfg: LossConfig = LossConfig()) -> GradResult:
+    """Loss and descriptor-space gradients for one pair of graded similarity psi.
 
-    ``label`` is a PairLabel; a bare float is accepted as a graded psi.
+    A binary label y is psi = y, where the graded formula equals cl_* exactly.
     The chain rule through d = ||fi - fj|| gives
     grad_fi = g * (fi - fj) / d with g the scalar distance gradient; at
     d = 0 the gradient is the zero subgradient.
     """
-    if not isinstance(label, PairLabel):
-        label = PairLabel.graded(float(label))
     fi = np.asarray(fi, dtype=np.float64)
     fj = np.asarray(fj, dtype=np.float64)
     if fi.shape != fj.shape:
         raise ValueError(f"descriptor shapes differ: {fi.shape} vs {fj.shape}")
     diff = fi - fj
     d = float(np.linalg.norm(diff))
-    # a binary y is the graded formula at psi = y, where it equals cl_* exactly
-    loss = gcl_loss(d, label.value, cfg)
-    g = gcl_grad_d(d, label.value, cfg)
+    d_arr, psi = _as_array(d, "d"), _as_array(psi, "psi", lo=0.0, hi=1.0)  # a norm is never negative
+    loss, g = map(float, _gcl_kernel(d_arr, psi, cfg.tau))
     if d == 0.0:
         grad_fi = np.zeros_like(fi)
     else:

@@ -290,8 +290,8 @@ def write_descriptors(path, s: DescriptorSet) -> None:
 
 
 @file_reader
-def read_descriptors(path, normalized: bool = False) -> DescriptorSet:
+def read_descriptors(path) -> DescriptorSet:
     ids, values = _read_feature_array(path)
     if values.shape[2] != 1:
         raise ValueError("not a descriptor file (multiple locations per channel)")
-    return DescriptorSet(ids=tuple(ids), matrix=values[:, :, 0], normalized=normalized)
+    return DescriptorSet(ids=tuple(ids), matrix=values[:, :, 0])

@@ -130,15 +130,6 @@ def index_labels(labels) -> PairIndex:
     return PairIndex(labels, {band: np.flatnonzero(bands == band) for band in Band})
 
 
-def compose_batch(idx: PairIndex, strategy: BatchStrategy, batch_size: int, rng) -> Batch:
-    """Draw one batch meeting the strategy's band quotas exactly.
-
-    ``rng`` is a numpy Generator or an integer seed (deterministic either
-    way). An empty required band group is an error naming the group.
-    """
-    return BatchSampler(idx, strategy, batch_size, seed=rng).next_batch()
-
-
 class BatchSampler:
     """Stateful batch stream: one RNG stream per instance, fixed strategy.
 

@@ -1,7 +1,9 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
 import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +430,9 @@ class TestMalformedInputs:
         retrieval.write_descriptors(descriptors, retrieval.DescriptorSet(("d0", "d1"), np.eye(2, 8)))
         labels = tmp_path / "labels.csv"
         labels.write_text("query_id,map_id,psi\n")
+        world_eval = ["eval", "--model", str(model_path), "--query-features", features,
+                      "--map-features", str(world_dir / "map_features.bin"),
+                      "--gt", str(world_dir / "gt.csv"), "--ks", "1"]
         argv = {
             "eval-query-features": ["eval", "--model", str(model_path), "--query-features", str(bad),
                                     "--map-features", features, "--gt", str(world_dir / "gt.csv")],
@@ -445,6 +450,10 @@ class TestMalformedInputs:
                              "--out", str(tmp_path / "m.bin")],
             "eval-gt": ["eval", "--model", str(model_path), "--query-features", features,
                         "--map-features", features, "--gt", str(bad), "--ks", "1"],
+            "eval-query-poses": [*world_eval, "--query-poses", str(bad),
+                                 "--map-poses", str(world_dir / "map_poses.csv")],
+            "eval-map-poses": [*world_eval, "--query-poses", str(world_dir / "query_poses.csv"),
+                               "--map-poses", str(bad)],
             "relabel-poses": ["relabel", "--poses", str(bad), "--out", str(tmp_path / "o.csv")],
             "overlap3d-poses": ["overlap3d", "--cloud", str(cloud), "--poses", str(bad),
                                 "--intrinsics", str(intr), "--out", str(tmp_path / "o.csv")],
@@ -507,6 +516,22 @@ class TestMalformedInputs:
         w = np.ones(64, dtype="<f4")
         w[9] = math.nan
         self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "nan_model.bin", header + w.tobytes())
+
+    @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS + ["eval-model"])
+    def test_signalling_nan_fails_without_a_warning(self, tmp_path, capsys, world_dir, model_path, command):
+        if command == "eval-model":
+            content, message = b"GVPM" + struct.pack("<IIIf", 1, 8, 8, 3.0), "W must be finite"
+            values = np.ones(64, dtype="<f4")
+        else:
+            locations = file_locations(command)
+            content = b"GVPR" + struct.pack("<IIII", 1, 1, 8, locations) + struct.pack("<H", 1) + b"a"
+            message, values = "feature values must be finite", np.ones(8 * locations, dtype="<f4")
+        values.view("<u4")[5] = 0x7F800001  # quiet bit clear: a cast to float64 raises NumPy's invalid flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the CLI would print such a warning to stderr before the error
+            err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "snan.bin",
+                                content + values.tobytes())
+        assert err == f"error: {tmp_path / 'snan.bin'}: {message}\n"
 
     @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
     def test_features_truncated_at_every_byte(self, tmp_path, capsys, world_dir, model_path, command):
@@ -641,6 +666,25 @@ class TestMalformedInputs:
                 "--map-features", str(world_dir / "map_features.bin"), "--gt", str(bad), "--ks", "1"]
         assert main(argv + whiten) == 1
         assert capsys.readouterr().err == f"error: {bad}:3: unknown map id 'no_such_map'\n"
+
+    def test_header_only_gt(self, tmp_path, capsys, world_dir, model_path):
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, "eval-gt", "no_gt.csv",
+                            b"query_id,map_id\n")
+        assert err == f"error: {tmp_path / 'no_gt.csv'}: every query has an empty positive set; recall undefined\n"
+
+    def test_query_poses_without_a_query(self, tmp_path, capsys, world_dir, model_path):
+        rows = (world_dir / "query_poses.csv").read_text().splitlines(keepends=True)
+        missing = rows.pop(3).split(",")[0]
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, "eval-query-poses", "q_poses.csv",
+                            "".join(rows).encode())
+        assert err == f"error: {tmp_path / 'q_poses.csv'}: missing query pose for {missing!r}\n"
+
+    def test_map_poses_without_a_top_match(self, tmp_path, capsys, world_dir, model_path):
+        header = (world_dir / "map_poses.csv").read_text().splitlines(keepends=True)[0]
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, "eval-map-poses", "m_poses.csv",
+                            header.encode())
+        path = re.escape(str(tmp_path / "m_poses.csv"))
+        assert re.fullmatch(rf"error: {path}: missing map pose for '[^']+'\n", err)
 
     def test_header_only_labels(self, tmp_path, capsys, world_dir, model_path):
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "no_labels.csv",

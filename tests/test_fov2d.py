@@ -1,26 +1,74 @@
 """Field-of-view sector geometry and overlap tests."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from gvpr import relabel
 from gvpr.fov2d import (
+    _EMPTY_AREA,
     CameraPose2D,
     FovParams,
-    Polygon,
+    _arc_directions,
     calibrate_theta,
+    check_arc_segments,
     fov_overlap,
     fov_overlap_mc,
-    polygon_area,
     reference_pair,
-    sector_polygon,
     wrapped_angle_diff,
 )
 from gvpr.synth import SynthConfig, generate_world
 
 FOV90_50 = FovParams(theta=math.radians(90.0), r=50.0)
+
+
+@dataclass(frozen=True)
+class Polygon:
+    """Simple polygon with counter-clockwise vertices, shape (n, 2)."""
+
+    vertices: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        v = np.asarray(self.vertices, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+            raise ValueError("polygon needs at least 3 (x, y) vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("polygon vertices must be finite")
+        if _signed_area(v) < -_EMPTY_AREA:
+            raise ValueError("polygon vertices must be counter-clockwise")
+        object.__setattr__(self, "vertices", v)
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+def _signed_area(v: np.ndarray) -> float:
+    """Shoelace area relative to the first vertex, so far-off coordinates keep their digits;
+    that vertex sits at the origin, so the terms that close the ring are zero."""
+    x, y = (v - v[:1]).T.copy()
+    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
+
+
+def polygon_area(p: Polygon) -> float:
+    """Shoelace area of a CCW polygon, clamped to be nonnegative."""
+    return max(_signed_area(p.vertices), 0.0)
+
+
+def sector_polygon(pose: CameraPose2D, fov: FovParams, arc_segments: int = 256) -> Polygon:
+    """Discretize the camera's field-of-view sector as a convex CCW polygon.
+
+    The polygon is the apex followed by ``arc_segments + 1`` points on the
+    arc of radius ``fov.r`` spanning compass angles
+    [alpha - theta/2, alpha + theta/2]: the polygons ``fov_overlap``
+    clips. Its area converges to theta * r**2 / 2 from below as
+    ``arc_segments`` grows.
+    """
+    check_arc_segments(arc_segments)
+    ux, uy = _arc_directions(pose.alpha, fov, arc_segments)
+    arc = np.column_stack((pose.t0 + fov.r * ux, pose.t1 + fov.r * uy))
+    return Polygon(np.vstack(([pose.t0, pose.t1], arc)))
 
 
 def _reference_clip_halfplane(pts, a, b):

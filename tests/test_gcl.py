@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from gvpr.gcl import (
-    GradResult,
     LossConfig,
-    PairLabel,
     cl_grad_d,
     cl_loss,
-    descriptor_distance,
     gcl_grad_d,
     gcl_loss,
     pair_grad,
@@ -30,28 +27,6 @@ class TestConfigAndLabels:
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(tau=-1.0)
-
-    def test_label_validation(self):
-        PairLabel.binary(0)
-        PairLabel.binary(1)
-        PairLabel.graded(0.37)
-        with pytest.raises(ValueError):
-            PairLabel.binary(0.5)
-        with pytest.raises(ValueError):
-            PairLabel.graded(1.2)
-        with pytest.raises(ValueError):
-            PairLabel("other", 0.0)
-
-
-class TestDescriptorDistance:
-    def test_pinned_values(self):
-        assert descriptor_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-        assert descriptor_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(np.sqrt(2.0))
-        assert descriptor_distance([3.0, 4.0], [0.0, 0.0]) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            descriptor_distance([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestLossValues:
@@ -153,7 +128,7 @@ class TestFiniteDifferences:
             d = float(np.linalg.norm(fi - fj))
             if abs(d - cfg.tau) <= 1e-4:
                 continue
-            res = pair_grad(fi, fj, PairLabel.graded(psi), cfg)
+            res = pair_grad(fi, fj, psi, cfg)
             for axis in range(5):
                 def loss_of(x, axis=axis):
                     f = fi.copy()
@@ -167,13 +142,13 @@ class TestFiniteDifferences:
 class TestPairGrad:
     def test_zero_distance_gives_zero_gradients(self):
         f = np.array([0.3, -0.7])
-        res = pair_grad(f, f.copy(), PairLabel.graded(1.0))
+        res = pair_grad(f, f.copy(), 1.0)
         assert res.loss == 0.0
         assert np.array_equal(res.grad_fi, np.zeros(2))
         assert np.array_equal(res.grad_fj, np.zeros(2))
 
     def test_pinned_example(self):
-        res = pair_grad([1.0, 0.0], [0.0, 0.0], PairLabel.graded(0.5), TAU_HALF)
+        res = pair_grad([1.0, 0.0], [0.0, 0.0], 0.5, TAU_HALF)
         assert res.d_loss_d_distance == pytest.approx(0.5)
         assert res.grad_fi == pytest.approx([0.5, 0.0])
 
@@ -181,11 +156,11 @@ class TestPairGrad:
         rng = np.random.default_rng(6)
         for _ in range(20):
             fi, fj = rng.normal(size=4), rng.normal(size=4)
-            res = pair_grad(fi, fj, PairLabel.graded(float(rng.uniform(0, 1))))
+            res = pair_grad(fi, fj, float(rng.uniform(0, 1)))
             assert np.array_equal(res.grad_fj, -res.grad_fi)
 
     def test_binary_label_uses_binary_loss(self):
-        res = pair_grad([1.0, 0.0], [0.0, 0.0], PairLabel.binary(0), TAU_HALF)
+        res = pair_grad([1.0, 0.0], [0.0, 0.0], 0.0, TAU_HALF)
         assert res.loss == 0.0  # d=1 beyond margin
         assert res.d_loss_d_distance == 0.0
 
@@ -197,16 +172,33 @@ class TestPairGrad:
                 fi, fj = rng.normal(size=3) * 0.4, rng.normal(size=3) * 0.4
                 d = float(np.linalg.norm(fi - fj))
                 for y in (0, 1):
-                    res = pair_grad(fi, fj, PairLabel.binary(y), cfg)
+                    res = pair_grad(fi, fj, float(y), cfg)
                     assert res.loss == cl_loss(d, y, cfg)
                     assert res.d_loss_d_distance == cl_grad_d(d, y, cfg)
                     assert np.array_equal(res.grad_fi, (cl_grad_d(d, y, cfg) / d) * (fi - fj))
 
-    def test_bare_float_is_graded(self):
-        a = pair_grad([1.0, 0.0], [0.0, 0.0], 0.5, TAU_HALF)
-        b = pair_grad([1.0, 0.0], [0.0, 0.0], PairLabel.graded(0.5), TAU_HALF)
-        assert a.loss == b.loss
-        assert isinstance(a, GradResult)
+    def test_matches_the_checked_scalars_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for tau in (0.5, 1.0):
+            cfg = LossConfig(tau=tau)
+            zero = np.zeros(4)
+            pairs = [(zero, zero.copy()), (np.array([0.0, tau, 0.0, 0.0]), zero)]  # d = 0 and d = tau
+            pairs += [(rng.normal(size=4) * 0.5, rng.normal(size=4) * 0.5) for _ in range(40)]
+            for fi, fj in pairs:
+                d = float(np.linalg.norm(fi - fj))
+                for psi in (0.0, 1.0, 0.5, float(rng.uniform(0.0, 1.0))):
+                    res = pair_grad(fi, fj, psi, cfg)
+                    assert res.loss.hex() == gcl_loss(d, psi, cfg).hex()
+                    assert res.d_loss_d_distance.hex() == gcl_grad_d(d, psi, cfg).hex()
+            assert float(np.linalg.norm(pairs[1][0])) == tau
+
+    def test_inputs_rejected_with_the_checked_scalars_messages(self):
+        for fi, psi, message in (([1.0, 0.0], 1.2, "psi must be <= 1.0"),
+                                 ([1.0, 0.0], -0.1, "psi must be >= 0.0"),
+                                 ([1.0, 0.0], NAN, "psi must be finite"),
+                                 ([INF, 0.0], 0.5, "d must be finite")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                pair_grad(fi, [0.0, 0.0], psi)
 
 
 class TestArrayBroadcasting:

@@ -10,7 +10,6 @@ from gvpr.sampler import (
     BatchSampler,
     BatchStrategy,
     band_of,
-    compose_batch,
     index_labels,
     strategy_denominator,
 )
@@ -68,69 +67,69 @@ class TestQuotas:
         assert strategy_denominator(BatchStrategy.D) == 2
 
     def test_strategy_a_counts(self, mixed_index):
-        batch = compose_batch(mixed_index, BatchStrategy.A, 16, 0)
+        batch = BatchSampler(mixed_index, BatchStrategy.A, 16, seed=0).next_batch()
         counts = batch.band_counts()
         assert counts[Band.HIGH] + counts[Band.MID] == 8
         assert counts[Band.LOW] == 4
         assert counts[Band.ZERO] == 4
 
     def test_strategy_b_counts(self, mixed_index):
-        batch = compose_batch(mixed_index, BatchStrategy.B, 16, 0)
+        batch = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=0).next_batch()
         assert batch.band_counts() == {band: 4 for band in Band}
 
     def test_strategy_c_counts(self, mixed_index):
-        batch = compose_batch(mixed_index, BatchStrategy.C, 9, 0)
+        batch = BatchSampler(mixed_index, BatchStrategy.C, 9, seed=0).next_batch()
         counts = batch.band_counts()
         assert counts[Band.HIGH] + counts[Band.MID] == 3
         assert counts[Band.LOW] == 3
         assert counts[Band.ZERO] == 3
 
     def test_strategy_d_counts(self, mixed_index):
-        batch = compose_batch(mixed_index, BatchStrategy.D, 10, 0)
+        batch = BatchSampler(mixed_index, BatchStrategy.D, 10, seed=0).next_batch()
         counts = batch.band_counts()
         assert counts[Band.HIGH] + counts[Band.MID] == 5
         assert counts[Band.LOW] + counts[Band.ZERO] == 5
 
     def test_indivisible_batch_size_names_denominator(self, mixed_index):
         with pytest.raises(ValueError, match="divisible by 4"):
-            compose_batch(mixed_index, BatchStrategy.A, 6, 0)
+            BatchSampler(mixed_index, BatchStrategy.A, 6, seed=0).next_batch()
         with pytest.raises(ValueError, match="divisible by 3"):
-            compose_batch(mixed_index, BatchStrategy.C, 8, 0)
+            BatchSampler(mixed_index, BatchStrategy.C, 8, seed=0).next_batch()
 
     def test_batch_size_validated(self, mixed_index):
         with pytest.raises(ValueError):
-            compose_batch(mixed_index, BatchStrategy.D, 0, 0)
+            BatchSampler(mixed_index, BatchStrategy.D, 0, seed=0).next_batch()
 
 
 class TestComposeBatch:
     def test_missing_band_names_psi_range(self):
         idx = index_labels(make_labels([0.9, 0.2, 0.0, 0.0]))  # no MID
         with pytest.raises(ValueError, match=r"\[0.5, 0.75\)"):
-            compose_batch(idx, BatchStrategy.B, 4, 0)
+            BatchSampler(idx, BatchStrategy.B, 4, seed=0).next_batch()
 
     def test_missing_pooled_group_names_pooled_range(self):
         idx = index_labels(make_labels([0.2, 0.1, 0.0, 0.0]))  # no positives at all
         with pytest.raises(ValueError, match=r"\[0.5, 1\]"):
-            compose_batch(idx, BatchStrategy.A, 4, 0)
+            BatchSampler(idx, BatchStrategy.A, 4, seed=0).next_batch()
 
     def test_pooled_group_tolerates_one_empty_band(self):
         idx = index_labels(make_labels([0.9, 0.9, 0.2, 0.0]))  # HIGH only, no MID
-        batch = compose_batch(idx, BatchStrategy.A, 8, 0)
+        batch = BatchSampler(idx, BatchStrategy.A, 8, seed=0).next_batch()
         assert batch.band_counts()[Band.HIGH] == 4
 
     def test_replacement_fills_from_tiny_pool(self):
         idx = index_labels(make_labels([0.9, 0.2, 0.0]))
-        batch = compose_batch(idx, BatchStrategy.A, 32, 0)
+        batch = BatchSampler(idx, BatchStrategy.A, 32, seed=0).next_batch()
         assert len(batch) == 32
 
     def test_seed_determinism(self, mixed_index):
-        a = compose_batch(mixed_index, BatchStrategy.B, 16, 7)
-        b = compose_batch(mixed_index, BatchStrategy.B, 16, 7)
+        a = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=7).next_batch()
+        b = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=7).next_batch()
         assert a == b
 
     def test_generator_and_seed_agree(self, mixed_index):
-        by_seed = compose_batch(mixed_index, BatchStrategy.B, 16, 123)
-        by_gen = compose_batch(mixed_index, BatchStrategy.B, 16, np.random.default_rng(123))
+        by_seed = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=123).next_batch()
+        by_gen = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=np.random.default_rng(123)).next_batch()
         assert by_seed == by_gen
 
 
@@ -148,12 +147,6 @@ class TestBatch:
 
 
 class TestBatchSampler:
-    def test_stream_matches_compose_batch(self, mixed_index):
-        sampler = BatchSampler(mixed_index, BatchStrategy.A, 8, seed=5)
-        rng = np.random.default_rng(5)
-        for _ in range(6):
-            assert sampler.next_batch() == compose_batch(mixed_index, BatchStrategy.A, 8, rng)
-
     def test_config_errors_raised_eagerly(self):
         idx = index_labels(make_labels([0.9, 0.2, 0.0]))  # fine for A
         with pytest.raises(ValueError, match="divisible"):
