@@ -7,6 +7,7 @@ from .embed import (
     TrainConfig,
     TrainingDiverged,
     compute_descriptors,
+    file_descriptors,
     forward,
     gem_pool,
     init_model,
@@ -66,6 +67,7 @@ from .sampler import (
     Batch,
     BatchSampler,
     BatchStrategy,
+    EmptyQuotaGroup,
     PairIndex,
     band_of,
     index_labels,

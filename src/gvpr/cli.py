@@ -18,7 +18,7 @@ import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import FovParams, calibrate_theta
-from .sampler import BatchStrategy
+from .sampler import BatchStrategy, EmptyQuotaGroup
 
 
 def _add_fov_args(p: argparse.ArgumentParser) -> None:
@@ -86,7 +86,10 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     model = embed.init_model(args.d_out, features[0].channels, gem_p=args.gem_p, seed=args.seed)
-    trained, trace = embed.train(model, labels, features, cfg)
+    try:
+        trained, trace = embed.train(model, labels, features, cfg)
+    except EmptyQuotaGroup as e:
+        raise relabel.InputError(args.labels, e) from None
     embed.save_model(args.out, trained)
     if args.trace:
         rows = [[i, f"{loss:.10g}"] for i, loss in enumerate(trace)]
@@ -98,8 +101,8 @@ def cmd_train(args) -> int:
 
 @relabel.file_reader
 def _file_descriptors(path, model):
-    """Descriptors of a features file; maps that parse but do not fit the model fail with the path."""
-    ids, matrix = embed.compute_descriptors(model, embed.read_features(path))
+    """Descriptors of a features file as a set; descriptors that overflow fail with the path too."""
+    ids, matrix = embed.file_descriptors(path, model)
     return retrieval.DescriptorSet(tuple(ids), matrix, normalized=True)
 
 

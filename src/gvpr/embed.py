@@ -6,6 +6,7 @@ applies a single trainable linear layer and L2-normalizes, yielding a
 unit-norm descriptor; ``forward``, ``compute_descriptors`` and the
 trainer share one batched pool-project-normalize path, which stacks the
 maps of each location count and pools each stack with one GeM call.
+``file_descriptors`` runs the same path on a features file's one array.
 Training runs plain SGD over contrastive pairs streamed by the batch
 sampler, on the graded loss (binary labels as psi in {0, 1}); only the
 linear weights are trained, the pooling exponent stays fixed.
@@ -163,15 +164,17 @@ def gem_pool(v, p: float) -> np.ndarray:
     return np.mean(np.maximum(v, 0.0) ** p, axis=-1) ** (1.0 / p)
 
 
+def _check_channels(model: EmbedModel, ident: str, channels: int) -> None:
+    if channels != model.channels:
+        raise ValueError(f"feature map {ident!r} has {channels} channels, model expects {model.channels}")
+
+
 def _pooled_rows(model: EmbedModel, maps) -> np.ndarray:
     """GeM-pooled rows, (n, channels), in input order, of feature maps with the model's channel
     count; the maps of each location count are stacked and pooled by one ``gem_pool`` call."""
     rows_by_locations = {}
     for row, fm in enumerate(maps):
-        if fm.channels != model.channels:
-            raise ValueError(
-                f"feature map {fm.id!r} has {fm.channels} channels, model expects {model.channels}"
-            )
+        _check_channels(model, fm.id, fm.channels)
         rows_by_locations.setdefault(fm.locations, []).append(row)
     pooled = np.empty((len(maps), model.channels))
     for rows in rows_by_locations.values():
@@ -398,6 +401,19 @@ def _read_feature_array(path) -> tuple:
     if not np.all(np.isfinite(values)):
         raise ValueError("feature values must be finite")
     return ids, values
+
+
+@file_reader
+def file_descriptors(path, model: EmbedModel) -> tuple:
+    """Descriptors of a features file, (ids, (n, d_out) unit rows), bit-identical to
+    ``compute_descriptors(model, read_features(path))``.
+
+    The file fixes one (channels, locations) shape, so its one (count, channels, locations)
+    array is pooled by a single ``gem_pool`` call, with no FeatureMap per record.
+    """
+    ids, values = _read_feature_array(path)
+    _check_channels(model, ids[0], values.shape[1])
+    return ids, _unit_rows(gem_pool(values, model.gem_p) @ model.W.T)[0]
 
 
 @file_reader

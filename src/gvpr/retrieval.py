@@ -1,16 +1,19 @@
 """Retrieval evaluation: exact nearest neighbors, recall, localization, whitening.
 
 Search is brute force by L2 distance with ties broken by map id, so
-rankings do not depend on row order. It runs on blocks of query rows,
-partitioning each block's distances to find the k-th smallest and
-sorting only the columns within it by (distance, id). Recall@k is the
-percentage of queries with at least one true positive among their k
-nearest references; queries without any positive are excluded and
-counted. Localization accuracy checks the top-1 match's pose against
-translation and rotation thresholds, the query inheriting the pose of
-its best match. PCA whitening mean-centers, projects onto leading
-eigenvectors of the sample covariance and rescales each component to
-unit variance.
+rankings do not depend on row order. It runs on blocks of query rows:
+one partition of each block's squared distances picks k candidate
+columns per row, and only those are square-rooted and sorted by
+(distance, id). A row where square-rooting could tie a column outside
+the candidates with the k-th distance is ranked instead by its own
+sort over the exact distances. Recall@k is the percentage of queries
+with at least one true positive among their k nearest references,
+counted from each query's first positive rank; queries without any
+positive are excluded and counted. Localization accuracy checks the
+top-1 match's pose against translation and rotation thresholds, the
+query inheriting the pose of its best match. PCA whitening
+mean-centers, projects onto leading eigenvectors of the sample
+covariance and rescales each component to unit variance.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ DEFAULT_LOC_THRESHOLDS = (
 )
 
 _BLOCK_ROWS = 256  # queries per nn_search block: 4 MB of float64 distances at 2,000 map rows
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,9 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
     ``q @ m.T`` call, because BLAS rounds a block of rows differently
     from the whole matrix; the rest runs on blocks of ``_BLOCK_ROWS``
     queries, so beyond that nq x n_map product the temporaries stay
-    within a few block x n_map x 8 B arrays.
+    within a few block x n_map x 8 B arrays. Each block's k candidates
+    are picked on the squared distances, and the max and sqrt run only
+    on the picked (block, k) entries.
     """
     if queries.dim != map_set.dim:
         raise ValueError(f"dimension mismatch: queries {queries.dim}, map {map_set.dim}")
@@ -157,26 +164,43 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
         block = slice(lo, lo + _BLOCK_ROWS)
         d2 = qq[block, None] + mm[None, :]
         d2 -= 2.0 * qm[block]
-        dist = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-        cols, d = _block_top_k(dist, k)
+        cols, d = _block_top_k(d2, k)
         for query_id, hit_ids, hit_d in zip(queries.ids[block], ids[cols].tolist(), d.tolist()):
             out.append(Ranking._sorted(query_id, tuple(zip(hit_ids, hit_d))))
     return out
 
 
-def _block_top_k(dist: np.ndarray, k: int) -> tuple:
-    """Columns of each row's k smallest distances, ordered by (distance, column), and those
-    distances. Every column within the k-th smallest value is a candidate, so ties across the
-    k-th place are settled by column; only rows with such extra ties take a per-row sort."""
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    keep = ~(dist > kth)  # keeps NaN too, which sorts last as in a full-row lexsort
-    exact = np.count_nonzero(keep, axis=1) == k
-    cols = np.empty((len(dist), k), dtype=np.intp)
-    cols[exact] = np.nonzero(keep[exact])[1].reshape(-1, k)
-    for r in np.flatnonzero(~exact):
-        c = np.flatnonzero(keep[r])
-        cols[r] = c[np.lexsort((c, dist[r, c]))[:k]]
-    d = np.take_along_axis(dist, cols, axis=1)
+def _distance(d2: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def _block_top_k(d2: np.ndarray, k: int) -> tuple:
+    """Columns of each row's k smallest distances ``sqrt(max(d2, 0))``, ordered by (distance,
+    column), and those distances.
+
+    One partition of the squared distances puts each row's k smallest first and its (k+1)-th
+    next. The distance of the largest of the k, s_k, is the k-th smallest distance, and a column
+    whose distance rounds to at most s_k has d2 below nextafter(s_k)^2: the bound here is that
+    square with a relative and an absolute margin. When the (k+1)-th d2 lies beyond the bound, no
+    other column ties the k-th place, so the k are the top k. Any other row, one with a NaN among
+    its k included, is ranked by a sort of its own distances within s_k.
+    """
+    n = d2.shape[1]
+    part = np.argpartition(d2, min(k, n - 1), axis=1)
+    cols = part[:, :k].copy()
+    s_k = _distance(np.take_along_axis(d2, cols, axis=1).max(axis=1))  # NaN if one of the k is
+    if k == n:
+        tied = np.zeros(len(d2), dtype=bool)
+    else:
+        with np.errstate(over="ignore"):
+            bound = np.square(np.nextafter(s_k, np.inf)) * (1.0 + 4.0 * _EPS)
+        np.maximum(bound, _TINY, out=bound)
+        tied = ~(np.take_along_axis(d2, part[:, k:k + 1], axis=1)[:, 0] > bound)
+    for r in np.flatnonzero(tied):
+        dist = _distance(d2[r])
+        c = np.flatnonzero(~(dist > s_k[r]))  # NaN distances stay, as they sort last
+        cols[r] = c[np.lexsort((c, dist[c]))[:k]]
+    d = _distance(np.take_along_axis(d2, cols, axis=1))
     rank = np.lexsort((cols, d), axis=1)
     return np.take_along_axis(cols, rank, axis=1), np.take_along_axis(d, rank, axis=1)
 
@@ -186,7 +210,8 @@ def recall_at_k(rankings, positives: dict, ks) -> RecallResult:
 
     ``positives`` maps every query id to its set of positive map ids; a
     query with an empty set is excluded from the denominator and counted
-    in ``excluded``.
+    in ``excluded``. Each scored query's first positive rank is found
+    once, and recall@k counts the ranks below k.
     """
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks):
@@ -199,11 +224,11 @@ def recall_at_k(rankings, positives: dict, ks) -> RecallResult:
     excluded = len(rankings) - len(scored)
     if not scored:
         raise ValueError("every query has an empty positive set; recall undefined")
-    percent = {}
-    for k in sorted(set(ks)):
-        hits = sum(1 for r, pos in scored if any(mid in pos for mid, _ in r.top(k)))
-        percent[k] = 100.0 * hits / len(scored)
-    return RecallResult(percent={k: percent[k] for k in ks}, evaluated=len(scored), excluded=excluded)
+    first = np.array([
+        next((rank for rank, (mid, _) in enumerate(r.hits) if mid in pos), math.inf) for r, pos in scored
+    ])
+    percent = {k: 100.0 * np.count_nonzero(first < k) / len(scored) for k in ks}
+    return RecallResult(percent=percent, evaluated=len(scored), excluded=excluded)
 
 
 def localization_accuracy(

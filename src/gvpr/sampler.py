@@ -121,6 +121,10 @@ class Batch:
         return counts
 
 
+class EmptyQuotaGroup(ValueError):
+    """A strategy's quota group holds no indexed pair: a fault of the labels, not of the arguments."""
+
+
 def index_labels(labels) -> PairIndex:
     """Bucket labels by band, preserving input order within each bucket."""
     labels = tuple(labels)
@@ -154,7 +158,7 @@ class BatchSampler:
         for group, frac in _QUOTAS[strategy]:
             pool = np.concatenate([idx.rows[band] for band in group])
             if not len(pool):
-                raise ValueError(
+                raise EmptyQuotaGroup(
                     f"strategy {strategy.value} needs pairs with psi in {_group_desc(group)}; none indexed"
                 )
             self._pools.append((pool, int(frac * batch_size)))

@@ -667,6 +667,26 @@ class TestMalformedInputs:
         assert main(argv + whiten) == 1
         assert capsys.readouterr().err == f"error: {bad}:3: unknown map id 'no_such_map'\n"
 
+    def test_labels_without_a_quota_group(self, tmp_path, capsys):
+        # strategy A fills a quarter of each batch from psi in (0, 0.5): a file with no such pair is at fault
+        assert main(["synth", "--out-dir", str(tmp_path), "--places", "8", "--images-per-place", "10",
+                     "--seed", "5"]) == 0
+        labels = tmp_path / "labels.csv"
+        assert main(["relabel", "--poses", str(tmp_path / "train_poses.csv"), "--out", str(labels)]) == 0
+        header, *rows = labels.read_text().splitlines()
+        kept = [row for row in rows if not 0.0 < float(row.split(",")[2]) < 0.5]
+        assert 0 < len(kept) < len(rows)
+        no_soft = tmp_path / "no_soft_negatives.csv"
+        no_soft.write_text("\n".join([header, *kept]) + "\n")
+        train = ["train", "--features", str(tmp_path / "train_features.bin"), "--out", str(tmp_path / "m.bin")]
+        capsys.readouterr()
+        assert main([*train, "--labels", str(no_soft)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {no_soft}: strategy A needs pairs with psi in (0, 0.5); none indexed\n")
+        # a batch size the strategy cannot split is the argument's fault, so no path
+        assert main([*train, "--labels", str(labels), "--batch-size", "30"]) == 1
+        assert capsys.readouterr().err == "error: strategy A needs batch_size divisible by 4, got 30\n"
+
     def test_header_only_gt(self, tmp_path, capsys, world_dir, model_path):
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "eval-gt", "no_gt.csv",
                             b"query_id,map_id\n")

@@ -16,6 +16,7 @@ from gvpr.embed import (
     _pooled_rows,
     batch_loss_and_grad,
     compute_descriptors,
+    file_descriptors,
     forward,
     gem_pool,
     init_model,
@@ -28,6 +29,7 @@ from gvpr.embed import (
 from gvpr.gcl import LossConfig, cl_grad_d, cl_loss, gcl_grad_d, gcl_loss
 from gvpr.relabel import SimilarityLabel
 from gvpr.sampler import BatchSampler, BatchStrategy, index_labels
+from gvpr.synth import SynthConfig, generate_world, write_world
 
 
 def random_maps(rng, n, channels=6, locations=10, prefix="m"):
@@ -206,6 +208,24 @@ class TestForward:
         assert ids == [fm.id for fm in maps]
         assert mat.shape == (5, 4)
         assert mat[2] == pytest.approx(forward(model, maps[2]))
+
+
+class TestFileDescriptors:
+    """The eval path from a features file is compute_descriptors over read_features, bit for bit."""
+
+    @pytest.mark.parametrize("seed, channels, locations", [(1, 32, 8), (2, 7, 1), (3, 5, 13)])
+    def test_matches_compute_descriptors_on_a_synth_world(self, tmp_path, seed, channels, locations):
+        world = generate_world(SynthConfig(places=12, images_per_place=6, channels=channels,
+                                           locations=locations, seed=seed))
+        paths = write_world(tmp_path, world)
+        save_model(tmp_path / "model.bin", init_model(16, channels, gem_p=2.7, seed=seed))
+        model = load_model(tmp_path / "model.bin")  # float32 gem_p and W, as eval reads them
+        for name in ("query_features", "map_features", "train_features"):
+            ids, mat = file_descriptors(paths[name], model)
+            want_ids, want = compute_descriptors(model, read_features(paths[name]))
+            assert ids == want_ids
+            assert mat.dtype == want.dtype and mat.shape == want.shape
+            assert mat.tobytes() == want.tobytes()
 
 
 class TestBatchGradient:

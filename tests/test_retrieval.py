@@ -169,6 +169,37 @@ class TestBlockedSearchMatchesReference:
                 assert np.array_equal([d for _, d in got.hits], [d for _, d in want.hits], equal_nan=True)
 
 
+class TestSquaredDistanceSelection:
+    """Candidates are picked on squared distances, yet the ranking is that of the rounded distances."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_ties_made_by_the_sqrt_go_to_the_smaller_id(self, k):
+        # |a|^2 = 1 + 2^-52 > |b|^2 = 1, but both square roots round to 1.0
+        refs = dset(["a", "b"], [[1.0, 2.0**-26], [1.0, 0.0]])
+        queries = dset(["q"], [[0.0, 0.0]])
+        got = nn_search(queries, refs, k)
+        assert got == _reference_nn_search(queries, refs, k)
+        assert got[0].hits[0] == ("a", 1.0)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_integer_grid_ties_with_k_at_the_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        nq, n_map = _BLOCK_ROWS + 9, 60
+        queries = dset([f"q{i:03d}" for i in range(nq)], rng.integers(-2, 3, size=(nq, 2)))
+        refs = dset([f"m{i:02d}" for i in rng.permutation(n_map)], rng.integers(-2, 3, size=(n_map, 2)))
+        for k in (1, 2, n_map - 1, n_map):
+            assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
+
+    def test_subnormal_squared_distances(self):
+        rng = np.random.default_rng(19)
+        # rows ~1e-160 apart: squared norms and distances are subnormal, the distances themselves not
+        grid = np.concatenate([rng.integers(-3, 4, size=(40, 3)), rng.normal(size=(40, 3))]) * 1e-160
+        queries = dset([f"q{i:02d}" for i in range(20)], grid[rng.permutation(80)[:20]] + 1e-161)
+        refs = dset([f"m{i:02d}" for i in range(80)], grid)
+        for k in (1, 2, 7, 79, 80):
+            assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
+
+
 class TestRecall:
     def rankings(self):
         return [
