@@ -99,13 +99,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-@relabel.file_reader
-def _file_descriptors(path, model):
-    """Descriptors of a features file as a set; descriptors that overflow fail with the path too."""
-    ids, matrix = embed.file_descriptors(path, model)
-    return retrieval.DescriptorSet(tuple(ids), matrix, normalized=True)
-
-
 def _load_eval_descriptors(parser, args):
     model_mode = args.model or args.query_features or args.map_features
     file_mode = args.query_descriptors or args.map_descriptors
@@ -115,8 +108,8 @@ def _load_eval_descriptors(parser, args):
         if not (args.model and args.query_features and args.map_features):
             parser.error("--model, --query-features and --map-features go together")
         model = embed.load_model(args.model)
-        queries = _file_descriptors(args.query_features, model)
-        map_set = _file_descriptors(args.map_features, model)
+        queries, map_set = (retrieval.DescriptorSet(*embed.file_descriptors(path, model), normalized=True)
+                            for path in (args.query_features, args.map_features))
     else:
         if not (args.query_descriptors and args.map_descriptors):
             parser.error("--query-descriptors and --map-descriptors go together")

@@ -3,10 +3,10 @@
 A feature map of shape (channels, locations) stands in for the last layer
 of a convolutional backbone. The model pools it with a generalized mean,
 applies a single trainable linear layer and L2-normalizes, yielding a
-unit-norm descriptor; ``forward``, ``compute_descriptors`` and the
-trainer share one batched pool-project-normalize path, which stacks the
-maps of each location count and pools each stack with one GeM call.
-``file_descriptors`` runs the same path on a features file's one array.
+unit-norm descriptor. Feature maps travel as one (n, channels, locations)
+array of one shape, pooled by one GeM call; ``forward``,
+``compute_descriptors`` and ``file_descriptors`` share one
+pool-project-normalize core that rejects descriptors that overflow.
 Training runs plain SGD over contrastive pairs streamed by the batch
 sampler, on the graded loss (binary labels as psi in {0, 1}); only the
 linear weights are trained, the pooling exponent stays fixed.
@@ -169,17 +169,16 @@ def _check_channels(model: EmbedModel, ident: str, channels: int) -> None:
         raise ValueError(f"feature map {ident!r} has {channels} channels, model expects {model.channels}")
 
 
-def _pooled_rows(model: EmbedModel, maps) -> np.ndarray:
-    """GeM-pooled rows, (n, channels), in input order, of feature maps with the model's channel
-    count; the maps of each location count are stacked and pooled by one ``gem_pool`` call."""
-    rows_by_locations = {}
-    for row, fm in enumerate(maps):
-        _check_channels(model, fm.id, fm.channels)
-        rows_by_locations.setdefault(fm.locations, []).append(row)
-    pooled = np.empty((len(maps), model.channels))
-    for rows in rows_by_locations.values():
-        pooled[rows] = gem_pool(np.stack([maps[r].values for r in rows]), model.gem_p)
-    return pooled
+def _stack(maps, model=None) -> np.ndarray:
+    """The (n, channels, locations) array of a nonempty list of feature maps of one shape;
+    given a model, a map of another channel count fails as a channel mismatch first."""
+    shape = maps[0].values.shape
+    for fm in maps:
+        if model is not None:
+            _check_channels(model, fm.id, fm.channels)
+        if fm.values.shape != shape:
+            raise ValueError(f"feature map {fm.id!r} has shape {fm.values.shape}, expected {shape}")
+    return np.stack([fm.values for fm in maps])
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -196,9 +195,19 @@ def _unit_rows(z: np.ndarray) -> tuple:
     return z / norms[:, None], norms
 
 
+def _descriptors(model: EmbedModel, first_id: str, values: np.ndarray) -> np.ndarray:
+    """Unit descriptor rows, (n, d_out), of a (n, channels, locations) array led by map ``first_id``."""
+    _check_channels(model, first_id, values.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as the error below, not as warnings
+        u, norms = _unit_rows(gem_pool(values, model.gem_p) @ model.W.T)
+    if not np.isfinite(norms).all():
+        raise ValueError("descriptors must be finite")
+    return u
+
+
 def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
     """Unit-norm descriptor of one feature map, by the path of ``compute_descriptors``."""
-    return _unit_rows(_pooled_rows(model, [fm]) @ model.W.T)[0][0]
+    return compute_descriptors(model, [fm])[1][0]
 
 
 def init_model(d_out: int, channels: int, gem_p: float = 3.0, seed: int = 0) -> EmbedModel:
@@ -209,11 +218,11 @@ def init_model(d_out: int, channels: int, gem_p: float = 3.0, seed: int = 0) -> 
 
 
 def compute_descriptors(model: EmbedModel, feature_maps) -> tuple:
-    """Descriptors for a batch of feature maps: (ids, (n, d_out) unit rows), one matmul."""
+    """Descriptors for feature maps of one shape: (ids, (n, d_out) unit rows), one matmul."""
     maps = list(feature_maps)
     if not maps:
         raise ValueError("no feature maps given")
-    return [fm.id for fm in maps], _unit_rows(_pooled_rows(model, maps) @ model.W.T)[0]
+    return [fm.id for fm in maps], _descriptors(model, maps[0].id, _stack(maps, model))
 
 
 def _batch_arrays(rows, pooled, query_rows, map_rows, psi):
@@ -259,14 +268,14 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     """SGD over contrastive pairs; returns (trained model, per-step loss trace).
 
     ``features`` is an iterable of FeatureMaps or a dict id -> FeatureMap
-    covering every id in ``labels``. Descriptors are recomputed from the
-    live weights each step; the gradient flows through normalization and
-    the linear layer, while pooled features are fixed inputs. Binary-loss
-    training derives y = 1 iff psi >= 0.5 and feeds y to the graded
-    formula, which equals the binary one there. Deterministic for a fixed
-    config and data. A label psi outside [0, 1] is a ValueError before the
-    first step; a non-finite distance, loss or weight aborts with the step
-    index.
+    covering every id in ``labels``, of one shape. Descriptors are
+    recomputed from the live weights each step; the gradient flows through
+    normalization and the linear layer, while pooled features are fixed
+    inputs. Binary-loss training derives y = 1 iff psi >= 0.5 and feeds y
+    to the graded formula, which equals the binary one there.
+    Deterministic for a fixed config and data. A label psi outside [0, 1]
+    is a ValueError before the first step; a non-finite distance, loss or
+    weight aborts with the step index.
 
     A single-label list cannot satisfy any strategy's band quotas, so it
     is trained directly: each step is that one pair repeated batch_size
@@ -283,7 +292,7 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         raise ValueError(f"labels reference ids without features: {', '.join(missing[:5])}")
 
     row_of = {ident: row for row, ident in enumerate(ids)}
-    pooled = _pooled_rows(model, [features[ident] for ident in ids])
+    pooled = gem_pool(_stack([features[ident] for ident in ids], model), model.gem_p)
     query_rows = np.array([row_of[lab.query_id] for lab in labels])
     map_rows = np.array([row_of[lab.map_id] for lab in labels])
     psi = np.array([lab.psi for lab in labels], dtype=np.float64)
@@ -324,23 +333,25 @@ def write_features(path, feature_maps) -> None:
     maps = list(feature_maps)
     if not maps:
         raise ValueError("no feature maps to write")
-    channels, locations = maps[0].channels, maps[0].locations
-    for fm in maps:
-        if (fm.channels, fm.locations) != (channels, locations):
-            raise ValueError(
-                f"feature map {fm.id!r} has shape {(fm.channels, fm.locations)}, "
-                f"expected {(channels, locations)}"
-            )
+    _write_feature_array(path, [fm.id for fm in maps], _stack(maps))
+
+
+def _write_feature_array(path, ids, values: np.ndarray) -> None:
+    """Write ids and their values, (count, channels, locations), as a features file in order:
+    the mirror of ``_read_feature_array``, refusing the empty sizes and ids that it rejects."""
+    if not len(ids):
+        raise ValueError("no feature maps to write")
+    if 0 in values.shape:
+        raise ValueError(f"feature map must be (channels, locations), got {values.shape[1:]}")
+    if "" in ids:
+        raise ValueError("feature map id must be nonempty")
     with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<IIII", FORMAT_VERSION, len(maps), channels, locations))
-        for fm in maps:
-            ident = fm.id.encode("utf-8")
-            if len(ident) > 0xFFFF:
-                raise ValueError(f"id too long to serialize: {fm.id!r}")
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(fm.values.astype("<f4").tobytes(order="C"))
+        fh.write(FEATURES_MAGIC + struct.pack("<IIII", FORMAT_VERSION, *values.shape))
+        for ident, record in zip(ids, values.astype("<f4")):
+            raw = ident.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise ValueError(f"id too long to serialize: {ident!r}")
+            fh.write(struct.pack("<H", len(raw)) + raw + record.tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -406,14 +417,9 @@ def _read_feature_array(path) -> tuple:
 @file_reader
 def file_descriptors(path, model: EmbedModel) -> tuple:
     """Descriptors of a features file, (ids, (n, d_out) unit rows), bit-identical to
-    ``compute_descriptors(model, read_features(path))``.
-
-    The file fixes one (channels, locations) shape, so its one (count, channels, locations)
-    array is pooled by a single ``gem_pool`` call, with no FeatureMap per record.
-    """
+    ``compute_descriptors(model, read_features(path))`` with no FeatureMap per record."""
     ids, values = _read_feature_array(path)
-    _check_channels(model, ids[0], values.shape[1])
-    return ids, _unit_rows(gem_pool(values, model.gem_p) @ model.W.T)[0]
+    return ids, _descriptors(model, ids[0], values)
 
 
 @file_reader

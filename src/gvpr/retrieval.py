@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import FeatureMap, _read_feature_array, write_features
+from .embed import _read_feature_array, _write_feature_array
 from .fov2d import CameraPose2D, wrapped_angle_diff
 from .relabel import file_reader
 
@@ -311,7 +311,7 @@ def apply_whitening(t: WhitenTransform, s: DescriptorSet, renormalize: bool = Tr
 
 def write_descriptors(path, s: DescriptorSet) -> None:
     """Persist descriptors as a features file with one location per channel row."""
-    write_features(path, [FeatureMap(i, row[:, None]) for i, row in zip(s.ids, s.matrix)])
+    _write_feature_array(path, s.ids, s.matrix[:, :, None])
 
 
 @file_reader

@@ -90,34 +90,33 @@ def strategy_denominator(strategy: BatchStrategy) -> int:
 
 @dataclass(frozen=True)
 class PairIndex:
-    """Labels and, per similarity band, the ascending positions of its labels."""
+    """Label psi values and, per similarity band, the ascending positions of its labels."""
 
-    labels: tuple = field(repr=False)
+    psi: np.ndarray = field(repr=False)
     rows: dict = field(repr=False)
 
     def band_sizes(self) -> dict:
         return {band: len(self.rows[band]) for band in Band}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """Ordered labeled pairs composing one training batch, with their label rows if drawn."""
+    """One training batch: the label rows drawn, in batch order, and their psi values."""
 
-    pairs: tuple
-    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    rows: np.ndarray
+    psi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.pairs:
+        if not len(self.rows):
             raise ValueError("batch must be nonempty")
-        object.__setattr__(self, "pairs", tuple(self.pairs))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.rows)
 
     def band_counts(self) -> dict:
         counts = {band: 0 for band in Band}
-        for lab in self.pairs:
-            counts[band_of(lab.psi)] += 1
+        for psi in self.psi.tolist():
+            counts[band_of(psi)] += 1
         return counts
 
 
@@ -131,7 +130,8 @@ def index_labels(labels) -> PairIndex:
     if not labels:
         raise ValueError("cannot index an empty label list")
     bands = np.array([band_of(lab.psi) for lab in labels])
-    return PairIndex(labels, {band: np.flatnonzero(bands == band) for band in Band})
+    psi = np.array([lab.psi for lab in labels], dtype=np.float64)
+    return PairIndex(psi, {band: np.flatnonzero(bands == band) for band in Band})
 
 
 class BatchSampler:
@@ -167,4 +167,4 @@ class BatchSampler:
         rows = np.concatenate(
             [pool[self._rng.integers(0, len(pool), size=count)] for pool, count in self._pools]
         )
-        return Batch([self.idx.labels[r] for r in rows.tolist()], rows)
+        return Batch(rows, self.idx.psi[rows])

@@ -474,6 +474,18 @@ class TestMalformedInputs:
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "huge.bin",
                       header + struct.pack("<H", 1) + b"a" + b"\x00" * 64)
 
+    def test_descriptors_that_overflow(self, tmp_path, capsys, world_dir):
+        """A valid model and valid features whose pooling power v ** p overflows: one error line."""
+        model, bright = tmp_path / "steep_model.bin", tmp_path / "bright.bin"
+        embed.save_model(model, embed.init_model(4, 8, gem_p=100.0))
+        embed.write_features(bright, [embed.FeatureMap(i, np.full((8, 4), 1e5)) for i in ("a", "b")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the CLI would print such a warning to stderr before the error
+            rc = main(["eval", "--model", str(model), "--query-features", str(bright),
+                       "--map-features", str(bright), "--gt", str(world_dir / "gt.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bright}: descriptors must be finite\n"
+
     def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)
         self.run_with(tmp_path, capsys, world_dir, model_path, "eval-model", "huge_model.bin",

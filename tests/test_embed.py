@@ -13,7 +13,6 @@ from gvpr.embed import (
     FeatureMap,
     TrainConfig,
     TrainingDiverged,
-    _pooled_rows,
     batch_loss_and_grad,
     compute_descriptors,
     file_descriptors,
@@ -28,6 +27,7 @@ from gvpr.embed import (
 )
 from gvpr.gcl import LossConfig, cl_grad_d, cl_loss, gcl_grad_d, gcl_loss
 from gvpr.relabel import SimilarityLabel
+from gvpr.retrieval import DescriptorSet, write_descriptors
 from gvpr.sampler import BatchSampler, BatchStrategy, index_labels
 from gvpr.synth import SynthConfig, generate_world, write_world
 
@@ -129,16 +129,17 @@ class TestStackedGemPool:
             want = np.stack([_reference_gem_pool(v, p) for v in stack])
             assert np.array_equal(gem_pool(stack, p), want)
 
-    def test_mixed_location_counts_keep_input_order(self):
+    def test_mixed_location_counts_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
-        maps = random_maps(rng, 9, locations=8, prefix="a") + random_maps(rng, 7, locations=9, prefix="b")
-        maps = [maps[i] for i in rng.permutation(len(maps))]
+        maps = random_maps(rng, 1, locations=8, prefix="a") + [FeatureMap("b", rng.uniform(0.0, 2.0, size=(6, 9)))]
         model = init_model(d_out=4, channels=6, gem_p=2.7, seed=1)
-        want = np.stack([_reference_gem_pool(fm.values, model.gem_p) for fm in maps])
-        assert np.array_equal(_pooled_rows(model, maps), want)
-        ids, mat = compute_descriptors(model, maps)
-        assert ids == [fm.id for fm in maps]
-        assert mat[5] == pytest.approx(forward(model, maps[5]))
+        message = "^" + re.escape("feature map 'b' has shape (6, 9), expected (6, 8)") + "$"
+        with pytest.raises(ValueError, match=message):
+            write_features(tmp_path / "mixed.bin", maps)
+        with pytest.raises(ValueError, match=message):
+            compute_descriptors(model, maps)
+        with pytest.raises(ValueError, match=message):
+            train(model, [SimilarityLabel("a000", "b", 1.0)], maps, TrainConfig(batch_size=2))
 
     def test_rank_checked(self):
         for shape in ((4,), (1, 2, 3, 4)):
@@ -185,7 +186,7 @@ class TestForward:
 
     def test_zero_norm_descriptor_rejected(self):
         model = init_model(d_out=3, channels=6, seed=0)
-        dark = FeatureMap("dark", np.zeros((6, 4)))  # pools to zero, so W @ 0 = 0
+        dark = FeatureMap("dark", np.zeros((6, 10)))  # pools to zero, so W @ 0 = 0
         with pytest.raises(ValueError, match="zero-norm"):
             forward(model, dark)
         rng = np.random.default_rng(15)
@@ -194,6 +195,15 @@ class TestForward:
         with pytest.raises(TrainingDiverged, match="step 0: zero-norm"):
             train(model, [SimilarityLabel("dark", "m000", 1.0)], random_maps(rng, 1) + [dark],
                   TrainConfig(batch_size=2))
+
+    def test_overflowing_pool_rejected_without_warnings(self):
+        """A valid model and valid maps whose pooling power v ** p overflows."""
+        model = init_model(d_out=4, channels=8, gem_p=100.0)
+        bright = [FeatureMap(i, np.full((8, 4), 1e5)) for i in ("a", "b")]
+        with pytest.raises(ValueError, match="^descriptors must be finite$"):
+            compute_descriptors(model, bright)
+        with pytest.raises(ValueError, match="^descriptors must be finite$"):
+            forward(model, bright[0])
 
     def test_init_model_deterministic(self):
         a = init_model(d_out=4, channels=8, seed=7)
@@ -371,7 +381,7 @@ def reference_train(model, labels, maps, cfg):
         draw = lambda: (labels[0],) * cfg.batch_size
     else:
         idx, rng = index_labels(labels), np.random.default_rng(cfg.seed)
-        draw = lambda: BatchSampler(idx, cfg.strategy, cfg.batch_size, seed=rng).next_batch().pairs
+        draw = lambda: [labels[r] for r in BatchSampler(idx, cfg.strategy, cfg.batch_size, seed=rng).next_batch().rows]
     w, seen = model.W.copy(), 0
     for _ in range(cfg.epochs * max(1, len(labels) // cfg.batch_size)):
         pairs = draw()
@@ -488,7 +498,32 @@ class TestTrain:
             train(model, labels, maps, TrainConfig(loss_kind=loss_kind, batch_size=12))
 
 
+def reference_write_features(path, maps):
+    """Frozen per-record features writer: the header, then each map's id length, id and float32 values."""
+    with open(path, "wb") as fh:
+        fh.write(b"GVPR")
+        fh.write(struct.pack("<IIII", 1, len(maps), maps[0].channels, maps[0].locations))
+        for fm in maps:
+            ident = fm.id.encode("utf-8")
+            fh.write(struct.pack("<H", len(ident)))
+            fh.write(ident)
+            fh.write(fm.values.astype("<f4").tobytes(order="C"))
+
+
 class TestBinaryFormats:
+    def test_writers_equal_the_per_record_reference(self, tmp_path):
+        rng = np.random.default_rng(17)
+        ids = ("a", "bb", "café/001", "x" * 300)
+        maps = [FeatureMap(ident, rng.normal(size=(3, 5))) for ident in ids]
+        write_features(tmp_path / "features.bin", maps)
+        reference_write_features(tmp_path / "want_features.bin", maps)
+        assert (tmp_path / "features.bin").read_bytes() == (tmp_path / "want_features.bin").read_bytes()
+        matrix = rng.normal(size=(6, 4)).T  # a transposed view: rows are not contiguous in memory
+        write_descriptors(tmp_path / "descriptors.bin", DescriptorSet(ids, matrix))
+        reference_write_features(tmp_path / "want_descriptors.bin",
+                                 [FeatureMap(ident, row[:, None]) for ident, row in zip(ids, matrix)])
+        assert (tmp_path / "descriptors.bin").read_bytes() == (tmp_path / "want_descriptors.bin").read_bytes()
+
     def test_features_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
         maps = random_maps(rng, 3, channels=4, locations=5, prefix="img_")

@@ -1,6 +1,7 @@
 """Nearest-neighbor search, recall, localization and whitening tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,16 @@ class TestDescriptorIO:
         assert again.ids == original.ids
         assert again.matrix == pytest.approx(original.matrix, abs=1e-7)
         assert not again.normalized
+
+    @pytest.mark.parametrize("ids, rows, message", [
+        ((), np.zeros((0, 3)), "no feature maps to write"),
+        (("a", ""), np.ones((2, 3)), "feature map id must be nonempty"),
+        (("a",), np.ones((1, 0)), "feature map must be (channels, locations), got (0, 1)"),
+        (("x" * 70_000,), np.ones((1, 3)), "id too long to serialize: 'xxx"),
+    ], ids=["empty-set", "empty-id", "zero-width", "long-id"])
+    def test_sets_the_format_cannot_hold_rejected(self, tmp_path, ids, rows, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            write_descriptors(tmp_path / "descriptors.bin", dset(ids, rows))
 
     def test_feature_file_with_many_locations_rejected(self, tmp_path):
         from gvpr.embed import FeatureMap, write_features

@@ -52,7 +52,7 @@ class TestIndexLabels:
         labels = make_labels([0.2, 0.9, 0.1, 0.0, 0.3])
         idx = index_labels(labels)
         assert idx.rows[Band.LOW].tolist() == [0, 2, 4]
-        assert [idx.labels[r] for r in idx.rows[Band.LOW]] == [labels[0], labels[2], labels[4]]
+        assert idx.psi[idx.rows[Band.LOW]].tolist() == [0.2, 0.1, 0.3]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -125,28 +125,34 @@ class TestComposeBatch:
     def test_seed_determinism(self, mixed_index):
         a = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=7).next_batch()
         b = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=7).next_batch()
-        assert a == b
+        assert np.array_equal(a.rows, b.rows)
 
     def test_generator_and_seed_agree(self, mixed_index):
         by_seed = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=123).next_batch()
         by_gen = BatchSampler(mixed_index, BatchStrategy.B, 16, seed=np.random.default_rng(123)).next_batch()
-        assert by_seed == by_gen
+        assert np.array_equal(by_seed.rows, by_gen.rows)
 
 
 class TestBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Batch(())
+            Batch(np.array([], dtype=np.intp), np.array([]))
 
     def test_len_and_counts(self):
-        labels = make_labels([0.9, 0.0])
-        batch = Batch(tuple(labels))
+        batch = Batch(np.array([0, 1]), np.array([0.9, 0.0]))
         assert len(batch) == 2
         assert batch.band_counts()[Band.HIGH] == 1
         assert batch.band_counts()[Band.ZERO] == 1
 
 
 class TestBatchSampler:
+    def test_batch_psi_are_those_of_its_label_rows(self):
+        labels = make_labels([1.0, 0.9, 0.8, 0.75, 0.7, 0.6, 0.5, 0.4, 0.3, 0.1, 0.0, 0.0, 0.0])
+        sampler = BatchSampler(index_labels(labels), BatchStrategy.B, 16, seed=5)
+        for _ in range(5):
+            batch = sampler.next_batch()
+            assert batch.psi.tolist() == [labels[r].psi for r in batch.rows.tolist()]
+
     def test_config_errors_raised_eagerly(self):
         idx = index_labels(make_labels([0.9, 0.2, 0.0]))  # fine for A
         with pytest.raises(ValueError, match="divisible"):
