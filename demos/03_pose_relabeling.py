@@ -13,7 +13,6 @@ import math
 from gvpr import (
     CameraPose2D,
     FovParams,
-    PoseRecord,
     PoseTable,
     class_counts,
     classify,
@@ -25,9 +24,9 @@ fov = FovParams(theta=math.radians(90.0), r=50.0)
 
 # A little street of cameras: three clustered, one further along, one far away.
 def cam(image_id, x, heading_deg):
-    return PoseRecord(image_id, CameraPose2D(x, 0.0, math.radians(heading_deg)), "street")
+    return image_id, CameraPose2D(x, 0.0, math.radians(heading_deg)), "street"
 
-table = PoseTable((
+table = PoseTable.of((
     cam("a", 0.0, 0.0),
     cam("b", 4.0, 10.0),
     cam("c", 9.0, 355.0),

@@ -36,7 +36,6 @@ from .gcl import (
     pair_grad,
 )
 from .relabel import (
-    PoseRecord,
     PoseTable,
     SimilarityClass,
     SimilarityLabel,

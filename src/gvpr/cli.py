@@ -119,15 +119,15 @@ def _load_eval_descriptors(parser, args):
 
 
 def cmd_eval(args, parser) -> int:
-    queries, map_set = _load_eval_descriptors(parser, args)
-    ks = sorted({int(k) for k in args.ks.split(",") if k.strip()})
-    if not ks:
-        parser.error("--ks must list at least one rank")
+    ks = _parse_ks(parser, args.ks)
     if (args.query_poses is None) != (args.map_poses is None):
         parser.error("--query-poses and --map-poses go together")
+    if args.query_poses:
+        thresholds = _parse_thresholds(parser, args.loc_thresholds)
+    queries, map_set = _load_eval_descriptors(parser, args)
     # a malformed gt file fails before any whitening or search
-    gt = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
-    if not any(gt.values()):
+    gt_queries, gt_maps = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
+    if not len(gt_queries):
         raise relabel.InputError(args.gt, "every query has an empty positive set; recall undefined")
 
     if args.pca_dim is not None:
@@ -138,15 +138,14 @@ def cmd_eval(args, parser) -> int:
         map_set = retrieval.apply_whitening(transform, map_set)
         queries = retrieval.apply_whitening(transform, queries)
 
-    rankings = retrieval.nn_search(queries, map_set, max(ks))
-    recall = retrieval.recall_at_k(rankings, gt, ks)
+    top, _ = retrieval._top_k(queries, map_set, max(ks))
+    recall = retrieval._recall(top, gt_queries, gt_maps, ks)
 
     rows = [(f"recall@{k}", f"{recall.percent[k]:.4f}") for k in ks]
     if args.query_poses:
         q_poses = _poses_covering(args.query_poses, queries.ids, "query")
-        m_poses = _poses_covering(args.map_poses, (r.hits[0][0] for r in rankings), "map")
-        thresholds = _parse_thresholds(parser, args.loc_thresholds)
-        loc = retrieval.localization_accuracy(rankings, q_poses, m_poses, thresholds)
+        m_poses = _poses_covering(args.map_poses, [map_set.ids[i] for i in top[:, 0]], "map")
+        loc = retrieval._localization(q_poses, m_poses, thresholds)
         for (meters, rad), pct in loc.items():
             rows.append((f"loc@{meters:g}m_{math.degrees(rad):g}deg", f"{pct:.4f}"))
     rows.append(("queries_evaluated", str(recall.evaluated)))
@@ -161,13 +160,27 @@ def cmd_eval(args, parser) -> int:
 
 
 @relabel.file_reader
-def _poses_covering(path, ids, kind: str) -> dict:
-    """Image id -> pose of a poses file that must hold every one of ``ids``."""
-    poses = {r.image_id: r.pose for r in relabel.load_poses(path).records}
-    for ident in ids:
-        if ident not in poses:
-            raise ValueError(f"missing {kind} pose for {ident!r}")
-    return poses
+def _poses_covering(path, ids, kind: str) -> np.ndarray:
+    """Pose rows (t0, t1, alpha) of ``ids``, in order, from a poses file that must hold every one."""
+    table = relabel.load_poses(path)
+    row_of = {image_id: row for row, image_id in enumerate(table.ids)}
+    try:
+        rows = [row_of[ident] for ident in ids]
+    except KeyError as e:
+        raise ValueError(f"missing {kind} pose for {e.args[0]!r}") from None
+    return table.poses[rows]
+
+
+def _parse_ks(parser, spec: str) -> list:
+    try:
+        ks = sorted({int(k) for k in spec.split(",") if k.strip()})
+    except ValueError:
+        parser.error(f"bad --ks {spec!r}, expected positive integer ranks")
+    if not ks:
+        parser.error("--ks must list at least one rank")
+    if ks[0] < 1:
+        parser.error(f"--ks ranks must be positive, got {ks[0]}")
+    return ks
 
 
 def _parse_thresholds(parser, spec: str):

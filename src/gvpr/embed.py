@@ -291,39 +291,41 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     if missing:
         raise ValueError(f"labels reference ids without features: {', '.join(missing[:5])}")
 
-    row_of = {ident: row for row, ident in enumerate(ids)}
-    pooled = gem_pool(_stack([features[ident] for ident in ids], model), model.gem_p)
-    query_rows = np.array([row_of[lab.query_id] for lab in labels])
-    map_rows = np.array([row_of[lab.map_id] for lab in labels])
-    psi = np.array([lab.psi for lab in labels], dtype=np.float64)
-    if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
-        raise ValueError("label psi must be in [0, 1]")
-    if len(labels) == 1:
-        next_rows = lambda: np.zeros(cfg.batch_size, dtype=np.intp)
-    else:
-        sampler = BatchSampler(index_labels(labels), cfg.strategy, cfg.batch_size, seed=cfg.seed)
-        next_rows = lambda: sampler.next_batch().rows
-    loss_cfg = LossConfig(tau=cfg.tau)
-    steps = cfg.epochs * max(1, len(labels) // cfg.batch_size)
+    # Overflow and NaN end as TrainingDiverged at the step they reach, not as NumPy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_of = {ident: row for row, ident in enumerate(ids)}
+        pooled = gem_pool(_stack([features[ident] for ident in ids], model), model.gem_p)
+        query_rows = np.array([row_of[lab.query_id] for lab in labels])
+        map_rows = np.array([row_of[lab.map_id] for lab in labels])
+        psi = np.array([lab.psi for lab in labels], dtype=np.float64)
+        if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
+            raise ValueError("label psi must be in [0, 1]")
+        if len(labels) == 1:
+            next_rows = lambda: np.zeros(cfg.batch_size, dtype=np.intp)
+        else:
+            sampler = BatchSampler(index_labels(labels), cfg.strategy, cfg.batch_size, seed=cfg.seed)
+            next_rows = lambda: sampler.next_batch().rows
+        loss_cfg = LossConfig(tau=cfg.tau)
+        steps = cfg.epochs * max(1, len(labels) // cfg.batch_size)
 
-    w = model.W.copy()
-    trace = []
-    pairs_seen = 0
-    for step in range(steps):
-        xi, xj, batch_psi = _batch_arrays(next_rows(), pooled, query_rows, map_rows, psi)
-        try:
-            mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch_psi, cfg.loss_kind, loss_cfg)
-        except ValueError as e:
-            raise TrainingDiverged(step, str(e)) from None
-        if not math.isfinite(mean_loss):
-            raise TrainingDiverged(step, "non-finite loss")
-        trace.append(mean_loss)
+        w = model.W.copy()
+        trace = []
+        pairs_seen = 0
+        for step in range(steps):
+            xi, xj, batch_psi = _batch_arrays(next_rows(), pooled, query_rows, map_rows, psi)
+            try:
+                mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch_psi, cfg.loss_kind, loss_cfg)
+            except ValueError as e:
+                raise TrainingDiverged(step, str(e)) from None
+            if not math.isfinite(mean_loss):
+                raise TrainingDiverged(step, "non-finite loss")
+            trace.append(mean_loss)
 
-        lr = cfg.lr0 * 0.1 ** (pairs_seen // cfg.lr_decay_after)
-        pairs_seen += len(batch_psi)
-        w = w - lr * gw
-        if not np.isfinite(w).all():
-            raise TrainingDiverged(step, "non-finite weights after update")
+            lr = cfg.lr0 * 0.1 ** (pairs_seen // cfg.lr_decay_after)
+            pairs_seen += len(batch_psi)
+            w = w - lr * gw
+            if not np.isfinite(w).all():
+                raise TrainingDiverged(step, "non-finite weights after update")
 
     return replace(model, W=w), trace
 
@@ -345,12 +347,13 @@ def _write_feature_array(path, ids, values: np.ndarray) -> None:
         raise ValueError(f"feature map must be (channels, locations), got {values.shape[1:]}")
     if "" in ids:
         raise ValueError("feature map id must be nonempty")
+    raw_ids = [ident.encode("utf-8") for ident in ids]
+    for ident, raw in zip(ids, raw_ids):  # before the file is opened, so a bad id leaves no file behind
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"id too long to serialize: {ident!r}")
     with open(path, "wb") as fh:
         fh.write(FEATURES_MAGIC + struct.pack("<IIII", FORMAT_VERSION, *values.shape))
-        for ident, record in zip(ids, values.astype("<f4")):
-            raw = ident.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"id too long to serialize: {ident!r}")
+        for raw, record in zip(raw_ids, values.astype("<f4")):
             fh.write(struct.pack("<H", len(raw)) + raw + record.tobytes())
 
 

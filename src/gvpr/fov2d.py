@@ -45,6 +45,16 @@ class CameraPose2D:
             raise ValueError("pose coordinates must be finite")
         object.__setattr__(self, "alpha", self.alpha % TWO_PI)
 
+    @classmethod
+    def _wrapped(cls, t0: float, t1: float, alpha: float) -> CameraPose2D:
+        """The pose of finite values with ``alpha`` already wrapped, as a PoseTable row holds them.
+        Wrapping again could change alpha: the wrap of a tiny negative heading is 2*pi, not 0."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "t0", t0)
+        object.__setattr__(pose, "t1", t1)
+        object.__setattr__(pose, "alpha", alpha)
+        return pose
+
     @property
     def position(self) -> np.ndarray:
         return np.array([self.t0, self.t1])

@@ -8,53 +8,70 @@ optional candidate radius are omitted entirely. Labels classify into
 positive (psi >= 0.5), soft negative (0 < psi < 0.5) and hard negative
 (psi = 0).
 
+A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
+array of (t0, t1, alpha) rows. CameraPose2Ds are built from the rows only
+where ``fov_overlap`` needs them, once per table.
+
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
   labels: header `query_id,map_id,psi`, psi with 6 decimals
+Every CSV reader reads its file by ``read_csv``: blocks of records,
+each checked and parsed in bulk, and rescanned one record at a time only
+to find the line of the first bad record.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .fov2d import CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
+from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
 from .sampler import Band, band_of
 
 
 @dataclass(frozen=True)
-class PoseRecord:
-    image_id: str
-    pose: CameraPose2D
-    scene: str
-
-
-@dataclass(frozen=True)
 class PoseTable:
-    """Pose records with unique image ids and nonempty scene names."""
+    """Planar poses as columns: image ids (unique, nonempty), scene names (nonempty) and an (n, 3)
+    float64 array of rows (t0, t1, alpha), alpha in radians wrapped as CameraPose2D wraps it."""
 
-    records: tuple = field(repr=False)
+    ids: tuple
+    scenes: tuple
+    poses: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        recs = tuple(self.records)
-        seen = set()
-        for rec in recs:
-            if not rec.image_id:
-                raise ValueError("image id must be nonempty")
-            if rec.image_id in seen:
-                raise ValueError(f"duplicate image id {rec.image_id!r}")
-            if not rec.scene:
-                raise ValueError(f"image {rec.image_id!r} has an empty scene name")
-            seen.add(rec.image_id)
-        object.__setattr__(self, "records", recs)
+        ids, scenes = tuple(self.ids), tuple(self.scenes)
+        poses = np.asarray(self.poses, dtype=np.float64)
+        if len(scenes) != len(ids) or poses.shape != (len(ids), 3):
+            raise ValueError(f"{len(ids)} ids and {len(scenes)} scenes for pose rows of shape {poses.shape}")
+        if "" in ids or "" in scenes or len(set(ids)) != len(ids):
+            seen = set()
+            for image_id, scene in zip(ids, scenes):  # report the first fault in row order
+                if not image_id:
+                    raise ValueError("image id must be nonempty")
+                if image_id in seen:
+                    raise ValueError(f"duplicate image id {image_id!r}")
+                if not scene:
+                    raise ValueError(f"image {image_id!r} has an empty scene name")
+                seen.add(image_id)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "scenes", scenes)
+        object.__setattr__(self, "poses", poses)
+
+    @classmethod
+    def of(cls, entries) -> PoseTable:
+        """A table of hand-built (image id, CameraPose2D, scene) entries."""
+        entries = tuple(entries)
+        poses = np.array([(p.t0, p.t1, p.alpha) for _, p, _ in entries], dtype=np.float64).reshape(-1, 3)
+        return cls(tuple(e[0] for e in entries), tuple(e[2] for e in entries), poses)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -122,18 +139,46 @@ def text_lines(path):
         yield from fh
 
 
-def csv_rows(path, header: list):
-    """Yield (line number, fields) of each nonblank row of a UTF-8 CSV with ``header``; a wrong
-    header is a ValueError and a wrong field count a LineError, neither naming the path."""
-    reader = csv.reader(text_lines(path))
-    if next(reader, None) != header:
-        raise ValueError(f"expected header {','.join(header)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise LineError(lineno, f"expected {len(header)} fields, got {len(row)}")
-        yield lineno, row
+_CSV_BLOCK = 1024  # records read at a time: a whole file's row lists would stay in RSS after use
+
+
+def read_csv(path, header: list, parse, check_row) -> list:
+    """``parse(rows)`` of each block of nonblank records of a UTF-8 CSV with ``header``, in order.
+
+    One csv.reader pass reads the records after the header in blocks of ``_CSV_BLOCK``. When all
+    of a block's records have the header's field count, ``parse`` gets its nonblank ones. When a
+    count is wrong or ``parse`` raises a ValueError, the block is scanned again one record at a
+    time: a wrong field count, then a ValueError of ``check_row(row)``, raises as the LineError of
+    the first bad record, numbered from 2 (the header is record 1, and blank records count). If
+    no record is bad, ``parse``'s error stands. A wrong header is a ValueError. Bad UTF-8 and a
+    csv.Error are raised while a block is read, so before a bad record earlier in the same block.
+    No message names the path.
+    """
+    width = len(header)
+    out = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"expected header {','.join(header)}")
+        first = 2
+        while records := list(itertools.islice(reader, _CSV_BLOCK)):
+            try:
+                if not set(map(len, records)) <= {0, width}:
+                    raise ValueError("wrong field count")
+                out.append(parse(list(filter(None, records))))
+            except ValueError:
+                for lineno, row in enumerate(records, start=first):
+                    if not row:
+                        continue
+                    if len(row) != width:
+                        raise LineError(lineno, f"expected {width} fields, got {len(row)}") from None
+                    try:
+                        check_row(row)
+                    except ValueError as e:
+                        raise LineError(lineno, e) from None
+                raise
+            first += len(records)
+    return out
 
 
 def write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
@@ -148,44 +193,53 @@ POSES_HEADER = ["id", "scene", "t0", "t1", "alpha_deg"]
 LABELS_HEADER = ["query_id", "map_id", "psi"]
 
 
+def _check_pose_row(row) -> None:
+    try:
+        t0, t1, alpha_deg = map(float, row[2:])
+    except ValueError:
+        raise ValueError("non-numeric pose entry") from None
+    CameraPose2D(t0, t1, math.radians(alpha_deg))
+
+
+def _pose_rows(rows) -> tuple:
+    """Ids, scenes and (n, 3) pose rows of poses records. Numbers are parsed by ``float``, as
+    ``_check_pose_row`` parses them, and the radians and the wrap are bit-identical to
+    CameraPose2D's ``math.radians(x) % TWO_PI``."""
+    poses = np.fromiter(map(float, itertools.chain.from_iterable(row[2:] for row in rows)), np.float64).reshape(-1, 3)
+    if not np.isfinite(poses).all():
+        raise ValueError("pose coordinates must be finite")
+    poses[:, 2] = np.radians(poses[:, 2]) % TWO_PI
+    return [row[0] for row in rows], [row[1] for row in rows], poses
+
+
 @file_reader
 def load_poses(path) -> PoseTable:
     """Parse a poses CSV; heading degrees are converted to radians and wrapped."""
-    records = []
-    for lineno, row in csv_rows(path, POSES_HEADER):
-        image_id, scene = row[0], row[1]
-        try:
-            t0, t1, alpha_deg = float(row[2]), float(row[3]), float(row[4])
-        except ValueError:
-            raise LineError(lineno, "non-numeric pose entry") from None
-        try:
-            pose = CameraPose2D(t0, t1, math.radians(alpha_deg))
-        except ValueError as e:
-            raise LineError(lineno, e) from None
-        records.append(PoseRecord(image_id, pose, scene))
-    return PoseTable(tuple(records))
+    blocks = read_csv(path, POSES_HEADER, _pose_rows, _check_pose_row)
+    return PoseTable(tuple(itertools.chain.from_iterable(b[0] for b in blocks)),
+                     tuple(itertools.chain.from_iterable(b[1] for b in blocks)),
+                     np.concatenate([np.empty((0, 3)), *(b[2] for b in blocks)]))
 
 
 def save_poses(path, table: PoseTable) -> None:
     write_csv(path, POSES_HEADER, (
-        [rec.image_id, rec.scene, repr(rec.pose.t0), repr(rec.pose.t1), repr(math.degrees(rec.pose.alpha))]
-        for rec in table.records
+        [image_id, scene, repr(t0), repr(t1), repr(math.degrees(alpha))]
+        for image_id, scene, (t0, t1, alpha) in zip(table.ids, table.scenes, table.poses.tolist())
     ))
+
+
+def _label(row) -> SimilarityLabel:
+    try:
+        psi = float(row[2])
+    except ValueError:
+        raise ValueError("non-numeric psi") from None
+    return SimilarityLabel(row[0], row[1], psi)
 
 
 @file_reader
 def load_labels(path) -> list:
-    labels = []
-    for lineno, row in csv_rows(path, LABELS_HEADER):
-        try:
-            psi = float(row[2])
-        except ValueError:
-            raise LineError(lineno, "non-numeric psi") from None
-        try:
-            labels.append(SimilarityLabel(row[0], row[1], psi))
-        except ValueError as e:
-            raise LineError(lineno, e) from None
-    return labels
+    return list(itertools.chain.from_iterable(
+        read_csv(path, LABELS_HEADER, lambda rows: list(map(_label, rows)), _label)))
 
 
 def save_labels(path, labels) -> None:
@@ -197,16 +251,15 @@ def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach
     positions in the table; psi is 0 without geometry beyond 2r, where the view circles cannot meet."""
     check_arc_segments(arc_segments)
     rows_of: dict = {}
-    for pos, rec in enumerate(table.records):
-        rows_of.setdefault(rec.scene, []).append(pos)
+    for pos, scene in enumerate(table.scenes):
+        rows_of.setdefault(scene, []).append(pos)
     ij = [np.take(rows, np.triu_indices(len(rows), k=1)) for rows in rows_of.values()]
     i, j = np.concatenate(ij, axis=1) if ij else np.empty((2, 0), dtype=np.intp)
-    xy = np.array([[rec.pose.t0, rec.pose.t1] for rec in table.records]).reshape(-1, 2)
-    d = xy[i] - xy[j]
+    d = table.poses[i, :2] - table.poses[j, :2]
     dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     near = dist <= reach
     i, j, dist = i[near].tolist(), j[near].tolist(), dist[near].tolist()
-    poses = [rec.pose for rec in table.records]
+    poses = [CameraPose2D._wrapped(*row) for row in table.poses.tolist()]
     psi = [0.0 if dd > 2.0 * fov.r else fov_overlap(poses[a], poses[b], fov, arc_segments)
            for a, b, dd in zip(i, j, dist)]
     return i, j, dist, psi
@@ -237,7 +290,7 @@ def pairwise_similarity(
     if not candidate_radius >= 2.0 * fov.r:  # also rejects NaN
         raise ValueError(f"candidate_radius must be at least 2r = {2.0 * fov.r} m (or infinite)")
     i, j, _, psi = _same_scene_pairs(table, fov, arc_segments, candidate_radius)
-    return labels_of_pairs([rec.image_id for rec in table.records], i, j, psi)
+    return labels_of_pairs(table.ids, i, j, psi)
 
 
 def fov_distance_profile(
@@ -261,7 +314,7 @@ def fov_distance_profile(
     i, j, dist, psi = _same_scene_pairs(table, fov, arc_segments)
     if not psi:
         raise ValueError("no same-scene pairs to profile")
-    alpha = [rec.pose.alpha for rec in table.records]
+    alpha = table.poses[:, 2].tolist()
     rot = [wrapped_angle_diff(alpha[a], alpha[b]) for a, b in zip(i, j)]
     out = np.array(sorted(zip(dist, rot, psi)), dtype=np.float64)
     if bins is None:

@@ -14,6 +14,13 @@ top-1 match's pose against translation and rotation thresholds, the
 query inheriting the pose of its best match. PCA whitening
 mean-centers, projects onto leading eigenvectors of the sample
 covariance and rescales each component to unit variance.
+
+Each rule is written once, in a core on row arrays: ``_top_k`` gives
+each query's (k,) map rows and distances, ``_recall`` counts from the
+ranked map rows and the positive (query row, map row) pairs, and
+``_localization`` from pose rows (t0, t1, alpha). ``gvpr eval`` calls
+the cores. ``nn_search``, ``recall_at_k`` and ``localization_accuracy``
+are their adapters for ids, ``Ranking``s and CameraPose2Ds.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import _read_feature_array, _write_feature_array
-from .fov2d import CameraPose2D, wrapped_angle_diff
+from .fov2d import TWO_PI
 from .relabel import file_reader
 
 # (meters, radians) thresholds a correctly localized query must meet
@@ -138,10 +145,21 @@ class WhitenTransform:
 
 
 def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
-    """Exact top-k nearest references per query by L2 distance.
+    """Exact top-k nearest references per query by L2 distance, as Rankings.
 
     Ties are broken by ascending map id, so the result is invariant under
-    permutation of the map rows. Distances use the expanded form
+    permutation of the map rows. The search is ``_top_k``'s.
+    """
+    rows, dist = _top_k(queries, map_set, k)
+    ids = np.array([str(i) for i in map_set.ids], dtype=object)
+    return [Ranking._sorted(query_id, tuple(zip(hit_ids, hit_d)))
+            for query_id, hit_ids, hit_d in zip(queries.ids, ids[rows].tolist(), dist.tolist())]
+
+
+def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
+    """Map rows of each query's k nearest references, (nq, k), and their distances.
+
+    Each query's row is ordered by (distance, map id). Distances use the expanded form
     sqrt(max(|q|^2 + |m|^2 - 2 q.m, 0)). The inner products come from one
     ``q @ m.T`` call, because BLAS rounds a block of rows differently
     from the whole matrix; the rest runs on blocks of ``_BLOCK_ROWS``
@@ -156,18 +174,17 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
         raise ValueError(f"k must be in [1, {len(map_set)}], got {k}")
     order = np.argsort(np.array(map_set.ids))  # canonical id order for tie-breaks
     m = map_set.matrix[order]
-    ids = np.array([str(i) for i in map_set.ids], dtype=object)[order]
     q = queries.matrix
     qq, mm, qm = np.sum(q * q, axis=1), np.sum(m * m, axis=1), q @ m.T
-    out = []
+    rows = np.empty((len(q), k), dtype=np.intp)
+    dist = np.empty((len(q), k))
     for lo in range(0, len(q), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
         d2 = qq[block, None] + mm[None, :]
         d2 -= 2.0 * qm[block]
-        cols, d = _block_top_k(d2, k)
-        for query_id, hit_ids, hit_d in zip(queries.ids[block], ids[cols].tolist(), d.tolist()):
-            out.append(Ranking._sorted(query_id, tuple(zip(hit_ids, hit_d))))
-    return out
+        cols, dist[block] = _block_top_k(d2, k)
+        rows[block] = order[cols]
+    return rows, dist
 
 
 def _distance(d2: np.ndarray) -> np.ndarray:
@@ -210,8 +227,7 @@ def recall_at_k(rankings, positives: dict, ks) -> RecallResult:
 
     ``positives`` maps every query id to its set of positive map ids; a
     query with an empty set is excluded from the denominator and counted
-    in ``excluded``. Each scored query's first positive rank is found
-    once, and recall@k counts the ranks below k.
+    in ``excluded``. The counting is ``_recall``'s.
     """
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks):
@@ -220,15 +236,36 @@ def recall_at_k(rankings, positives: dict, ks) -> RecallResult:
     missing = [r.query_id for r in rankings if r.query_id not in positives]
     if missing:
         raise KeyError(f"queries without a positives entry: {', '.join(missing[:5])}")
-    scored = [(r, positives[r.query_id]) for r in rankings if positives[r.query_id]]
-    excluded = len(rankings) - len(scored)
-    if not scored:
+    column: dict = {}  # map id -> its number in the arrays below
+    hits = [[column.setdefault(mid, len(column)) for mid, _ in r.hits] for r in rankings]
+    pairs = [(row, column.setdefault(mid, len(column)))
+             for row, r in enumerate(rankings) for mid in positives[r.query_id]]
+    top = np.full((len(hits), max(map(len, hits), default=0)), len(column))  # padded with no map's number
+    for row, h in enumerate(hits):
+        top[row, :len(h)] = h
+    pos_q, pos_m = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return _recall(top, pos_q, pos_m, ks)
+
+
+def _recall(top: np.ndarray, pos_q: np.ndarray, pos_m: np.ndarray, ks) -> RecallResult:
+    """Recall@k of ranked map rows ``top`` (nq, width), nearest first, against the positive
+    pairs (``pos_q[i]``, ``pos_m[i]``) of query rows and map rows.
+
+    A query in no pair is excluded from the denominator and counted in
+    ``excluded``. Each query's first positive rank is found once, and
+    recall@k counts the ranks below k.
+    """
+    scored = np.zeros(len(top), dtype=bool)
+    scored[pos_q] = True
+    evaluated = int(np.count_nonzero(scored))
+    if not evaluated:
         raise ValueError("every query has an empty positive set; recall undefined")
-    first = np.array([
-        next((rank for rank, (mid, _) in enumerate(r.hits) if mid in pos), math.inf) for r, pos in scored
-    ])
-    percent = {k: 100.0 * np.count_nonzero(first < k) / len(scored) for k in ks}
-    return RecallResult(percent=percent, evaluated=len(scored), excluded=excluded)
+    width = 1 + int(max(top.max(initial=0), pos_m.max()))
+    query_row = np.arange(len(top), dtype=np.int64)[:, None]
+    hit = np.isin(query_row * width + top, pos_q.astype(np.int64) * width + pos_m)
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), math.inf)
+    percent = {k: 100.0 * np.count_nonzero(first < k) / evaluated for k in ks}
+    return RecallResult(percent=percent, evaluated=evaluated, excluded=len(top) - evaluated)
 
 
 def localization_accuracy(
@@ -239,28 +276,38 @@ def localization_accuracy(
 ) -> dict:
     """Percentage of queries localized within each (meters, radians) threshold.
 
-    A query inherits the pose of its top-1 match and is correct at a
-    threshold when both the translation and the wrapped heading
-    difference to its own pose are within bounds.
+    ``query_poses`` and ``map_poses`` map ids to CameraPose2Ds. The
+    counting is ``_localization``'s.
     """
-    rankings = list(rankings)
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
-    thresholds = tuple((float(m), float(rad)) for m, rad in thresholds)
-    correct = {t: 0 for t in thresholds}
+    pairs = []
     for r in rankings:
         if r.query_id not in query_poses:
             raise KeyError(f"missing query pose for {r.query_id!r}")
         top_id = r.hits[0][0]
         if top_id not in map_poses:
             raise KeyError(f"missing map pose for {top_id!r}")
-        qp, mp = query_poses[r.query_id], map_poses[top_id]
-        t_err = math.hypot(qp.t0 - mp.t0, qp.t1 - mp.t1)
-        r_err = wrapped_angle_diff(qp.alpha, mp.alpha)
-        for t in thresholds:
-            if t_err <= t[0] and r_err <= t[1]:
-                correct[t] += 1
-    return {t: 100.0 * c / len(rankings) for t, c in correct.items()}
+        pairs.append((query_poses[r.query_id], map_poses[top_id]))
+    rows = np.array([(p.t0, p.t1, p.alpha) for pair in pairs for p in pair], dtype=np.float64)
+    rows = rows.reshape(-1, 2, 3)
+    return _localization(rows[:, 0], rows[:, 1], thresholds)
+
+
+def _localization(query_poses: np.ndarray, top_poses: np.ndarray, thresholds) -> dict:
+    """Percentage of queries localized within each (meters, radians) threshold, from pose rows
+    (t0, t1, alpha): each query's own, and that of its top-1 match, which the query inherits.
+
+    A query is correct at a threshold when both the translation and the
+    wrapped heading difference to its own pose are within bounds.
+    """
+    if not len(query_poses):
+        raise ValueError("no rankings to evaluate")
+    thresholds = tuple((float(m), float(rad)) for m, rad in thresholds)
+    d = query_poses - top_poses
+    # math.hypot per query: np.hypot can differ from it in the last bit
+    t_err = np.array([math.hypot(d0, d1) for d0, d1 in d[:, :2].tolist()])
+    turn = np.abs(d[:, 2]) % TWO_PI
+    r_err = np.minimum(turn, TWO_PI - turn)  # wrapped_angle_diff
+    return {t: 100.0 * np.count_nonzero((t_err <= t[0]) & (r_err <= t[1])) / len(d) for t in thresholds}
 
 
 def fit_pca_whitening(train: DescriptorSet, d_pca: int) -> WhitenTransform:

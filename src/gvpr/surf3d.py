@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .relabel import LineError, csv_rows, file_reader, text_lines
+from .relabel import LineError, file_reader, read_csv, text_lines
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
@@ -220,6 +220,14 @@ def _raise_first_bad_line(parts: list, lines_before: int) -> None:
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]
 
 
+def _pose6(row) -> Pose6DOF:
+    try:
+        vals = [float(x) for x in row[1:]]
+    except ValueError:
+        raise ValueError("non-numeric pose entry") from None
+    return Pose6DOF(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
+
+
 @file_reader
 def load_poses_6dof(path) -> list:
     """Parse a 6DOF pose CSV with header id,r00..r22,t0,t1,t2.
@@ -227,23 +235,23 @@ def load_poses_6dof(path) -> list:
     Returns a list of (image_id, Pose6DOF) in file order; duplicate ids or
     malformed rows are errors reported with their line number.
     """
-    out = []
-    seen = set()
-    for lineno, row in csv_rows(path, _POSE6_HEADER):
-        image_id = row[0]
-        if image_id in seen:
-            raise LineError(lineno, f"duplicate id {image_id!r}")
-        seen.add(image_id)
-        try:
-            vals = [float(x) for x in row[1:]]
-        except ValueError:
-            raise LineError(lineno, "non-numeric pose entry") from None
-        try:
-            pose = Pose6DOF(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
-        except ValueError as e:
-            raise LineError(lineno, e) from None
-        out.append((image_id, pose))
-    return out
+    seen = set()  # ids of the blocks read so far, and of a bad block's records up to the one checked
+
+    def check_row(row) -> None:
+        if row[0] in seen:
+            raise ValueError(f"duplicate id {row[0]!r}")
+        seen.add(row[0])
+        _pose6(row)
+
+    def parse(rows) -> list:
+        ids = [row[0] for row in rows]
+        if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+            raise ValueError("duplicate id")
+        out = [(row[0], _pose6(row)) for row in rows]
+        seen.update(ids)
+        return out
+
+    return list(chain.from_iterable(read_csv(path, _POSE6_HEADER, parse, check_row)))
 
 
 _INTR_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")

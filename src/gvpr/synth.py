@@ -19,7 +19,10 @@ labels carry real signal.
 Places are split into a training scene and a validation scene; validation
 images alternate into map and query roles. Retrieval ground truth marks a
 (query, map) pair positive when the poses are within 25 m and their
-headings differ by less than 40 degrees.
+headings differ by less than 40 degrees. The world's pose tables are
+columns, as ``relabel.load_poses`` returns them. A ground-truth file is
+read back as positive (query row, map row) pairs of the evaluated id
+lists, the form ``gvpr eval`` counts recall from.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import FeatureMap, write_features
-from .fov2d import TWO_PI, CameraPose2D
-from .relabel import LineError, PoseRecord, PoseTable, csv_rows, file_reader, save_poses, write_csv
+from .fov2d import TWO_PI
+from .relabel import PoseTable, file_reader, read_csv, save_poses, write_csv
 
 PLACE_SPACING_M = 250.0
 CENTER_JITTER_M = 10.0
@@ -83,7 +86,8 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     grid = math.ceil(math.sqrt(cfg.places))
     n_train_places = cfg.places // 2
 
-    records: dict = {"train": [], "map": [], "query": []}
+    ids: dict = {"train": [], "map": [], "query": []}
+    poses: dict = {"train": [], "map": [], "query": []}
     features: dict = {"train": [], "map": [], "query": []}
     for p in range(cfg.places):
         center = np.array([(p % grid), (p // grid)]) * PLACE_SPACING_M
@@ -102,19 +106,21 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
                 + NOISE_LEVEL * rng.normal(size=shape)
             )
             image_id = f"p{p:03d}_i{i:03d}"
-            if p < n_train_places:
-                role, scene = "train", "train"
-            else:
-                role, scene = ("map", "val") if i % 2 == 0 else ("query", "val")
-            pose = CameraPose2D(float(pos[0]), float(pos[1]), heading)
-            records[role].append(PoseRecord(image_id, pose, scene))
+            role = "train" if p < n_train_places else ("map" if i % 2 == 0 else "query")
+            ids[role].append(image_id)
+            poses[role].append((pos[0], pos[1], heading))
             features[role].append(FeatureMap(image_id, np.maximum(values, 0.0)))
 
-    gt = _ground_truth(records["query"], records["map"])
+    tables = {}
+    for role, scene in (("train", "train"), ("map", "val"), ("query", "val")):
+        rows = np.array(poses[role], dtype=np.float64).reshape(-1, 3)
+        rows[:, 2] %= TWO_PI  # CameraPose2D's wrap
+        tables[role] = PoseTable(tuple(ids[role]), (scene,) * len(rows), rows)
+    gt = _ground_truth(tables["query"], tables["map"])
     return SynthWorld(
-        train_poses=PoseTable(tuple(records["train"])),
-        map_poses=PoseTable(tuple(records["map"])),
-        query_poses=PoseTable(tuple(records["query"])),
+        train_poses=tables["train"],
+        map_poses=tables["map"],
+        query_poses=tables["query"],
         train_features=tuple(features["train"]),
         map_features=tuple(features["map"]),
         query_features=tuple(features["query"]),
@@ -122,18 +128,18 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     )
 
 
-def _ground_truth(query_records, map_records) -> dict:
+def _ground_truth(queries: PoseTable, maps: PoseTable) -> dict:
     """Positive map ids per query (within 25 m and under 40 degrees heading), one row at a time."""
-    maps = sorted(map_records, key=lambda m: m.image_id)
-    ids = [m.image_id for m in maps]
-    t0, t1, alpha = (np.array([getattr(m.pose, k) for m in maps]) for k in ("t0", "t1", "alpha"))
+    order = sorted(range(len(maps)), key=maps.ids.__getitem__)
+    ids = [maps.ids[i] for i in order]
+    t0, t1, alpha = maps.poses[order].T
     gt = {}
-    for q in query_records:
-        dist = np.hypot(q.pose.t0 - t0, q.pose.t1 - t1)
-        turn = np.abs(q.pose.alpha - alpha) % TWO_PI
+    for qid, (q0, q1, qa) in zip(queries.ids, queries.poses.tolist()):
+        dist = np.hypot(q0 - t0, q1 - t1)
+        turn = np.abs(qa - alpha) % TWO_PI
         rot = np.minimum(turn, TWO_PI - turn)
         hits = np.flatnonzero((dist <= POSITIVE_DISTANCE_M) & (rot < POSITIVE_HEADING_RAD))
-        gt[q.image_id] = tuple(ids[i] for i in hits)
+        gt[qid] = tuple(ids[i] for i in hits)
     return gt
 
 
@@ -146,23 +152,35 @@ def save_ground_truth(path, gt: dict) -> None:
 
 
 @file_reader
-def load_ground_truth(path, query_ids, map_ids) -> dict:
-    """Read positives, keyed over all of ``query_ids`` (empty set when absent).
+def load_ground_truth(path, query_ids, map_ids) -> tuple:
+    """Read positives as two int arrays: rows into ``query_ids`` and ``map_ids`` of each distinct
+    positive pair, sorted by query row, then map row. A query in no pair has no positive.
 
     A row naming a query outside ``query_ids`` or a map image outside
     ``map_ids`` is a LineError: such a positive could never be retrieved.
-    Positives hold the strings of ``map_ids`` rather than copies read from
-    the file, so the table costs little memory while ``eval`` searches.
+    Only the two arrays outlive the call, not the rows of the file.
     """
-    gt = {qid: set() for qid in query_ids}
-    known_maps = {mid: mid for mid in map_ids}
-    for lineno, (qid, mid) in csv_rows(path, GT_HEADER):
-        if qid not in gt:
-            raise LineError(lineno, f"unknown query id {qid!r}")
-        if mid not in known_maps:
-            raise LineError(lineno, f"unknown map id {mid!r}")
-        gt[qid].add(known_maps[mid])
-    return {qid: tuple(sorted(mids)) for qid, mids in gt.items()}
+    query_row = {qid: i for i, qid in enumerate(query_ids)}
+    map_row = {mid: i for i, mid in enumerate(map_ids)}
+
+    def check_row(row) -> None:
+        if row[0] not in query_row:
+            raise ValueError(f"unknown query id {row[0]!r}")
+        if row[1] not in map_row:
+            raise ValueError(f"unknown map id {row[1]!r}")
+
+    width = max(len(map_row), 1)
+
+    def pair_codes(rows) -> np.ndarray:
+        try:
+            return np.array([query_row[qid] * width + map_row[mid] for qid, mid in rows], dtype=np.int64)
+        except KeyError:
+            raise ValueError("unknown id") from None
+
+    codes = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *read_csv(path, GT_HEADER, pair_codes, check_row)]))
+    distinct = np.ones(len(codes), dtype=bool)  # np.unique's result, without its hashing cost
+    distinct[1:] = codes[1:] != codes[:-1]
+    return np.divmod(codes[distinct], width)
 
 
 def write_world(out_dir, world: SynthWorld) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
+import csv
 import math
 import re
 import struct
@@ -10,6 +11,7 @@ import pytest
 
 from gvpr import embed, retrieval, synth
 from gvpr.cli import main
+from gvpr.fov2d import CameraPose2D, wrapped_angle_diff
 
 TOY_CLOUD = "0 0 1\n0.25 0 1\n0.5 0 1\n0.75 0 1\n"
 TOY_INTRINSICS = "fx = 2\nfy = 2\ncx = 0.5\ncy = 0.5\nwidth = 1\nheight = 1\n"
@@ -258,7 +260,9 @@ class TestEval:
 
         queries, map_set = descriptors("query_features.bin"), descriptors("map_features.bin")
         rankings = retrieval.nn_search(queries, map_set, 5)
-        gt = synth.load_ground_truth(world_dir / "gt.csv", queries.ids, map_set.ids)
+        gt = {qid: set() for qid in queries.ids}
+        for q, m in zip(*synth.load_ground_truth(world_dir / "gt.csv", queries.ids, map_set.ids)):
+            gt[queries.ids[q]].add(map_set.ids[m])
         recall = retrieval.recall_at_k(rankings, gt, [1, 5])
         expected = ["metric,value"] + [f"recall@{k},{recall.percent[k]:.4f}" for k in (1, 5)] + [
             f"queries_evaluated,{recall.evaluated}", f"queries_excluded,{recall.excluded}"]
@@ -344,6 +348,30 @@ class TestEval:
             ])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("ks", ["abc", "0", "-3", "1,x", "5,0"])
+    def test_bad_ranks_are_usage_errors_before_any_file_is_read(self, tmp_path, ks, capsys):
+        absent = [str(tmp_path / name) for name in ("model.bin", "q.bin", "m.bin", "gt.csv", "qp.csv", "mp.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--model", absent[0], "--query-features", absent[1], "--map-features", absent[2],
+                  "--gt", absent[3], "--query-poses", absent[4], "--map-poses", absent[5], "--ks", ks])
+        assert err.value.code == 2
+        assert "--ks" in capsys.readouterr().err
+
+    def test_bad_threshold_spec_is_usage_error_before_any_file_is_read(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--query-descriptors", str(tmp_path / "q.bin"), "--map-descriptors", str(tmp_path / "m.bin"),
+                  "--gt", str(tmp_path / "gt.csv"), "--query-poses", str(tmp_path / "qp.csv"),
+                  "--map-poses", str(tmp_path / "mp.csv"), "--loc-thresholds", "5:x"])
+        assert err.value.code == 2
+
+    def test_rank_beyond_the_map_is_a_runtime_error(self, world_dir, model_path, capsys):
+        rc = main(["eval", "--model", str(model_path),
+                   "--query-features", str(world_dir / "query_features.bin"),
+                   "--map-features", str(world_dir / "map_features.bin"),
+                   "--gt", str(world_dir / "gt.csv"), "--ks", "1,10000"])
+        assert rc == 1
+        assert re.fullmatch(r"error: k must be in \[1, \d+\], got 10000\n", capsys.readouterr().err)
+
     def test_bad_threshold_spec_is_usage_error(self, world_dir, model_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -356,6 +384,119 @@ class TestEval:
                 "--loc-thresholds", "1:2:3",
             ])
         assert err.value.code == 2
+
+
+def csv_records(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row for row in list(csv.reader(fh))[1:] if row]
+
+
+def public_metrics(queries, map_set, gt_path, ks, poses=None, thresholds="0.25:2,0.5:5,5:10"):
+    """The metrics CSV lines of ``eval`` by the public path: nn_search, recall_at_k, localization_accuracy,
+    with the gt and poses files read here, one CameraPose2D per pose. Each figure is also recounted
+    from a reference search by per-query loops, which share no code with the program."""
+    rankings = retrieval.nn_search(queries, map_set, max(ks))
+    positives = {qid: set() for qid in queries.ids}
+    for qid, mid in csv_records(gt_path):
+        positives[qid].add(mid)
+    recall = retrieval.recall_at_k(rankings, positives, ks)
+    ranked = _reference_ranked_ids(queries, map_set)
+    assert [[mid for mid, _ in r.hits] for r in rankings] == [row[:max(ks)] for row in ranked]
+    scored = [(row, positives[qid]) for qid, row in zip(queries.ids, ranked) if positives[qid]]
+    assert (recall.evaluated, recall.excluded) == (len(scored), len(queries.ids) - len(scored))
+    for k in ks:
+        assert recall[k] == 100.0 * sum(not pos.isdisjoint(row[:k]) for row, pos in scored) / len(scored)
+    lines = ["metric,value"] + [f"recall@{k},{recall[k]:.4f}" for k in ks]
+    if poses:
+        q_poses, m_poses = ({r[0]: CameraPose2D(float(r[2]), float(r[3]), math.radians(float(r[4])))
+                             for r in csv_records(path)} for path in poses)
+        spec = [part.split(":") for part in thresholds.split(",")]
+        loc = retrieval.localization_accuracy(rankings, q_poses, m_poses,
+                                              [(float(m), math.radians(float(d))) for m, d in spec])
+        for (meters, rad), pct in loc.items():
+            correct = 0
+            for qid, row in zip(queries.ids, ranked):
+                qp, mp = q_poses[qid], m_poses[row[0]]
+                correct += (math.hypot(qp.t0 - mp.t0, qp.t1 - mp.t1) <= meters
+                            and wrapped_angle_diff(qp.alpha, mp.alpha) <= rad)
+            assert pct == 100.0 * correct / len(ranked)
+        lines += [f"loc@{m:g}m_{math.degrees(r):g}deg,{pct:.4f}" for (m, r), pct in loc.items()]
+    return lines + [f"queries_evaluated,{recall.evaluated}", f"queries_excluded,{recall.excluded}"]
+
+
+def _reference_ranked_ids(queries, map_set):
+    """Every map id per query, nearest first: the whole distance matrix, then one lexsort per query."""
+    ids = sorted(map_set.ids)
+    m = map_set.matrix[[map_set.ids.index(i) for i in ids]]
+    q = queries.matrix
+    d2 = np.sum(q * q, axis=1)[:, None] + np.sum(m * m, axis=1)[None, :] - 2.0 * (q @ m.T)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    return [[ids[j] for j in np.lexsort((np.arange(len(ids)), row))] for row in dist]
+
+
+class TestEvalMatchesThePublicPath:
+    """The CLI's metrics CSV equals the one the public functions give, line for line."""
+
+    def run_eval(self, tmp_path, argv):
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", *map(str, argv), "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("places, seed, ks, thresholds", [
+        (6, 7, "1,2,5", "0.25:2,0.5:5,5:10"),
+        (10, 21, "1,3,4,20", "1:10,4:30,10:45,25:180"),
+    ])
+    def test_synth_world_with_whitening_and_poses(self, tmp_path, model_path, places, seed, ks, thresholds):
+        w = tmp_path / "world"
+        assert main(["synth", "--out-dir", str(w), "--places", str(places), "--images-per-place", "8",
+                     "--channels", "8", "--locations", "4", "--seed", str(seed)]) == 0
+        poses = (w / "query_poses.csv", w / "map_poses.csv")
+        got = self.run_eval(tmp_path, [
+            "--model", model_path, "--query-features", w / "query_features.bin",
+            "--map-features", w / "map_features.bin", "--gt", w / "gt.csv", "--whiten", "--ks", ks,
+            "--query-poses", poses[0], "--map-poses", poses[1], "--loc-thresholds", thresholds])
+        model = embed.load_model(model_path)
+        queries, map_set = (retrieval.DescriptorSet(*embed.file_descriptors(w / f"{role}_features.bin", model),
+                                                    normalized=True) for role in ("query", "map"))
+        transform = retrieval.fit_pca_whitening(map_set, map_set.dim)
+        queries, map_set = (retrieval.apply_whitening(transform, s) for s in (queries, map_set))
+        ranks = sorted({int(k) for k in ks.split(",")})
+        assert got == public_metrics(queries, map_set, w / "gt.csv", ranks, poses, thresholds)
+
+    def test_tie_heavy_grid_with_excluded_queries(self, tmp_path):
+        rng = np.random.default_rng(31)
+        n_query, n_map = 40, 60
+        q_ids = [f"q{i:02d}" for i in range(n_query)]
+        m_ids = [f"m{i:02d}" for i in rng.permutation(n_map)]  # map rows out of id order
+        # integer descriptors on a small grid: many exact distance ties, also across the k-th place
+        queries = retrieval.DescriptorSet(q_ids, rng.integers(-1, 2, size=(n_query, 3)).astype(float))
+        map_set = retrieval.DescriptorSet(m_ids, rng.integers(-1, 2, size=(n_map, 3)).astype(float))
+        paths = {name: tmp_path / f"{name}.bin" for name in ("q", "m")}
+        retrieval.write_descriptors(paths["q"], queries)
+        retrieval.write_descriptors(paths["m"], map_set)
+        gt = tmp_path / "gt.csv"
+        d2 = np.sum((queries.matrix[:, None, :] - map_set.matrix[None, :, :]) ** 2, axis=2)
+        rows = []
+        for qi in range(5, n_query):  # one of the nearest, often tied, and one at random
+            nearest = np.flatnonzero(d2[qi] == d2[qi].min())
+            rows += [f"{q_ids[qi]},{m_ids[rng.choice(nearest)]}", f"{q_ids[qi]},{rng.choice(m_ids)}"]
+        gt.write_text("query_id,map_id\n" + "\n".join(rows + rows[:7]) + "\n")  # 5 queries without positives
+        # grid poses: translation errors of whole meters and headings 90 degrees apart meet the thresholds exactly
+        pose_paths = []
+        for role, ids in (("q", q_ids), ("m", m_ids)):
+            path = tmp_path / f"{role}_poses.csv"
+            path.write_text("id,scene,t0,t1,alpha_deg\n" + "".join(
+                f"{i},s,{rng.integers(0, 2)},{rng.integers(0, 3)},{90 * rng.integers(-4, 5)}\n" for i in ids))
+            pose_paths.append(path)
+        thresholds = "0:0,1:90,2:90,2.5:180"
+        ks = "1,2,3,7,60"
+        got = self.run_eval(tmp_path, [
+            "--query-descriptors", paths["q"], "--map-descriptors", paths["m"], "--gt", gt, "--ks", ks,
+            "--query-poses", pose_paths[0], "--map-poses", pose_paths[1], "--loc-thresholds", thresholds])
+        assert got[-1] == "queries_excluded,5"
+        want = public_metrics(retrieval.read_descriptors(paths["q"]), retrieval.read_descriptors(paths["m"]),
+                              gt, [1, 2, 3, 7, 60], pose_paths, thresholds)
+        assert got == want
 
 
 class TestProfile:
@@ -485,6 +626,18 @@ class TestMalformedInputs:
                        "--map-features", str(bright), "--gt", str(world_dir / "gt.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bright}: descriptors must be finite\n"
+
+    def test_training_that_overflows_prints_one_line(self, tmp_path, capsys):
+        """Pooling 1e5 to the power 100 overflows: the run ends at step 0 without NumPy warnings."""
+        bright, labels = tmp_path / "bright.bin", tmp_path / "labels.csv"
+        embed.write_features(bright, [embed.FeatureMap(i, np.full((8, 4), 1e5)) for i in ("a", "b")])
+        labels.write_text("query_id,map_id,psi\na,b,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the CLI would print such a warning to stderr before the error
+            rc = main(["train", "--labels", str(labels), "--features", str(bright), "--out", str(tmp_path / "m.bin"),
+                       "--gem-p", "100", "--d-out", "4", "--batch-size", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: step 0: d must be finite\n"
 
     def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)
@@ -671,9 +824,9 @@ class TestMalformedInputs:
         bad.write_text("\n".join(gt) + "\n")
 
         def no_search(*args, **kwargs):
-            raise AssertionError("nn_search ran before the gt file was read")
+            raise AssertionError("the search ran before the gt file was read")
 
-        monkeypatch.setattr(retrieval, "nn_search", no_search)
+        monkeypatch.setattr(retrieval, "_top_k", no_search)
         argv = ["eval", "--model", str(model_path), "--query-features", str(world_dir / "query_features.bin"),
                 "--map-features", str(world_dir / "map_features.bin"), "--gt", str(bad), "--ks", "1"]
         assert main(argv + whiten) == 1

@@ -574,6 +574,18 @@ class TestBinaryFormats:
         with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: feature map id must be nonempty$"):
             read_features(empty)
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_unwritable_id_leaves_the_path_as_it_was(self, tmp_path, existing):
+        path = tmp_path / "long.bin"
+        if existing:
+            write_features(path, [FeatureMap("old", np.ones((2, 2)))])
+        before = path.read_bytes() if existing else None
+        maps = [FeatureMap("a", np.ones((2, 2))), FeatureMap("x" * 70_000, np.ones((2, 2)))]
+        with pytest.raises(ValueError, match="^id too long to serialize: 'xxx"):
+            write_features(path, maps)
+        assert (path.read_bytes() if existing else None) == before
+        assert path.exists() == existing
+
     def test_mixed_shapes_rejected(self, tmp_path):
         maps = [FeatureMap("a", np.ones((2, 2))), FeatureMap("b", np.ones((2, 3)))]
         with pytest.raises(ValueError, match="shape"):

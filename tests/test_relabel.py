@@ -1,14 +1,14 @@
 """Pose-table relabeling, classification and persistence tests."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from gvpr import relabel
-from gvpr.fov2d import CameraPose2D, FovParams, fov_overlap
+from gvpr.fov2d import TWO_PI, CameraPose2D, FovParams, fov_overlap
 from gvpr.relabel import (
-    PoseRecord,
     PoseTable,
     SimilarityClass,
     SimilarityLabel,
@@ -21,22 +21,24 @@ from gvpr.relabel import (
     save_labels,
     save_poses,
 )
+from gvpr.surf3d import load_poses_6dof
+from gvpr.synth import load_ground_truth
 
 FOV = FovParams(theta=math.radians(90.0), r=50.0)
 
 
 def rec(image_id, t0, t1, alpha_deg, scene="s"):
-    return PoseRecord(image_id, CameraPose2D(t0, t1, math.radians(alpha_deg)), scene)
+    return image_id, CameraPose2D(t0, t1, math.radians(alpha_deg)), scene
 
 
 class TestPoseTable:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
-            PoseTable((rec("a", 0, 0, 0), rec("a", 1, 0, 0)))
+            PoseTable.of((rec("a", 0, 0, 0), rec("a", 1, 0, 0)))
 
     def test_rejects_empty_scene(self):
         with pytest.raises(ValueError, match="scene"):
-            PoseTable((rec("a", 0, 0, 0, scene=""),))
+            PoseTable.of((rec("a", 0, 0, 0, scene=""),))
 
 
 class TestClassify:
@@ -59,12 +61,12 @@ class TestClassify:
 
 class TestPairwiseSimilarity:
     def test_identical_poses_label_one(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 0, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 0, 0, 0)))
         labels = pairwise_similarity(table, FOV)
         assert labels == [SimilarityLabel("a", "b", 1.0)]
 
     def test_far_pair_short_circuits_to_zero(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 200.0, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 200.0, 0, 0)))
         labels = pairwise_similarity(table, FOV)
         assert labels[0].psi == 0.0
 
@@ -80,16 +82,16 @@ class TestPairwiseSimilarity:
 
     def test_translation_anchor_through_the_pipeline(self):
         # heading north, offset due east: perpendicular to the view axis
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 25.0, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 25.0, 0, 0)))
         labels = pairwise_similarity(table, FOV)
         assert labels[0].psi == pytest.approx(0.4501, abs=0.002)
 
     def test_cross_scene_pairs_never_emitted(self):
-        table = PoseTable((rec("a", 0, 0, 0, "x"), rec("b", 0, 0, 0, "y")))
+        table = PoseTable.of((rec("a", 0, 0, 0, "x"), rec("b", 0, 0, 0, "y")))
         assert pairwise_similarity(table, FOV) == []
 
     def test_candidate_radius_omits_far_pairs(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 150.0, 0, 0), rec("c", 600.0, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 150.0, 0, 0), rec("c", 600.0, 0, 0)))
         labels = pairwise_similarity(table, FOV, candidate_radius=500.0)
         pairs = {(lab.query_id, lab.map_id) for lab in labels}
         assert ("a", "b") in pairs
@@ -97,22 +99,22 @@ class TestPairwiseSimilarity:
         assert ("b", "c") in pairs
 
     def test_candidate_radius_below_two_r_rejected(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 1, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 1, 0, 0)))
         with pytest.raises(ValueError, match="2r"):
             pairwise_similarity(table, FOV, candidate_radius=80.0)
 
     def test_nan_candidate_radius_rejected(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 1, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 1, 0, 0)))
         with pytest.raises(ValueError, match="2r"):
             pairwise_similarity(table, FOV, candidate_radius=math.nan)
 
     def test_arc_segments_checked_when_no_pair_reaches_geometry(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 500.0, 0, 0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 500.0, 0, 0)))
         with pytest.raises(ValueError, match="arc_segments"):
             pairwise_similarity(table, FOV, arc_segments=1)
 
     def test_canonical_order_and_sorting(self):
-        table = PoseTable((rec("zz", 0, 0, 0), rec("aa", 1, 0, 0), rec("mm", 2, 0, 0)))
+        table = PoseTable.of((rec("zz", 0, 0, 0), rec("aa", 1, 0, 0), rec("mm", 2, 0, 0)))
         labels = pairwise_similarity(table, FOV)
         assert [(lab.query_id, lab.map_id) for lab in labels] == [
             ("aa", "mm"), ("aa", "zz"), ("mm", "zz"),
@@ -120,14 +122,14 @@ class TestPairwiseSimilarity:
 
     def test_record_order_does_not_change_output(self):
         recs = (rec("a", 0, 0, 10), rec("b", 12, 3, 80), rec("c", 30, -4, 200))
-        fwd = pairwise_similarity(PoseTable(recs), FOV)
-        rev = pairwise_similarity(PoseTable(recs[::-1]), FOV)
+        fwd = pairwise_similarity(PoseTable.of(recs), FOV)
+        rev = pairwise_similarity(PoseTable.of(recs[::-1]), FOV)
         assert fwd == rev
 
 
 class TestProfile:
     def test_single_pair_single_record(self):
-        table = PoseTable((rec("a", 0, 0, 0), rec("b", 10.0, 0, 30.0)))
+        table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 10.0, 0, 30.0)))
         records = fov_distance_profile(table, FOV)
         assert records.shape == (1, 3)
         assert records[0][0] == pytest.approx(10.0)
@@ -135,14 +137,14 @@ class TestProfile:
 
     def test_equal_orientation_monotone_in_distance(self):
         recs = tuple(rec(f"p{i}", 7.0 * i, 0, 0) for i in range(12))
-        records = fov_distance_profile(PoseTable(recs), FOV)
+        records = fov_distance_profile(PoseTable.of(recs), FOV)
         by_dist = records[np.argsort(records[:, 0])]
         assert all(b <= a + 1e-12 for a, b in zip(by_dist[:, 2], by_dist[1:, 2]))
 
     def test_binned_aggregation(self):
         recs = tuple(rec(f"p{i}", 9.0 * i, 0, 0) for i in range(10))
-        raw = fov_distance_profile(PoseTable(recs), FOV)
-        binned = fov_distance_profile(PoseTable(recs), FOV, bins=4)
+        raw = fov_distance_profile(PoseTable.of(recs), FOV)
+        binned = fov_distance_profile(PoseTable.of(recs), FOV, bins=4)
         assert binned.shape[1] == 3
         assert len(binned) <= 4
         assert binned[:, 2].min() >= raw[:, 2].min() - 1e-12
@@ -150,7 +152,7 @@ class TestProfile:
 
     def test_needs_two_poses(self):
         with pytest.raises(ValueError):
-            fov_distance_profile(PoseTable((rec("a", 0, 0, 0),)), FOV)
+            fov_distance_profile(PoseTable.of((rec("a", 0, 0, 0),)), FOV)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"bins": 0}, "bins"), ({"arc_segments": 1}, "arc_segments"),
@@ -162,7 +164,7 @@ class TestProfile:
         monkeypatch.setattr(relabel, "fov_overlap", no_geometry)
         recs = tuple(rec(f"p{i}", 9.0 * i, 0, 0) for i in range(4))
         with pytest.raises(ValueError, match=message):
-            fov_distance_profile(PoseTable(recs), FOV, **kwargs)
+            fov_distance_profile(PoseTable.of(recs), FOV, **kwargs)
 
 
 class TestPersistence:
@@ -170,10 +172,10 @@ class TestPersistence:
         path = tmp_path / "poses.csv"
         path.write_text("id,scene,t0,t1,alpha_deg\nimg1,cityA,100.5,-3.25,540\n")
         table = load_poses(path)
-        assert table.records[0].pose.alpha == pytest.approx(math.pi)
+        assert table.poses[0, 2] == pytest.approx(math.pi)
         out = tmp_path / "again.csv"
         save_poses(out, table)
-        assert load_poses(out).records[0].pose.alpha == pytest.approx(math.pi)
+        assert load_poses(out).poses[0, 2] == pytest.approx(math.pi)
 
     def test_load_poses_errors(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -186,6 +188,35 @@ class TestPersistence:
         path.write_text("id,scene,t0,t1,alpha_deg\na,s,1,2,0\na,s,1,2,0\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_poses(path)
+
+    def test_columns_equal_the_per_row_reference_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(23)
+        edges = ["0", "-0.0", "720", "-720", "360", "-360", "180", "-180", "1e308", "-1e308",
+                 "1.7976931348623157e308", "5e-324", "-5e-324", "-1e-14", "-2e-14", "-1e-300",
+                 "359.99999999999994", "1e-300", " 45 ", "1_000", "-359.99999999999994"]
+        randoms = [repr(float(x)) for x in np.concatenate([rng.uniform(-1e3, 1e3, 300), rng.normal(0, 1e-12, 50),
+                                                           rng.uniform(-1e300, 1e300, 50)])]
+        degrees = edges + randoms
+        positions = ["-0.0", "1e308", "5e-324", "-7.25"] + randoms
+        path = tmp_path / "poses.csv"
+        path.write_text("id,scene,t0,t1,alpha_deg\n" + "".join(
+            f"p{i},s{i % 3},{positions[i % len(positions)]},{positions[-1 - i % len(positions)]},{a}\n"
+            for i, a in enumerate(degrees)))
+        want_ids, want_scenes, poses = _reference_load_poses(path)
+        want = np.array([(p.t0, p.t1, p.alpha) for p in poses])
+        table = load_poses(path)
+        assert table.ids == want_ids and table.scenes == want_scenes
+        assert table.poses.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert (want[:, 2] == TWO_PI).any()  # a tiny negative heading wraps to 2 pi, not 0
+
+    def test_wrapped_heading_reaches_the_overlap_unchanged(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text("id,scene,t0,t1,alpha_deg\na,s,0,0,-1e-14\nb,s,3.5,1.25,20\nc,s,-2,4,-2e-14\n")
+        _, _, poses = _reference_load_poses(path)
+        assert poses[0].alpha == poses[2].alpha == TWO_PI
+        want = [fov_overlap(poses[a], poses[b], FOV, 64) for a, b in ((0, 1), (0, 2), (1, 2))]
+        labels = pairwise_similarity(load_poses(path), FOV, arc_segments=64)
+        assert [lab.psi for lab in labels] == want
 
     def test_labels_roundtrip_with_six_decimals(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -202,6 +233,73 @@ class TestPersistence:
         path.write_text("query_id,map_id,psi\na,b,1.5\n")
         with pytest.raises(ValueError, match=":2"):
             load_labels(path)
+
+
+POSE6 = "id,r00,r01,r02,r10,r11,r12,r20,r21,r22,t0,t1,t2"
+
+
+def pose6(image_id, entry="0"):
+    return f"{image_id},1,0,0,0,1,0,0,0,1,{entry},0,0"
+
+
+def read_gt(path):
+    return load_ground_truth(path, ["q1", "q2"], ["m1", "m2"])
+
+
+MANY_POSES = [f"p{i},s,{i},0,0" if i % 7 else "" for i in range(1, 1200)]  # blanks between; 1,199 records
+MANY_POSES6 = [pose6(f"c{i}") if i % 5 else "" for i in range(1, 1200)]
+
+
+class TestBulkCsvFirstFault:
+    """Each reader reports the first bad record of the file, numbered as csv records from 2 with
+    blank records counted, whatever fault comes later and whichever block of records it is in."""
+
+    @pytest.mark.parametrize("reader, header, records, line, message", [
+        (load_poses, "id,scene,t0,t1,alpha_deg",
+         ["a,s,0,0,0", "", "b,s,1,1,1", "", "c,s,x,0,0", "d,s,0,0", "e,s,0,0,nan"], 6, "non-numeric pose entry"),
+        (load_poses, "id,scene,t0,t1,alpha_deg",
+         ["a,s,0,0,0", "", "b,s,1,1", "", "c,s,x,0,0", "e,s,0,0,inf"], 4, "expected 5 fields, got 4"),
+        (load_poses, "id,scene,t0,t1,alpha_deg",
+         ["a,s,0,0,0", "a,s,1,1,1", "", "b,s,1e999,0,0", "c,s,x,0,0"], 5, "pose coordinates must be finite"),
+        (load_poses, "id,scene,t0,t1,alpha_deg",
+         ['"a\nb",s,0,0,0', "", "c,s,0,0,0,9", "d,s,x,0,0"], 4, "expected 5 fields, got 6"),
+        (load_poses, "id,scene,t0,t1,alpha_deg",
+         MANY_POSES + ["q,s,0,0,0", "", "r,s,0,y,0", "t,s"], 1203, "non-numeric pose entry"),
+        (load_poses, "id,scene,t0,t1,alpha_deg",
+         MANY_POSES + ["q,s,0,0", "r,s,0,y,0"], 1201, "expected 5 fields, got 4"),
+        (load_labels, "query_id,map_id,psi", ["a,b,0.5", "", "a,c,1.5", "a,d,zz"], 4, "psi must be in [0, 1], got 1.5"),
+        (load_labels, "query_id,map_id,psi", ["a,b,0.5", "a,d,zz", "", "a,c"], 3, "non-numeric psi"),
+        (read_gt, "query_id,map_id", ["q1,m1", "", "q2,zz", "qq,m1", "q1"], 4, "unknown map id 'zz'"),
+        (read_gt, "query_id,map_id", ["q1,m1", "qq,zz", "", "q1,m1,m2"], 3, "unknown query id 'qq'"),
+        (load_poses_6dof, POSE6, [pose6("a"), "", pose6("a"), pose6("b", "x")], 4, "duplicate id 'a'"),
+        (load_poses_6dof, POSE6, [pose6("a"), pose6("b", "x"), "", pose6("a")], 3, "non-numeric pose entry"),
+        (load_poses_6dof, POSE6, MANY_POSES6 + [pose6("c3"), pose6("d", "x")], 1201, "duplicate id 'c3'"),
+    ], ids=["poses-value-before-count", "poses-count-before-value", "poses-row-before-table",
+            "poses-multiline-record", "poses-second-block", "poses-count-in-second-block",
+            "labels-range-before-value", "labels-value-before-count", "gt-map-before-query",
+            "gt-query-before-count", "pose6-duplicate-before-value", "pose6-value-before-duplicate",
+            "pose6-duplicate-across-blocks"])
+    def test_first_fault_wins(self, tmp_path, reader, header, records, line, message):
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join([header, *records]) + "\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_table_fault_after_every_record_is_read(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text("id,scene,t0,t1,alpha_deg\na,s,0,0,0\n\nb,,1,1,1\na,s,1,1,1\n")
+        with pytest.raises(ValueError) as err:
+            load_poses(path)
+        assert str(err.value) == f"{path}: image 'b' has an empty scene name"
+
+
+def _reference_load_poses(path):
+    """The former per-row reader: ids, scenes and one CameraPose2D per record."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:] if row]
+    poses = [CameraPose2D(float(r[2]), float(r[3]), math.radians(float(r[4]))) for r in rows]
+    return tuple(r[0] for r in rows), tuple(r[1] for r in rows), poses
 
 
 class TestClassCounts:

@@ -284,6 +284,22 @@ class TestLocalization:
         with pytest.raises(KeyError, match="m"):
             localization_accuracy(rankings, {"q": pose}, {})
 
+    def test_translation_error_is_math_hypot(self):
+        # np.hypot (glibc) rounds this distance one ulp above math.hypot
+        dx, dy = -3.277658789086793, -6.994410662103219
+        t = math.hypot(dx, dy)
+        below = float(np.nextafter(t, 0.0))
+        rankings = [Ranking("q", (("m", 0.0),))]
+        qp = {"q": CameraPose2D(dx, dy, 0.0)}
+        mp = {"m": CameraPose2D(0.0, 0.0, 0.0)}
+        acc = localization_accuracy(rankings, qp, mp, thresholds=[(t, 0.0), (below, 0.0)])
+        assert acc == {(t, 0.0): 100.0, (below, 0.0): 0.0}
+
+    def test_duplicate_thresholds_count_once(self):
+        rankings = [Ranking("q", (("m", 0.0),))]
+        pose = {"q": CameraPose2D(0.0, 0.0, 0.0), "m": CameraPose2D(0.0, 0.0, 0.0)}
+        assert localization_accuracy(rankings, pose, pose, thresholds=[(1.0, 1.0), (1.0, 1.0)]) == {(1.0, 1.0): 100.0}
+
     def test_custom_thresholds(self):
         rankings = [Ranking("q", (("m", 0.0),))]
         qp = {"q": CameraPose2D(0.0, 0.0, 0.0)}

@@ -32,11 +32,9 @@ class TestGenerateWorld:
         assert len(world.query_poses) == 4 * 3
 
     def test_id_format_and_scenes(self, world):
-        for rec in world.train_poses.records:
-            assert rec.scene == "train"
-        for rec in world.map_poses.records + world.query_poses.records:
-            assert rec.scene == "val"
-        assert world.train_poses.records[0].image_id == "p000_i000"
+        assert set(world.train_poses.scenes) == {"train"}
+        assert set(world.map_poses.scenes + world.query_poses.scenes) == {"val"}
+        assert world.train_poses.ids[0] == "p000_i000"
 
     def test_features_align_with_poses(self, world):
         for poses, feats in (
@@ -44,19 +42,19 @@ class TestGenerateWorld:
             (world.map_poses, world.map_features),
             (world.query_poses, world.query_features),
         ):
-            assert [fm.id for fm in feats] == [r.image_id for r in poses.records]
+            assert [fm.id for fm in feats] == list(poses.ids)
             assert all(fm.values.shape == (8, 4) for fm in feats)
             assert all(np.all(fm.values >= 0.0) for fm in feats)
 
     def test_ground_truth_matches_thresholds(self, world):
-        q_poses = {r.image_id: r.pose for r in world.query_poses.records}
-        m_poses = {r.image_id: r.pose for r in world.map_poses.records}
+        q_poses = dict(zip(world.query_poses.ids, map(tuple, world.query_poses.poses)))
+        m_poses = dict(zip(world.map_poses.ids, map(tuple, world.map_poses.poses)))
         assert set(world.gt_positives) == set(q_poses)
         for qid, qp in q_poses.items():
             expected = sorted(
                 mid for mid, mp in m_poses.items()
-                if math.hypot(qp.t0 - mp.t0, qp.t1 - mp.t1) <= POSITIVE_DISTANCE_M
-                and wrapped_angle_diff(qp.alpha, mp.alpha) < POSITIVE_HEADING_RAD
+                if math.hypot(qp[0] - mp[0], qp[1] - mp[1]) <= POSITIVE_DISTANCE_M
+                and wrapped_angle_diff(qp[2], mp[2]) < POSITIVE_HEADING_RAD
             )
             assert list(world.gt_positives[qid]) == expected
 
@@ -66,14 +64,14 @@ class TestGenerateWorld:
         world = generate_world(SynthConfig(places=12, images_per_place=30, channels=2,
                                            locations=1, seed=seed))
         expected = {}
-        for q in world.query_poses.records:
+        for qid, (q0, q1, qa) in zip(world.query_poses.ids, world.query_poses.poses.tolist()):
             pos = []
-            for m in world.map_poses.records:
-                dist = math.hypot(q.pose.t0 - m.pose.t0, q.pose.t1 - m.pose.t1)
-                rot = wrapped_angle_diff(q.pose.alpha, m.pose.alpha)
+            for mid, (m0, m1, ma) in zip(world.map_poses.ids, world.map_poses.poses.tolist()):
+                dist = math.hypot(q0 - m0, q1 - m1)
+                rot = wrapped_angle_diff(qa, ma)
                 if dist <= POSITIVE_DISTANCE_M and rot < POSITIVE_HEADING_RAD:
-                    pos.append(m.image_id)
-            expected[q.image_id] = tuple(sorted(pos))
+                    pos.append(mid)
+            expected[qid] = tuple(sorted(pos))
         assert world.gt_positives == expected
         assert 0 < sum(map(len, expected.values())) < len(expected) * 15
 
@@ -102,19 +100,18 @@ class TestGroundTruthIO:
     def test_roundtrip_preserves_empty_queries(self, tmp_path, world):
         path = tmp_path / "gt.csv"
         save_ground_truth(path, world.gt_positives)
-        query_ids = [r.image_id for r in world.query_poses.records]
-        map_ids = [r.image_id for r in world.map_poses.records]
-        again = load_ground_truth(path, query_ids, map_ids)
+        query_ids, map_ids = world.query_poses.ids, world.map_poses.ids
+        queries, maps = load_ground_truth(path, query_ids, map_ids)
+        again = {qid: [] for qid in query_ids}
+        for q, m in zip(queries.tolist(), maps.tolist()):
+            again[query_ids[q]].append(map_ids[m])
         assert {q: tuple(sorted(m)) for q, m in again.items()} == dict(world.gt_positives)
 
-    def test_positives_share_the_map_id_strings(self, tmp_path, world):
+    def test_positives_are_distinct_sorted_rows(self, tmp_path):
         path = tmp_path / "gt.csv"
-        save_ground_truth(path, world.gt_positives)
-        query_ids = [r.image_id for r in world.query_poses.records]
-        map_ids = {r.image_id: r.image_id for r in world.map_poses.records}
-        gt = load_ground_truth(path, query_ids, list(map_ids))
-        positives = [m for ms in gt.values() for m in ms]
-        assert positives and all(m is map_ids[m] for m in positives)
+        path.write_text("query_id,map_id\nq2,m1\nq1,m2\n\nq2,m0\nq2,m1\nq1,m2\n")
+        queries, maps = load_ground_truth(path, ["q0", "q1", "q2"], ["m0", "m1", "m2"])
+        assert list(zip(queries.tolist(), maps.tolist())) == [(1, 2), (2, 0), (2, 1)]
 
     def test_unknown_query_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
