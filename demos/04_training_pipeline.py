@@ -17,7 +17,6 @@ from gvpr import (
     SynthConfig,
     TrainConfig,
     apply_whitening,
-    band_of,
     compute_descriptors,
     fit_pca_whitening,
     generate_world,
@@ -39,14 +38,11 @@ print(f"world: {len(world.train_poses)} train, {len(world.map_poses)} map, "
 # Graded labels for every training pair.
 fov = FovParams(theta=math.radians(90.0), r=50.0)
 labels = pairwise_similarity(world.train_poses, fov, arc_segments=128)
-bands = {}
-for lab in labels:
-    bands[band_of(lab.psi)] = bands.get(band_of(lab.psi), 0) + 1
-print(f"labels: {len(labels)} pairs, per band:",
-      {band.name: n for band, n in sorted(bands.items(), key=lambda kv: kv[0].name)})
+index = index_labels(labels)
+print(f"labels: {len(labels)} pairs, per band:", {band.name: n for band, n in index.band_sizes().items()})
 
 # One balanced batch: half positives, a quarter soft negatives, a quarter hard.
-sampler = BatchSampler(index_labels(labels), BatchStrategy.A, batch_size=16, seed=0)
+sampler = BatchSampler(index, BatchStrategy.A, batch_size=16, seed=0)
 batch = sampler.next_batch()
 print("one strategy-A batch:", {b.name: n for b, n in batch.band_counts().items()})
 

@@ -59,7 +59,7 @@ def cmd_overlap3d(args) -> int:
     iou = surf3d.iou_matrix(np.stack([surf3d.visible_mask(cloud, pose, intr) for _, pose in poses]))
     iu, ju = np.triu_indices(len(poses), k=1)
     ids = [image_id for image_id, _ in poses]
-    labels = relabel.labels_of_pairs(ids, iu.tolist(), ju.tolist(), iou[iu, ju].tolist())
+    labels = relabel.labels_of_pairs(ids, iu, ju, iou[iu, ju])
     skipped = len(iu) - len(labels)
     relabel.save_labels(args.out, labels)
     print(f"labels={len(labels)}")
@@ -122,8 +122,7 @@ def cmd_eval(args, parser) -> int:
     ks = _parse_ks(parser, args.ks)
     if (args.query_poses is None) != (args.map_poses is None):
         parser.error("--query-poses and --map-poses go together")
-    if args.query_poses:
-        thresholds = _parse_thresholds(parser, args.loc_thresholds)
+    thresholds = _parse_thresholds(parser, args.loc_thresholds)
     queries, map_set = _load_eval_descriptors(parser, args)
     # a malformed gt file fails before any whitening or search
     gt_queries, gt_maps = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
@@ -221,12 +220,16 @@ def cmd_synth(args) -> int:
 
 def cmd_profile(args) -> int:
     table = relabel.load_poses(args.poses)
+    if len(table) < 2:
+        raise relabel.InputError(args.poses, "profile needs at least 2 poses")
+    if len(set(table.scenes)) == len(table):
+        raise relabel.InputError(args.poses, "no same-scene pairs to profile")
     records = relabel.fov_distance_profile(
         table, _fov(args), bins=args.bins, arc_segments=args.arc_segments
     )
-    rows = [[f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records]
+    rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records.tolist())
     relabel.write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")
-    print(f"records={len(rows)}")
+    print(f"records={len(records)}")
     return 0
 
 

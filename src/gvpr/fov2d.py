@@ -79,10 +79,12 @@ class FovParams:
             raise ValueError(f"r must be positive, got {self.r}")
 
 
-def wrapped_angle_diff(a: float, b: float) -> float:
-    """Absolute angular difference on the circle: min(|d|, 2*pi - |d|)."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def wrapped_angle_diff(a, b):
+    """Absolute angular difference on the circle: min(|d|, 2*pi - |d|), element by element for
+    arrays; a float for two floats."""
+    d = np.abs(np.subtract(a, b)) % TWO_PI
+    d = np.minimum(d, TWO_PI - d)
+    return d if isinstance(d, np.ndarray) else float(d)
 
 
 def check_arc_segments(arc_segments: int) -> None:
@@ -273,8 +275,7 @@ def _sector_membership(pts: np.ndarray, pose: CameraPose2D, fov: FovParams) -> n
     dy = pts[:, 1] - pose.t1
     dist2 = dx * dx + dy * dy
     ang = np.arctan2(dx, dy)  # compass angle of the point as seen from the camera
-    off = np.abs((ang - pose.alpha + math.pi) % TWO_PI - math.pi)
-    return (dist2 <= fov.r * fov.r) & (off <= fov.theta / 2)
+    return (dist2 <= fov.r * fov.r) & (wrapped_angle_diff(ang, pose.alpha) <= fov.theta / 2)
 
 
 def fov_overlap_mc(

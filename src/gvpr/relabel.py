@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
-from .sampler import Band, band_of
+from .sampler import Band, _band_codes, band_of
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def save_labels(path, labels) -> None:
 
 
 def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
-    """Lists (i, j, center distance, psi) of every unordered same-scene pair within ``reach``, i < j
+    """Arrays (i, j, center distance, psi) of every unordered same-scene pair within ``reach``, i < j
     positions in the table; psi is 0 without geometry beyond 2r, where the view circles cannot meet."""
     check_arc_segments(arc_segments)
     rows_of: dict = {}
@@ -258,19 +258,28 @@ def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach
     d = table.poses[i, :2] - table.poses[j, :2]
     dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     near = dist <= reach
-    i, j, dist = i[near].tolist(), j[near].tolist(), dist[near].tolist()
+    i, j, dist = i[near], j[near], dist[near]
+    psi = np.zeros(len(dist))
+    within = np.flatnonzero(dist <= 2.0 * fov.r)
     poses = [CameraPose2D._wrapped(*row) for row in table.poses.tolist()]
-    psi = [0.0 if dd > 2.0 * fov.r else fov_overlap(poses[a], poses[b], fov, arc_segments)
-           for a, b, dd in zip(i, j, dist)]
+    pairs = zip(i[within].tolist(), j[within].tolist())
+    psi[within] = [fov_overlap(poses[a], poses[b], fov, arc_segments) for a, b in pairs]
     return i, j, dist, psi
 
 
 def labels_of_pairs(ids, i, j, psi) -> list:
-    """Labels of the pairs (ids[i[k]], ids[j[k]]) with similarity psi[k], 2D or 3D, in canonical id
-    order within each pair and sorted by (query_id, map_id); a NaN psi (undefined) gets no label."""
-    labels = [SimilarityLabel(*sorted((ids[a], ids[b])), p) for a, b, p in zip(i, j, psi) if not math.isnan(p)]
-    labels.sort(key=lambda lab: (lab.query_id, lab.map_id))
-    return labels
+    """Labels of the pair arrays (ids[i[k]], ids[j[k]]) with similarity psi[k], 2D or 3D, in canonical
+    id order within each pair and sorted by (query_id, map_id); a NaN psi (undefined) gets no label."""
+    psi = np.asarray(psi, dtype=np.float64)
+    defined = ~np.isnan(psi)
+    by_rank = sorted(ids)
+    rank_of = {image_id: r for r, image_id in enumerate(by_rank)}
+    rank = np.array([rank_of[image_id] for image_id in ids], dtype=np.intp)
+    a, b = rank[np.asarray(i)[defined]], rank[np.asarray(j)[defined]]
+    lo, hi, psi = np.minimum(a, b), np.maximum(a, b), psi[defined]
+    order = np.lexsort((hi, lo))
+    return [SimilarityLabel(by_rank[q], by_rank[m], p)
+            for q, m, p in zip(lo[order].tolist(), hi[order].tolist(), psi[order].tolist())]
 
 
 def pairwise_similarity(
@@ -302,9 +311,9 @@ def fov_distance_profile(
     """How overlap decays with translation and rotation distance.
 
     Returns an (n, 3) array of (translation_distance_m, rotation_distance_rad,
-    psi) rows, one per unordered same-scene pair, sorted by the two
-    distances. With ``bins`` set, rows are aggregated into that many
-    equal-width translation-distance bins and the result holds
+    psi) rows, one per unordered same-scene pair, sorted by translation,
+    then rotation, then psi. With ``bins`` set, rows are aggregated into
+    that many equal-width translation-distance bins and the result holds
     (bin_center, mean_rotation, mean_psi) for each nonempty bin.
     """
     if len(table) < 2:
@@ -312,11 +321,10 @@ def fov_distance_profile(
     if bins is not None and bins < 1:
         raise ValueError("bins must be a positive count")
     i, j, dist, psi = _same_scene_pairs(table, fov, arc_segments)
-    if not psi:
+    if not len(psi):
         raise ValueError("no same-scene pairs to profile")
-    alpha = table.poses[:, 2].tolist()
-    rot = [wrapped_angle_diff(alpha[a], alpha[b]) for a, b in zip(i, j)]
-    out = np.array(sorted(zip(dist, rot, psi)), dtype=np.float64)
+    rot = wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2])
+    out = np.stack((dist, rot, psi), axis=1)[np.lexsort((psi, rot, dist))]
     if bins is None:
         return out
     edges = np.linspace(0.0, float(np.max(out[:, 0])), bins + 1)
@@ -334,6 +342,7 @@ def fov_distance_profile(
 def class_counts(labels) -> dict:
     """Histogram of similarity classes over a label list."""
     counts = {cls: 0 for cls in SimilarityClass}
-    for lab in labels:
-        counts[classify(lab.psi)] += 1
+    bands = np.bincount(_band_codes([lab.psi for lab in labels]), minlength=len(Band))
+    for band, n in zip(Band, bands.tolist()):
+        counts[_CLASS_OF_BAND[band]] += n
     return counts

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import _read_feature_array, _write_feature_array
-from .fov2d import TWO_PI
+from .fov2d import wrapped_angle_diff
 from .relabel import file_reader
 
 # (meters, radians) thresholds a correctly localized query must meet
@@ -305,8 +305,7 @@ def _localization(query_poses: np.ndarray, top_poses: np.ndarray, thresholds) ->
     d = query_poses - top_poses
     # math.hypot per query: np.hypot can differ from it in the last bit
     t_err = np.array([math.hypot(d0, d1) for d0, d1 in d[:, :2].tolist()])
-    turn = np.abs(d[:, 2]) % TWO_PI
-    r_err = np.minimum(turn, TWO_PI - turn)  # wrapped_angle_diff
+    r_err = wrapped_angle_diff(query_poses[:, 2], top_poses[:, 2])
     return {t: 100.0 * np.count_nonzero((t_err <= t[0]) & (r_err <= t[1])) / len(d) for t in thresholds}
 
 

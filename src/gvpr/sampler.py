@@ -29,16 +29,17 @@ class Band(Enum):
     ZERO = "{0}"
 
 
+def _band_codes(psi) -> np.ndarray:
+    """The position in ``Band`` of each psi's band; the first psi outside [0, 1] (NaN too) raises."""
+    psi = np.asarray(psi, dtype=np.float64)
+    bad = ~((psi >= 0.0) & (psi <= 1.0))
+    if bad.any():
+        raise ValueError(f"psi must be in [0, 1], got {float(psi[bad].flat[0])}")
+    return (psi <= 0.0).astype(np.intp) + (psi < 0.5) + (psi < 0.75)
+
+
 def band_of(psi: float) -> Band:
-    if not 0.0 <= psi <= 1.0:
-        raise ValueError(f"psi must be in [0, 1], got {psi}")
-    if psi >= 0.75:
-        return Band.HIGH
-    if psi >= 0.5:
-        return Band.MID
-    if psi > 0.0:
-        return Band.LOW
-    return Band.ZERO
+    return tuple(Band)[_band_codes(psi)]
 
 
 class BatchStrategy(Enum):
@@ -114,10 +115,7 @@ class Batch:
         return len(self.rows)
 
     def band_counts(self) -> dict:
-        counts = {band: 0 for band in Band}
-        for psi in self.psi.tolist():
-            counts[band_of(psi)] += 1
-        return counts
+        return dict(zip(Band, np.bincount(_band_codes(self.psi), minlength=len(Band)).tolist()))
 
 
 class EmptyQuotaGroup(ValueError):
@@ -129,9 +127,9 @@ def index_labels(labels) -> PairIndex:
     labels = tuple(labels)
     if not labels:
         raise ValueError("cannot index an empty label list")
-    bands = np.array([band_of(lab.psi) for lab in labels])
     psi = np.array([lab.psi for lab in labels], dtype=np.float64)
-    return PairIndex(psi, {band: np.flatnonzero(bands == band) for band in Band})
+    codes = _band_codes(psi)
+    return PairIndex(psi, {band: np.flatnonzero(codes == k) for k, band in enumerate(Band)})
 
 
 class BatchSampler:

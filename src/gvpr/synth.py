@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import FeatureMap, write_features
-from .fov2d import TWO_PI
+from .fov2d import TWO_PI, wrapped_angle_diff
 from .relabel import PoseTable, file_reader, read_csv, save_poses, write_csv
 
 PLACE_SPACING_M = 250.0
@@ -135,10 +135,8 @@ def _ground_truth(queries: PoseTable, maps: PoseTable) -> dict:
     t0, t1, alpha = maps.poses[order].T
     gt = {}
     for qid, (q0, q1, qa) in zip(queries.ids, queries.poses.tolist()):
-        dist = np.hypot(q0 - t0, q1 - t1)
-        turn = np.abs(qa - alpha) % TWO_PI
-        rot = np.minimum(turn, TWO_PI - turn)
-        hits = np.flatnonzero((dist <= POSITIVE_DISTANCE_M) & (rot < POSITIVE_HEADING_RAD))
+        near = np.hypot(q0 - t0, q1 - t1) <= POSITIVE_DISTANCE_M
+        hits = np.flatnonzero(near & (wrapped_angle_diff(qa, alpha) < POSITIVE_HEADING_RAD))
         gt[qid] = tuple(ids[i] for i in hits)
     return gt
 

@@ -364,6 +364,13 @@ class TestEval:
                   "--map-poses", str(tmp_path / "mp.csv"), "--loc-thresholds", "5:x"])
         assert err.value.code == 2
 
+    def test_bad_threshold_spec_without_poses_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--query-descriptors", str(tmp_path / "q.bin"), "--map-descriptors", str(tmp_path / "m.bin"),
+                  "--gt", str(tmp_path / "gt.csv"), "--loc-thresholds", "nonsense"])
+        assert err.value.code == 2
+        assert "bad threshold 'nonsense'" in capsys.readouterr().err
+
     def test_rank_beyond_the_map_is_a_runtime_error(self, world_dir, model_path, capsys):
         rc = main(["eval", "--model", str(model_path),
                    "--query-features", str(world_dir / "query_features.bin"),
@@ -524,6 +531,24 @@ class TestProfile:
                    "--out", str(out), "--bins", "2", "--arc-segments", "64"])
         assert rc == 0
         assert len(out.read_text().splitlines()) <= 3
+
+    @pytest.mark.parametrize("records, message", [
+        ([], "profile needs at least 2 poses"),
+        (["a,s1,0,0,0"], "profile needs at least 2 poses"),
+        (["a,s1,0,0,0", "b,s2,1,0,0", "c,s3,2,0,0"], "no same-scene pairs to profile"),
+    ], ids=["header-only", "one-pose", "no-shared-scene"])
+    def test_pose_faults_name_the_poses_path(self, tmp_path, capsys, records, message):
+        poses = tmp_path / "poses.csv"
+        poses.write_text("\n".join(["id,scene,t0,t1,alpha_deg", *records]) + "\n")
+        out = tmp_path / "profile.csv"
+        assert main(["profile", "--poses", str(poses), "--out", str(out), "--bins", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {poses}: {message}\n"
+        assert not out.exists()
+
+    def test_bad_bins_is_the_arguments_fault(self, tmp_path, capsys):
+        out = tmp_path / "profile.csv"
+        assert main(["profile", "--poses", str(self.poses_csv(tmp_path)), "--out", str(out), "--bins", "0"]) == 1
+        assert capsys.readouterr().err == "error: bins must be a positive count\n"
 
 
 class TestCalibrateTheta:

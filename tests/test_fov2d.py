@@ -481,3 +481,22 @@ class TestWrappedAngleDiff:
         assert wrapped_angle_diff(0.1, 2.0 * math.pi - 0.1) == pytest.approx(0.2)
         assert wrapped_angle_diff(0.0, math.pi) == pytest.approx(math.pi)
         assert wrapped_angle_diff(1.0, 1.0) == 0.0
+
+    def test_arrays_equal_the_scalar_rule_element_by_element(self):
+        def scalar(a, b):  # the former float-only rule
+            d = abs(a - b) % (2.0 * math.pi)
+            return min(d, 2.0 * math.pi - d)
+
+        two_pi = 2.0 * math.pi
+        edges = [0.0, -0.0, math.pi, -math.pi, two_pi, -two_pi, 2 * two_pi, -3 * two_pi, 5e-324, -5e-324,
+                 np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0), np.nextafter(two_pi, 0.0),
+                 np.nextafter(two_pi, 7.0), 1e-14, -1e-14, 1e300]
+        rng = np.random.default_rng(41)
+        a = np.concatenate([np.repeat(edges, len(edges)), rng.uniform(-20.0, 20.0, 2_000)])
+        b = np.concatenate([np.tile(edges, len(edges)), rng.uniform(-20.0, 20.0, 2_000)])
+        got = wrapped_angle_diff(a, b)
+        want = np.array([scalar(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert (a - b < 0).any() and got.shape == a.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert [wrapped_angle_diff(x, y) for x, y in zip(a.tolist(), b.tolist())] == want.tolist()
+        assert type(wrapped_angle_diff(1.0, 2.0)) is float

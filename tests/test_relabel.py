@@ -2,12 +2,13 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gvpr import relabel
-from gvpr.fov2d import TWO_PI, CameraPose2D, FovParams, fov_overlap
+from gvpr.fov2d import TWO_PI, CameraPose2D, FovParams, fov_overlap, wrapped_angle_diff
 from gvpr.relabel import (
     PoseTable,
     SimilarityClass,
@@ -165,6 +166,92 @@ class TestProfile:
         recs = tuple(rec(f"p{i}", 9.0 * i, 0, 0) for i in range(4))
         with pytest.raises(ValueError, match=message):
             fov_distance_profile(PoseTable.of(recs), FOV, **kwargs)
+
+
+def _reference_profile(table, fov, bins, arc_segments):
+    """The former profile: one pair at a time, the scalar heading rule, ``sorted(zip(...))`` of
+    Python tuples and per-bin means."""
+    rows = table.poses.tolist()
+    poses = [CameraPose2D._wrapped(*row) for row in rows]
+    dist, rot, psi = [], [], []
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            if table.scenes[a] != table.scenes[b]:
+                continue
+            d0, d1 = rows[a][0] - rows[b][0], rows[a][1] - rows[b][1]
+            dist.append(math.sqrt(d0 * d0 + d1 * d1))
+            rot.append(wrapped_angle_diff(rows[a][2], rows[b][2]))
+            psi.append(0.0 if dist[-1] > 2.0 * fov.r else fov_overlap(poses[a], poses[b], fov, arc_segments))
+    out = np.array(sorted(zip(dist, rot, psi)), dtype=np.float64)
+    if bins is None:
+        return out
+    edges = np.linspace(0.0, float(np.max(out[:, 0])), bins + 1)
+    which = np.clip(np.digitize(out[:, 0], edges[1:-1], right=True), 0, bins - 1)
+    agg = []
+    for b in range(bins):
+        sel = out[which == b]
+        if len(sel):
+            agg.append((0.5 * (edges[b] + edges[b + 1]), float(np.mean(sel[:, 1])), float(np.mean(sel[:, 2]))))
+    return np.array(agg, dtype=np.float64)
+
+
+def _shuffled_scenes(seed):
+    """Three scenes of poses in shuffled record order, with ties in distance and in rotation."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for s, n in enumerate((30, 18, 12)):
+        xy = rng.uniform(-60.0, 60.0, (n, 2))
+        xy[:6] = np.round(xy[:6] / 20.0) * 20.0  # lattice points: many equal distances
+        alpha = rng.uniform(-400.0, 400.0, n)
+        alpha[:8] = alpha[0] + 360.0 * rng.integers(-2, 3, 8)  # equal headings, wrapped
+        entries += [(f"s{s}_{k:02d}", CameraPose2D(x, y, math.radians(a)), f"scene{s}")
+                    for k, ((x, y), a) in enumerate(zip(xy.tolist(), alpha.tolist()))]
+    return PoseTable.of([entries[k] for k in rng.permutation(len(entries))])
+
+
+class TestArrayPairPath:
+    """Profile and labels on arrays, bit-identical to the per-pair references."""
+
+    @pytest.mark.parametrize("bins", [None, 1, 7, 40])
+    def test_profile_equals_the_per_pair_reference(self, bins):
+        table = _shuffled_scenes(3)
+        got = fov_distance_profile(table, FOV, bins=bins, arc_segments=16)
+        want = _reference_profile(table, FOV, bins, 16)
+        assert len(want) and np.array_equal(got, want)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_labels_equal_the_key_sort_reference(self):
+        rng = np.random.default_rng(8)
+        ids = [f"id{k:03d}" for k in rng.permutation(120)]  # id order unlike row order
+        i, j = rng.integers(0, 120, (2, 3_000))
+        i[:50], j[:50] = j[50:100], i[50:100]  # the same pairs again, swapped
+        psi = rng.uniform(0.0, 1.0, 3_000)
+        psi[rng.random(3_000) < 0.2] = math.nan
+        psi[::7] = 0.0
+        want = [SimilarityLabel(*sorted((ids[a], ids[b])), p)
+                for a, b, p in zip(i.tolist(), j.tolist(), psi.tolist()) if not math.isnan(p)]
+        want.sort(key=lambda lab: (lab.query_id, lab.map_id))
+        got = relabel.labels_of_pairs(ids, i, j, psi)
+        assert got == want
+        assert [lab.psi for lab in got] == [lab.psi for lab in want]  # pairs of equal ids keep input order
+        assert all(type(lab.psi) is float for lab in got)
+
+    def test_profile_memory_per_pair(self, monkeypatch):
+        def no_geometry(*args):
+            raise AssertionError("no pair lies within 2r")
+
+        monkeypatch.setattr(relabel, "fov_overlap", no_geometry)
+        table = PoseTable([f"p{k}" for k in range(600)], ["s"] * 600,
+                          np.column_stack([150.0 * np.arange(600), np.zeros(600), np.zeros(600)]))
+        pairs = 600 * 599 // 2
+        tracemalloc.start()
+        try:
+            records = fov_distance_profile(table, FOV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records.shape == (pairs, 3) == (179_700, 3)
+        assert peak <= 160 * pairs, f"{peak / pairs:.0f} B per pair"
 
 
 class TestPersistence:

@@ -1,9 +1,12 @@
 """Band bucketing and quota-exact batch composition tests."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gvpr.relabel import SimilarityLabel
+from gvpr.relabel import SimilarityClass, SimilarityLabel, class_counts
 from gvpr.sampler import (
     Band,
     Batch,
@@ -40,6 +43,56 @@ class TestBandOf:
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 band_of(bad)
+
+
+def _reference_band(psi):
+    """The former per-label rule."""
+    if not 0.0 <= psi <= 1.0:
+        raise ValueError(f"psi must be in [0, 1], got {psi}")
+    if psi >= 0.75:
+        return Band.HIGH
+    if psi >= 0.5:
+        return Band.MID
+    return Band.LOW if psi > 0.0 else Band.ZERO
+
+
+class TestBandRuleOnArrays:
+    """band_of, index_labels, Batch.band_counts and relabel.class_counts share one array rule;
+    each agrees with the per-label reference at the band edges and rejects what it rejects."""
+
+    EDGES = [0.0, 1.0, 0.5, 0.75] + [float(np.nextafter(x, y)) for x in (0.0, 0.5, 0.75) for y in (0.0, 1.0)]
+
+    def test_edges_match_the_per_label_rule(self):
+        rng = np.random.default_rng(17)
+        psis = self.EDGES + rng.uniform(0.0, 1.0, 200).tolist()
+        want = [_reference_band(p) for p in psis]
+        assert [band_of(p) for p in psis] == want
+        idx = index_labels(make_labels(psis))
+        assert {band: idx.rows[band].tolist() for band in Band} == {
+            band: [k for k, b in enumerate(want) if b is band] for band in Band}
+        counts = Batch(np.arange(len(psis)), np.array(psis)).band_counts()
+        assert counts == {band: want.count(band) for band in Band}
+        assert all(type(n) is int for n in counts.values())
+        classes = class_counts(make_labels(psis))
+        assert classes[SimilarityClass.POSITIVE] == want.count(Band.HIGH) + want.count(Band.MID)
+        assert classes[SimilarityClass.SOFT_NEGATIVE] == want.count(Band.LOW)
+        assert classes[SimilarityClass.HARD_NEGATIVE] == want.count(Band.ZERO)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.0001, 1.0000001, math.inf, -math.inf, -5e-324])
+    def test_rejects_what_the_per_label_rule_rejects_with_its_message(self, bad):
+        with pytest.raises(ValueError) as want:
+            _reference_band(bad)
+        message = str(want.value)
+        assert message.startswith("psi must be in [0, 1], got ")
+        with pytest.raises(ValueError) as err:
+            band_of(bad)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            Batch(np.arange(3), np.array([0.5, bad, 2.0])).band_counts()
+        assert str(err.value) == message  # the first bad psi is named
+        with pytest.raises(ValueError) as err:
+            index_labels([SimpleNamespace(psi=0.25), SimpleNamespace(psi=bad)])
+        assert str(err.value) == message
 
 
 class TestIndexLabels:
