@@ -18,6 +18,7 @@ import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import FovParams, calibrate_theta
+from .io import InputError, file_reader, write_csv
 from .sampler import BatchStrategy, EmptyQuotaGroup
 
 
@@ -37,7 +38,7 @@ def _fov(args) -> FovParams:
 def cmd_relabel(args) -> int:
     table = relabel.load_poses(args.poses)
     if len(table) == 0:
-        raise relabel.InputError(args.poses, "no pose records")
+        raise InputError(args.poses, "no pose records")
     labels = relabel.pairwise_similarity(
         table, _fov(args), candidate_radius=args.candidate_radius_m,
         arc_segments=args.arc_segments,
@@ -54,7 +55,7 @@ def cmd_overlap3d(args) -> int:
     cloud = surf3d.load_point_cloud(args.cloud)
     poses = surf3d.load_poses_6dof(args.poses)
     if len(poses) < 2:
-        raise relabel.InputError(args.poses, "need at least 2 poses to form pairs")
+        raise InputError(args.poses, "need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
     iou = surf3d.iou_matrix(np.stack([surf3d.visible_mask(cloud, pose, intr) for _, pose in poses]))
     iu, ju = np.triu_indices(len(poses), k=1)
@@ -71,10 +72,10 @@ def cmd_train(args) -> int:
     labels = relabel.load_labels(args.labels)
     features = embed.read_features(args.features)
     if not labels:
-        raise relabel.InputError(args.labels, "no labels to train on")
+        raise InputError(args.labels, "no labels to train on")
     missing = sorted({i for lab in labels for i in (lab.query_id, lab.map_id)} - {fm.id for fm in features})
     if missing:
-        raise relabel.InputError(args.labels, f"ids not in {args.features}: {', '.join(missing[:5])}")
+        raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
     cfg = embed.TrainConfig(
         loss_kind=args.loss,
         tau=args.tau,
@@ -89,11 +90,15 @@ def cmd_train(args) -> int:
     try:
         trained, trace = embed.train(model, labels, features, cfg)
     except EmptyQuotaGroup as e:
-        raise relabel.InputError(args.labels, e) from None
+        raise InputError(args.labels, e) from None
+    except embed.TrainingDiverged as e:
+        if e.step > 0:  # a later step diverges from the weights training made, not from the features alone
+            raise
+        raise InputError(args.features, e) from None
     embed.save_model(args.out, trained)
     if args.trace:
         rows = [[i, f"{loss:.10g}"] for i, loss in enumerate(trace)]
-        relabel.write_csv(args.trace, ["step", "loss"], rows, "\n")
+        write_csv(args.trace, ["step", "loss"], rows, "\n")
     print(f"steps={len(trace)}")
     print(f"final_loss={trace[-1]:.10g}")
     return 0
@@ -127,7 +132,7 @@ def cmd_eval(args, parser) -> int:
     # a malformed gt file fails before any whitening or search
     gt_queries, gt_maps = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
     if not len(gt_queries):
-        raise relabel.InputError(args.gt, "every query has an empty positive set; recall undefined")
+        raise InputError(args.gt, "every query has an empty positive set; recall undefined")
 
     if args.pca_dim is not None:
         args.whiten = True
@@ -154,11 +159,11 @@ def cmd_eval(args, parser) -> int:
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
     if args.out:
-        relabel.write_csv(args.out, ["metric", "value"], rows, "\n")
+        write_csv(args.out, ["metric", "value"], rows, "\n")
     return 0
 
 
-@relabel.file_reader
+@file_reader
 def _poses_covering(path, ids, kind: str) -> np.ndarray:
     """Pose rows (t0, t1, alpha) of ``ids``, in order, from a poses file that must hold every one."""
     table = relabel.load_poses(path)
@@ -221,14 +226,14 @@ def cmd_synth(args) -> int:
 def cmd_profile(args) -> int:
     table = relabel.load_poses(args.poses)
     if len(table) < 2:
-        raise relabel.InputError(args.poses, "profile needs at least 2 poses")
+        raise InputError(args.poses, "profile needs at least 2 poses")
     if len(set(table.scenes)) == len(table):
-        raise relabel.InputError(args.poses, "no same-scene pairs to profile")
+        raise InputError(args.poses, "no same-scene pairs to profile")
     records = relabel.fov_distance_profile(
         table, _fov(args), bins=args.bins, arc_segments=args.arc_segments
     )
     rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records.tolist())
-    relabel.write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")
+    write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")
     print(f"records={len(records)}")
     return 0
 

@@ -11,23 +11,18 @@ Training runs plain SGD over contrastive pairs streamed by the batch
 sampler, on the graded loss (binary labels as psi in {0, 1}); only the
 linear weights are trained, the pooling exponent stays fixed.
 
-Binary formats (all little-endian):
-  features file: magic `GVPR`, version u32, count u32, channels u32,
-    locations u32, then per record u16 id byte length, UTF-8 id, and
-    channels*locations float32 values row-major.
-  model file: magic `GVPM`, version u32, d_out u32, channels u32,
-    gem_p float32, then d_out*channels float32 weights row-major.
-Header fields must be positive. A features file is read in one pass into
-one (count, channels, locations) array; its ids (nonempty, unique) and
-values (finite) are checked once per file, and the FeatureMaps returned
-are views of that array. Model files hold gem_p and W as float32
-(p = 2.7 reloads as 2.700000047); `eval` on a model file uses those values.
+Features files are read and written by ``gvpr.io``; the FeatureMaps
+``read_features`` returns are views of the one array it reads.
+Model file (little-endian): magic `GVPM`, version u32, d_out u32,
+channels u32, gem_p float32, then d_out*channels float32 weights
+row-major, with the header rules of ``io.read_header``. Model files hold
+gem_p and W as float32 (p = 2.7 reloads as 2.700000047); `eval` on a
+model file uses those values.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -35,14 +30,13 @@ import numpy as np
 
 from .gcl import LossConfig, _gcl_kernel
 from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
-from .relabel import file_reader
+from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_array, read_header,
+                 write_feature_array)
 from .sampler import BatchSampler, BatchStrategy, index_labels
 
 _NORM_EPS = 1e-12
 
-FEATURES_MAGIC = b"GVPR"
 MODEL_MAGIC = b"GVPM"
-FORMAT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -289,7 +283,7 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     ids = sorted({lab.query_id for lab in labels} | {lab.map_id for lab in labels})
     missing = [ident for ident in ids if ident not in features]
     if missing:
-        raise ValueError(f"labels reference ids without features: {', '.join(missing[:5])}")
+        raise ValueError(f"labels reference ids without features: {', '.join(map(repr, missing[:5]))}")
 
     # Overflow and NaN end as TrainingDiverged at the step they reach, not as NumPy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -335,93 +329,14 @@ def write_features(path, feature_maps) -> None:
     maps = list(feature_maps)
     if not maps:
         raise ValueError("no feature maps to write")
-    _write_feature_array(path, [fm.id for fm in maps], _stack(maps))
-
-
-def _write_feature_array(path, ids, values: np.ndarray) -> None:
-    """Write ids and their values, (count, channels, locations), as a features file in order:
-    the mirror of ``_read_feature_array``, refusing the empty sizes and ids that it rejects."""
-    if not len(ids):
-        raise ValueError("no feature maps to write")
-    if 0 in values.shape:
-        raise ValueError(f"feature map must be (channels, locations), got {values.shape[1:]}")
-    if "" in ids:
-        raise ValueError("feature map id must be nonempty")
-    raw_ids = [ident.encode("utf-8") for ident in ids]
-    for ident, raw in zip(ids, raw_ids):  # before the file is opened, so a bad id leaves no file behind
-        if len(raw) > 0xFFFF:
-            raise ValueError(f"id too long to serialize: {ident!r}")
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC + struct.pack("<IIII", FORMAT_VERSION, *values.shape))
-        for raw, record in zip(raw_ids, values.astype("<f4")):
-            fh.write(struct.pack("<H", len(raw)) + raw + record.tobytes())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValueError(f"truncated file while reading {what}")
-    return buf
-
-
-def _read_header(fh, magic: bytes, kind: str, fmt: str) -> list:
-    """Check a binary file's magic and version; returns the other header fields."""
-    got = _read_exact(fh, 4, "magic")
-    if got != magic:
-        raise ValueError(f"not a {kind} file (bad magic {got!r})")
-    version, *fields = struct.unpack(fmt, _read_exact(fh, 16, "header"))
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    if not all(f > 0 for f in fields):  # also rejects a NaN gem_p
-        raise ValueError(f"{kind} header fields must be positive, got {fields}")
-    return fields
-
-
-def _check_size(fh, need: int) -> None:
-    """Reject a header that implies more bytes than the file holds, before reading them."""
-    size = os.fstat(fh.fileno()).st_size
-    if need > size:
-        raise ValueError(f"truncated file: header implies {need} bytes or more, has {size}")
-
-
-def _read_feature_array(path) -> tuple:
-    """Ids and float64 values, (count, channels, locations), of a features file.
-
-    A repeated id fails as it is read; empty ids and non-finite values are
-    checked once for the whole file. Callers add the path.
-    """
-    with open(path, "rb") as fh:
-        count, channels, locations = _read_header(fh, FEATURES_MAGIC, "features", "<IIII")
-        record_bytes = 4 * channels * locations
-        _check_size(fh, 20 + count * (2 + record_bytes))
-        raw = np.empty(count * record_bytes, dtype=np.uint8)
-        ids, seen = [], set()
-        for lo in range(0, len(raw), record_bytes):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "id length"))
-            ident = _read_exact(fh, id_len, "id").decode("utf-8")
-            if ident in seen:
-                raise ValueError(f"duplicate feature id {ident!r}")
-            seen.add(ident)
-            if fh.readinto(memoryview(raw[lo:lo + record_bytes])) != record_bytes:
-                raise ValueError(f"truncated file while reading values of {ident!r}")
-            ids.append(ident)
-        if fh.read(1):
-            raise ValueError(f"trailing bytes after {count} records")
-    if "" in ids:
-        raise ValueError("feature map id must be nonempty")
-    with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below, not as a warning
-        values = raw.view("<f4").reshape(count, channels, locations).astype(np.float64)
-    del raw  # drop the float32 bytes before the finiteness mask is allocated: a lower peak RSS
-    if not np.all(np.isfinite(values)):
-        raise ValueError("feature values must be finite")
-    return ids, values
+    write_feature_array(path, [fm.id for fm in maps], _stack(maps))
 
 
 @file_reader
 def file_descriptors(path, model: EmbedModel) -> tuple:
     """Descriptors of a features file, (ids, (n, d_out) unit rows), bit-identical to
     ``compute_descriptors(model, read_features(path))`` with no FeatureMap per record."""
-    ids, values = _read_feature_array(path)
+    ids, values = read_feature_array(path)
     return ids, _descriptors(model, ids[0], values)
 
 
@@ -431,7 +346,7 @@ def read_features(path) -> list:
 
     The maps are views of one (count, channels, locations) array.
     """
-    ids, values = _read_feature_array(path)
+    ids, values = read_feature_array(path)
     return [FeatureMap._trusted(ident, v) for ident, v in zip(ids, values)]
 
 
@@ -446,9 +361,9 @@ def save_model(path, model: EmbedModel) -> None:
 def load_model(path) -> EmbedModel:
     """Read a model file; gem_p and W come back as the float32 values stored."""
     with open(path, "rb") as fh:
-        d_out, channels, gem_p = _read_header(fh, MODEL_MAGIC, "model", "<IIIf")
-        _check_size(fh, 20 + 4 * d_out * channels)
-        raw = _read_exact(fh, 4 * d_out * channels, "weights")
+        d_out, channels, gem_p = read_header(fh, MODEL_MAGIC, "model", "<IIIf")
+        check_size(fh, 20 + 4 * d_out * channels)
+        raw = read_exact(fh, 4 * d_out * channels, "weights")
         with np.errstate(invalid="ignore"):  # a signalling NaN fails EmbedModel's check, not as a warning
             w = np.frombuffer(raw, dtype="<f4").reshape(d_out, channels).astype(np.float64)
         if fh.read(1):

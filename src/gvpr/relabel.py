@@ -15,15 +15,11 @@ where ``fov_overlap`` needs them, once per table.
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
   labels: header `query_id,map_id,psi`, psi with 6 decimals
-Every CSV reader reads its file by ``read_csv``: blocks of records,
-each checked and parsed in bulk, and rescanned one record at a time only
-to find the line of the first bad record.
+Both are read by ``io.read_csv`` (see ``gvpr.io``).
 """
 
 from __future__ import annotations
 
-import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
+from .io import file_reader, floats, read_csv, write_csv
 from .sampler import Band, _band_codes, band_of
 
 
@@ -102,110 +99,14 @@ def classify(psi: float) -> SimilarityClass:
     return _CLASS_OF_BAND[band_of(psi)]
 
 
-class LineError(ValueError):
-    """A malformed line of an input file: the message, without the path, and the line number."""
-
-    def __init__(self, line: int, message):
-        super().__init__(message)
-        self.line = line
-
-
-class InputError(ValueError):
-    """`<path>: <message>`, or `<path>:<line>: <message>` for a LineError: the only code that
-    writes a file's location into an error message."""
-
-    def __init__(self, path, error):
-        line = getattr(error, "line", None)
-        super().__init__(f"{path}: {error}" if line is None else f"{path}:{line}: {error}")
-
-
-def file_reader(read):
-    """Decorate a reader whose first argument is a file path: each ValueError it raises (a LineError,
-    bad UTF-8, a rejected record) or csv.Error leaves it as an InputError naming the path."""
-    @functools.wraps(read)
-    def reader(path, *args, **kwargs):
-        try:
-            return read(path, *args, **kwargs)
-        except InputError:
-            raise
-        except (ValueError, csv.Error) as e:
-            raise InputError(path, e) from None
-    return reader
-
-
-def text_lines(path):
-    """Lines of a UTF-8 text file, endings kept; bad UTF-8 is a UnicodeDecodeError (a ValueError)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        yield from fh
-
-
-_CSV_BLOCK = 1024  # records read at a time: a whole file's row lists would stay in RSS after use
-
-
-def read_csv(path, header: list, parse, check_row) -> list:
-    """``parse(rows)`` of each block of nonblank records of a UTF-8 CSV with ``header``, in order.
-
-    One csv.reader pass reads the records after the header in blocks of ``_CSV_BLOCK``. When all
-    of a block's records have the header's field count, ``parse`` gets its nonblank ones. When a
-    count is wrong or ``parse`` raises a ValueError, the block is scanned again one record at a
-    time: a wrong field count, then a ValueError of ``check_row(row)``, raises as the LineError of
-    the first bad record, numbered from 2 (the header is record 1, and blank records count). If
-    no record is bad, ``parse``'s error stands. A wrong header is a ValueError. Bad UTF-8 and a
-    csv.Error are raised while a block is read, so before a bad record earlier in the same block.
-    No message names the path.
-    """
-    width = len(header)
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"expected header {','.join(header)}")
-        first = 2
-        while records := list(itertools.islice(reader, _CSV_BLOCK)):
-            try:
-                if not set(map(len, records)) <= {0, width}:
-                    raise ValueError("wrong field count")
-                out.append(parse(list(filter(None, records))))
-            except ValueError:
-                for lineno, row in enumerate(records, start=first):
-                    if not row:
-                        continue
-                    if len(row) != width:
-                        raise LineError(lineno, f"expected {width} fields, got {len(row)}") from None
-                    try:
-                        check_row(row)
-                    except ValueError as e:
-                        raise LineError(lineno, e) from None
-                raise
-            first += len(records)
-    return out
-
-
-def write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
-    """Write a UTF-8 CSV: the header, then ``rows``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 POSES_HEADER = ["id", "scene", "t0", "t1", "alpha_deg"]
 LABELS_HEADER = ["query_id", "map_id", "psi"]
 
 
-def _check_pose_row(row) -> None:
-    try:
-        t0, t1, alpha_deg = map(float, row[2:])
-    except ValueError:
-        raise ValueError("non-numeric pose entry") from None
-    CameraPose2D(t0, t1, math.radians(alpha_deg))
-
-
 def _pose_rows(rows) -> tuple:
-    """Ids, scenes and (n, 3) pose rows of poses records. Numbers are parsed by ``float``, as
-    ``_check_pose_row`` parses them, and the radians and the wrap are bit-identical to
-    CameraPose2D's ``math.radians(x) % TWO_PI``."""
-    poses = np.fromiter(map(float, itertools.chain.from_iterable(row[2:] for row in rows)), np.float64).reshape(-1, 3)
+    """Ids, scenes and (n, 3) pose rows of poses records. Numbers are parsed by ``float``, and
+    the radians and the wrap are bit-identical to CameraPose2D's ``math.radians(x) % TWO_PI``."""
+    poses = floats(itertools.chain.from_iterable(row[2:] for row in rows), "non-numeric pose entry").reshape(-1, 3)
     if not np.isfinite(poses).all():
         raise ValueError("pose coordinates must be finite")
     poses[:, 2] = np.radians(poses[:, 2]) % TWO_PI
@@ -215,7 +116,7 @@ def _pose_rows(rows) -> tuple:
 @file_reader
 def load_poses(path) -> PoseTable:
     """Parse a poses CSV; heading degrees are converted to radians and wrapped."""
-    blocks = read_csv(path, POSES_HEADER, _pose_rows, _check_pose_row)
+    blocks = read_csv(path, POSES_HEADER, _pose_rows)
     return PoseTable(tuple(itertools.chain.from_iterable(b[0] for b in blocks)),
                      tuple(itertools.chain.from_iterable(b[1] for b in blocks)),
                      np.concatenate([np.empty((0, 3)), *(b[2] for b in blocks)]))
@@ -239,7 +140,7 @@ def _label(row) -> SimilarityLabel:
 @file_reader
 def load_labels(path) -> list:
     return list(itertools.chain.from_iterable(
-        read_csv(path, LABELS_HEADER, lambda rows: list(map(_label, rows)), _label)))
+        read_csv(path, LABELS_HEADER, lambda rows: list(map(_label, rows)))))
 
 
 def save_labels(path, labels) -> None:

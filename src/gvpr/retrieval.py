@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import _read_feature_array, _write_feature_array
 from .fov2d import wrapped_angle_diff
-from .relabel import file_reader
+from .io import file_reader, read_feature_array, write_feature_array
 
 # (meters, radians) thresholds a correctly localized query must meet
 DEFAULT_LOC_THRESHOLDS = (
@@ -357,12 +356,12 @@ def apply_whitening(t: WhitenTransform, s: DescriptorSet, renormalize: bool = Tr
 
 def write_descriptors(path, s: DescriptorSet) -> None:
     """Persist descriptors as a features file with one location per channel row."""
-    _write_feature_array(path, s.ids, s.matrix[:, :, None])
+    write_feature_array(path, s.ids, s.matrix[:, :, None])
 
 
 @file_reader
 def read_descriptors(path) -> DescriptorSet:
-    ids, values = _read_feature_array(path)
+    ids, values = read_feature_array(path)
     if values.shape[2] != 1:
         raise ValueError("not a descriptor file (multiple locations per channel)")
     return DescriptorSet(ids=tuple(ids), matrix=values[:, :, 0])

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .relabel import LineError, file_reader, read_csv, text_lines
+from .io import LineError, file_reader, floats, read_blocks, read_csv, text_lines
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
@@ -177,55 +177,26 @@ def iou_matrix(masks: np.ndarray) -> np.ndarray:
 def load_point_cloud(path) -> PointCloud:
     """Parse a plain-text cloud: one `x y z` triple per line, blank lines skipped.
 
-    The file is read once, in blocks of whole lines (about 16k characters;
-    lines end at LF, CRLF or a lone CR, as everywhere else). Each line is
-    split once; a block whose lines all have 0 or 3 tokens is converted by
-    ``float`` into one float64 run, so the values are exactly those of a
-    line-by-line parse. When a block fails, only that block is scanned again
-    line by line, so the error is the ``LineError`` of its first bad line,
-    numbered from the start of the file: a wrong token count or a
-    non-numeric coordinate. Bad UTF-8 fails while a block is read, so it is
-    reported before a bad line earlier in the same block.
+    Read by ``io.read_blocks`` in blocks of whole lines (about 16k characters; lines end at LF,
+    CRLF or a lone CR), each split once and converted by ``float`` into one float64 run: the
+    values of a line-by-line parse. The error is the first bad line's, numbered from 1.
     """
-    blocks = []
-    lines_before = 0
     with open(path, encoding="utf-8", newline="") as fh:
-        while lines := fh.readlines(_CLOUD_BLOCK_CHARS):
-            parts = [line.split() for line in lines]
-            try:
-                if not set(map(len, parts)) <= {0, 3}:
-                    raise ValueError
-                blocks.append(np.fromiter(map(float, chain.from_iterable(parts)), np.float64))
-            except ValueError:
-                _raise_first_bad_line(parts, lines_before)
-                raise
-            lines_before += len(lines)
-    points = np.concatenate(blocks) if blocks else np.empty(0)
+        blocks = ([line.split() for line in lines] for lines in iter(lambda: fh.readlines(_CLOUD_BLOCK_CHARS), []))
+        runs = read_blocks(blocks, 3, lambda lines: floats(chain.from_iterable(lines), "non-numeric coordinate"),
+                           1, "coordinates")
+    points = np.concatenate([np.empty(0), *runs])
     if not len(points):
         raise ValueError("empty point cloud")
     return PointCloud(points.reshape(-1, 3))
-
-
-def _raise_first_bad_line(parts: list, lines_before: int) -> None:
-    """Raise the LineError of the first malformed line among a block's split lines."""
-    for lineno, p in enumerate(parts, start=lines_before + 1):
-        if p and len(p) != 3:
-            raise LineError(lineno, f"expected 3 coordinates, got {len(p)}")
-        try:
-            [float(x) for x in p]
-        except ValueError:
-            raise LineError(lineno, "non-numeric coordinate") from None
 
 
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]
 
 
 def _pose6(row) -> Pose6DOF:
-    try:
-        vals = [float(x) for x in row[1:]]
-    except ValueError:
-        raise ValueError("non-numeric pose entry") from None
-    return Pose6DOF(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
+    vals = floats(row[1:], "non-numeric pose entry")
+    return Pose6DOF(vals[:9].reshape(3, 3), vals[9:])
 
 
 @file_reader
@@ -235,23 +206,18 @@ def load_poses_6dof(path) -> list:
     Returns a list of (image_id, Pose6DOF) in file order; duplicate ids or
     malformed rows are errors reported with their line number.
     """
-    seen = set()  # ids of the blocks read so far, and of a bad block's records up to the one checked
-
-    def check_row(row) -> None:
-        if row[0] in seen:
-            raise ValueError(f"duplicate id {row[0]!r}")
-        seen.add(row[0])
-        _pose6(row)
+    seen = set()  # ids of the records parsed so far
 
     def parse(rows) -> list:
         ids = [row[0] for row in rows]
         if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
-            raise ValueError("duplicate id")
+            first = next(i for k, i in enumerate(ids) if i in seen or i in ids[:k])
+            raise ValueError(f"duplicate id {first!r}")
         out = [(row[0], _pose6(row)) for row in rows]
         seen.update(ids)
         return out
 
-    return list(chain.from_iterable(read_csv(path, _POSE6_HEADER, parse, check_row)))
+    return list(chain.from_iterable(read_csv(path, _POSE6_HEADER, parse)))
 
 
 _INTR_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")

@@ -35,7 +35,8 @@ import numpy as np
 
 from .embed import FeatureMap, write_features
 from .fov2d import TWO_PI, wrapped_angle_diff
-from .relabel import PoseTable, file_reader, read_csv, save_poses, write_csv
+from .io import file_reader, read_csv, write_csv
+from .relabel import PoseTable, save_poses
 
 PLACE_SPACING_M = 250.0
 CENTER_JITTER_M = 10.0
@@ -161,21 +162,17 @@ def load_ground_truth(path, query_ids, map_ids) -> tuple:
     query_row = {qid: i for i, qid in enumerate(query_ids)}
     map_row = {mid: i for i, mid in enumerate(map_ids)}
 
-    def check_row(row) -> None:
-        if row[0] not in query_row:
-            raise ValueError(f"unknown query id {row[0]!r}")
-        if row[1] not in map_row:
-            raise ValueError(f"unknown map id {row[1]!r}")
-
     width = max(len(map_row), 1)
 
     def pair_codes(rows) -> np.ndarray:
         try:
             return np.array([query_row[qid] * width + map_row[mid] for qid, mid in rows], dtype=np.int64)
-        except KeyError:
-            raise ValueError("unknown id") from None
+        except KeyError:  # the first unknown id, a query's before its map's
+            qid, mid = next(row for row in rows if row[0] not in query_row or row[1] not in map_row)
+            unknown = f"query id {qid!r}" if qid not in query_row else f"map id {mid!r}"
+            raise ValueError(f"unknown {unknown}") from None
 
-    codes = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *read_csv(path, GT_HEADER, pair_codes, check_row)]))
+    codes = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *read_csv(path, GT_HEADER, pair_codes)]))
     distinct = np.ones(len(codes), dtype=bool)  # np.unique's result, without its hashing cost
     distinct[1:] = codes[1:] != codes[:-1]
     return np.divmod(codes[distinct], width)

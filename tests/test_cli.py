@@ -662,7 +662,7 @@ class TestMalformedInputs:
             rc = main(["train", "--labels", str(labels), "--features", str(bright), "--out", str(tmp_path / "m.bin"),
                        "--gem-p", "100", "--d-out", "4", "--batch-size", "4"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: step 0: d must be finite\n"
+        assert capsys.readouterr().err == f"error: {bright}: step 0: d must be finite\n"
 
     def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)
@@ -905,7 +905,13 @@ class TestMalformedInputs:
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "stray_labels.csv",
                             b"query_id,map_id,psi\nyy,zz,0.5\n")
         features = world_dir / "query_features.bin"
-        assert err == f"error: {tmp_path / 'stray_labels.csv'}: ids not in {features}: yy, zz\n"
+        assert err == f"error: {tmp_path / 'stray_labels.csv'}: ids not in {features}: 'yy', 'zz'\n"
+
+    def test_label_id_with_a_newline_stays_on_one_line(self, tmp_path, capsys, world_dir, model_path):
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "nl_labels.csv",
+                            b'query_id,map_id,psi\n"p000_i000\nX",zz,0.5\n')
+        features = world_dir / "query_features.bin"
+        assert err == f"error: {tmp_path / 'nl_labels.csv'}: ids not in {features}: 'p000_i000\\nX', 'zz'\n"
 
 
 class TestUsage:

@@ -459,7 +459,7 @@ class TestTrain:
         labels, maps = toy_training_setup()
         maps.pop("p0a")
         model = init_model(d_out=4, channels=6, seed=0)
-        with pytest.raises(ValueError, match="p0a"):
+        with pytest.raises(ValueError, match="ids without features: 'p0a'"):
             train(model, labels, maps, TrainConfig(batch_size=8))
 
     def test_divergence_reports_step(self):

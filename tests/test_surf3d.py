@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gvpr.relabel import LineError, file_reader, text_lines
+from gvpr.io import LineError, file_reader, text_lines
 from gvpr.surf3d import (
     Z_NEAR,
     Intrinsics,
