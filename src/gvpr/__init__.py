@@ -38,7 +38,6 @@ from .gcl import (
 from .relabel import (
     PoseTable,
     SimilarityClass,
-    SimilarityLabel,
     class_counts,
     classify,
     fov_distance_profile,
@@ -67,7 +66,9 @@ from .sampler import (
     BatchSampler,
     BatchStrategy,
     EmptyQuotaGroup,
+    LabelTable,
     PairIndex,
+    SimilarityLabel,
     band_of,
     index_labels,
     strategy_denominator,

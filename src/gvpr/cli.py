@@ -71,9 +71,9 @@ def cmd_overlap3d(args) -> int:
 def cmd_train(args) -> int:
     labels = relabel.load_labels(args.labels)
     features = embed.read_features(args.features)
-    if not labels:
+    if not len(labels):
         raise InputError(args.labels, "no labels to train on")
-    missing = sorted({i for lab in labels for i in (lab.query_id, lab.map_id)} - {fm.id for fm in features})
+    missing = sorted(set(labels.ids) - {fm.id for fm in features})
     if missing:
         raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
     cfg = embed.TrainConfig(
@@ -120,6 +120,9 @@ def _load_eval_descriptors(parser, args):
             parser.error("--query-descriptors and --map-descriptors go together")
         queries = retrieval.read_descriptors(args.query_descriptors)
         map_set = retrieval.read_descriptors(args.map_descriptors)
+        if queries.dim != map_set.dim:
+            raise InputError(args.query_descriptors,
+                             f"descriptors of dimension {queries.dim}, but {map_set.dim} in {args.map_descriptors}")
     return queries, map_set
 
 
@@ -129,6 +132,9 @@ def cmd_eval(args, parser) -> int:
         parser.error("--query-poses and --map-poses go together")
     thresholds = _parse_thresholds(parser, args.loc_thresholds)
     queries, map_set = _load_eval_descriptors(parser, args)
+    if max(ks) > len(map_set):
+        raise InputError(args.map_features or args.map_descriptors,
+                         f"the map holds {len(map_set)} descriptors, fewer than the {max(ks)} ranks --ks asks for")
     # a malformed gt file fails before any whitening or search
     gt_queries, gt_maps = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
     if not len(gt_queries):

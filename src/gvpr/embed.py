@@ -32,7 +32,7 @@ from .gcl import LossConfig, _gcl_kernel
 from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
 from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_array, read_header,
                  write_feature_array)
-from .sampler import BatchSampler, BatchStrategy, index_labels
+from .sampler import BatchSampler, BatchStrategy, LabelTable, index_labels
 
 _NORM_EPS = 1e-12
 
@@ -261,6 +261,7 @@ def batch_loss_and_grad(w, xi, xj, psi, loss_kind: str, loss_cfg: LossConfig):
 def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     """SGD over contrastive pairs; returns (trained model, per-step loss trace).
 
+    ``labels`` is a LabelTable, or what ``LabelTable.of`` takes.
     ``features`` is an iterable of FeatureMaps or a dict id -> FeatureMap
     covering every id in ``labels``, of one shape. Descriptors are
     recomputed from the live weights each step; the gradient flows through
@@ -275,38 +276,34 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     is trained directly: each step is that one pair repeated batch_size
     times (one step per epoch).
     """
-    labels = list(labels)
-    if not labels:
+    table = LabelTable.of(labels)
+    if not len(table):
         raise ValueError("no labels to train on")
     if not isinstance(features, dict):
         features = {fm.id: fm for fm in features}
-    ids = sorted({lab.query_id for lab in labels} | {lab.map_id for lab in labels})
-    missing = [ident for ident in ids if ident not in features]
+    missing = [ident for ident in table.ids if ident not in features]
     if missing:
         raise ValueError(f"labels reference ids without features: {', '.join(map(repr, missing[:5]))}")
 
     # Overflow and NaN end as TrainingDiverged at the step they reach, not as NumPy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        row_of = {ident: row for row, ident in enumerate(ids)}
-        pooled = gem_pool(_stack([features[ident] for ident in ids], model), model.gem_p)
-        query_rows = np.array([row_of[lab.query_id] for lab in labels])
-        map_rows = np.array([row_of[lab.map_id] for lab in labels])
-        psi = np.array([lab.psi for lab in labels], dtype=np.float64)
+        pooled = gem_pool(_stack([features[ident] for ident in table.ids], model), model.gem_p)
+        psi = table.psi
         if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
             raise ValueError("label psi must be in [0, 1]")
-        if len(labels) == 1:
+        if len(table) == 1:
             next_rows = lambda: np.zeros(cfg.batch_size, dtype=np.intp)
         else:
-            sampler = BatchSampler(index_labels(labels), cfg.strategy, cfg.batch_size, seed=cfg.seed)
+            sampler = BatchSampler(index_labels(table), cfg.strategy, cfg.batch_size, seed=cfg.seed)
             next_rows = lambda: sampler.next_batch().rows
         loss_cfg = LossConfig(tau=cfg.tau)
-        steps = cfg.epochs * max(1, len(labels) // cfg.batch_size)
+        steps = cfg.epochs * max(1, len(table) // cfg.batch_size)
 
         w = model.W.copy()
         trace = []
         pairs_seen = 0
         for step in range(steps):
-            xi, xj, batch_psi = _batch_arrays(next_rows(), pooled, query_rows, map_rows, psi)
+            xi, xj, batch_psi = _batch_arrays(next_rows(), pooled, table.query, table.map, psi)
             try:
                 mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch_psi, cfg.loss_kind, loss_cfg)
             except ValueError as e:
@@ -351,10 +348,15 @@ def read_features(path) -> list:
 
 
 def save_model(path, model: EmbedModel) -> None:
+    """Write a model file; a gem_p or weight beyond float32 (inf to ``load_model``) is refused before it is opened."""
+    with np.errstate(over="ignore"):
+        gem_p, w = np.float32(model.gem_p), model.W.astype("<f4")
+    if not (np.isfinite(gem_p) and np.isfinite(w).all()):
+        raise ValueError(f"model overflows float32: gem_p {model.gem_p:.6g}, largest |w| {np.max(np.abs(model.W)):.6g}")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIIf", FORMAT_VERSION, model.d_out, model.channels, model.gem_p))
-        fh.write(model.W.astype("<f4").tobytes(order="C"))
+        fh.write(struct.pack("<IIIf", FORMAT_VERSION, model.d_out, model.channels, gem_p))
+        fh.write(w.tobytes(order="C"))
 
 
 @file_reader

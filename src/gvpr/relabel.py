@@ -10,7 +10,8 @@ positive (psi >= 0.5), soft negative (0 < psi < 0.5) and hard negative
 
 A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
 array of (t0, t1, alpha) rows. CameraPose2Ds are built from the rows only
-where ``fov_overlap`` needs them, once per table.
+where ``fov_overlap`` needs them, once per table. Labels come and go as
+a ``sampler.LabelTable`` of columns, with no object per label.
 
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
@@ -29,7 +30,8 @@ import numpy as np
 
 from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
 from .io import file_reader, floats, read_csv, write_csv
-from .sampler import Band, _band_codes, band_of
+from .sampler import Band, LabelTable, _band_codes, band_of
+from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where labels are made
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,6 @@ class PoseTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True)
-class SimilarityLabel:
-    """One labeled pair; ids are canonically ordered (query_id < map_id)."""
-
-    query_id: str
-    map_id: str
-    psi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.psi <= 1.0:
-            raise ValueError(f"psi must be in [0, 1], got {self.psi}")
 
 
 class SimilarityClass(Enum):
@@ -129,22 +118,25 @@ def save_poses(path, table: PoseTable) -> None:
     ))
 
 
-def _label(row) -> SimilarityLabel:
-    try:
-        psi = float(row[2])
-    except ValueError:
-        raise ValueError("non-numeric psi") from None
-    return SimilarityLabel(row[0], row[1], psi)
-
-
 @file_reader
-def load_labels(path) -> list:
-    return list(itertools.chain.from_iterable(
-        read_csv(path, LABELS_HEADER, lambda rows: list(map(_label, rows)))))
+def load_labels(path) -> LabelTable:
+    """Parse a labels CSV into a LabelTable, in file order; each id string is held once."""
+    code_of: dict = {}
+
+    def parse(rows):
+        psi = floats((row[2] for row in rows), "non-numeric psi")
+        _band_codes(psi)  # raises before any id is coded
+        codes = (code_of.setdefault(ident, len(code_of)) for row in rows for ident in row[:2])
+        return np.fromiter(codes, np.intp, 2 * len(rows)), psi
+
+    blocks = read_csv(path, LABELS_HEADER, parse)
+    return LabelTable._coded(list(code_of), np.concatenate([np.empty(0, np.intp), *(b[0] for b in blocks)]),
+                             np.concatenate([np.empty(0), *(b[1] for b in blocks)]))
 
 
 def save_labels(path, labels) -> None:
-    write_csv(path, LABELS_HEADER, ([lab.query_id, lab.map_id, f"{lab.psi:.6f}"] for lab in labels))
+    """Write labels (a LabelTable, or what ``LabelTable.of`` takes) as a labels CSV."""
+    write_csv(path, LABELS_HEADER, ([q, m, f"{psi:.6f}"] for q, m, psi in LabelTable.of(labels).records()))
 
 
 def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
@@ -168,19 +160,19 @@ def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach
     return i, j, dist, psi
 
 
-def labels_of_pairs(ids, i, j, psi) -> list:
+def labels_of_pairs(ids, i, j, psi) -> LabelTable:
     """Labels of the pair arrays (ids[i[k]], ids[j[k]]) with similarity psi[k], 2D or 3D, in canonical
     id order within each pair and sorted by (query_id, map_id); a NaN psi (undefined) gets no label."""
     psi = np.asarray(psi, dtype=np.float64)
     defined = ~np.isnan(psi)
-    by_rank = sorted(ids)
-    rank_of = {image_id: r for r, image_id in enumerate(by_rank)}
-    rank = np.array([rank_of[image_id] for image_id in ids], dtype=np.intp)
-    a, b = rank[np.asarray(i)[defined]], rank[np.asarray(j)[defined]]
-    lo, hi, psi = np.minimum(a, b), np.maximum(a, b), psi[defined]
+    ends = np.stack((np.asarray(i)[defined], np.asarray(j)[defined]), axis=1).ravel()
+    named = np.zeros(len(ids), dtype=bool)
+    named[ends] = True
+    code = np.cumsum(named) - 1  # of each named id, its position among the named ids
+    table = LabelTable._coded([ids[k] for k in np.flatnonzero(named).tolist()], code[ends], psi[defined])
+    lo, hi = np.minimum(table.query, table.map), np.maximum(table.query, table.map)
     order = np.lexsort((hi, lo))
-    return [SimilarityLabel(by_rank[q], by_rank[m], p)
-            for q, m, p in zip(lo[order].tolist(), hi[order].tolist(), psi[order].tolist())]
+    return LabelTable(table.ids, lo[order], hi[order], table.psi[order])
 
 
 def pairwise_similarity(
@@ -188,7 +180,7 @@ def pairwise_similarity(
     fov: FovParams,
     candidate_radius: float = math.inf,
     arc_segments: int = 256,
-) -> list:
+) -> LabelTable:
     """Graded labels for every unordered same-scene pair within reach.
 
     Pairs with center distance in (2r, candidate_radius] are emitted as
@@ -241,9 +233,9 @@ def fov_distance_profile(
 
 
 def class_counts(labels) -> dict:
-    """Histogram of similarity classes over a label list."""
+    """Histogram of similarity classes over labels (a LabelTable, or what ``LabelTable.of`` takes)."""
     counts = {cls: 0 for cls in SimilarityClass}
-    bands = np.bincount(_band_codes([lab.psi for lab in labels]), minlength=len(Band))
+    bands = np.bincount(_band_codes(LabelTable.of(labels).psi), minlength=len(Band))
     for band, n in zip(Band, bands.tolist()):
         counts[_CLASS_OF_BAND[band]] += n
     return counts

@@ -1,4 +1,7 @@
-"""Mining-free batch composition over graded similarity labels.
+"""Graded similarity labels as one columnar table, and mining-free batch composition over them.
+
+A LabelTable is the one form labels take between stages, from relabel to
+training; it builds SimilarityLabels only for callers that iterate it.
 
 Labels are bucketed into four similarity bands, and each batch strategy
 fills its batch with exact per-band quotas:
@@ -40,6 +43,61 @@ def _band_codes(psi) -> np.ndarray:
 
 def band_of(psi: float) -> Band:
     return tuple(Band)[_band_codes(psi)]
+
+
+@dataclass(frozen=True)
+class SimilarityLabel:
+    """One labeled pair; ids are canonically ordered (query_id < map_id)."""
+
+    query_id: str
+    map_id: str
+    psi: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.psi <= 1.0:
+            raise ValueError(f"psi must be in [0, 1], got {self.psi}")
+
+
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """Labels as columns, in label order: ``ids``, the sorted unique ids some label names; ``query``
+    and ``map``, each label's intp positions in ``ids``; ``psi``, its float64 similarity."""
+
+    ids: tuple
+    query: np.ndarray = field(repr=False)
+    map: np.ndarray = field(repr=False)
+    psi: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, labels) -> LabelTable:
+        """A table unchanged, else the table of an iterable of SimilarityLabels, in the order given."""
+        if isinstance(labels, cls):
+            return labels
+        labels, code_of = list(labels), {}
+        codes = [code_of.setdefault(ident, len(code_of)) for lab in labels for ident in (lab.query_id, lab.map_id)]
+        psi = np.array([lab.psi for lab in labels], dtype=np.float64)
+        return cls._coded(list(code_of), np.array(codes, dtype=np.intp), psi)
+
+    @classmethod
+    def _coded(cls, names, codes: np.ndarray, psi: np.ndarray) -> LabelTable:
+        """The table of labels (names[codes[2k]], names[codes[2k + 1]], psi[k]): ``names`` are
+        distinct and each is named by some label."""
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[order] = np.arange(len(names))
+        return cls(tuple(names[k] for k in order), rank[codes[0::2]], rank[codes[1::2]], psi)
+
+    def __len__(self) -> int:
+        return len(self.psi)
+
+    def records(self):
+        """(query id, map id, psi) of each label in order, made Python objects 4,096 labels at a time."""
+        for lo in range(0, len(self), 4096):
+            q, m, psi = (column[lo:lo + 4096].tolist() for column in (self.query, self.map, self.psi))
+            yield from zip(map(self.ids.__getitem__, q), map(self.ids.__getitem__, m), psi)
+
+    def __iter__(self):
+        return (SimilarityLabel(*record) for record in self.records())
 
 
 class BatchStrategy(Enum):
@@ -123,11 +181,10 @@ class EmptyQuotaGroup(ValueError):
 
 
 def index_labels(labels) -> PairIndex:
-    """Bucket labels by band, preserving input order within each bucket."""
-    labels = tuple(labels)
-    if not labels:
+    """Bucket labels (a LabelTable, or what ``LabelTable.of`` takes) by band, in label order."""
+    psi = LabelTable.of(labels).psi
+    if not len(psi):
         raise ValueError("cannot index an empty label list")
-    psi = np.array([lab.psi for lab in labels], dtype=np.float64)
     codes = _band_codes(psi)
     return PairIndex(psi, {band: np.flatnonzero(codes == k) for k, band in enumerate(Band)})
 

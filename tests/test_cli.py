@@ -205,6 +205,18 @@ class TestTrain:
         assert rc == 0
         assert out.read_bytes() == model_path.read_bytes()
 
+    def test_weights_beyond_float32_leave_no_model(self, world_dir, labels_csv, tmp_path, capsys):
+        """A rate of 1e306 gives weights finite in float64 but not in float32, which load_model would reject."""
+        out = tmp_path / "model.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy cast warning would reach stderr before the error
+            rc = main(["train", "--labels", str(labels_csv), "--features", str(world_dir / "train_features.bin"),
+                       "--out", str(out), "--strategy", "D", "--batch-size", "8", "--lr", "1e306"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: model overflows float32: gem_p 3, largest \|w\| \S+e\+30\d\n", err)
+        assert not out.exists()
+
     def test_indivisible_batch_size_fails_cleanly(self, world_dir, labels_csv, tmp_path, capsys):
         rc = main([
             "train", "--labels", str(labels_csv),
@@ -372,12 +384,44 @@ class TestEval:
         assert "bad threshold 'nonsense'" in capsys.readouterr().err
 
     def test_rank_beyond_the_map_is_a_runtime_error(self, world_dir, model_path, capsys):
+        map_path = world_dir / "map_features.bin"
         rc = main(["eval", "--model", str(model_path),
-                   "--query-features", str(world_dir / "query_features.bin"),
-                   "--map-features", str(world_dir / "map_features.bin"),
+                   "--query-features", str(world_dir / "query_features.bin"), "--map-features", str(map_path),
                    "--gt", str(world_dir / "gt.csv"), "--ks", "1,10000"])
         assert rc == 1
-        assert re.fullmatch(r"error: k must be in \[1, \d+\], got 10000\n", capsys.readouterr().err)
+        want = re.escape(f"error: {map_path}: the map holds ") + r"\d+" + re.escape(" descriptors, fewer than the ")
+        assert re.fullmatch(want + re.escape("10000 ranks --ks asks for\n"), capsys.readouterr().err)
+
+    def test_rank_beyond_a_descriptor_map_fails_before_any_search(self, tmp_path, capsys, monkeypatch):
+        q, m, gt = tmp_path / "q.bin", tmp_path / "m.bin", tmp_path / "gt.csv"
+        rng = np.random.default_rng(2)
+        retrieval.write_descriptors(q, retrieval.DescriptorSet(["q0"], rng.normal(size=(1, 3))))
+        retrieval.write_descriptors(m, retrieval.DescriptorSet(["m0", "m1", "m2"], rng.normal(size=(3, 3))))
+        gt.write_text("query_id,map_id\nq0,m1\n")
+
+        def no_search(*args):
+            raise AssertionError("searched")
+        monkeypatch.setattr(retrieval, "_top_k", no_search)
+        rc = main(["eval", "--query-descriptors", str(q), "--map-descriptors", str(m), "--gt", str(gt)])
+        assert rc == 1
+        want = f"error: {m}: the map holds 3 descriptors, fewer than the 10 ranks --ks asks for\n"
+        assert capsys.readouterr().err == want
+
+    def test_descriptor_dimensions_that_disagree_name_both_files(self, tmp_path, capsys, monkeypatch):
+        q, m, gt = tmp_path / "q.bin", tmp_path / "m.bin", tmp_path / "gt.csv"
+        rng = np.random.default_rng(3)
+        retrieval.write_descriptors(q, retrieval.DescriptorSet(["q0", "q1"], rng.normal(size=(2, 4))))
+        retrieval.write_descriptors(m, retrieval.DescriptorSet(["m0", "m1"], rng.normal(size=(2, 3))))
+        gt.write_text("query_id,map_id\nq0,m1\n")
+
+        def no_search(*args):
+            raise AssertionError("searched")
+        monkeypatch.setattr(retrieval, "_top_k", no_search)
+        for extra in ([], ["--whiten"]):
+            rc = main(["eval", "--query-descriptors", str(q), "--map-descriptors", str(m), "--gt", str(gt),
+                       "--ks", "1", *extra])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {q}: descriptors of dimension 4, but 3 in {m}\n"
 
     def test_bad_threshold_spec_is_usage_error(self, world_dir, model_path):
         with pytest.raises(SystemExit) as err:

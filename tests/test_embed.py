@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,9 +27,9 @@ from gvpr.embed import (
     write_features,
 )
 from gvpr.gcl import LossConfig, cl_grad_d, cl_loss, gcl_grad_d, gcl_loss
-from gvpr.relabel import SimilarityLabel
+from gvpr.relabel import SimilarityLabel, load_labels, save_labels
 from gvpr.retrieval import DescriptorSet, write_descriptors
-from gvpr.sampler import BatchSampler, BatchStrategy, index_labels
+from gvpr.sampler import BatchSampler, BatchStrategy, LabelTable, index_labels
 from gvpr.synth import SynthConfig, generate_world, write_world
 
 
@@ -409,6 +410,21 @@ class TestTrain:
         trained, _ = train(model, labels, maps, cfg)
         assert np.array_equal(trained.W, reference_train(model, labels, maps, cfg))
 
+    @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
+    def test_a_table_trains_as_its_label_list(self, n_labels, tmp_path):
+        labels, maps = toy_training_setup()
+        labels = [SimilarityLabel(lab.query_id, lab.map_id, float(f"{lab.psi:.6f}")) for lab in labels[:n_labels]]
+        save_labels(tmp_path / "labels.csv", labels)
+        model = init_model(d_out=4, channels=6, seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
+        runs = {}
+        for name, given in (("list", labels), ("table", LabelTable.of(labels)),
+                            ("file", load_labels(tmp_path / "labels.csv"))):
+            trained, trace = train(model, given, maps, cfg)
+            save_model(tmp_path / f"{name}.bin", trained)
+            runs[name] = ((tmp_path / f"{name}.bin").read_bytes(), trace)
+        assert runs["table"] == runs["list"] == runs["file"]
+
     def test_step_count_and_trace_length(self):
         labels, maps = toy_training_setup()
         model = init_model(d_out=4, channels=6, seed=0)
@@ -511,6 +527,19 @@ def reference_write_features(path, maps):
 
 
 class TestBinaryFormats:
+    @pytest.mark.parametrize("gem_p, weight", [(3.0, 3.5e38), (3.0, -1e300), (3.0, float(np.finfo(np.float64).max)),
+                                               (1e39, 1.0)])
+    def test_model_beyond_float32_is_refused_before_the_file_is_opened(self, tmp_path, gem_p, weight):
+        path = tmp_path / "model.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^model overflows float32: gem_p "):
+                save_model(path, EmbedModel(gem_p=gem_p, W=np.array([[1.0, weight]])))
+        assert not path.exists()
+        top = float(np.finfo(np.float32).max)
+        save_model(path, EmbedModel(gem_p=top, W=np.array([[1.0, top]])))
+        assert load_model(path).gem_p == load_model(path).W[0, 1] == top
+
     def test_writers_equal_the_per_record_reference(self, tmp_path):
         rng = np.random.default_rng(17)
         ids = ("a", "bb", "café/001", "x" * 300)

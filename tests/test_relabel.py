@@ -10,6 +10,7 @@ import pytest
 from gvpr import relabel
 from gvpr.fov2d import TWO_PI, CameraPose2D, FovParams, fov_overlap, wrapped_angle_diff
 from gvpr.relabel import (
+    LabelTable,
     PoseTable,
     SimilarityClass,
     SimilarityLabel,
@@ -64,12 +65,12 @@ class TestPairwiseSimilarity:
     def test_identical_poses_label_one(self):
         table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 0, 0, 0)))
         labels = pairwise_similarity(table, FOV)
-        assert labels == [SimilarityLabel("a", "b", 1.0)]
+        assert list(labels) == [SimilarityLabel("a", "b", 1.0)]
 
     def test_far_pair_short_circuits_to_zero(self):
         table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 200.0, 0, 0)))
         labels = pairwise_similarity(table, FOV)
-        assert labels[0].psi == 0.0
+        assert list(labels)[0].psi == 0.0
 
     def test_short_circuit_agrees_with_geometry(self):
         rng = np.random.default_rng(1)
@@ -85,11 +86,11 @@ class TestPairwiseSimilarity:
         # heading north, offset due east: perpendicular to the view axis
         table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 25.0, 0, 0)))
         labels = pairwise_similarity(table, FOV)
-        assert labels[0].psi == pytest.approx(0.4501, abs=0.002)
+        assert list(labels)[0].psi == pytest.approx(0.4501, abs=0.002)
 
     def test_cross_scene_pairs_never_emitted(self):
         table = PoseTable.of((rec("a", 0, 0, 0, "x"), rec("b", 0, 0, 0, "y")))
-        assert pairwise_similarity(table, FOV) == []
+        assert list(pairwise_similarity(table, FOV)) == []
 
     def test_candidate_radius_omits_far_pairs(self):
         table = PoseTable.of((rec("a", 0, 0, 0), rec("b", 150.0, 0, 0), rec("c", 600.0, 0, 0)))
@@ -125,7 +126,7 @@ class TestPairwiseSimilarity:
         recs = (rec("a", 0, 0, 10), rec("b", 12, 3, 80), rec("c", 30, -4, 200))
         fwd = pairwise_similarity(PoseTable.of(recs), FOV)
         rev = pairwise_similarity(PoseTable.of(recs[::-1]), FOV)
-        assert fwd == rev
+        assert list(fwd) == list(rev)
 
 
 class TestProfile:
@@ -231,10 +232,38 @@ class TestArrayPairPath:
         want = [SimilarityLabel(*sorted((ids[a], ids[b])), p)
                 for a, b, p in zip(i.tolist(), j.tolist(), psi.tolist()) if not math.isnan(p)]
         want.sort(key=lambda lab: (lab.query_id, lab.map_id))
-        got = relabel.labels_of_pairs(ids, i, j, psi)
+        got = list(relabel.labels_of_pairs(ids, i, j, psi))
         assert got == want
         assert [lab.psi for lab in got] == [lab.psi for lab in want]  # pairs of equal ids keep input order
         assert all(type(lab.psi) is float for lab in got)
+
+    def test_relabel_memory_per_label(self, monkeypatch):
+        """Labels leave the pair arrays as columns: no object per label."""
+        def no_geometry(*args):
+            raise AssertionError("no pair lies within 2r")
+
+        monkeypatch.setattr(relabel, "fov_overlap", no_geometry)
+        table = PoseTable([f"p{k}" for k in range(600)], ["s"] * 600,
+                          np.column_stack([150.0 * np.arange(600), np.zeros(600), np.zeros(600)]))
+        tracemalloc.start()
+        try:
+            labels = pairwise_similarity(table, FOV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == 179_700 and not labels.psi.any()
+        assert peak <= 200 * len(labels), f"{peak / len(labels):.0f} B per label"
+
+    def test_table_names_only_labeled_ids(self):
+        ids = ["zz", "aa", "unused", "mm", "gone"]
+        table = relabel.labels_of_pairs(ids, np.array([0, 3, 4, 1]), np.array([1, 1, 0, 0]),
+                                        np.array([0.25, 1.0, math.nan, 0.5]))
+        assert table.ids == ("aa", "mm", "zz")
+        assert table.query.tolist() == [0, 0, 0] and table.map.tolist() == [1, 2, 2]
+        assert table.psi.tolist() == [1.0, 0.25, 0.5] and len(table) == 3
+        assert LabelTable.of(table) is table
+        again = LabelTable.of(list(table))
+        assert again.ids == table.ids and list(again) == list(table)
 
     def test_profile_memory_per_pair(self, monkeypatch):
         def no_geometry(*args):
@@ -311,9 +340,43 @@ class TestPersistence:
         save_labels(path, labels)
         text = path.read_text()
         assert "0.333333" in text
-        again = load_labels(path)
+        again = list(load_labels(path))
         assert again[0].psi == pytest.approx(1 / 3, abs=1e-6)
         assert again[1].psi == 0.0
+
+    def test_label_file_roundtrip_is_byte_identical_at_the_rounding_edges(self, tmp_path):
+        psis = [0.0, 1.0, 0.5, 1 / 3]
+        for k in (0, 1, 2, 499_999, 999_999):  # (k + 0.5) 1e-6, where the sixth decimal rounds
+            x = (k + 0.5) * 1e-6
+            psis += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, 1.0))]
+        labels = [SimilarityLabel(f"q{n:02d}", f"m{n % 3}", p) for n, p in enumerate(psis)]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        save_labels(first, labels)
+        assert first.read_bytes().decode("utf-8").split("\r\n") == [
+            "query_id,map_id,psi", *(f"{lab.query_id},{lab.map_id},{lab.psi:.6f}" for lab in labels), ""]
+        table = load_labels(first)
+        assert list(table) == [SimilarityLabel(lab.query_id, lab.map_id, float(f"{lab.psi:.6f}")) for lab in labels]
+        save_labels(again, table)
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_load_labels_memory_per_label(self, tmp_path):
+        """Labels are read into columns: no object per label, and each id string held once."""
+        ids = [f"p{k // 20:03d}_i{k % 20:03d}" for k in range(200)]  # the synth worlds' id shape
+        rng = np.random.default_rng(6)
+        path = tmp_path / "labels.csv"
+        pairs = [(a, b) for n, a in enumerate(ids) for b in ids[n + 1:]]
+        path.write_bytes("query_id,map_id,psi\r\n".encode() + "".join(
+            f"{a},{b},{p:.6f}\r\n" for (a, b), p in zip(pairs, rng.uniform(0.0, 1.0, len(pairs)))).encode())
+        tracemalloc.start()
+        try:
+            table = load_labels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == len(pairs) == 19_900 and table.ids == tuple(ids)
+        assert peak <= 160 * len(pairs), f"{peak / len(pairs):.0f} B per label"
+        save_labels(tmp_path / "again.csv", table)  # written a block of labels at a time
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_load_labels_validates(self, tmp_path):
         path = tmp_path / "labels.csv"

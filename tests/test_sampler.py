@@ -91,7 +91,8 @@ class TestBandRuleOnArrays:
             Batch(np.arange(3), np.array([0.5, bad, 2.0])).band_counts()
         assert str(err.value) == message  # the first bad psi is named
         with pytest.raises(ValueError) as err:
-            index_labels([SimpleNamespace(psi=0.25), SimpleNamespace(psi=bad)])
+            index_labels([SimpleNamespace(query_id="a", map_id="b", psi=0.25),
+                          SimpleNamespace(query_id="a", map_id="c", psi=bad)])
         assert str(err.value) == message
 
 
