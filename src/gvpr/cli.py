@@ -69,13 +69,6 @@ def cmd_overlap3d(args) -> int:
 
 
 def cmd_train(args) -> int:
-    labels = relabel.load_labels(args.labels)
-    features = embed.read_features(args.features)
-    if not len(labels):
-        raise InputError(args.labels, "no labels to train on")
-    missing = sorted(set(labels.ids) - {fm.id for fm in features})
-    if missing:
-        raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
     cfg = embed.TrainConfig(
         loss_kind=args.loss,
         tau=args.tau,
@@ -86,6 +79,13 @@ def cmd_train(args) -> int:
         strategy=BatchStrategy[args.strategy],
         seed=args.seed,
     )
+    labels = relabel.load_labels(args.labels)
+    features = embed.read_features(args.features)
+    if not len(labels):
+        raise InputError(args.labels, "no labels to train on")
+    missing = sorted(set(labels.ids) - {fm.id for fm in features})
+    if missing:
+        raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
     model = embed.init_model(args.d_out, features[0].channels, gem_p=args.gem_p, seed=args.seed)
     try:
         trained, trace = embed.train(model, labels, features, cfg)

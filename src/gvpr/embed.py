@@ -32,7 +32,7 @@ from .gcl import LossConfig, _gcl_kernel
 from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
 from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_array, read_header,
                  write_feature_array)
-from .sampler import BatchSampler, BatchStrategy, LabelTable, index_labels
+from .sampler import Batch, BatchSampler, BatchStrategy, LabelTable, index_labels
 
 _NORM_EPS = 1e-12
 
@@ -131,8 +131,8 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be 'cl' or 'gcl', got {self.loss_kind!r}")
         if self.lr0 is None:
             object.__setattr__(self, "lr0", 0.1 if self.loss_kind == "gcl" else 0.01)
-        if self.lr0 < 0.0:
-            raise ValueError(f"lr0 must be nonnegative, got {self.lr0}")
+        if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
+            raise ValueError(f"lr0 must be finite and nonnegative, got {self.lr0}")
         if self.lr_decay_after < 1:
             raise ValueError("lr_decay_after must be a positive pair count")
         if self.epochs < 1:
@@ -206,6 +206,8 @@ def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
 
 def init_model(d_out: int, channels: int, gem_p: float = 3.0, seed: int = 0) -> EmbedModel:
     """Random untrained model; weights scaled so initial descriptors are tame."""
+    if d_out < 1:
+        raise ValueError(f"d_out must be a positive integer, got {d_out}")
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(channels), size=(d_out, channels))
     return EmbedModel(gem_p=gem_p, W=w)
@@ -219,9 +221,9 @@ def compute_descriptors(model: EmbedModel, feature_maps) -> tuple:
     return [fm.id for fm in maps], _descriptors(model, maps[0].id, _stack(maps, model))
 
 
-def _batch_arrays(rows, pooled, query_rows, map_rows, psi):
-    """Gather one batch: pooled query and map feature rows and psi of label ``rows``."""
-    return pooled[query_rows[rows]], pooled[map_rows[rows]], psi[rows]
+def _batch_arrays(rows, pooled, query_rows, map_rows):
+    """Gather one batch: the pooled query and map feature rows of label ``rows``."""
+    return pooled[query_rows[rows]], pooled[map_rows[rows]]
 
 
 def batch_loss_and_grad(w, xi, xj, psi, loss_kind: str, loss_cfg: LossConfig):
@@ -292,10 +294,10 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
             raise ValueError("label psi must be in [0, 1]")
         if len(table) == 1:
-            next_rows = lambda: np.zeros(cfg.batch_size, dtype=np.intp)
+            only = Batch(np.zeros(cfg.batch_size, dtype=np.intp), np.repeat(psi, cfg.batch_size))
+            next_batch = lambda: only
         else:
-            sampler = BatchSampler(index_labels(table), cfg.strategy, cfg.batch_size, seed=cfg.seed)
-            next_rows = lambda: sampler.next_batch().rows
+            next_batch = BatchSampler(index_labels(table), cfg.strategy, cfg.batch_size, seed=cfg.seed).next_batch
         loss_cfg = LossConfig(tau=cfg.tau)
         steps = cfg.epochs * max(1, len(table) // cfg.batch_size)
 
@@ -303,9 +305,10 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
         trace = []
         pairs_seen = 0
         for step in range(steps):
-            xi, xj, batch_psi = _batch_arrays(next_rows(), pooled, table.query, table.map, psi)
+            batch = next_batch()
+            xi, xj = _batch_arrays(batch.rows, pooled, table.query, table.map)
             try:
-                mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch_psi, cfg.loss_kind, loss_cfg)
+                mean_loss, gw = batch_loss_and_grad(w, xi, xj, batch.psi, cfg.loss_kind, loss_cfg)
             except ValueError as e:
                 raise TrainingDiverged(step, str(e)) from None
             if not math.isfinite(mean_loss):
@@ -313,7 +316,7 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
             trace.append(mean_loss)
 
             lr = cfg.lr0 * 0.1 ** (pairs_seen // cfg.lr_decay_after)
-            pairs_seen += len(batch_psi)
+            pairs_seen += len(batch)
             w = w - lr * gw
             if not np.isfinite(w).all():
                 raise TrainingDiverged(step, "non-finite weights after update")

@@ -208,18 +208,24 @@ class BatchSampler:
         self.strategy = strategy
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
-        # (label rows, pair count) per quota group, built once; config errors surface here
-        self._pools = []
+        # per quota group its pooled label rows and pair count; config errors surface here
+        pools, counts = [], []
         for group, frac in _QUOTAS[strategy]:
             pool = np.concatenate([idx.rows[band] for band in group])
             if not len(pool):
                 raise EmptyQuotaGroup(
                     f"strategy {strategy.value} needs pairs with psi in {_group_desc(group)}; none indexed"
                 )
-            self._pools.append((pool, int(frac * batch_size)))
+            pools.append(pool)
+            counts.append(int(frac * batch_size))
+        # the pools end to end, and per batch slot the size of its pool and that pool's offset
+        sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+        self._rows = np.concatenate(pools)
+        self._high = np.repeat(sizes, counts)
+        self._offset = np.repeat(np.cumsum(sizes) - sizes, counts)
 
     def next_batch(self) -> Batch:
-        rows = np.concatenate(
-            [pool[self._rng.integers(0, len(pool), size=count)] for pool, count in self._pools]
-        )
+        """The next batch, from one bounded draw for all its slots; the draw consumes the
+        generator as one ``integers(0, len(pool), size=count)`` per quota group, in quota order."""
+        rows = self._rows[self._rng.integers(0, self._high) + self._offset]
         return Batch(rows, self.idx.psi[rows])

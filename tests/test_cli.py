@@ -217,6 +217,25 @@ class TestTrain:
         assert re.fullmatch(r"error: model overflows float32: gem_p 3, largest \|w\| \S+e\+30\d\n", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_rate_rejected_before_any_file(self, tmp_path, capsys, lr):
+        """The rate is checked before the inputs are read: absent input files are never named."""
+        out = tmp_path / "model.bin"
+        rc = main(["train", "--labels", str(tmp_path / "absent.csv"), "--features", str(tmp_path / "absent.bin"),
+                   "--out", str(out), "--lr", lr])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: lr0 must be finite and nonnegative, got {lr}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d_out", ["-3", "0"])
+    def test_nonpositive_descriptor_dimension_rejected(self, world_dir, labels_csv, tmp_path, capsys, d_out):
+        out = tmp_path / "model.bin"
+        rc = main(["train", "--labels", str(labels_csv), "--features", str(world_dir / "train_features.bin"),
+                   "--out", str(out), "--d-out", d_out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: d_out must be a positive integer, got {d_out}\n"
+        assert not out.exists()
+
     def test_indivisible_batch_size_fails_cleanly(self, world_dir, labels_csv, tmp_path, capsys):
         rc = main([
             "train", "--labels", str(labels_csv),

@@ -61,6 +61,9 @@ class TestContainers:
             EmbedModel(gem_p=3.0, W=np.ones(3))
         model = EmbedModel(gem_p=3.0, W=np.ones((2, 3)))
         assert (model.d_out, model.channels) == (2, 3)
+        for bad in (-3, 0):
+            with pytest.raises(ValueError, match=f"^d_out must be a positive integer, got {bad}$"):
+                init_model(bad, 3)
 
     def test_train_config_defaults_follow_loss_kind(self):
         assert TrainConfig(loss_kind="gcl").lr0 == pytest.approx(0.1)
@@ -71,8 +74,9 @@ class TestContainers:
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_kind="triplet")
-        with pytest.raises(ValueError):
-            TrainConfig(lr0=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^lr0 must be finite and nonnegative, got {bad}$"):
+                TrainConfig(lr0=bad)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):

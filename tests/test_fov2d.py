@@ -44,16 +44,17 @@ class Polygon:
         return len(self.vertices)
 
 
-def _signed_area(v: np.ndarray) -> float:
+def _signed_area(v: np.ndarray):
     """Shoelace area relative to the first vertex, so far-off coordinates keep their digits;
-    that vertex sits at the origin, so the terms that close the ring are zero."""
+    that vertex sits at the origin, so the terms that close the ring are zero. A scalar of
+    ``v``'s dtype."""
     x, y = (v - v[:1]).T.copy()
-    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
+    return 0.5 * (np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
 
 
 def polygon_area(p: Polygon) -> float:
     """Shoelace area of a CCW polygon, clamped to be nonnegative."""
-    return max(_signed_area(p.vertices), 0.0)
+    return max(float(_signed_area(p.vertices)), 0.0)
 
 
 def sector_polygon(pose: CameraPose2D, fov: FovParams, arc_segments: int = 256) -> Polygon:
@@ -86,20 +87,24 @@ def _reference_clip_halfplane(pts, a, b):
     t = np.where(crossing, d / denom, 0.0)
     ipts = pts + t[:, None] * (nxt - pts)
     counts = keep.astype(np.intp) + crossing.astype(np.intp)
-    out = np.empty((int(counts.sum()), 2))
+    out = np.empty((int(counts.sum()), 2), dtype=pts.dtype)
     pos = np.cumsum(counts) - counts
     out[pos[keep]] = pts[keep]
     out[pos[crossing] + keep[crossing]] = ipts[crossing]
     return out
 
 
-def _reference_fov_overlap(a, b, fov, arc_segments=256):
-    """The former fov_overlap: Sutherland-Hodgman clipping, one half-plane per sector edge."""
+def _reference_fov_overlap(a, b, fov, arc_segments=256, dtype=np.float64):
+    """The former fov_overlap: Sutherland-Hodgman clipping, one half-plane per sector edge.
+
+    With ``dtype=np.longdouble`` the same float64 polygons are clipped, and all three areas
+    summed, in extended precision.
+    """
     if a == b:
         return 1.0
     p, q = (a, b) if (a.t0, a.t1, a.alpha) <= (b.t0, b.t1, b.alpha) else (b, a)
     pa, pb = sector_polygon(p, fov, arc_segments), sector_polygon(q, fov, arc_segments)
-    va, vb = pa.vertices, pb.vertices
+    va, vb = pa.vertices.astype(dtype), pb.vertices.astype(dtype)
     if (np.max(va[:, 0]) < np.min(vb[:, 0]) or np.max(vb[:, 0]) < np.min(va[:, 0])
             or np.max(va[:, 1]) < np.min(vb[:, 1]) or np.max(vb[:, 1]) < np.min(va[:, 1])):
         return 0.0
@@ -109,10 +114,11 @@ def _reference_fov_overlap(a, b, fov, arc_segments=256):
         if len(out) < 3:
             return 0.0
     x, y = out[:, 0], out[:, 1]
-    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    area = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
     if area < 1e-12:
         return 0.0
-    return min(max(area / min(polygon_area(pa), polygon_area(pb)), 0.0), 1.0)
+    smaller = min(max(_signed_area(v), 0.0) for v in (va, vb))  # the sectors' areas, as polygon_area
+    return min(max(float(area / smaller), 0.0), 1.0)
 
 
 def random_pose(rng, span=30.0):
@@ -325,6 +331,12 @@ def _two_piece_layout(east=0.0, north=0.0):
     return a, b, fov, n
 
 
+# a known kernel defect: a sector turned a hair short of whole segments from one with the same
+# apex gets the hair's sliver counted twice, an error of |eps| / theta (5.7e-13 and 5.7e-12 here)
+_SLIVER_TWICE = pytest.mark.xfail(strict=True, reason="fov_overlap counts the sliver twice")
+_SLIVER_TWICE_CASES = {(256, -1e-13), (1024, -1e-13), (1024, -1e-12)}
+
+
 class TestReferenceEquivalence:
     """The windowed Cyrus-Beck kernel against the frozen Sutherland-Hodgman reference: |dpsi| <= 1e-12."""
 
@@ -412,6 +424,21 @@ class TestReferenceEquivalence:
                 b = CameraPose2D(a.t0, a.t1, a.alpha + j * fov.theta / segments + eps)
                 got = fov_overlap(a, b, fov, segments)
                 assert abs(got - _reference_fov_overlap(a, b, fov, segments)) <= 1e-12, (j, eps)
+
+    @pytest.mark.parametrize("segments, eps", [
+        pytest.param(n, eps, marks=_SLIVER_TWICE if (n, eps) in _SLIVER_TWICE_CASES else ())
+        for n in (256, 1024) for eps in (1e-14, -1e-13, 1e-13, -1e-12, 1e-12, -1e-9, 1e-9)])
+    @pytest.mark.skipif(not np.finfo(np.longdouble).eps < np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_narrow_shared_apex_against_extended_precision(self, segments, eps):
+        # at theta = 10 deg the frozen reference's float64 clipping is off by up to ~1e-12, more
+        # than the kernel's own error: the same clipper in long double is the oracle here
+        fov = FovParams(math.radians(10.0), 50.0)
+        a = CameraPose2D(-9.475, 19.452, 2.843)
+        for j in (1, segments // 2):
+            b = CameraPose2D(a.t0, a.t1, a.alpha + j * fov.theta / segments + eps)
+            got = fov_overlap(a, b, fov, segments)
+            assert abs(got - _reference_fov_overlap(a, b, fov, segments, np.longdouble)) <= 1e-13, j
 
     def test_shared_apex_rotated_by_whole_segments(self):
         # the overlap is exactly (n - j) / n fan triangles of the discretized sector

@@ -16,6 +16,7 @@ from gvpr.sampler import (
     index_labels,
     strategy_denominator,
 )
+from gvpr.sampler import _QUOTAS
 
 
 def make_labels(psis):
@@ -224,3 +225,52 @@ class TestBatchSampler:
         for _ in range(50):
             batch = sampler.next_batch()
             assert batch.band_counts() == {band: 2 for band in Band}
+
+
+def _reference_batches(idx, strategy, batch_size, rng):
+    """The former next_batch: one ``integers(0, len(pool), size=count)`` per quota group, in
+    quota order, then a concatenate; yields (rows, psi) for ever from ``rng``."""
+    pools = [(np.concatenate([idx.rows[band] for band in group]), int(frac * batch_size))
+             for group, frac in _QUOTAS[strategy]]
+    while True:
+        rows = np.concatenate([pool[rng.integers(0, len(pool), size=count)] for pool, count in pools])
+        yield rows, idx.psi[rows]
+
+
+class TestOneDrawPerStep:
+    """next_batch draws every slot in one call, and that call consumes the generator exactly as
+    the per-group draws did: same rows, same psi, same generator state after every batch."""
+
+    # ZERO holds one label, and B's MID one: a pool of one row draws nothing from the generator
+    ONE_ROW_POOLS = [1.0, 0.9, 0.6, 0.4, 0.3, 0.1, 0.0]
+
+    @pytest.mark.parametrize("strategy", list(BatchStrategy))
+    @pytest.mark.parametrize("batch_size", [12, 60])
+    @pytest.mark.parametrize("psis", ["mixed", "one-row pools"])
+    def test_matches_per_group_draws(self, mixed_index, strategy, batch_size, psis):
+        idx = mixed_index if psis == "mixed" else index_labels(make_labels(self.ONE_ROW_POOLS))
+        sampler = BatchSampler(idx, strategy, batch_size, seed=2024)
+        mine, reference = sampler._rng, np.random.default_rng(2024)
+        want = _reference_batches(idx, strategy, batch_size, reference)
+        for _ in range(50):
+            batch = sampler.next_batch()
+            rows, psi = next(want)
+            assert batch.rows.tolist() == rows.tolist()
+            assert batch.psi.tolist() == psi.tolist()
+            assert mine.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", list(BatchStrategy))
+    def test_shared_generator_with_foreign_draws(self, mixed_index, strategy):
+        shared, reference = np.random.default_rng(77), np.random.default_rng(77)
+        sampler = BatchSampler(mixed_index, strategy, 12, seed=shared)
+        want = _reference_batches(mixed_index, strategy, 12, reference)
+        for step in range(50):
+            batch = sampler.next_batch()
+            rows, psi = next(want)
+            assert batch.rows.tolist() == rows.tolist()
+            assert batch.psi.tolist() == psi.tolist()
+            assert shared.bit_generator.state == reference.bit_generator.state
+            # draws of the caller's between batches, one of them leaving half a 64-bit word cached
+            for gen in (shared, reference):
+                gen.random(step % 3)
+                gen.integers(0, 1000, size=step % 2 + 1, dtype=np.int32)
