@@ -131,9 +131,12 @@ def cmd_eval(args, parser) -> int:
     if (args.query_poses is None) != (args.map_poses is None):
         parser.error("--query-poses and --map-poses go together")
     thresholds = _parse_thresholds(parser, args.loc_thresholds)
+    if args.pca_dim is not None and args.pca_dim < 1:
+        parser.error(f"--pca-dim must be positive, got {args.pca_dim}")
     queries, map_set = _load_eval_descriptors(parser, args)
+    map_path = args.map_features or args.map_descriptors
     if max(ks) > len(map_set):
-        raise InputError(args.map_features or args.map_descriptors,
+        raise InputError(map_path,
                          f"the map holds {len(map_set)} descriptors, fewer than the {max(ks)} ranks --ks asks for")
     # a malformed gt file fails before any whitening or search
     gt_queries, gt_maps = synth.load_ground_truth(args.gt, queries.ids, map_set.ids)
@@ -144,7 +147,10 @@ def cmd_eval(args, parser) -> int:
         args.whiten = True
     if args.whiten:
         d_pca = args.pca_dim if args.pca_dim is not None else map_set.dim
-        transform = retrieval.fit_pca_whitening(map_set, d_pca)
+        try:  # fit checks d_pca against the map's dimension and row count before any whitening
+            transform = retrieval.fit_pca_whitening(map_set, d_pca)
+        except ValueError as e:
+            raise InputError(map_path, e) from None
         map_set = retrieval.apply_whitening(transform, map_set)
         queries = retrieval.apply_whitening(transform, queries)
 

@@ -87,6 +87,12 @@ def wrapped_angle_diff(a, b):
     return d if isinstance(d, np.ndarray) else float(d)
 
 
+def planar_distance(a, b) -> np.ndarray:
+    """Center distance of pose rows (t0, t1, ...) as sqrt(d0*d0 + d1*d1), d = a - b, element by element."""
+    d0, d1 = np.subtract(a[..., 0], b[..., 0]), np.subtract(a[..., 1], b[..., 1])
+    return np.sqrt(d0 * d0 + d1 * d1)
+
+
 def check_arc_segments(arc_segments: int) -> None:
     """Reject anything but a Python or NumPy integer >= 2: floats (also NaN and inf) included."""
     if not isinstance(arc_segments, numbers.Integral) or arc_segments < 2:

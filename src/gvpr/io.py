@@ -11,9 +11,10 @@ Every public reader, and the subcommands that reach it:
   surf3d.load_point_cloud     overlap3d --cloud
   surf3d.load_poses_6dof      overlap3d --poses
   surf3d.load_intrinsics      overlap3d --intrinsics
-``file_reader`` decorates each, and is the only code that adds a path to a
-message: a bad file ends as an ``InputError`` `<path>[:<line>]: <message>`,
-which ``gvpr`` prints as one `error:` line before it exits 1.
+``InputError`` is the one formatter of a path into a message, `<path>[:<line>]:
+<message>`: ``file_reader``, which decorates each, raises it for a bad file, and
+``cli`` for a file at odds with another file or an option. ``gvpr`` prints it as
+one `error:` line before it exits 1.
 
 ``read_blocks`` parses records (CSV records, split cloud lines) in bulk, a
 block at a time, by the reader's ``parse``, and rescans a failed block one

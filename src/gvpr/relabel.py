@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, wrapped_angle_diff
+from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance, wrapped_angle_diff
 from .io import file_reader, floats, read_csv, write_csv
 from .sampler import Band, LabelTable, _band_codes, band_of
 from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where labels are made
@@ -90,6 +90,7 @@ def classify(psi: float) -> SimilarityClass:
 
 POSES_HEADER = ["id", "scene", "t0", "t1", "alpha_deg"]
 LABELS_HEADER = ["query_id", "map_id", "psi"]
+_PAIR_BLOCK = 1 << 16  # candidate pairs measured at a time: a scene's whole triangle grows as its poses squared
 
 
 def _pose_rows(rows) -> tuple:
@@ -141,17 +142,20 @@ def save_labels(path, labels) -> None:
 
 def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
     """Arrays (i, j, center distance, psi) of every unordered same-scene pair within ``reach``, i < j
-    positions in the table; psi is 0 without geometry beyond 2r, where the view circles cannot meet."""
+    positions in upper-triangle order per scene, cut by reach in row blocks of at most ``_PAIR_BLOCK``
+    candidates (or one row); psi is 0 without geometry beyond 2r, where the view circles cannot meet."""
     check_arc_segments(arc_segments)
     rows_of: dict = {}
     for pos, scene in enumerate(table.scenes):
         rows_of.setdefault(scene, []).append(pos)
-    ij = [np.take(rows, np.triu_indices(len(rows), k=1)) for rows in rows_of.values()]
-    i, j = np.concatenate(ij, axis=1) if ij else np.empty((2, 0), dtype=np.intp)
-    d = table.poses[i, :2] - table.poses[j, :2]
-    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    near = dist <= reach
-    i, j, dist = i[near], j[near], dist[near]
+    kept = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+    for rows in map(np.array, rows_of.values()):
+        p, step = table.poses[rows], max(1, _PAIR_BLOCK // max(len(rows) - 1, 1))
+        for lo in range(0, len(rows) - 1, step):
+            dist = planar_distance(p[lo:lo + step, None], p[lo + 1:])
+            a, b = np.nonzero(np.triu(dist <= reach))  # column b is row lo + 1 + b, after row lo + a
+            kept.append((rows[lo + a], rows[lo + 1 + b], dist[a, b]))
+    i, j, dist = (np.concatenate(column) for column in zip(*kept))
     psi = np.zeros(len(dist))
     within = np.flatnonzero(dist <= 2.0 * fov.r)
     poses = [CameraPose2D._wrapped(*row) for row in table.poses.tolist()]

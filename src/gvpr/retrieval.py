@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fov2d import wrapped_angle_diff
+from .fov2d import planar_distance, wrapped_angle_diff
 from .io import file_reader, read_feature_array, write_feature_array
 
 # (meters, radians) thresholds a correctly localized query must meet
@@ -301,11 +301,9 @@ def _localization(query_poses: np.ndarray, top_poses: np.ndarray, thresholds) ->
     if not len(query_poses):
         raise ValueError("no rankings to evaluate")
     thresholds = tuple((float(m), float(rad)) for m, rad in thresholds)
-    d = query_poses - top_poses
-    # math.hypot per query: np.hypot can differ from it in the last bit
-    t_err = np.array([math.hypot(d0, d1) for d0, d1 in d[:, :2].tolist()])
+    t_err = planar_distance(query_poses, top_poses)
     r_err = wrapped_angle_diff(query_poses[:, 2], top_poses[:, 2])
-    return {t: 100.0 * np.count_nonzero((t_err <= t[0]) & (r_err <= t[1])) / len(d) for t in thresholds}
+    return {t: 100.0 * np.count_nonzero((t_err <= t[0]) & (r_err <= t[1])) / len(t_err) for t in thresholds}
 
 
 def fit_pca_whitening(train: DescriptorSet, d_pca: int) -> WhitenTransform:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import FeatureMap, write_features
-from .fov2d import TWO_PI, wrapped_angle_diff
+from .fov2d import TWO_PI, planar_distance, wrapped_angle_diff
 from .io import file_reader, read_csv, write_csv
 from .relabel import PoseTable, save_poses
 
@@ -133,11 +133,11 @@ def _ground_truth(queries: PoseTable, maps: PoseTable) -> dict:
     """Positive map ids per query (within 25 m and under 40 degrees heading), one row at a time."""
     order = sorted(range(len(maps)), key=maps.ids.__getitem__)
     ids = [maps.ids[i] for i in order]
-    t0, t1, alpha = maps.poses[order].T
+    rows = maps.poses[order]
     gt = {}
-    for qid, (q0, q1, qa) in zip(queries.ids, queries.poses.tolist()):
-        near = np.hypot(q0 - t0, q1 - t1) <= POSITIVE_DISTANCE_M
-        hits = np.flatnonzero(near & (wrapped_angle_diff(qa, alpha) < POSITIVE_HEADING_RAD))
+    for qid, q in zip(queries.ids, queries.poses):
+        near = planar_distance(q, rows) <= POSITIVE_DISTANCE_M
+        hits = np.flatnonzero(near & (wrapped_angle_diff(q[2], rows[:, 2]) < POSITIVE_HEADING_RAD))
         gt[qid] = tuple(ids[i] for i in hits)
     return gt
 

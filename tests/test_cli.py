@@ -442,6 +442,46 @@ class TestEval:
             assert rc == 1
             assert capsys.readouterr().err == f"error: {q}: descriptors of dimension 4, but 3 in {m}\n"
 
+    @pytest.mark.parametrize("pca_dim", ["0", "-2"])
+    def test_non_positive_pca_dim_is_a_usage_error_before_any_file_is_read(self, tmp_path, pca_dim, capsys):
+        absent = [str(tmp_path / name) for name in ("model.bin", "q.bin", "m.bin", "gt.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--model", absent[0], "--query-features", absent[1], "--map-features", absent[2],
+                  "--gt", absent[3], "--pca-dim", pca_dim])
+        assert err.value.code == 2
+        assert f"--pca-dim must be positive, got {pca_dim}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--pca-dim", "9"], "d_pca must be in [1, 4], got 9"),
+        (["--pca-dim", "5"], "d_pca must be in [1, 4], got 5"),
+        (["--whiten"], "need more than 4 samples to whiten, got 4"),
+        (["--pca-dim", "4"], "need more than 4 samples to whiten, got 4"),
+    ])
+    def test_whitening_beyond_the_descriptor_map_names_the_map_file(self, tmp_path, capsys, monkeypatch, extra,
+                                                                    message):
+        q, m, gt = tmp_path / "q.bin", tmp_path / "m.bin", tmp_path / "gt.csv"
+        rng = np.random.default_rng(4)
+        retrieval.write_descriptors(q, retrieval.DescriptorSet([f"q{k}" for k in range(4)], rng.normal(size=(4, 4))))
+        retrieval.write_descriptors(m, retrieval.DescriptorSet([f"m{k}" for k in range(4)], rng.normal(size=(4, 4))))
+        gt.write_text("query_id,map_id\nq0,m1\n")
+
+        def no_whitening(*args):
+            raise AssertionError("whitened")
+        monkeypatch.setattr(retrieval, "apply_whitening", no_whitening)
+        monkeypatch.setattr(retrieval, "_top_k", no_whitening)
+        assert main(["eval", "--query-descriptors", str(q), "--map-descriptors", str(m), "--gt", str(gt),
+                     "--ks", "1", *extra]) == 1
+        assert capsys.readouterr().err == f"error: {m}: {message}\n"
+
+    def test_pca_dim_beyond_the_model_names_the_map_features(self, world_dir, model_path, capsys):
+        map_path = world_dir / "map_features.bin"
+        d_out = embed.load_model(model_path).W.shape[0]
+        rc = main(["eval", "--model", str(model_path), "--query-features", str(world_dir / "query_features.bin"),
+                   "--map-features", str(map_path), "--gt", str(world_dir / "gt.csv"), "--ks", "1",
+                   "--pca-dim", str(d_out + 1)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {map_path}: d_pca must be in [1, {d_out}], got {d_out + 1}\n"
+
     def test_bad_threshold_spec_is_usage_error(self, world_dir, model_path):
         with pytest.raises(SystemExit) as err:
             main([

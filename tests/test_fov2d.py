@@ -17,6 +17,7 @@ from gvpr.fov2d import (
     fov_overlap,
     fov_overlap_mc,
     reference_pair,
+    planar_distance,
     wrapped_angle_diff,
 )
 from gvpr.synth import SynthConfig, generate_world
@@ -527,3 +528,24 @@ class TestWrappedAngleDiff:
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert [wrapped_angle_diff(x, y) for x, y in zip(a.tolist(), b.tolist())] == want.tolist()
         assert type(wrapped_angle_diff(1.0, 2.0)) is float
+
+
+class TestPlanarDistance:
+    def test_bitwise_equal_to_the_relabel_formula(self):
+        """The former relabel distance, ``d = a[:, :2] - b[:, :2]; sqrt(d0*d0 + d1*d1)``, and its scalar
+        form, element by element; headings play no part."""
+        rng = np.random.default_rng(43)
+        scales = np.repeat([1e-300, 1e-3, 1.0, 25.0, 1e3, 1e150], 500)[:, None]
+        a = np.column_stack([rng.normal(size=(3_000, 2)) * scales, rng.uniform(-7.0, 7.0, 3_000)])
+        b = np.column_stack([rng.normal(size=(3_000, 2)) * scales, rng.uniform(-7.0, 7.0, 3_000)])
+        b[:100, :2] = a[:100, :2]  # zero distance
+        d = a[:, :2] - b[:, :2]
+        want = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        got = planar_distance(a, b)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        scalar = [math.sqrt((x0 - y0) * (x0 - y0) + (x1 - y1) * (x1 - y1))
+                  for (x0, x1, _), (y0, y1, _) in zip(a.tolist(), b.tolist())]
+        assert got.tolist() == scalar
+        assert np.array_equal(planar_distance(b, a), got)  # a - b and b - a square alike
+        grid = planar_distance(a[:40, None], b[None, :30])  # broadcast: every row of a against every row of b
+        assert grid.shape == (40, 30) and np.array_equal(grid[7], planar_distance(a[7], b[:30]))

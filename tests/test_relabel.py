@@ -283,6 +283,93 @@ class TestArrayPairPath:
         assert peak <= 160 * pairs, f"{peak / pairs:.0f} B per pair"
 
 
+def _dense_same_scene_pairs(table, fov, arc_segments, reach=math.inf):
+    """The former enumerator, frozen: every same-scene pair from ``np.triu_indices`` first, then the
+    reach cut, on arrays as large as all candidates."""
+    rows_of: dict = {}
+    for pos, scene in enumerate(table.scenes):
+        rows_of.setdefault(scene, []).append(pos)
+    ij = [np.take(rows, np.triu_indices(len(rows), k=1)) for rows in rows_of.values()]
+    i, j = np.concatenate(ij, axis=1) if ij else np.empty((2, 0), dtype=np.intp)
+    d = table.poses[i, :2] - table.poses[j, :2]
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    near = dist <= reach
+    i, j, dist = i[near], j[near], dist[near]
+    psi = np.zeros(len(dist))
+    within = np.flatnonzero(dist <= 2.0 * fov.r)
+    poses = [CameraPose2D._wrapped(*row) for row in table.poses.tolist()]
+    pairs = zip(i[within].tolist(), j[within].tolist())
+    psi[within] = [fov_overlap(poses[a], poses[b], fov, arc_segments) for a, b in pairs]
+    return i, j, dist, psi
+
+
+def _scattered_scenes(seed, sizes, extent):
+    """Scenes of the given sizes, their rows interleaved in shuffled order, poses uniform in a square
+    of half-width ``extent``, a third of them on a 20 m lattice: pairs exactly 2r and 4r apart."""
+    rng = np.random.default_rng(seed)
+    scenes = [f"scene{s}" for s, n in enumerate(sizes) for _ in range(n)]
+    scenes = [scenes[k] for k in rng.permutation(len(scenes))]
+    xy = rng.uniform(-extent, extent, (len(scenes), 2))
+    xy[::3] = np.round(xy[::3] / 20.0) * 20.0
+    poses = np.column_stack([xy, rng.uniform(0.0, TWO_PI, len(scenes))]).reshape(-1, 3)
+    return PoseTable([f"p{k:04d}" for k in range(len(scenes))], scenes, poses)
+
+
+class TestBlockWalk:
+    """``_same_scene_pairs`` walks each scene in row blocks and equals the frozen dense enumerator."""
+
+    TABLES = {
+        "uneven": ((40, 7, 1, 23, 1, 2), 150.0),
+        "one_pose_scenes": ((1, 1, 1), 150.0),
+        "empty": ((), 150.0),
+        "beyond_one_block": ((400, 30), 1_500.0),
+    }
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_pairs_equal_the_dense_enumerator(self, monkeypatch, name, block):
+        sizes, extent = self.TABLES[name]
+        if block is not None:
+            monkeypatch.setattr(relabel, "_PAIR_BLOCK", block)
+        elif name == "beyond_one_block":
+            assert 400 * 399 // 2 > relabel._PAIR_BLOCK
+        table = _scattered_scenes(len(name), sizes, extent)
+        for reach in (2.0 * FOV.r, 4.0 * FOV.r, math.inf):
+            got = relabel._same_scene_pairs(table, FOV, 8, reach)
+            want = _dense_same_scene_pairs(table, FOV, 8, reach)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        assert len(got[0]) == sum(n * (n - 1) // 2 for n in sizes)
+
+    def test_memory_is_one_block_and_the_output(self, monkeypatch):
+        """One scene of 1,200 poses 150 m apart on a line, at reach 200: 1,199 pairs kept of 719,400
+        candidates. The dense enumerator holds every candidate (about 46 MB), the block walk one block
+        (about 3 MB)."""
+        def no_geometry(*args):
+            raise AssertionError("no pair lies within 2r")
+
+        monkeypatch.setattr(relabel, "fov_overlap", no_geometry)
+        table = PoseTable([f"p{k}" for k in range(1_200)], ["s"] * 1_200,
+                          np.column_stack([150.0 * np.arange(1_200), np.zeros(1_200), np.zeros(1_200)]))
+        bound = 8_000_000
+
+        def peak_of(enumerate_pairs):
+            tracemalloc.start()
+            try:
+                pairs = enumerate_pairs(table, FOV, 8, 200.0)
+                return pairs, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (i, j, dist, psi), peak = peak_of(relabel._same_scene_pairs)
+        assert len(i) == 1_199 and np.array_equal(j, i + 1) and not psi.any()
+        assert peak <= bound, f"{peak / 1e6:.1f} MB"
+        dense, dense_peak = peak_of(_dense_same_scene_pairs)
+        assert all(np.array_equal(d, g) for d, g in zip(dense, (i, j, dist, psi)))
+        assert dense_peak > bound, f"{dense_peak / 1e6:.1f} MB"
+
+
 class TestPersistence:
     def test_pose_roundtrip_normalizes_heading(self, tmp_path):
         path = tmp_path / "poses.csv"

@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from gvpr.fov2d import CameraPose2D
+from gvpr.fov2d import CameraPose2D, wrapped_angle_diff
 from gvpr.retrieval import (
     _BLOCK_ROWS,
     DEFAULT_LOC_THRESHOLDS,
     DescriptorSet,
     Ranking,
+    _localization,
     apply_whitening,
     fit_pca_whitening,
     localization_accuracy,
@@ -20,6 +21,7 @@ from gvpr.retrieval import (
     recall_at_k,
     write_descriptors,
 )
+from gvpr.synth import SynthConfig, generate_world
 
 
 def dset(ids, rows, **kw):
@@ -294,6 +296,23 @@ class TestLocalization:
         mp = {"m": CameraPose2D(0.0, 0.0, 0.0)}
         acc = localization_accuracy(rankings, qp, mp, thresholds=[(t, 0.0), (below, 0.0)])
         assert acc == {(t, 0.0): 100.0, (below, 0.0): 0.0}
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_localization_equals_the_frozen_math_hypot_form(self, seed):
+        """The planar distance rule against the former ``math.hypot`` per query, each query taking the
+        pose of a same-scene map image drawn at random as its top-1 match."""
+        world = generate_world(SynthConfig(places=16, images_per_place=24, channels=1, locations=1, seed=seed))
+        rng = np.random.default_rng(seed)
+        queries = world.query_poses.poses
+        top = world.map_poses.poses[rng.integers(0, len(world.map_poses), len(queries))]
+        top[::3] = queries[::3] + rng.normal(scale=(0.3, 0.3, 0.03), size=(len(queries[::3]), 3))  # near 0.25 m
+        thresholds = (*DEFAULT_LOC_THRESHOLDS, (25.0, math.radians(40.0)), (400.0, math.pi))
+        t_err = np.array([math.hypot(d0, d1) for d0, d1 in (queries - top)[:, :2].tolist()])
+        r_err = wrapped_angle_diff(queries[:, 2], top[:, 2])
+        want = {t: 100.0 * np.count_nonzero((t_err <= t[0]) & (r_err <= t[1])) / len(queries) for t in thresholds}
+        got = _localization(queries, top, thresholds)
+        assert got == want and list(got) == list(want)
+        assert 0.0 < got[DEFAULT_LOC_THRESHOLDS[0]] < got[(400.0, math.pi)] < 100.0
 
     def test_duplicate_thresholds_count_once(self):
         rankings = [Ranking("q", (("m", 0.0),))]

@@ -11,6 +11,7 @@ from gvpr.synth import (
     POSITIVE_DISTANCE_M,
     POSITIVE_HEADING_RAD,
     SynthConfig,
+    _ground_truth,
     generate_world,
     load_ground_truth,
     save_ground_truth,
@@ -74,6 +75,21 @@ class TestGenerateWorld:
             expected[qid] = tuple(sorted(pos))
         assert world.gt_positives == expected
         assert 0 < sum(map(len, expected.values())) < len(expected) * 15
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 42])
+    def test_ground_truth_equals_the_frozen_hypot_form(self, seed):
+        """The planar distance rule against the former ``np.hypot`` per query row."""
+        world = generate_world(SynthConfig(places=16, images_per_place=24, channels=1, locations=1, seed=seed))
+        maps = world.map_poses
+        order = sorted(range(len(maps)), key=maps.ids.__getitem__)
+        t0, t1, alpha = maps.poses[order].T
+        want = {}
+        for qid, (q0, q1, qa) in zip(world.query_poses.ids, world.query_poses.poses.tolist()):
+            near = np.hypot(q0 - t0, q1 - t1) <= POSITIVE_DISTANCE_M
+            hits = np.flatnonzero(near & (wrapped_angle_diff(qa, alpha) < POSITIVE_HEADING_RAD))
+            want[qid] = tuple(maps.ids[order[i]] for i in hits)
+        assert _ground_truth(world.query_poses, maps) == want == world.gt_positives
+        assert 0 < sum(map(len, want.values()))
 
     def test_same_place_images_usually_positive(self, world):
         # co-located images mostly stay within the positive thresholds
