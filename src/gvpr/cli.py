@@ -36,11 +36,12 @@ def _fov(args) -> FovParams:
 
 
 def cmd_relabel(args) -> int:
+    fov = _fov(args)
     table = relabel.load_poses(args.poses)
     if len(table) == 0:
         raise InputError(args.poses, "no pose records")
     labels = relabel.pairwise_similarity(
-        table, _fov(args), candidate_radius=args.candidate_radius_m,
+        table, fov, candidate_radius=args.candidate_radius_m,
         arc_segments=args.arc_segments,
     )
     relabel.save_labels(args.out, labels)
@@ -206,10 +207,12 @@ def _parse_thresholds(parser, spec: str):
         if not part:
             continue
         try:
-            meters, degrees = part.split(":")
-            out.append((float(meters), math.radians(float(degrees))))
+            meters, degrees = map(float, part.split(":"))
         except ValueError:
             parser.error(f"bad threshold {part!r}, expected meters:degrees")
+        if not (meters >= 0.0 and degrees >= 0.0):  # also rejects NaN; an infinite bound stays
+            parser.error(f"bad threshold {part!r}, meters and degrees must be nonnegative")
+        out.append((meters, math.radians(degrees)))
     if not out:
         parser.error("--loc-thresholds must list at least one meters:degrees pair")
     return tuple(out)
@@ -236,13 +239,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    fov = _fov(args)
     table = relabel.load_poses(args.poses)
     if len(table) < 2:
         raise InputError(args.poses, "profile needs at least 2 poses")
     if len(set(table.scenes)) == len(table):
         raise InputError(args.poses, "no same-scene pairs to profile")
     records = relabel.fov_distance_profile(
-        table, _fov(args), bins=args.bins, arc_segments=args.arc_segments
+        table, fov, bins=args.bins, arc_segments=args.arc_segments
     )
     rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records.tolist())
     write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")

@@ -68,14 +68,6 @@ class FeatureMap:
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def _trusted(cls, ident: str, values: np.ndarray) -> FeatureMap:
-        """Wrap values the caller has already checked (a float64 view), skipping validation."""
-        fm = object.__new__(cls)
-        object.__setattr__(fm, "id", ident)
-        object.__setattr__(fm, "values", values)
-        return fm
-
     @property
     def channels(self) -> int:
         return self.values.shape[0]
@@ -137,8 +129,7 @@ class TrainConfig:
             raise ValueError("lr_decay_after must be a positive pair count")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        LossConfig(self.tau)  # the margin's rule is LossConfig's
 
 
 def gem_pool(v, p: float) -> np.ndarray:
@@ -344,10 +335,10 @@ def file_descriptors(path, model: EmbedModel) -> tuple:
 def read_features(path) -> list:
     """Read a binary features file back into FeatureMaps, in file order.
 
-    The maps are views of one (count, channels, locations) array.
+    The maps are checked, and their values are views of one (count, channels, locations) array.
     """
     ids, values = read_feature_array(path)
-    return [FeatureMap._trusted(ident, v) for ident, v in zip(ids, values)]
+    return [FeatureMap(ident, v) for ident, v in zip(ids, values)]
 
 
 def save_model(path, model: EmbedModel) -> None:

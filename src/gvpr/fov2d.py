@@ -29,11 +29,19 @@ _EMPTY_AREA = 1e-12  # fp slivers below this area count as empty
 _SIDE_TOL = 16 * math.ulp(1.0)  # on-edge distance per unit of coordinate scale
 
 
+def wrap_heading(alpha):
+    """The heading rule: ``alpha % 2*pi`` in [0, 2*pi), a remainder that rounds up to 2*pi (of a tiny negative
+    alpha) read as 0, so a second wrap changes no bit. Element by element for arrays; a float for a float."""
+    w = np.mod(alpha, TWO_PI)
+    w = np.where(w == TWO_PI, 0.0, w)
+    return w if w.ndim else float(w)
+
+
 @dataclass(frozen=True)
 class CameraPose2D:
     """Planar camera pose: position in meters, compass heading in radians.
 
-    ``alpha`` is normalized to [0, 2*pi) on construction.
+    Coordinates must be finite; ``wrap_heading`` wraps ``alpha``, so a pose rebuilt from its fields is itself.
     """
 
     t0: float
@@ -43,17 +51,7 @@ class CameraPose2D:
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.t1) and math.isfinite(self.alpha)):
             raise ValueError("pose coordinates must be finite")
-        object.__setattr__(self, "alpha", self.alpha % TWO_PI)
-
-    @classmethod
-    def _wrapped(cls, t0: float, t1: float, alpha: float) -> CameraPose2D:
-        """The pose of finite values with ``alpha`` already wrapped, as a PoseTable row holds them.
-        Wrapping again could change alpha: the wrap of a tiny negative heading is 2*pi, not 0."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "t0", t0)
-        object.__setattr__(pose, "t1", t1)
-        object.__setattr__(pose, "alpha", alpha)
-        return pose
+        object.__setattr__(self, "alpha", wrap_heading(self.alpha))
 
     @property
     def position(self) -> np.ndarray:
@@ -75,8 +73,8 @@ class FovParams:
     def __post_init__(self):
         if not 0.0 < self.theta <= math.pi:
             raise ValueError(f"theta must be in (0, pi], got {self.theta}")
-        if not self.r > 0.0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r}")
 
 
 def wrapped_angle_diff(a, b):

@@ -35,8 +35,8 @@ class LossConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ positive (psi >= 0.5), soft negative (0 < psi < 0.5) and hard negative
 (psi = 0).
 
 A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
-array of (t0, t1, alpha) rows. CameraPose2Ds are built from the rows only
-where ``fov_overlap`` needs them, once per table. Labels come and go as
+array of (t0, t1, alpha) rows, checked and wrapped as CameraPose2D is.
+CameraPose2Ds are built from the rows only where ``fov_overlap`` needs
+them, once per table. Labels come and go as
 a ``sampler.LabelTable`` of columns, with no object per label.
 
 File formats (UTF-8 CSV, `.` decimal point):
@@ -28,7 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fov2d import TWO_PI, CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance, wrapped_angle_diff
+from .fov2d import (CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance, wrap_heading,
+                    wrapped_angle_diff)
 from .io import file_reader, floats, read_csv, write_csv
 from .sampler import Band, LabelTable, _band_codes, band_of
 from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where labels are made
@@ -37,7 +39,8 @@ from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where lab
 @dataclass(frozen=True)
 class PoseTable:
     """Planar poses as columns: image ids (unique, nonempty), scene names (nonempty) and an (n, 3)
-    float64 array of rows (t0, t1, alpha), alpha in radians wrapped as CameraPose2D wraps it."""
+    float64 array of finite rows (t0, t1, alpha), alpha in radians wrapped by ``wrap_heading`` in a copy
+    of the caller's array: ``CameraPose2D(*row)`` is the pose of the row, bit for bit."""
 
     ids: tuple
     scenes: tuple
@@ -45,9 +48,12 @@ class PoseTable:
 
     def __post_init__(self):
         ids, scenes = tuple(self.ids), tuple(self.scenes)
-        poses = np.asarray(self.poses, dtype=np.float64)
+        poses = np.array(self.poses, dtype=np.float64)
         if len(scenes) != len(ids) or poses.shape != (len(ids), 3):
             raise ValueError(f"{len(ids)} ids and {len(scenes)} scenes for pose rows of shape {poses.shape}")
+        if not np.isfinite(poses).all():
+            raise ValueError("pose coordinates must be finite")
+        poses[:, 2] = wrap_heading(poses[:, 2])
         if "" in ids or "" in scenes or len(set(ids)) != len(ids):
             seen = set()
             for image_id, scene in zip(ids, scenes):  # report the first fault in row order
@@ -94,12 +100,12 @@ _PAIR_BLOCK = 1 << 16  # candidate pairs measured at a time: a scene's whole tri
 
 
 def _pose_rows(rows) -> tuple:
-    """Ids, scenes and (n, 3) pose rows of poses records. Numbers are parsed by ``float``, and
-    the radians and the wrap are bit-identical to CameraPose2D's ``math.radians(x) % TWO_PI``."""
+    """Ids, scenes and (n, 3) pose rows of poses records, alpha in radians bit-identical to
+    ``math.radians``; numbers are parsed by ``float``. PoseTable wraps the headings."""
     poses = floats(itertools.chain.from_iterable(row[2:] for row in rows), "non-numeric pose entry").reshape(-1, 3)
     if not np.isfinite(poses).all():
         raise ValueError("pose coordinates must be finite")
-    poses[:, 2] = np.radians(poses[:, 2]) % TWO_PI
+    poses[:, 2] = np.radians(poses[:, 2])
     return [row[0] for row in rows], [row[1] for row in rows], poses
 
 
@@ -158,7 +164,7 @@ def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach
     i, j, dist = (np.concatenate(column) for column in zip(*kept))
     psi = np.zeros(len(dist))
     within = np.flatnonzero(dist <= 2.0 * fov.r)
-    poses = [CameraPose2D._wrapped(*row) for row in table.poses.tolist()]
+    poses = [CameraPose2D(*row) for row in table.poses.tolist()]
     pairs = zip(i[within].tolist(), j[within].tolist())
     psi[within] = [fov_overlap(poses[a], poses[b], fov, arc_segments) for a, b in pairs]
     return i, j, dist, psi

@@ -95,14 +95,6 @@ class Ranking:
             raise ValueError("hit distances must be non-decreasing")
         object.__setattr__(self, "hits", hits)
 
-    @classmethod
-    def _sorted(cls, query_id, hits: tuple) -> Ranking:
-        """Wrap hits already built as nearest-first (str, float) pairs, skipping validation."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "query_id", query_id)
-        object.__setattr__(r, "hits", hits)
-        return r
-
     def top(self, k: int) -> tuple:
         return self.hits[:k]
 
@@ -151,7 +143,7 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
     """
     rows, dist = _top_k(queries, map_set, k)
     ids = np.array([str(i) for i in map_set.ids], dtype=object)
-    return [Ranking._sorted(query_id, tuple(zip(hit_ids, hit_d)))
+    return [Ranking(query_id, tuple(zip(hit_ids, hit_d)))
             for query_id, hit_ids, hit_d in zip(queries.ids, ids[rows].tolist(), dist.tolist())]
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import FeatureMap, write_features
-from .fov2d import TWO_PI, planar_distance, wrapped_angle_diff
+from .fov2d import planar_distance, wrapped_angle_diff
 from .io import file_reader, read_csv, write_csv
 from .relabel import PoseTable, save_poses
 
@@ -115,7 +115,6 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     tables = {}
     for role, scene in (("train", "train"), ("map", "val"), ("query", "val")):
         rows = np.array(poses[role], dtype=np.float64).reshape(-1, 3)
-        rows[:, 2] %= TWO_PI  # CameraPose2D's wrap
         tables[role] = PoseTable(tuple(ids[role]), (scene,) * len(rows), rows)
     gt = _ground_truth(tables["query"], tables["map"])
     return SynthWorld(
@@ -130,15 +129,15 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
 
 
 def _ground_truth(queries: PoseTable, maps: PoseTable) -> dict:
-    """Positive map ids per query (within 25 m and under 40 degrees heading), one row at a time."""
+    """Positive map ids per query, one row at a time: the map rows within 25 m, then under 40 degrees heading."""
     order = sorted(range(len(maps)), key=maps.ids.__getitem__)
     ids = [maps.ids[i] for i in order]
     rows = maps.poses[order]
     gt = {}
     for qid, q in zip(queries.ids, queries.poses):
-        near = planar_distance(q, rows) <= POSITIVE_DISTANCE_M
-        hits = np.flatnonzero(near & (wrapped_angle_diff(q[2], rows[:, 2]) < POSITIVE_HEADING_RAD))
-        gt[qid] = tuple(ids[i] for i in hits)
+        near = np.flatnonzero(planar_distance(q, rows) <= POSITIVE_DISTANCE_M)
+        hits = near[wrapped_angle_diff(q[2], rows[near, 2]) < POSITIVE_HEADING_RAD]
+        gt[qid] = tuple(ids[i] for i in hits.tolist())
     return gt
 
 

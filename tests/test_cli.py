@@ -482,6 +482,30 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {map_path}: d_pca must be in [1, {d_out}], got {d_out + 1}\n"
 
+    @pytest.mark.parametrize("spec", ["nan:5", "5:nan", "-1:5", "5:-2", "0.25:2,-0.5:5"])
+    def test_nan_or_negative_threshold_is_a_usage_error_before_any_file_is_read(self, tmp_path, capsys, spec):
+        absent = [str(tmp_path / name) for name in ("q.bin", "m.bin", "gt.csv", "qp.csv", "mp.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--query-descriptors", absent[0], "--map-descriptors", absent[1], "--gt", absent[2],
+                  "--query-poses", absent[3], "--map-poses", absent[4], f"--loc-thresholds={spec}"])
+        assert err.value.code == 2
+        assert "meters and degrees must be nonnegative" in capsys.readouterr().err
+
+    def test_infinite_threshold_localizes_every_query(self, world_dir, model_path, capsys):
+        rc = main([
+            "eval", "--model", str(model_path),
+            "--query-features", str(world_dir / "query_features.bin"),
+            "--map-features", str(world_dir / "map_features.bin"),
+            "--gt", str(world_dir / "gt.csv"), "--ks", "1",
+            "--query-poses", str(world_dir / "query_poses.csv"),
+            "--map-poses", str(world_dir / "map_poses.csv"),
+            "--loc-thresholds", "inf:inf,0:0",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^loc@infm_infdeg\s+100\.0000$", out, re.M)
+        assert re.search(r"^loc@0m_0deg\s+\S+$", out, re.M)
+
     def test_bad_threshold_spec_is_usage_error(self, world_dir, model_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -652,6 +676,38 @@ class TestProfile:
         out = tmp_path / "profile.csv"
         assert main(["profile", "--poses", str(self.poses_csv(tmp_path)), "--out", str(out), "--bins", "0"]) == 1
         assert capsys.readouterr().err == "error: bins must be a positive count\n"
+
+
+class TestNonFiniteRadiusAndMargin:
+    """An infinite radius or margin is one `error:` line and exit 1, before any file is read and with no output:
+    relabel and profile dropped or wrote NaN psi, calibrate-theta raised, and train blamed the features."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["relabel", "--radius-m", "inf"], "r must be positive and finite, got inf"),
+        (["profile", "--radius-m", "inf"], "r must be positive and finite, got inf"),
+        (["profile", "--radius-m", "nan"], "r must be positive and finite, got nan"),
+        (["train", "--tau", "inf"], "tau must be positive and finite, got inf"),
+        (["train", "--tau", "nan"], "tau must be positive and finite, got nan"),
+    ])
+    def test_file_commands(self, tmp_path, capsys, command, message):
+        inputs = {"relabel": ["--poses", "absent.csv"], "profile": ["--poses", "absent.csv"],
+                  "train": ["--labels", "absent.csv", "--features", "absent.bin"]}[command[0]]
+        out = tmp_path / "out"
+        rc = main([command[0], *(str(tmp_path / a) if a.startswith("absent") else a for a in inputs),
+                   "--out", str(out), *command[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_relabel_of_a_world(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "labels.csv"
+        rc = main(["relabel", "--poses", str(world_dir / "train_poses.csv"), "--out", str(out), "--radius-m", "inf"])
+        assert (rc, capsys.readouterr()) == (1, ("", "error: r must be positive and finite, got inf\n"))
+        assert not out.exists()
+
+    def test_calibrate_theta(self, capsys):
+        rc = main(["calibrate-theta", "--delta-t", "5", "--delta-alpha-deg", "10", "--radius-m", "inf"])
+        assert (rc, capsys.readouterr()) == (1, ("", "error: r must be positive and finite, got inf\n"))
 
 
 class TestCalibrateTheta:

@@ -81,6 +81,9 @@ class TestContainers:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(tau=0.0)
+        for bad in (math.inf, math.nan):  # the margin's rule is LossConfig's
+            with pytest.raises(ValueError, match=f"^tau must be positive and finite, got {bad}$"):
+                TrainConfig(tau=bad)
 
 
 class TestGemPool:
@@ -566,6 +569,18 @@ class TestBinaryFormats:
         assert [fm.id for fm in again] == [fm.id for fm in maps]
         for a, b in zip(again, maps):
             assert a.values == pytest.approx(b.values, rel=1e-6)
+
+    def test_read_maps_are_checked_views_of_one_array(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(17)
+        path = tmp_path / "features.bin"
+        write_features(path, random_maps(rng, 4, channels=3, locations=2))
+        built = []
+        monkeypatch.setattr(FeatureMap, "__post_init__",
+                            lambda fm, check=FeatureMap.__post_init__: (built.append(fm.id), check(fm)))
+        got = read_features(path)
+        assert built == [fm.id for fm in got]
+        base = got[0].values.base
+        assert base is not None and all(fm.values.base is base for fm in got)
 
     def test_features_roundtrip_signed_and_unicode(self, tmp_path):
         fm = FeatureMap("café/001", np.array([[-1.25, 0.0, 3.5]]))

@@ -16,8 +16,10 @@ from gvpr.fov2d import (
     check_arc_segments,
     fov_overlap,
     fov_overlap_mc,
+    TWO_PI,
     reference_pair,
     planar_distance,
+    wrap_heading,
     wrapped_angle_diff,
 )
 from gvpr.synth import SynthConfig, generate_world
@@ -149,6 +151,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             FovParams(theta=1.0, r=0.0)
         FovParams(theta=math.pi, r=0.1)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+    def test_fov_params_reject_a_nonfinite_radius(self, r):
+        with pytest.raises(ValueError, match=f"r must be positive and finite, got {r}"):
+            FovParams(theta=1.0, r=r)
 
     def test_polygon_needs_three_ccw_vertices(self):
         with pytest.raises(ValueError):
@@ -549,3 +556,45 @@ class TestPlanarDistance:
         assert np.array_equal(planar_distance(b, a), got)  # a - b and b - a square alike
         grid = planar_distance(a[:40, None], b[None, :30])  # broadcast: every row of a against every row of b
         assert grid.shape == (40, 30) and np.array_equal(grid[7], planar_distance(a[7], b[:30]))
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestWrapHeading:
+    """``wrap_heading``, the one heading rule: in [0, 2 pi), idempotent, one result for a float and an array."""
+
+    @staticmethod
+    def headings() -> np.ndarray:
+        k = np.arange(-4.0, 5.0) * TWO_PI
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 1e-300, -1e-300, 1e300, -1e300,
+                 *k, *np.nextafter(k, math.inf), *np.nextafter(k, -math.inf), math.pi, -math.pi]
+        rng = np.random.default_rng(47)
+        sweep = [rng.uniform(-20.0, 20.0, 2_000), rng.normal(0.0, 1e-15, 500), rng.uniform(-1e6, 1e6, 500)]
+        return np.concatenate([edges, *sweep])
+
+    def test_in_range_and_idempotent_with_one_result_per_form(self):
+        x = self.headings()
+        got = wrap_heading(x)
+        assert got is not x and ((got >= 0.0) & (got < TWO_PI)).all()
+        assert _bits(wrap_heading(got)) == _bits(got)
+        scalar = [wrap_heading(v) for v in x.tolist()]
+        assert all(type(w) is float for w in scalar) and _bits(scalar) == _bits(got)
+        assert _bits(got) == _bits(np.abs(got))  # never -0.0
+
+    def test_equals_the_remainder_below_two_pi_and_zero_at_it(self):
+        x = self.headings()
+        rem = x % TWO_PI
+        below = rem < TWO_PI
+        assert (~below).any()  # tiny negative headings, whose remainder rounds up to 2 pi
+        assert _bits(wrap_heading(x)[below]) == _bits(rem[below])
+        assert (wrap_heading(x[~below]) == 0.0).all()
+        assert wrap_heading(-1e-17) == 0.0 and -1e-17 % TWO_PI == TWO_PI
+
+    def test_a_pose_rebuilt_from_its_fields_is_the_same_pose(self):
+        for alpha in self.headings().tolist():
+            p = CameraPose2D(1.5, -2.0, alpha)
+            again = CameraPose2D(p.t0, p.t1, p.alpha)
+            assert again == p and _bits(again.alpha) == _bits(p.alpha) == _bits(wrap_heading(alpha))
+        assert CameraPose2D(0.0, 0.0, -1e-17).alpha == 0.0

@@ -1,5 +1,6 @@
 """Loss values and closed-form gradients against pinned values and finite differences."""
 
+import math
 import re
 
 import numpy as np
@@ -27,6 +28,11 @@ class TestConfigAndLabels:
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(tau=-1.0)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match=f"^tau must be positive and finite, got {tau}$"):
+            LossConfig(tau=tau)
 
 
 class TestLossValues:

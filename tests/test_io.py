@@ -3,7 +3,8 @@
 Each case mutates one small valid input of one subcommand by a bit flip, an insert, a delete, a
 truncation or a duplicated span, and runs the subcommand in process. It must exit 0, or exit 1
 with exactly one stderr line that starts `error: <path>:`, where the path is the mutated file's
-or, for inputs that must agree with it, one listed in the case's ``blame``. No case may raise
+or, for inputs that must agree with it, one listed in the case's ``blame``. Deterministic cases
+give one input of a subcommand another input's header; each must exit 1 in that way. No case may raise
 past ``main`` (a NumPy RuntimeWarning raises in tier-1) or allocate more than ``PEAK_BYTES``
 at its tracemalloc peak.
 """
@@ -12,6 +13,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import itertools
 import pkgutil
 import random
 import tracemalloc
@@ -166,3 +168,32 @@ def test_mutated_input_fails_as_one_line(tmp_path, inputs, case):
         if not ok or peak > PEAK_BYTES:
             failures.append((seed, rc, err, peak))
     assert failures == []
+
+
+def header(path) -> bytes:
+    """A file's header: a text file's first line (a CSV's header line), a binary file's magic and header."""
+    data = path.read_bytes()
+    return data[:20] if path.suffix == ".bin" else data[:data.index(b"\n") + 1]
+
+
+@pytest.mark.parametrize("name", ["train", "eval-model", "eval-descriptors", "overlap3d"])
+def test_swapped_header_fails_as_one_line(tmp_path, inputs, name):
+    """For each ordered pair of the subcommand's inputs, the first with the second's header in place of its own."""
+    out = tmp_path / "out"
+    files = [f for f, path in inputs.items() if path in command(name, inputs, out)]
+    blame = {case.file: case.blame for case in READERS if case.command == name}
+    swaps, failures = 0, []
+    for first, second in itertools.permutations(files, 2):
+        own, head = header(inputs[first]), header(inputs[second])
+        if head == own:  # query and map poses share one header: no change to test
+            continue
+        bad = tmp_path / first
+        bad.write_bytes(head + inputs[first].read_bytes()[len(own):])
+        rc, err, peak = run(command(name, {**inputs, first: bad}, out))
+        blamed = [bad] + [inputs[n] for n in blame.get(first, ())]
+        ok = (rc == 1 and err.count("\n") == 1 and err.endswith("\n")
+              and any(err.startswith(f"error: {path}:") for path in blamed))
+        if not ok or peak > PEAK_BYTES:
+            failures.append((first, second, rc, err, peak))
+        swaps += 1
+    assert failures == [] and swaps >= len(files)

@@ -42,6 +42,35 @@ class TestPoseTable:
         with pytest.raises(ValueError, match="scene"):
             PoseTable.of((rec("a", 0, 0, 0, scene=""),))
 
+    @pytest.mark.parametrize("bad", [(0, 0, math.nan), (0, 0, math.inf), (1, 0, -math.inf), (2, 1, math.nan)])
+    def test_rejects_nonfinite_rows(self, bad):
+        """A NaN row dropped every pair it was in, even at infinite reach; now the table refuses it."""
+        rows = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        rows[bad[:2]] = bad[2]
+        with pytest.raises(ValueError, match="pose coordinates must be finite"):
+            PoseTable(["a", "b", "c"], ["s"] * 3, rows)
+
+    def test_wraps_headings_into_a_copy(self):
+        rows = np.array([[1.0, 2.0, 7.0], [0.0, 0.0, -1e-17], [3.0, 4.0, -0.0]])
+        given = rows.copy()
+        table = PoseTable(["a", "b", "c"], ["s"] * 3, rows)
+        assert table.poses[:, 2].tolist() == [7.0 % TWO_PI, 0.0, 0.0]
+        assert np.signbit(table.poses[:, 2]).tolist() == [False] * 3
+        assert rows.view(np.uint64).tolist() == given.view(np.uint64).tolist()
+        assert table.poses[:, :2].tolist() == given[:, :2].tolist()
+
+    def test_rows_rebuild_their_poses_bit_for_bit(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        degrees = ["-1e-14", "-1e-15", "-5e-324", "-0.0", "0", "360", "-360", "720.5", "1e300", "-179.25"]
+        path.write_text("id,scene,t0,t1,alpha_deg\n" + "".join(f"p{i},s,{i},-{i},{a}\n" for i, a in enumerate(degrees)))
+        rows = load_poses(path).poses
+        want = [(p.t0, p.t1, p.alpha) for p in (CameraPose2D(float(i), -float(i), math.radians(float(a)))
+                                                 for i, a in enumerate(degrees))]
+        assert rows.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        for row in rows.tolist():
+            p = CameraPose2D(*row)
+            assert np.array([p.t0, p.t1, p.alpha]).view(np.uint64).tolist() == np.array(row).view(np.uint64).tolist()
+
 
 class TestClassify:
     def test_boundaries(self):
@@ -173,7 +202,7 @@ def _reference_profile(table, fov, bins, arc_segments):
     """The former profile: one pair at a time, the scalar heading rule, ``sorted(zip(...))`` of
     Python tuples and per-bin means."""
     rows = table.poses.tolist()
-    poses = [CameraPose2D._wrapped(*row) for row in rows]
+    poses = [CameraPose2D(*row) for row in rows]
     dist, rot, psi = [], [], []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
@@ -297,7 +326,7 @@ def _dense_same_scene_pairs(table, fov, arc_segments, reach=math.inf):
     i, j, dist = i[near], j[near], dist[near]
     psi = np.zeros(len(dist))
     within = np.flatnonzero(dist <= 2.0 * fov.r)
-    poses = [CameraPose2D._wrapped(*row) for row in table.poses.tolist()]
+    poses = [CameraPose2D(*row) for row in table.poses.tolist()]
     pairs = zip(i[within].tolist(), j[within].tolist())
     psi[within] = [fov_overlap(poses[a], poses[b], fov, arc_segments) for a, b in pairs]
     return i, j, dist, psi
@@ -410,13 +439,13 @@ class TestPersistence:
         table = load_poses(path)
         assert table.ids == want_ids and table.scenes == want_scenes
         assert table.poses.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        assert (want[:, 2] == TWO_PI).any()  # a tiny negative heading wraps to 2 pi, not 0
+        assert want[degrees.index("-1e-14"), 2] == 0.0  # a tiny negative heading wraps to 0, not 2 pi
 
     def test_wrapped_heading_reaches_the_overlap_unchanged(self, tmp_path):
         path = tmp_path / "poses.csv"
         path.write_text("id,scene,t0,t1,alpha_deg\na,s,0,0,-1e-14\nb,s,3.5,1.25,20\nc,s,-2,4,-2e-14\n")
         _, _, poses = _reference_load_poses(path)
-        assert poses[0].alpha == poses[2].alpha == TWO_PI
+        assert poses[0].alpha == poses[2].alpha == 0.0
         want = [fov_overlap(poses[a], poses[b], FOV, 64) for a, b in ((0, 1), (0, 2), (1, 2))]
         labels = pairwise_similarity(load_poses(path), FOV, arc_segments=64)
         assert [lab.psi for lab in labels] == want

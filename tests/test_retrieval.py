@@ -159,6 +159,16 @@ class TestBlockedSearchMatchesReference:
             assert type(r.hits) is tuple
             assert all(type(h) is tuple and type(h[0]) is str and type(h[1]) is float for h in r.hits)
 
+    def test_rankings_are_built_checked(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        queries = dset(["q0", "q1", "q2"], unit_rows(rng, 3, 4))
+        refs = dset([f"m{i}" for i in range(6)], unit_rows(rng, 6, 4))
+        checked = []
+        monkeypatch.setattr(Ranking, "__post_init__",
+                            lambda r, check=Ranking.__post_init__: (checked.append(r.query_id), check(r)))
+        got = nn_search(queries, refs, 4)
+        assert checked == ["q0", "q1", "q2"] and got == _reference_nn_search(queries, refs, 4)
+
     def test_overflowing_rows_rank_like_the_reference(self):
         # finite rows whose squared norms overflow give NaN distances, which sort last
         rows = [[1e200, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, -1e200], [3.0, 3.0]]
