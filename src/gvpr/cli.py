@@ -69,7 +69,11 @@ def cmd_overlap3d(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, parser) -> int:
+    with np.errstate(over="ignore"):
+        gem_p = np.float32(args.gem_p)  # the width of the model file's field
+    if not (gem_p > 0.0 and np.isfinite(gem_p)):
+        parser.error(f"--gem-p must be positive and finite in float32, got {args.gem_p}")
     cfg = embed.TrainConfig(
         loss_kind=args.loss,
         tau=args.tau,
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-out", type=int, default=16, help="descriptor dimension (default 16)")
     p.add_argument("--gem-p", type=float, default=3.0, help="pooling exponent (default 3)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=lambda args, p=p: cmd_train(args, p))
 
     p = sub.add_parser("eval", help="retrieval metrics for a model or descriptor files")
     p.add_argument("--model", help="model file (with --query-features/--map-features)")

@@ -85,8 +85,8 @@ class EmbedModel:
     W: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.gem_p > 0.0:
-            raise ValueError(f"gem_p must be positive, got {self.gem_p}")
+        if not (self.gem_p > 0.0 and math.isfinite(self.gem_p)):
+            raise ValueError(f"gem_p must be positive and finite, got {self.gem_p}")
         w = np.asarray(self.W, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError(f"W must be (d_out, channels), got {w.shape}")

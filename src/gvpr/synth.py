@@ -20,9 +20,11 @@ Places are split into a training scene and a validation scene; validation
 images alternate into map and query roles. Retrieval ground truth marks a
 (query, map) pair positive when the poses are within 25 m and their
 headings differ by less than 40 degrees. The world's pose tables are
-columns, as ``relabel.load_poses`` returns them. A ground-truth file is
-read back as positive (query row, map row) pairs of the evaluated id
-lists, the form ``gvpr eval`` counts recall from.
+columns, as ``relabel.load_poses`` returns them, and its features are one
+(n, channels, locations) array per role, as ``io.read_feature_array``
+returns them. A ground-truth file is read back as positive (query row,
+map row) pairs of the evaluated id lists, the form ``gvpr eval`` counts
+recall from.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import FeatureMap, write_features
+from .embed import FeatureMap
 from .fov2d import planar_distance, wrapped_angle_diff
-from .io import file_reader, read_csv, write_csv
+from .io import file_reader, read_csv, write_csv, write_feature_array
 from .relabel import PoseTable, save_poses
 
 PLACE_SPACING_M = 250.0
@@ -69,62 +71,110 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthWorld:
+    """Poses, features and retrieval ground truth of one world, by role (train, map, query).
+
+    Each role's features are one (n, channels, locations) array whose rows
+    follow its ``PoseTable``'s ids; the arrays must be finite. The
+    ``*_features`` properties give the rows as ``FeatureMap`` views, built
+    on each access.
+    """
+
     train_poses: PoseTable
     map_poses: PoseTable
     query_poses: PoseTable
-    train_features: tuple = field(repr=False)
-    map_features: tuple = field(repr=False)
-    query_features: tuple = field(repr=False)
+    train_values: np.ndarray = field(repr=False)
+    map_values: np.ndarray = field(repr=False)
+    query_values: np.ndarray = field(repr=False)
     gt_positives: dict = field(repr=False)  # query_id -> sorted tuple of map ids
+
+    def __post_init__(self):
+        for poses, values in ((self.train_poses, self.train_values), (self.map_poses, self.map_values),
+                              (self.query_poses, self.query_values)):
+            if values.ndim != 3 or len(values) != len(poses):
+                raise ValueError(f"need {len(poses)} feature rows of (channels, locations), got {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError("feature values must be finite")
+
+    @property
+    def train_features(self) -> tuple:
+        return _feature_maps(self.train_poses, self.train_values)
+
+    @property
+    def map_features(self) -> tuple:
+        return _feature_maps(self.map_poses, self.map_values)
+
+    @property
+    def query_features(self) -> tuple:
+        return _feature_maps(self.query_poses, self.query_values)
+
+
+def _feature_maps(poses: PoseTable, values: np.ndarray) -> tuple:
+    return tuple(FeatureMap(ident, v) for ident, v in zip(poses.ids, values))
 
 
 def generate_world(cfg: SynthConfig) -> SynthWorld:
-    """Build a deterministic world from the config seed."""
+    """Build a deterministic world from the config seed.
+
+    Each place draws its center, mean heading and prototype, then all of its
+    images' normals in one call, one row per image: position (2), heading (1)
+    and feature noise (channels * locations), the draws and order of one
+    call per quantity per image. Features are computed per place and written
+    straight into the role arrays.
+    """
     rng = np.random.default_rng(cfg.seed)
     shape = (cfg.channels, cfg.locations)
     h1, h2, q1, q2 = rng.normal(size=(4,) + shape)
 
     grid = math.ceil(math.sqrt(cfg.places))
     n_train_places = cfg.places // 2
-
-    ids: dict = {"train": [], "map": [], "query": []}
-    poses: dict = {"train": [], "map": [], "query": []}
-    features: dict = {"train": [], "map": [], "query": []}
+    per_place = cfg.images_per_place
+    n_val_places = cfg.places - n_train_places
+    counts = {"train": n_train_places * per_place, "map": n_val_places * ((per_place + 1) // 2),
+              "query": n_val_places * (per_place // 2)}
+    ids: dict = {role: [] for role in counts}
+    poses = {role: np.empty((n, 3)) for role, n in counts.items()}
+    values = {role: np.empty((n,) + shape) for role, n in counts.items()}
+    scale = np.ones(3 + cfg.channels * cfg.locations)
+    scale[:3] = (POSITION_JITTER_M, POSITION_JITTER_M, HEADING_JITTER_RAD)
     for p in range(cfg.places):
         center = np.array([(p % grid), (p // grid)]) * PLACE_SPACING_M
         center = center + rng.uniform(-CENTER_JITTER_M, CENTER_JITTER_M, size=2)
         mean_heading = rng.uniform(0.0, 2.0 * math.pi)
         proto = rng.uniform(0.5, 2.0, size=shape)
-        for i in range(cfg.images_per_place):
-            pos = center + rng.normal(0.0, POSITION_JITTER_M, size=2)
-            heading = mean_heading + rng.normal(0.0, HEADING_JITTER_RAD)
-            values = (
-                proto
-                + HEADING_GAIN * ((math.sin(heading) - math.sin(mean_heading)) * h1
-                                  + (math.cos(heading) - math.cos(mean_heading)) * h2)
-                + POSITION_GAIN * ((pos[0] - center[0]) / POSITION_JITTER_M * q1
-                                   + (pos[1] - center[1]) / POSITION_JITTER_M * q2)
-                + NOISE_LEVEL * rng.normal(size=shape)
-            )
-            image_id = f"p{p:03d}_i{i:03d}"
-            role = "train" if p < n_train_places else ("map" if i % 2 == 0 else "query")
-            ids[role].append(image_id)
-            poses[role].append((pos[0], pos[1], heading))
-            features[role].append(FeatureMap(image_id, np.maximum(values, 0.0)))
+        draws = rng.normal(0.0, scale, size=(per_place, scale.size))
+        pos = center + draws[:, :2]
+        heading = mean_heading + draws[:, 2]
+        turn = np.array([(math.sin(a) - math.sin(mean_heading), math.cos(a) - math.cos(mean_heading))
+                         for a in heading.tolist()])
+        shift = (pos - center) / POSITION_JITTER_M
+        place_values = (
+            proto
+            + HEADING_GAIN * (turn[:, 0, None, None] * h1 + turn[:, 1, None, None] * h2)
+            + POSITION_GAIN * (shift[:, 0, None, None] * q1 + shift[:, 1, None, None] * q2)
+            + NOISE_LEVEL * draws[:, 3:].reshape((per_place,) + shape)
+        )
+        place_ids = [f"p{p:03d}_i{i:03d}" for i in range(per_place)]
+        if p < n_train_places:
+            split = {"train": slice(None)}
+        else:  # validation images alternate map, query
+            split = {"map": slice(0, None, 2), "query": slice(1, None, 2)}
+        for role, rows in split.items():
+            out = slice(len(ids[role]), len(ids[role]) + len(place_ids[rows]))
+            ids[role] += place_ids[rows]
+            poses[role][out, :2] = pos[rows]
+            poses[role][out, 2] = heading[rows]
+            np.maximum(place_values[rows], 0.0, out=values[role][out])
 
-    tables = {}
-    for role, scene in (("train", "train"), ("map", "val"), ("query", "val")):
-        rows = np.array(poses[role], dtype=np.float64).reshape(-1, 3)
-        tables[role] = PoseTable(tuple(ids[role]), (scene,) * len(rows), rows)
-    gt = _ground_truth(tables["query"], tables["map"])
+    tables = {role: PoseTable(tuple(ids[role]), (scene,) * counts[role], poses[role])
+              for role, scene in (("train", "train"), ("map", "val"), ("query", "val"))}
     return SynthWorld(
         train_poses=tables["train"],
         map_poses=tables["map"],
         query_poses=tables["query"],
-        train_features=tuple(features["train"]),
-        map_features=tuple(features["map"]),
-        query_features=tuple(features["query"]),
-        gt_positives=gt,
+        train_values=values["train"],
+        map_values=values["map"],
+        query_values=values["query"],
+        gt_positives=_ground_truth(tables["query"], tables["map"]),
     )
 
 
@@ -192,8 +242,8 @@ def write_world(out_dir, world: SynthWorld) -> dict:
     save_poses(paths["train_poses"], world.train_poses)
     save_poses(paths["map_poses"], world.map_poses)
     save_poses(paths["query_poses"], world.query_poses)
-    write_features(paths["train_features"], world.train_features)
-    write_features(paths["map_features"], world.map_features)
-    write_features(paths["query_features"], world.query_features)
+    write_feature_array(paths["train_features"], world.train_poses.ids, world.train_values)
+    write_feature_array(paths["map_features"], world.map_poses.ids, world.map_values)
+    write_feature_array(paths["query_features"], world.query_poses.ids, world.query_values)
     save_ground_truth(paths["ground_truth"], world.gt_positives)
     return paths

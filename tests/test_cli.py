@@ -710,6 +710,30 @@ class TestNonFiniteRadiusAndMargin:
         assert (rc, capsys.readouterr()) == (1, ("", "error: r must be positive and finite, got inf\n"))
 
 
+class TestGemP:
+    """`--gem-p` is stored as float32 in the model file: outside (0, float32 max] it is a usage error."""
+
+    @pytest.mark.parametrize("gem_p", ["inf", "1e308", "nan", "0", "-2", "1e-50"])
+    def test_beyond_float32_is_a_usage_error_before_any_file_is_read(self, tmp_path, capsys, gem_p):
+        """Before, `--gem-p inf` trained every step and then failed in save_model, and `1e308` blamed the features."""
+        out = tmp_path / "m.bin"
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--labels", str(tmp_path / "absent.csv"), "--features", str(tmp_path / "absent.bin"),
+                  "--out", str(out), "--gem-p", gem_p])
+        assert err.value.code == 2
+        assert f"--gem-p must be positive and finite in float32, got {float(gem_p)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_at_the_float32_limit_passes_the_usage_check(self, world_dir, tmp_path, capsys):
+        """The largest float32 passes the usage check; v ** p then overflows at step 0, blamed on the features."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text("query_id,map_id,psi\np000_i000,p000_i001,0.9\n")
+        rc = main(["train", "--labels", str(labels), "--features", str(world_dir / "train_features.bin"),
+                   "--out", str(tmp_path / "m.bin"), "--gem-p", "3.4028234e38", "--batch-size", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {world_dir / 'train_features.bin'}: step 0: d must be finite\n"
+
+
 class TestCalibrateTheta:
     def test_pure_translation_target(self, capsys):
         rc = main(["calibrate-theta", "--target", "0.5",
@@ -837,7 +861,7 @@ class TestMalformedInputs:
         self.run_with(tmp_path, capsys, world_dir, model_path, command, "zero.bin", header + record * count)
 
     @pytest.mark.parametrize("d_out, channels, gem_p", [
-        (0, 8, 3.0), (8, 0, 3.0), (8, 8, 0.0), (8, 8, -1.0), (8, 8, math.nan),
+        (0, 8, 3.0), (8, 0, 3.0), (8, 8, 0.0), (8, 8, -1.0), (8, 8, math.nan), (8, 8, math.inf),
     ])
     def test_model_header_with_bad_field(self, tmp_path, capsys, world_dir, model_path, d_out, channels, gem_p):
         header = b"GVPM" + struct.pack("<IIIf", 1, d_out, channels, gem_p)

@@ -57,6 +57,9 @@ class TestContainers:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             EmbedModel(gem_p=0.0, W=np.ones((2, 3)))
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match=f"^gem_p must be positive and finite, got {bad}$"):
+                EmbedModel(gem_p=bad, W=np.ones((2, 3)))
         with pytest.raises(ValueError):
             EmbedModel(gem_p=3.0, W=np.ones(3))
         model = EmbedModel(gem_p=3.0, W=np.ones((2, 3)))

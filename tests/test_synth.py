@@ -2,12 +2,24 @@
 
 import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gvpr.embed import FeatureMap
 from gvpr.fov2d import wrapped_angle_diff
+from gvpr.io import read_feature_array
+from gvpr.relabel import PoseTable
 from gvpr.synth import (
+    CENTER_JITTER_M,
+    HEADING_GAIN,
+    HEADING_JITTER_RAD,
+    NOISE_LEVEL,
+    PLACE_SPACING_M,
+    POSITION_GAIN,
+    POSITION_JITTER_M,
     POSITIVE_DISTANCE_M,
     POSITIVE_HEADING_RAD,
     SynthConfig,
@@ -17,6 +29,46 @@ from gvpr.synth import (
     save_ground_truth,
     write_world,
 )
+
+
+def _reference_world(cfg):
+    """Frozen per-image generator: one set of RNG calls and one feature map per image.
+
+    Returns {role: (PoseTable, (n, channels, locations) values)} and the ground truth.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    shape = (cfg.channels, cfg.locations)
+    h1, h2, q1, q2 = rng.normal(size=(4,) + shape)
+    grid = math.ceil(math.sqrt(cfg.places))
+    n_train_places = cfg.places // 2
+    ids = {"train": [], "map": [], "query": []}
+    poses = {"train": [], "map": [], "query": []}
+    features = {"train": [], "map": [], "query": []}
+    for p in range(cfg.places):
+        center = np.array([(p % grid), (p // grid)]) * PLACE_SPACING_M
+        center = center + rng.uniform(-CENTER_JITTER_M, CENTER_JITTER_M, size=2)
+        mean_heading = rng.uniform(0.0, 2.0 * math.pi)
+        proto = rng.uniform(0.5, 2.0, size=shape)
+        for i in range(cfg.images_per_place):
+            pos = center + rng.normal(0.0, POSITION_JITTER_M, size=2)
+            heading = mean_heading + rng.normal(0.0, HEADING_JITTER_RAD)
+            values = (
+                proto
+                + HEADING_GAIN * ((math.sin(heading) - math.sin(mean_heading)) * h1
+                                  + (math.cos(heading) - math.cos(mean_heading)) * h2)
+                + POSITION_GAIN * ((pos[0] - center[0]) / POSITION_JITTER_M * q1
+                                   + (pos[1] - center[1]) / POSITION_JITTER_M * q2)
+                + NOISE_LEVEL * rng.normal(size=shape)
+            )
+            role = "train" if p < n_train_places else ("map" if i % 2 == 0 else "query")
+            ids[role].append(f"p{p:03d}_i{i:03d}")
+            poses[role].append((pos[0], pos[1], heading))
+            features[role].append(np.maximum(values, 0.0))
+    out = {}
+    for role, scene in (("train", "train"), ("map", "val"), ("query", "val")):
+        rows = np.array(poses[role], dtype=np.float64).reshape(-1, 3)
+        out[role] = (PoseTable(tuple(ids[role]), (scene,) * len(rows), rows), np.stack(features[role]))
+    return out, _ground_truth(out["query"][0], out["map"][0])
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +162,87 @@ class TestGenerateWorld:
             SynthConfig(images_per_place=1)
         with pytest.raises(ValueError):
             SynthConfig(channels=0)
+
+
+class TestColumnarGenerator:
+    """``generate_world`` against the frozen per-image loop, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(places=8, images_per_place=6, channels=8, locations=4, seed=3),
+        SynthConfig(places=12, images_per_place=7, channels=1, locations=1, seed=0),
+        SynthConfig(places=5, images_per_place=5, channels=3, locations=2, seed=42),
+        SynthConfig(seed=0),
+        SynthConfig(places=1001, images_per_place=3, channels=2, locations=3, seed=3),
+    ], ids=repr)
+    def test_equals_the_per_image_loop(self, cfg):
+        want, want_gt = _reference_world(cfg)
+        world = generate_world(cfg)
+        for role, poses, values in (("train", world.train_poses, world.train_values),
+                                    ("map", world.map_poses, world.map_values),
+                                    ("query", world.query_poses, world.query_values)):
+            table, ref_values = want[role]
+            assert poses.ids == table.ids
+            assert poses.scenes == table.scenes
+            assert poses.poses.tobytes() == table.poses.tobytes()
+            assert values.dtype == ref_values.dtype and values.shape == ref_values.shape
+            assert values.tobytes() == ref_values.tobytes()
+        assert world.gt_positives == want_gt
+        assert sum(map(len, want_gt.values())) > 0
+        if cfg.places > 1000:
+            assert world.query_poses.ids[-1] == f"p{cfg.places - 1}_i001"
+
+    def test_peak_memory_is_the_role_arrays(self):
+        """A copy of every role, or one draw array for the whole world, would double the peak."""
+        generate_world(SynthConfig(places=2, images_per_place=2, channels=1, locations=1))  # first-call imports
+        tracemalloc.start()
+        try:
+            world = generate_world(SynthConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        role_bytes = world.train_values.nbytes + world.map_values.nbytes + world.query_values.nbytes
+        assert role_bytes == 960 * 32 * 8 * 8
+        assert peak <= 1.5 * role_bytes
+
+    def test_feature_maps_are_checked_views_of_the_role_arrays(self, world, monkeypatch):
+        checked = []
+        original = FeatureMap.__post_init__
+
+        def counting(fm):
+            checked.append(fm.id)
+            original(fm)
+
+        monkeypatch.setattr(FeatureMap, "__post_init__", counting)
+        for poses, values, maps in ((world.train_poses, world.train_values, world.train_features),
+                                    (world.map_poses, world.map_values, world.map_features),
+                                    (world.query_poses, world.query_values, world.query_features)):
+            assert isinstance(maps, tuple)
+            assert [fm.id for fm in maps] == list(poses.ids)
+            assert all(np.shares_memory(fm.values, values) for fm in maps)
+            assert np.array_equal(np.stack([fm.values for fm in maps]), values)
+        assert len(checked) == len(world.train_poses) + len(world.map_poses) + len(world.query_poses)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_world_rejects_non_finite_values(self, world, bad):
+        values = world.map_values.copy()
+        values[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            replace(world, map_values=values)
+
+    def test_world_rejects_rows_that_miss_the_poses(self, world):
+        with pytest.raises(ValueError, match="need 12 feature rows"):
+            replace(world, query_values=world.query_values[:-1])
+        with pytest.raises(ValueError, match="need 12 feature rows"):
+            replace(world, query_values=world.query_values[:, 0])
+
+    def test_written_features_are_the_role_arrays(self, tmp_path, world):
+        paths = write_world(tmp_path / "w", world)
+        for role, poses, values in (("train", world.train_poses, world.train_values),
+                                    ("map", world.map_poses, world.map_values),
+                                    ("query", world.query_poses, world.query_values)):
+            ids, read = read_feature_array(paths[f"{role}_features"])
+            assert ids == list(poses.ids)
+            assert np.array_equal(read, values.astype(np.float32))
 
 
 class TestGroundTruthIO:
