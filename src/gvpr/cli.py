@@ -3,9 +3,10 @@ calibrate-theta.
 
 Angles and distances cross this boundary in degrees and meters and are
 converted to radians once at parse time. Every subcommand takes a
-``--seed`` (default 42) where randomness is involved and writes
-byte-identical outputs for identical inputs and seed. Exit codes: 0 on
-success, 2 on usage errors, 1 on runtime errors.
+``--seed`` where randomness is involved and writes byte-identical outputs
+for identical inputs and seed. An option that sets a library value takes
+its default from the library's signature or config field. Exit codes: 0
+on success, 2 on usage errors, 1 on runtime errors.
 """
 
 from __future__ import annotations
@@ -17,18 +18,22 @@ import sys
 import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
-from .fov2d import FovParams, calibrate_theta
+from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta
 from .io import InputError, file_reader, write_csv
 from .sampler import BatchStrategy, EmptyQuotaGroup
 
 
 def _add_fov_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-deg", type=float, default=90.0,
-                   help="field-of-view opening angle in degrees (default 90)")
+                   help="field-of-view opening angle in degrees (default %(default)g)")
+    _add_sector_args(p)
+
+
+def _add_sector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius-m", type=float, default=50.0,
-                   help="field-of-view radius in meters (default 50)")
-    p.add_argument("--arc-segments", type=int, default=256,
-                   help="sector arc discretization (default 256)")
+                   help="field-of-view radius in meters (default %(default)g)")
+    p.add_argument("--arc-segments", type=int, default=DEFAULT_ARC_SEGMENTS,
+                   help="sector arc discretization (default %(default)s)")
 
 
 def _fov(args) -> FovParams:
@@ -96,6 +101,8 @@ def cmd_train(args, parser) -> int:
         trained, trace = embed.train(model, labels, features, cfg)
     except EmptyQuotaGroup as e:
         raise InputError(args.labels, e) from None
+    except embed.PoolingOverflow as e:
+        raise InputError(args.features, e) from None
     except embed.TrainingDiverged as e:
         if e.step > 0:  # a later step diverges from the weights training made, not from the features alone
             raise
@@ -298,20 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="binary features file")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--trace", help="optional per-step loss CSV")
-    p.add_argument("--loss", choices=["cl", "gcl"], default="gcl",
-                   help="binary or graded contrastive loss (default gcl)")
-    p.add_argument("--tau", type=float, default=1.0, help="margin (default 1.0)")
-    p.add_argument("--lr", type=float, default=None,
-                   help="initial learning rate (default 0.1 gcl, 0.01 cl)")
-    p.add_argument("--lr-decay-after", type=int, default=250_000,
-                   help="cut the rate 10x after this many pairs (default 250000)")
-    p.add_argument("--epochs", type=int, default=1, help="passes over the labels (default 1)")
-    p.add_argument("--batch-size", type=int, default=64, help="pairs per step (default 64)")
-    p.add_argument("--strategy", choices=["A", "B", "C", "D"], default="A",
-                   help="batch composition strategy (default A)")
-    p.add_argument("--d-out", type=int, default=16, help="descriptor dimension (default 16)")
-    p.add_argument("--gem-p", type=float, default=3.0, help="pooling exponent (default 3)")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+    train = embed.TrainConfig()
+    p.add_argument("--loss", choices=sorted(embed.DEFAULT_LR0), default=train.loss_kind,
+                   help="binary or graded contrastive loss (default %(default)s)")
+    p.add_argument("--tau", type=float, default=train.tau, help="margin (default %(default)s)")
+    lr0 = ", ".join(f"{lr:g} {kind}" for kind, lr in embed.DEFAULT_LR0.items())
+    p.add_argument("--lr", type=float, help=f"initial learning rate (default {lr0})")
+    p.add_argument("--lr-decay-after", type=int, default=train.lr_decay_after,
+                   help="cut the rate 10x after this many pairs (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=train.epochs, help="passes over the labels (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=train.batch_size, help="pairs per step (default %(default)s)")
+    p.add_argument("--strategy", choices=[s.name for s in BatchStrategy], default=train.strategy.name,
+                   help="batch composition strategy (default %(default)s)")
+    p.add_argument("--d-out", type=int, default=16, help="descriptor dimension (default %(default)s)")
+    p.add_argument("--gem-p", type=float, default=embed.DEFAULT_GEM_P, help="pooling exponent (default %(default)g)")
+    p.add_argument("--seed", type=int, default=train.seed, help="RNG seed (default %(default)s)")
     p.set_defaults(func=lambda args, p=p: cmd_train(args, p))
 
     p = sub.add_parser("eval", help="retrieval metrics for a model or descriptor files")
@@ -323,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth positives CSV (query_id,map_id)")
     p.add_argument("--query-poses", help="query poses CSV, enables localization metrics")
     p.add_argument("--map-poses", help="map poses CSV, enables localization metrics")
-    p.add_argument("--ks", default="1,5,10", help="recall ranks (default 1,5,10)")
-    p.add_argument("--loc-thresholds", default="0.25:2,0.5:5,5:10",
-                   help="meters:degrees list (default 0.25:2,0.5:5,5:10)")
+    p.add_argument("--ks", default="1,5,10", help="recall ranks (default %(default)s)")
+    loc = ",".join(f"{meters:g}:{math.degrees(rad):g}" for meters, rad in retrieval.DEFAULT_LOC_THRESHOLDS)
+    p.add_argument("--loc-thresholds", default=loc, help="meters:degrees list (default %(default)s)")
     p.add_argument("--whiten", action="store_true", help="PCA-whiten descriptors (fit on map)")
     p.add_argument("--pca-dim", type=int, default=None,
                    help="whitened dimensionality (implies --whiten, default full)")
@@ -334,13 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark world")
     p.add_argument("--out-dir", required=True, help="directory for the world files")
-    p.add_argument("--places", type=int, default=48, help="distinct places (default 48)")
-    p.add_argument("--images-per-place", type=int, default=20,
-                   help="images per place (default 20)")
-    p.add_argument("--channels", type=int, default=32, help="feature channels (default 32)")
-    p.add_argument("--locations", type=int, default=8,
-                   help="feature locations per channel (default 8)")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+    world = synth.SynthConfig()
+    p.add_argument("--places", type=int, default=world.places, help="distinct places (default %(default)s)")
+    p.add_argument("--images-per-place", type=int, default=world.images_per_place,
+                   help="images per place (default %(default)s)")
+    p.add_argument("--channels", type=int, default=world.channels, help="feature channels (default %(default)s)")
+    p.add_argument("--locations", type=int, default=world.locations,
+                   help="feature locations per channel (default %(default)s)")
+    p.add_argument("--seed", type=int, default=world.seed, help="RNG seed (default %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("profile", help="overlap vs translation/rotation distance records")
@@ -353,15 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-theta", help="solve the opening angle for a target overlap")
     p.add_argument("--target", type=float, default=0.5,
-                   help="target overlap value (default 0.5)")
+                   help="target overlap value (default %(default)g)")
     p.add_argument("--delta-t", type=float, required=True,
                    help="camera offset in meters, perpendicular to the view axis")
     p.add_argument("--delta-alpha-deg", type=float, required=True,
                    help="heading difference in degrees")
-    p.add_argument("--radius-m", type=float, default=50.0,
-                   help="field-of-view radius in meters (default 50)")
-    p.add_argument("--arc-segments", type=int, default=256,
-                   help="sector arc discretization (default 256)")
+    _add_sector_args(p)
     p.set_defaults(func=cmd_calibrate_theta)
 
     return parser

@@ -7,6 +7,8 @@ unit-norm descriptor. Feature maps travel as one (n, channels, locations)
 array of one shape, pooled by one GeM call; ``forward``,
 ``compute_descriptors`` and ``file_descriptors`` share one
 pool-project-normalize core that rejects descriptors that overflow.
+Every pooling, theirs and ``train``'s, rejects a pool that overflows at
+the model's ``gem_p`` as a ``PoolingOverflow``.
 Training runs plain SGD over contrastive pairs streamed by the batch
 sampler, on the graded loss (binary labels as psi in {0, 1}); only the
 linear weights are trained, the pooling exponent stays fixed.
@@ -38,6 +40,9 @@ _NORM_EPS = 1e-12
 
 MODEL_MAGIC = b"GVPM"
 
+DEFAULT_GEM_P = 3.0
+DEFAULT_LR0 = {"gcl": 0.1, "cl": 0.01}  # initial learning rate by loss kind: graded, binary
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when a training step produces a non-finite loss or weight."""
@@ -45,6 +50,10 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
         self.step = step
+
+
+class PoolingOverflow(ValueError):
+    """Raised when GeM pooling at a model's ``gem_p`` overflows a feature row."""
 
 
 @dataclass(frozen=True)
@@ -105,12 +114,12 @@ class EmbedModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer knobs. ``lr0`` defaults by loss kind (0.1 graded, 0.01 binary);
+    """Trainer knobs. ``lr0`` defaults by loss kind, from ``DEFAULT_LR0``;
     the rate is cut by 10x each time ``lr_decay_after`` pairs have been
     consumed. One epoch is len(labels) // batch_size steps."""
 
     loss_kind: str = "gcl"
-    tau: float = 1.0
+    tau: float = LossConfig.tau
     lr0: float | None = None
     lr_decay_after: int = 250_000
     epochs: int = 1
@@ -119,16 +128,18 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.loss_kind not in ("cl", "gcl"):
+        if self.loss_kind not in DEFAULT_LR0:
             raise ValueError(f"loss_kind must be 'cl' or 'gcl', got {self.loss_kind!r}")
         if self.lr0 is None:
-            object.__setattr__(self, "lr0", 0.1 if self.loss_kind == "gcl" else 0.01)
+            object.__setattr__(self, "lr0", DEFAULT_LR0[self.loss_kind])
         if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
             raise ValueError(f"lr0 must be finite and nonnegative, got {self.lr0}")
         if self.lr_decay_after < 1:
             raise ValueError("lr_decay_after must be a positive pair count")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
         LossConfig(self.tau)  # the margin's rule is LossConfig's
 
 
@@ -147,6 +158,15 @@ def gem_pool(v, p: float) -> np.ndarray:
     if v.ndim not in (2, 3):
         raise ValueError(f"expected (channels, locations) or (n, channels, locations), got shape {v.shape}")
     return np.mean(np.maximum(v, 0.0) ** p, axis=-1) ** (1.0 / p)
+
+
+def _pooled(values: np.ndarray, gem_p: float) -> np.ndarray:
+    """``gem_pool`` of a (n, channels, locations) array; a row that overflows is a PoolingOverflow, not a warning."""
+    with np.errstate(over="ignore"):
+        pooled = gem_pool(values, gem_p)
+    if not np.isfinite(pooled).all():
+        raise PoolingOverflow(f"GeM pooling overflows at gem_p {gem_p:g}")
+    return pooled
 
 
 def _check_channels(model: EmbedModel, ident: str, channels: int) -> None:
@@ -183,8 +203,9 @@ def _unit_rows(z: np.ndarray) -> tuple:
 def _descriptors(model: EmbedModel, first_id: str, values: np.ndarray) -> np.ndarray:
     """Unit descriptor rows, (n, d_out), of a (n, channels, locations) array led by map ``first_id``."""
     _check_channels(model, first_id, values.shape[1])
+    pooled = _pooled(values, model.gem_p)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as the error below, not as warnings
-        u, norms = _unit_rows(gem_pool(values, model.gem_p) @ model.W.T)
+        u, norms = _unit_rows(pooled @ model.W.T)
     if not np.isfinite(norms).all():
         raise ValueError("descriptors must be finite")
     return u
@@ -195,7 +216,7 @@ def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
     return compute_descriptors(model, [fm])[1][0]
 
 
-def init_model(d_out: int, channels: int, gem_p: float = 3.0, seed: int = 0) -> EmbedModel:
+def init_model(d_out: int, channels: int, gem_p: float = DEFAULT_GEM_P, seed: int = 0) -> EmbedModel:
     """Random untrained model; weights scaled so initial descriptors are tame."""
     if d_out < 1:
         raise ValueError(f"d_out must be a positive integer, got {d_out}")
@@ -262,8 +283,9 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     inputs. Binary-loss training derives y = 1 iff psi >= 0.5 and feeds y
     to the graded formula, which equals the binary one there.
     Deterministic for a fixed config and data. A label psi outside [0, 1]
-    is a ValueError before the first step; a non-finite distance, loss or
-    weight aborts with the step index.
+    is a ValueError and a pool that overflows a PoolingOverflow, both before
+    the first step; a non-finite distance, loss or weight aborts with the
+    step index.
 
     A single-label list cannot satisfy any strategy's band quotas, so it
     is trained directly: each step is that one pair repeated batch_size
@@ -278,9 +300,9 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     if missing:
         raise ValueError(f"labels reference ids without features: {', '.join(map(repr, missing[:5]))}")
 
+    pooled = _pooled(_stack([features[ident] for ident in table.ids], model), model.gem_p)
     # Overflow and NaN end as TrainingDiverged at the step they reach, not as NumPy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = gem_pool(_stack([features[ident] for ident in table.ids], model), model.gem_p)
         psi = table.psi
         if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
             raise ValueError("label psi must be in [0, 1]")

@@ -25,6 +25,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+DEFAULT_ARC_SEGMENTS = 256  # sector arc discretization of every overlap, unless a caller names another
+
 _EMPTY_AREA = 1e-12  # fp slivers below this area count as empty
 _SIDE_TOL = 16 * math.ulp(1.0)  # on-edge distance per unit of coordinate scale
 
@@ -128,6 +130,7 @@ def _canonical(a: CameraPose2D, b: CameraPose2D) -> tuple[CameraPose2D, CameraPo
 
 _WINDOW = np.arange(4)[:, None, None, None]  # chords k-1 .. k+2 around a piece in cells k, k+1: edges k .. k+3
 _ROW_B = np.array([[False], [True]])
+_CLIP_ALL_MAX_SEGMENTS = 8  # up to this n, two 4-chord windows could hold every chord: clip against all of them
 
 
 def _disk_and_windows(start, edge, ee, apex, alpha, fov, n, tol):
@@ -160,7 +163,7 @@ def _disk_and_windows(start, edge, ee, apex, alpha, fov, n, tol):
     return np.maximum(ends[0], 0.0), np.minimum(ends[3], 1.0), idx
 
 
-def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: int = 256) -> float:
+def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: int = DEFAULT_ARC_SEGMENTS) -> float:
     """Graded similarity of two cameras from their sector overlap.
 
     Returns area(A intersect B) / min(area(A), area(B)) in [0, 1], computed
@@ -231,7 +234,7 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     # the lines each edge is clipped against: the other sector's edges 0 and n + 1 (radial) and
     # 1 .. n (chords) as start, end and length, indexed (line, row, edge)
     other = np.concatenate((tips[:, :, ::-1].swapaxes(0, 1).reshape(4, 2, n + 2), length[None, None].repeat(2, 1)))
-    if n + 2 <= 10:  # the windows would hold every chord: clip against all of them, the disk adds nothing
+    if n <= _CLIP_ALL_MAX_SEGMENTS:  # every chord, and the disk adds nothing to them
         lo, hi = 0.0, 1.0
         other = other.transpose(0, 2, 1)[..., None]
     else:
@@ -330,7 +333,7 @@ def calibrate_theta(
     delta_t: float,
     delta_alpha: float,
     r: float,
-    arc_segments: int = 256,
+    arc_segments: int = DEFAULT_ARC_SEGMENTS,
 ) -> float:
     """Find the opening angle whose overlap at a reference offset hits a target.
 

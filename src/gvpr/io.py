@@ -41,6 +41,7 @@ FEATURES_MAGIC = b"GVPR"
 FORMAT_VERSION = 1
 
 _CSV_BLOCK = 1024  # records read at a time: a whole file's row lists would stay in RSS after use
+_FEATURE_BLOCK_BYTES = 1 << 20  # float32 values cast and written at a time: a whole-array copy is half its size
 
 
 class LineError(ValueError):
@@ -178,10 +179,12 @@ def write_feature_array(path, ids, values: np.ndarray) -> None:
     for ident, raw in zip(ids, raw_ids):  # before the file is opened, so a bad id leaves no file behind
         if len(raw) > 0xFFFF:
             raise ValueError(f"id too long to serialize: {ident!r}")
+    per_block = max(1, _FEATURE_BLOCK_BYTES // (4 * values[0].size))
     with open(path, "wb") as fh:
         fh.write(FEATURES_MAGIC + struct.pack("<IIII", FORMAT_VERSION, *values.shape))
-        for raw, record in zip(raw_ids, values.astype("<f4")):
-            fh.write(struct.pack("<H", len(raw)) + raw + record.tobytes())
+        for lo in range(0, len(raw_ids), per_block):
+            records = zip(raw_ids[lo:lo + per_block], values[lo:lo + per_block].astype("<f4"))
+            fh.write(b"".join(struct.pack("<H", len(raw)) + raw + record.tobytes() for raw, record in records))
 
 
 def read_feature_array(path) -> tuple:

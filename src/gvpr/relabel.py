@@ -29,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fov2d import (CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance, wrap_heading,
-                    wrapped_angle_diff)
+from .fov2d import (DEFAULT_ARC_SEGMENTS, CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance,
+                    wrap_heading, wrapped_angle_diff)
 from .io import file_reader, floats, read_csv, write_csv
 from .sampler import Band, LabelTable, _band_codes, band_of
 from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where labels are made
@@ -189,7 +189,7 @@ def pairwise_similarity(
     table: PoseTable,
     fov: FovParams,
     candidate_radius: float = math.inf,
-    arc_segments: int = 256,
+    arc_segments: int = DEFAULT_ARC_SEGMENTS,
 ) -> LabelTable:
     """Graded labels for every unordered same-scene pair within reach.
 
@@ -209,7 +209,7 @@ def fov_distance_profile(
     table: PoseTable,
     fov: FovParams,
     bins: int | None = None,
-    arc_segments: int = 256,
+    arc_segments: int = DEFAULT_ARC_SEGMENTS,
 ) -> np.ndarray:
     """How overlap decays with translation and rotation distance.
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
 import csv
+import inspect
 import math
 import re
 import struct
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gvpr import embed, retrieval, synth
+from gvpr import cli, embed, fov2d, relabel, retrieval, synth
 from gvpr.cli import main
 from gvpr.fov2d import CameraPose2D, wrapped_angle_diff
 
@@ -227,6 +228,26 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: lr0 must be finite and nonnegative, got {lr}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--batch-size", "-4", "batch_size must be positive"),
+        ("--batch-size", "0", "batch_size must be positive"),
+        ("--lr-decay-after", "0", "lr_decay_after must be a positive pair count"),
+    ])
+    def test_nonpositive_count_rejected_before_any_file(self, tmp_path, capsys, option, value, message):
+        rc = main(["train", "--labels", str(tmp_path / "absent.csv"), "--features", str(tmp_path / "absent.bin"),
+                   "--out", str(tmp_path / "model.bin"), option, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_batch_size_rejected_for_one_label(self, world_dir, tmp_path, capsys):
+        """A one-label file skips the sampler, whose rule the config checks all the same."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text("query_id,map_id,psi\np000_i000,p000_i001,0.9\n")
+        rc = main(["train", "--labels", str(labels), "--features", str(world_dir / "train_features.bin"),
+                   "--out", str(tmp_path / "m.bin"), "--batch-size", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: batch_size must be positive\n"
+
     @pytest.mark.parametrize("d_out", ["-3", "0"])
     def test_nonpositive_descriptor_dimension_rejected(self, world_dir, labels_csv, tmp_path, capsys, d_out):
         out = tmp_path / "model.bin"
@@ -387,6 +408,17 @@ class TestEval:
                   "--gt", absent[3], "--query-poses", absent[4], "--map-poses", absent[5], "--ks", ks])
         assert err.value.code == 2
         assert "--ks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, message", [
+        ("--ks", "--ks must list at least one rank"),
+        ("--loc-thresholds", "--loc-thresholds must list at least one meters:degrees pair"),
+    ])
+    def test_empty_list_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, option, message):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--query-descriptors", str(tmp_path / "q.bin"), "--map-descriptors", str(tmp_path / "m.bin"),
+                  "--gt", str(tmp_path / "gt.csv"), option, ","])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"gvpr eval: error: {message}\n")
 
     def test_bad_threshold_spec_is_usage_error_before_any_file_is_read(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -725,13 +757,14 @@ class TestGemP:
         assert not out.exists()
 
     def test_at_the_float32_limit_passes_the_usage_check(self, world_dir, tmp_path, capsys):
-        """The largest float32 passes the usage check; v ** p then overflows at step 0, blamed on the features."""
+        """The largest float32 passes the usage check; v ** p then overflows in the pooling, which names gem_p."""
         labels = tmp_path / "labels.csv"
         labels.write_text("query_id,map_id,psi\np000_i000,p000_i001,0.9\n")
         rc = main(["train", "--labels", str(labels), "--features", str(world_dir / "train_features.bin"),
                    "--out", str(tmp_path / "m.bin"), "--gem-p", "3.4028234e38", "--batch-size", "4"])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {world_dir / 'train_features.bin'}: step 0: d must be finite\n"
+        assert capsys.readouterr().err == (f"error: {world_dir / 'train_features.bin'}: "
+                                           "GeM pooling overflows at gem_p 3.40282e+38\n")
 
 
 class TestCalibrateTheta:
@@ -833,10 +866,10 @@ class TestMalformedInputs:
             rc = main(["eval", "--model", str(model), "--query-features", str(bright),
                        "--map-features", str(bright), "--gt", str(world_dir / "gt.csv")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {bright}: descriptors must be finite\n"
+        assert capsys.readouterr().err == f"error: {bright}: GeM pooling overflows at gem_p 100\n"
 
     def test_training_that_overflows_prints_one_line(self, tmp_path, capsys):
-        """Pooling 1e5 to the power 100 overflows: the run ends at step 0 without NumPy warnings."""
+        """Pooling 1e5 to the power 100 overflows: the run ends before step 0 without NumPy warnings."""
         bright, labels = tmp_path / "bright.bin", tmp_path / "labels.csv"
         embed.write_features(bright, [embed.FeatureMap(i, np.full((8, 4), 1e5)) for i in ("a", "b")])
         labels.write_text("query_id,map_id,psi\na,b,1.0\n")
@@ -845,7 +878,7 @@ class TestMalformedInputs:
             rc = main(["train", "--labels", str(labels), "--features", str(bright), "--out", str(tmp_path / "m.bin"),
                        "--gem-p", "100", "--d-out", "4", "--batch-size", "4"])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {bright}: step 0: d must be finite\n"
+        assert capsys.readouterr().err == f"error: {bright}: GeM pooling overflows at gem_p 100\n"
 
     def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)
@@ -1112,3 +1145,48 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestDefaults:
+    """An option that sets a library value defaults to that value, parsed with the required arguments only."""
+
+    class Stop(Exception):
+        pass
+
+    def stop(self, *args, **kwargs):
+        raise self.Stop
+
+    def parse(self, *argv):
+        parser = cli.build_parser()
+        return parser, parser.parse_args(argv)
+
+    def test_synth_builds_the_default_config(self, monkeypatch, tmp_path):
+        _, args = self.parse("synth", "--out-dir", str(tmp_path))
+        made = []
+        monkeypatch.setattr(synth, "generate_world", lambda cfg: made.append(cfg) or self.stop())
+        with pytest.raises(self.Stop):
+            args.func(args)
+        assert made == [synth.SynthConfig()]
+
+    def test_train_builds_the_default_config(self, monkeypatch):
+        _, args = self.parse("train", "--labels", "l.csv", "--features", "f.bin", "--out", "m.bin")
+        made, config = [], embed.TrainConfig
+        monkeypatch.setattr(embed, "TrainConfig", lambda **kwargs: made.append(config(**kwargs)) or made[-1])
+        monkeypatch.setattr(relabel, "load_labels", self.stop)
+        with pytest.raises(self.Stop):
+            args.func(args)
+        assert made == [config()]
+        assert args.gem_p == inspect.signature(embed.init_model).parameters["gem_p"].default
+
+    def test_arc_segments(self):
+        poses = ["--poses", "p.csv", "--out", "o.csv"]
+        required = {"relabel": poses, "profile": poses, "calibrate-theta": ["--delta-t", "1", "--delta-alpha-deg", "0"]}
+        for command, argv in required.items():
+            assert self.parse(command, *argv)[1].arc_segments == fov2d.DEFAULT_ARC_SEGMENTS
+        for f in (fov2d.fov_overlap, fov2d.calibrate_theta, relabel.pairwise_similarity, relabel.fov_distance_profile):
+            assert inspect.signature(f).parameters["arc_segments"].default == fov2d.DEFAULT_ARC_SEGMENTS
+
+    def test_loc_thresholds(self):
+        parser, args = self.parse("eval", "--gt", "gt.csv")
+        parsed = cli._parse_thresholds(parser, args.loc_thresholds)
+        assert np.array(parsed).tobytes() == np.array(retrieval.DEFAULT_LOC_THRESHOLDS).tobytes()

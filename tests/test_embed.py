@@ -9,9 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gvpr import io
 from gvpr.embed import (
     EmbedModel,
     FeatureMap,
+    PoolingOverflow,
     TrainConfig,
     TrainingDiverged,
     batch_loss_and_grad,
@@ -82,6 +84,9 @@ class TestContainers:
                 TrainConfig(lr0=bad)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        for bad in (0, -4):  # the sampler's rule, checked before any sampler is built
+            with pytest.raises(ValueError, match="^batch_size must be positive$"):
+                TrainConfig(batch_size=bad)
         with pytest.raises(ValueError):
             TrainConfig(tau=0.0)
         for bad in (math.inf, math.nan):  # the margin's rule is LossConfig's
@@ -211,10 +216,17 @@ class TestForward:
         """A valid model and valid maps whose pooling power v ** p overflows."""
         model = init_model(d_out=4, channels=8, gem_p=100.0)
         bright = [FeatureMap(i, np.full((8, 4), 1e5)) for i in ("a", "b")]
-        with pytest.raises(ValueError, match="^descriptors must be finite$"):
+        with pytest.raises(PoolingOverflow, match="^GeM pooling overflows at gem_p 100$"):
             compute_descriptors(model, bright)
-        with pytest.raises(ValueError, match="^descriptors must be finite$"):
+        with pytest.raises(PoolingOverflow, match="^GeM pooling overflows at gem_p 100$"):
             forward(model, bright[0])
+
+    def test_overflowing_projection_rejected_without_warnings(self):
+        """Pooled rows that are finite, projected by weights so large that the descriptors overflow."""
+        model = EmbedModel(gem_p=3.0, W=np.full((4, 8), 1e300))
+        maps = [FeatureMap(i, np.full((8, 4), 10.0)) for i in ("a", "b")]
+        with pytest.raises(ValueError, match="^descriptors must be finite$"):
+            compute_descriptors(model, maps)
 
     def test_init_model_deterministic(self):
         a = init_model(d_out=4, channels=8, seed=7)
@@ -500,15 +512,22 @@ class TestTrain:
 
     @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
     def test_non_finite_distance_diverges_at_step_zero(self, n_labels):
+        """Pooled rows are finite, but weights near the float limit project them past it."""
+        labels, maps = toy_training_setup()
+        model = EmbedModel(gem_p=3.0, W=np.full((4, 6), 1e308))
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, labels[:n_labels], maps, TrainConfig(batch_size=12))
+        assert str(err.value) == "step 0: d must be finite"
+        assert err.value.step == 0
+
+    @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
+    def test_overflowing_pool_fails_before_step_zero(self, n_labels):
         """Features near 1e300 are finite, but pooling cubes them past the float range."""
         labels, maps = toy_training_setup()
         huge = {ident: FeatureMap(ident, fm.values * 1e300) for ident, fm in maps.items()}
         model = init_model(d_out=4, channels=6, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged) as err:
-                train(model, labels[:n_labels], huge, TrainConfig(batch_size=12))
-        assert str(err.value) == "step 0: d must be finite"
-        assert err.value.step == 0
+        with pytest.raises(PoolingOverflow, match="^GeM pooling overflows at gem_p 3$"):
+            train(model, labels[:n_labels], huge, TrainConfig(batch_size=12))
 
     @pytest.mark.parametrize("loss_kind", ["gcl", "cl"])
     @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
@@ -550,18 +569,21 @@ class TestBinaryFormats:
         save_model(path, EmbedModel(gem_p=top, W=np.array([[1.0, top]])))
         assert load_model(path).gem_p == load_model(path).W[0, 1] == top
 
-    def test_writers_equal_the_per_record_reference(self, tmp_path):
+    def test_writers_equal_the_per_record_reference(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(17)
         ids = ("a", "bb", "café/001", "x" * 300)
         maps = [FeatureMap(ident, rng.normal(size=(3, 5))) for ident in ids]
-        write_features(tmp_path / "features.bin", maps)
-        reference_write_features(tmp_path / "want_features.bin", maps)
-        assert (tmp_path / "features.bin").read_bytes() == (tmp_path / "want_features.bin").read_bytes()
         matrix = rng.normal(size=(6, 4)).T  # a transposed view: rows are not contiguous in memory
-        write_descriptors(tmp_path / "descriptors.bin", DescriptorSet(ids, matrix))
+        reference_write_features(tmp_path / "want_features.bin", maps)
         reference_write_features(tmp_path / "want_descriptors.bin",
                                  [FeatureMap(ident, row[:, None]) for ident, row in zip(ids, matrix)])
-        assert (tmp_path / "descriptors.bin").read_bytes() == (tmp_path / "want_descriptors.bin").read_bytes()
+        # records of 60 and 24 value bytes: each file written a record at a time, two at a time, and at once
+        for block_bytes in (1, 50, 150, io._FEATURE_BLOCK_BYTES):
+            monkeypatch.setattr(io, "_FEATURE_BLOCK_BYTES", block_bytes)
+            write_features(tmp_path / "features.bin", maps)
+            assert (tmp_path / "features.bin").read_bytes() == (tmp_path / "want_features.bin").read_bytes()
+            write_descriptors(tmp_path / "descriptors.bin", DescriptorSet(ids, matrix))
+            assert (tmp_path / "descriptors.bin").read_bytes() == (tmp_path / "want_descriptors.bin").read_bytes()
 
     def test_features_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from gvpr import relabel
+from gvpr import fov2d, relabel
 from gvpr.fov2d import (
     _EMPTY_AREA,
     CameraPose2D,
@@ -455,6 +455,30 @@ class TestReferenceEquivalence:
             for j in range(1, n + 1):
                 b = CameraPose2D(4.0, -7.0, 0.3 + j * FOV90_50.theta / n)
                 assert fov_overlap(a, b, FOV90_50, n) == pytest.approx((n - j) / n, abs=1e-12)
+
+    @pytest.mark.parametrize("segments", range(2, 9))
+    def test_windows_equal_every_chord_where_they_could_hold_them_all(self, segments, monkeypatch):
+        """Up to 8 segments the kernel clips each edge against every chord and skips the disk and windows.
+        Forced through the disk and windows, the same pairs give the same bits."""
+        rng = np.random.default_rng(40 + segments)
+        cases = [(a, b, fov) for a, b, fov, n in _degenerate_sweep() if n == segments]
+        for theta_deg in (10.0, 45.0, 90.0, 120.0, 180.0):
+            fov = FovParams(math.radians(theta_deg), 50.0)
+            for _ in range(30):
+                a = random_pose(rng)
+                near = CameraPose2D(a.t0 + float(rng.normal(0.0, 5.0)), a.t1 + float(rng.normal(0.0, 5.0)),
+                                    a.alpha + float(rng.normal(0.0, 0.3)))
+                shared_apex = CameraPose2D(a.t0, a.t1, a.alpha + float(rng.uniform(-fov.theta, fov.theta)))
+                cases += [(a, random_pose(rng), fov), (a, near, fov), (a, shared_apex, fov)]
+        every_chord = [fov_overlap(a, b, fov, segments) for a, b, fov in cases]
+        windowed_calls = []
+        windows = fov2d._disk_and_windows
+        monkeypatch.setattr(fov2d, "_CLIP_ALL_MAX_SEGMENTS", 1)
+        monkeypatch.setattr(fov2d, "_disk_and_windows", lambda *args: windowed_calls.append(1) or windows(*args))
+        windowed = [fov_overlap(a, b, fov, segments) for a, b, fov in cases]
+        assert _bits(windowed) == _bits(every_chord)
+        assert len(windowed_calls) == sum(a != b for a, b, _ in cases)
+        assert sum(0.0 < psi < 1.0 for psi in every_chord) >= 200
 
 
 class TestFovOverlapMc:

@@ -185,6 +185,11 @@ class TestProfile:
         with pytest.raises(ValueError):
             fov_distance_profile(PoseTable.of((rec("a", 0, 0, 0),)), FOV)
 
+    def test_needs_a_same_scene_pair(self):
+        table = PoseTable.of((rec("a", 0, 0, 0, scene="s"), rec("b", 10.0, 0, 0, scene="t")))
+        with pytest.raises(ValueError, match="^no same-scene pairs to profile$"):
+            fov_distance_profile(table, FOV)
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"bins": 0}, "bins"), ({"arc_segments": 1}, "arc_segments"),
     ])

@@ -95,6 +95,9 @@ class TestBandRuleOnArrays:
             index_labels([SimpleNamespace(query_id="a", map_id="b", psi=0.25),
                           SimpleNamespace(query_id="a", map_id="c", psi=bad)])
         assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            SimilarityLabel("a", "b", bad)
+        assert str(err.value) == message
 
 
 class TestIndexLabels:

@@ -257,6 +257,17 @@ class TestLoaders:
         with pytest.raises(ValueError, match="unknown"):
             load_intrinsics(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("fx 1\nfy 1\nfx 2\n", "3: duplicate field 'fx'"),
+        ("fx 1\nfy one\n", "2: non-numeric value for 'fy'"),
+    ])
+    def test_intrinsics_line_errors(self, tmp_path, text, message):
+        path = tmp_path / "intr.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_intrinsics(path)
+        assert str(err.value) == f"{path}:{message}"
+
 
 # Frozen references: the line-by-line parser, the broadcast projection and the
 # per-row intersection counts that load_point_cloud, visible_mask and
