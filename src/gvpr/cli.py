@@ -20,7 +20,7 @@ import numpy as np
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta
 from .io import InputError, file_reader, write_csv
-from .sampler import BatchStrategy, EmptyQuotaGroup
+from .sampler import BatchStrategy, EmptyQuotaGroup, check_batch_size
 
 
 def _add_fov_args(p: argparse.ArgumentParser) -> None:
@@ -89,6 +89,7 @@ def cmd_train(args, parser) -> int:
         strategy=BatchStrategy[args.strategy],
         seed=args.seed,
     )
+    check_batch_size(cfg.strategy, cfg.batch_size)  # the library trains a single label at any batch size
     labels = relabel.load_labels(args.labels)
     features = embed.read_features(args.features)
     if not len(labels):
@@ -259,7 +260,8 @@ def cmd_profile(args) -> int:
     records = relabel.fov_distance_profile(
         table, fov, bins=args.bins, arc_segments=args.arc_segments
     )
-    rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records.tolist())
+    rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"]  # made Python floats 4,096 rows at a time
+            for lo in range(0, len(records), 4096) for t, r, psi in records[lo:lo + 4096].tolist())
     write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")
     print(f"records={len(records)}")
     return 0

@@ -289,7 +289,9 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
 
     A single-label list cannot satisfy any strategy's band quotas, so it
     is trained directly: each step is that one pair repeated batch_size
-    times (one step per epoch).
+    times (one step per epoch), and no strategy applies, nor its batch
+    size rule (``sampler.check_batch_size``, which ``gvpr train`` applies
+    to every labels file).
     """
     table = LabelTable.of(labels)
     if not len(table):

@@ -146,28 +146,39 @@ def save_labels(path, labels) -> None:
     write_csv(path, LABELS_HEADER, ([q, m, f"{psi:.6f}"] for q, m, psi in LabelTable.of(labels).records()))
 
 
-def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
-    """Arrays (i, j, center distance, psi) of every unordered same-scene pair within ``reach``, i < j
-    positions in upper-triangle order per scene, cut by reach in row blocks of at most ``_PAIR_BLOCK``
-    candidates (or one row); psi is 0 without geometry beyond 2r, where the view circles cannot meet."""
-    check_arc_segments(arc_segments)
+def _pair_blocks(table: PoseTable, reach: float):
+    """Arrays (i, j, center distance) of the unordered same-scene pairs within ``reach``, one row block
+    of at most ``_PAIR_BLOCK`` candidates (or one row) at a time: i < j positions in upper-triangle
+    order per scene, scenes in order of their first row. No geometry is evaluated."""
     rows_of: dict = {}
     for pos, scene in enumerate(table.scenes):
         rows_of.setdefault(scene, []).append(pos)
-    kept = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     for rows in map(np.array, rows_of.values()):
         p, step = table.poses[rows], max(1, _PAIR_BLOCK // max(len(rows) - 1, 1))
         for lo in range(0, len(rows) - 1, step):
             dist = planar_distance(p[lo:lo + step, None], p[lo + 1:])
             a, b = np.nonzero(np.triu(dist <= reach))  # column b is row lo + 1 + b, after row lo + a
-            kept.append((rows[lo + a], rows[lo + 1 + b], dist[a, b]))
-    i, j, dist = (np.concatenate(column) for column in zip(*kept))
-    psi = np.zeros(len(dist))
-    within = np.flatnonzero(dist <= 2.0 * fov.r)
+            yield rows[lo + a], rows[lo + 1 + b], dist[a, b]
+
+
+def _scored_blocks(table: PoseTable, fov: FovParams, arc_segments: int, reach: float):
+    """The blocks of ``_pair_blocks`` with each pair's psi as a fourth array: psi is 0 without geometry
+    beyond 2r, where the view circles cannot meet, and ``fov_overlap`` of the pair within 2r."""
     poses = [CameraPose2D(*row) for row in table.poses.tolist()]
-    pairs = zip(i[within].tolist(), j[within].tolist())
-    psi[within] = [fov_overlap(poses[a], poses[b], fov, arc_segments) for a, b in pairs]
-    return i, j, dist, psi
+    for i, j, dist in _pair_blocks(table, reach):
+        psi = np.zeros(len(dist))
+        within = np.flatnonzero(dist <= 2.0 * fov.r)
+        pairs = zip(i[within].tolist(), j[within].tolist())
+        psi[within] = [fov_overlap(poses[a], poses[b], fov, arc_segments) for a, b in pairs]
+        yield i, j, dist, psi
+
+
+def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
+    """Arrays (i, j, center distance, psi) of every unordered same-scene pair within ``reach``: the
+    blocks of ``_scored_blocks`` end to end."""
+    check_arc_segments(arc_segments)
+    empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+    return tuple(np.concatenate(column) for column in zip(empty, *_scored_blocks(table, fov, arc_segments, reach)))
 
 
 def labels_of_pairs(ids, i, j, psi) -> LabelTable:
@@ -217,29 +228,34 @@ def fov_distance_profile(
     psi) rows, one per unordered same-scene pair, sorted by translation,
     then rotation, then psi. With ``bins`` set, rows are aggregated into
     that many equal-width translation-distance bins and the result holds
-    (bin_center, mean_rotation, mean_psi) for each nonempty bin.
+    (bin_center, mean_rotation, mean_psi) for each nonempty bin. The bins
+    take two walks over the pair blocks, one for the largest distance and
+    one for per-bin counts and sums, so no pair outlives its block.
     """
     if len(table) < 2:
         raise ValueError("profile needs at least 2 poses")
     if bins is not None and bins < 1:
         raise ValueError("bins must be a positive count")
-    i, j, dist, psi = _same_scene_pairs(table, fov, arc_segments)
-    if not len(psi):
-        raise ValueError("no same-scene pairs to profile")
-    rot = wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2])
-    out = np.stack((dist, rot, psi), axis=1)[np.lexsort((psi, rot, dist))]
     if bins is None:
-        return out
-    edges = np.linspace(0.0, float(np.max(out[:, 0])), bins + 1)
-    which = np.clip(np.digitize(out[:, 0], edges[1:-1], right=True), 0, bins - 1)
-    agg = []
-    for b in range(bins):
-        sel = out[which == b]
-        if len(sel) == 0:
-            continue
-        center = 0.5 * (edges[b] + edges[b + 1])
-        agg.append((center, float(np.mean(sel[:, 1])), float(np.mean(sel[:, 2]))))
-    return np.array(agg, dtype=np.float64)
+        i, j, dist, psi = _same_scene_pairs(table, fov, arc_segments)
+        if not len(psi):
+            raise ValueError("no same-scene pairs to profile")
+        rot = wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2])
+        return np.stack((dist, rot, psi), axis=1)[np.lexsort((psi, rot, dist))]
+    check_arc_segments(arc_segments)
+    top = max((float(np.max(dist)) for _, _, dist in _pair_blocks(table, math.inf)), default=None)
+    if top is None:
+        raise ValueError("no same-scene pairs to profile")
+    edges = np.linspace(0.0, top, bins + 1)
+    count, rot_sum, psi_sum = np.zeros(bins, dtype=np.int64), np.zeros(bins), np.zeros(bins)
+    for i, j, dist, psi in _scored_blocks(table, fov, arc_segments, math.inf):
+        which = np.clip(np.digitize(dist, edges[1:-1], right=True), 0, bins - 1)
+        count += np.bincount(which, minlength=bins)
+        rot_sum += np.bincount(which, wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2]), bins)
+        psi_sum += np.bincount(which, psi, bins)
+    kept = count > 0
+    center = 0.5 * (edges[:-1] + edges[1:])
+    return np.column_stack((center[kept], rot_sum[kept] / count[kept], psi_sum[kept] / count[kept]))
 
 
 def class_counts(labels) -> dict:

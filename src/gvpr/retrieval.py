@@ -95,9 +95,6 @@ class Ranking:
             raise ValueError("hit distances must be non-decreasing")
         object.__setattr__(self, "hits", hits)
 
-    def top(self, k: int) -> tuple:
-        return self.hits[:k]
-
 
 @dataclass(frozen=True)
 class RecallResult:

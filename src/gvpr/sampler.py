@@ -147,6 +147,15 @@ def strategy_denominator(strategy: BatchStrategy) -> int:
     return int(np.lcm.reduce(denoms))
 
 
+def check_batch_size(strategy: BatchStrategy, batch_size: int) -> None:
+    """Raise ValueError unless ``batch_size`` is positive and splits into the strategy's exact quotas."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    denom = strategy_denominator(strategy)
+    if batch_size % denom != 0:
+        raise ValueError(f"strategy {strategy.value} needs batch_size divisible by {denom}, got {batch_size}")
+
+
 @dataclass(frozen=True)
 class PairIndex:
     """Label psi values and, per similarity band, the ascending positions of its labels."""
@@ -197,13 +206,7 @@ class BatchSampler:
     """
 
     def __init__(self, idx: PairIndex, strategy: BatchStrategy, batch_size: int, seed=42):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        denom = strategy_denominator(strategy)
-        if batch_size % denom != 0:
-            raise ValueError(
-                f"strategy {strategy.value} needs batch_size divisible by {denom}, got {batch_size}"
-            )
+        check_batch_size(strategy, batch_size)
         self.idx = idx
         self.strategy = strategy
         self.batch_size = batch_size

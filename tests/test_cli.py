@@ -248,6 +248,17 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == "error: batch_size must be positive\n"
 
+    def test_indivisible_batch_size_rejected_for_one_label(self, world_dir, tmp_path, capsys):
+        """A one-label file skips the sampler, but not its batch size rule, which holds before any file is read."""
+        labels, out = tmp_path / "labels.csv", tmp_path / "m.bin"
+        labels.write_text("query_id,map_id,psi\np000_i000,p000_i001,0.9\n")
+        for features in (world_dir / "train_features.bin", tmp_path / "absent.bin"):
+            rc = main(["train", "--labels", str(labels), "--features", str(features),
+                       "--out", str(out), "--strategy", "A", "--batch-size", "30"])
+            assert rc == 1
+            assert capsys.readouterr().err == "error: strategy A needs batch_size divisible by 4, got 30\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("d_out", ["-3", "0"])
     def test_nonpositive_descriptor_dimension_rejected(self, world_dir, labels_csv, tmp_path, capsys, d_out):
         out = tmp_path / "model.bin"

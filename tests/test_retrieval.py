@@ -68,7 +68,7 @@ class TestContainers:
         with pytest.raises(ValueError, match="non-decreasing"):
             Ranking("q", (("a", 2.0), ("b", 1.0)))
         r = Ranking("q", (("a", 1.0), ("b", 2.0), ("c", 2.0)))
-        assert r.top(2) == (("a", 1.0), ("b", 2.0))
+        assert r.hits == (("a", 1.0), ("b", 2.0), ("c", 2.0))
 
 
 class TestNnSearch:
