@@ -79,6 +79,7 @@ from .surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
+    camera_iou,
     iou_matrix,
     load_intrinsics,
     load_point_cloud,

@@ -63,7 +63,7 @@ def cmd_overlap3d(args) -> int:
     if len(poses) < 2:
         raise InputError(args.poses, "need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
-    iou = surf3d.iou_matrix(np.stack([surf3d.visible_mask(cloud, pose, intr) for _, pose in poses]))
+    iou = surf3d.camera_iou(cloud, [pose for _, pose in poses], intr)
     iu, ju = np.triu_indices(len(poses), k=1)
     ids = [image_id for image_id, _ in poses]
     labels = relabel.labels_of_pairs(ids, iu, ju, iou[iu, ju])

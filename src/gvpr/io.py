@@ -19,7 +19,9 @@ one `error:` line before it exits 1.
 ``read_blocks`` parses records (CSV records, split cloud lines) in bulk, a
 block at a time, by the reader's ``parse``, and rescans a failed block one
 record at a time by the same ``parse``: each reader writes its record rule
-once, and its error is the LineError of the file's first bad record.
+once, and its error is the LineError of the file's first bad record. The
+point cloud reaches it only when NumPy's C text reader does not take the
+file (a bad line, a spelling that only ``float`` reads, an empty file).
 
 Features file (little-endian; descriptor files have one location): magic
 `GVPR`, version u32, count u32, channels u32, locations u32, then per record

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -23,6 +24,7 @@ from .io import LineError, file_reader, floats, read_blocks, read_csv, text_line
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
 _IOU_BLOCK = 4096
+_PROJECT_CELLS = 1 << 14  # points x cameras projected by one product in camera_iou
 _CLOUD_BLOCK_CHARS = 1 << 14
 
 
@@ -113,6 +115,19 @@ class VisibleSet:
         return len(self.indices)
 
 
+def _in_image(cam: np.ndarray, t: np.ndarray, k: Intrinsics) -> np.ndarray:
+    """The visibility rule on camera-frame points before translation: ``cam[..., :3]`` against
+    translations ``t[..., :3]`` that broadcast with it (one camera, or one per column)."""
+    # The translation is added per coordinate where each is used, not as a broadcast of whole
+    # rows: every element still sees the same operations in the same order as `cam + t`, so the
+    # mask is bit-identical, without one full-size temporary.
+    z = cam[..., 2] + t[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.fx * (cam[..., 0] + t[..., 0]) / z + k.cx
+        v = k.fy * (cam[..., 1] + t[..., 1]) / z + k.cy
+    return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
+
+
 def visible_mask(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics) -> np.ndarray:
     """Boolean mask over cloud points: which project inside the image.
 
@@ -121,16 +136,7 @@ def visible_mask(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics) -> np.ndarray
     (half-open bounds). The result does not depend on point order beyond
     the index labels themselves.
     """
-    # The translation is added per column where each is used, not as an (n, 3) broadcast:
-    # every element still sees the same operations in the same order, so the mask is
-    # bit-identical, without one full-size temporary per camera.
-    cam = cloud.points @ pose.rotation.T
-    t = pose.translation
-    z = cam[:, 2] + t[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * (cam[:, 0] + t[0]) / z + k.cx
-        v = k.fy * (cam[:, 1] + t[1]) / z + k.cy
-    return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
+    return _in_image(cloud.points @ pose.rotation.T, pose.translation, k)
 
 
 def project_points(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics, image_id: str = "") -> VisibleSet:
@@ -152,6 +158,14 @@ def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
+def _iou_of_counts(inter: np.ndarray) -> np.ndarray:
+    """IoU from the int64 intersection counts of every pair (visible-set sizes on the diagonal)."""
+    sizes = np.diagonal(inter)
+    union = sizes[:, None] + sizes[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, np.nan)
+
+
 def iou_matrix(masks: np.ndarray) -> np.ndarray:
     """IoU of every pair of (cameras, points) visibility rows; NaN where both are empty.
 
@@ -160,27 +174,75 @@ def iou_matrix(masks: np.ndarray) -> np.ndarray:
     They are exact whatever the cloud size or the BLAS summation order: every
     partial sum of a block is an integer <= 4,096 < 2**24, so float32 holds it
     exactly, and the blocks are added into an int64 total. Each entry
-    therefore equals ``surface_overlap``. One block's float32 copy stays under
-    1 MB for up to 64 cameras.
+    therefore equals ``surface_overlap``. ``camera_iou`` counts the same way
+    without the stack of rows.
     """
     inter = np.zeros((len(masks), len(masks)), dtype=np.int64)
     for lo in range(0, masks.shape[1], _IOU_BLOCK):
         m = masks[:, lo:lo + _IOU_BLOCK].astype(np.float32)
         inter += (m @ m.T).astype(np.int64)
-    sizes = np.diagonal(inter)
-    union = sizes[:, None] + sizes[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / union, np.nan)
+    return _iou_of_counts(inter)
+
+
+def camera_iou(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
+    """``iou_matrix`` of the ``visible_mask`` rows of ``poses`` (Pose6DOFs), bit for bit, in memory
+    bounded by a point block: no (cameras, points) array is built.
+
+    The cloud is walked in blocks of at most ``_IOU_BLOCK`` = 4,096 points. A block is projected
+    into every camera at once, in sub-blocks of at most 2**14 // cameras points (at least one), by
+    one ``(S, 3) @ (3, 3C)`` product with the stacked ``R.T``. Each element of it is the same
+    3-term dot product as in ``points @ R.T``, with the same bits whenever both products have two
+    or more rows; a one-row product takes BLAS's vector path, whose bits differ. So a lone row of
+    a larger cloud is projected together with the row before it, and a one-point cloud alone, as
+    ``visible_mask`` projects it. Tier-1 checks the bits under one and two BLAS threads.
+    ``visible_mask``'s rule turns the product into the 0/1 columns of one reused
+    ``(4096, cameras)`` float32 buffer, whose ``m.T @ m`` is added into the int64 counts as in
+    ``iou_matrix``. Memory is O(cameras * 4,096 + cameras**2), whatever the cloud size.
+    """
+    cameras = len(poses)
+    rt = np.concatenate([pose.rotation.T for pose in poses], axis=1)
+    t = np.array([pose.translation for pose in poses])
+    step = max(1, _PROJECT_CELLS // cameras)
+    buf = np.empty((_IOU_BLOCK, cameras), dtype=np.float32)
+    inter = np.zeros((cameras, cameras), dtype=np.int64)
+    points = cloud.points
+    for lo in range(0, len(points), _IOU_BLOCK):
+        hi = min(lo + _IOU_BLOCK, len(points))
+        m = buf[:hi - lo]
+        for s in range(lo, hi, step):
+            e = min(s + step, hi)
+            first = max(0, min(s, e - 2))  # a lone row is projected with the row before it
+            cam = (points[first:e] @ rt)[s - first:]
+            m[s - lo:e - lo] = _in_image(cam.reshape(-1, cameras, 3), t, k)
+        inter += (m.T @ m).astype(np.int64)
+    return _iou_of_counts(inter)
 
 
 @file_reader
 def load_point_cloud(path) -> PointCloud:
     """Parse a plain-text cloud: one `x y z` triple per line, blank lines skipped.
 
-    Read by ``io.read_blocks`` in blocks of whole lines (about 16k characters; lines end at LF,
-    CRLF or a lone CR), each split once and converted by ``float`` into one float64 run: the
-    values of a line-by-line parse. The error is the first bad line's, numbered from 1.
+    NumPy's C text reader (``np.loadtxt``) parses the file first. Its result stands only when it is
+    an (n >= 1, 3) array, and then it holds the values of the line rule below. Any other outcome (a
+    ValueError, bad UTF-8 among them, its warning of a file without data, another column count)
+    hands the file to the line rule, whose points or error stand: ``io.read_blocks`` in blocks of
+    whole lines (about 16k characters; lines end at LF, CRLF or a lone CR), each split once and
+    converted by ``float`` into one float64 run. Spellings that only ``float`` reads (``1_0.25``,
+    non-ASCII digits) take that path too. The error is the first bad line's, numbered from 1.
     """
+    with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns, and returns, on a file without data
+        try:
+            points = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            points = None
+    if points is None or points.shape[1:] != (3,) or not len(points):
+        points = _read_cloud_lines(path)
+    return PointCloud(points)
+
+
+def _read_cloud_lines(path) -> np.ndarray:
+    """The line rule of ``load_point_cloud``: its (n, 3) points, or its error."""
     with open(path, encoding="utf-8", newline="") as fh:
         blocks = ([line.split() for line in lines] for lines in iter(lambda: fh.readlines(_CLOUD_BLOCK_CHARS), []))
         runs = read_blocks(blocks, 3, lambda lines: floats(chain.from_iterable(lines), "non-numeric coordinate"),
@@ -188,7 +250,7 @@ def load_point_cloud(path) -> PointCloud:
     points = np.concatenate([np.empty(0), *runs])
     if not len(points):
         raise ValueError("empty point cloud")
-    return PointCloud(points.reshape(-1, 3))
+    return points.reshape(-1, 3)
 
 
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]

@@ -49,6 +49,7 @@ POSITION_GAIN = 0.25
 NOISE_LEVEL = 0.10
 
 POSITIVE_DISTANCE_M = 25.0
+_WINDOW_MARGIN_M = 1e-6  # far above the rounding of t0 differences at world coordinates (< 1e-9 m below 1e6 m)
 POSITIVE_HEADING_RAD = math.radians(40.0)
 
 
@@ -179,13 +180,21 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
 
 
 def _ground_truth(queries: PoseTable, maps: PoseTable) -> dict:
-    """Positive map ids per query, one row at a time: the map rows within 25 m, then under 40 degrees heading."""
+    """Positive map ids per query, in map-id order: the map rows within 25 m, then under 40 degrees
+    heading. Only a query's window of map rows, those with t0 within 25 m (plus ``_WINDOW_MARGIN_M``)
+    of its own by one sort of the map's t0, is measured."""
     order = sorted(range(len(maps)), key=maps.ids.__getitem__)
     ids = [maps.ids[i] for i in order]
     rows = maps.poses[order]
+    by_t0 = np.argsort(rows[:, 0])
+    t0 = rows[by_t0, 0]
+    reach = POSITIVE_DISTANCE_M + _WINDOW_MARGIN_M
+    starts = np.searchsorted(t0, queries.poses[:, 0] - reach, side="left")
+    stops = np.searchsorted(t0, queries.poses[:, 0] + reach, side="right")
     gt = {}
-    for qid, q in zip(queries.ids, queries.poses):
-        near = np.flatnonzero(planar_distance(q, rows) <= POSITIVE_DISTANCE_M)
+    for qid, q, start, stop in zip(queries.ids, queries.poses, starts, stops):
+        window = np.sort(by_t0[start:stop])
+        near = window[planar_distance(q, rows[window]) <= POSITIVE_DISTANCE_M]
         hits = near[wrapped_angle_diff(q[2], rows[near, 2]) < POSITIVE_HEADING_RAD]
         gt[qid] = tuple(ids[i] for i in hits.tolist())
     return gt

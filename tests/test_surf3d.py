@@ -1,6 +1,12 @@
 """Pinhole projection and visible-surface overlap tests."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from gvpr.surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
+    camera_iou,
     iou_matrix,
     load_intrinsics,
     load_point_cloud,
@@ -23,6 +30,7 @@ from gvpr.surf3d import (
 )
 from perfbench import corridor
 
+ROOT = Path(__file__).resolve().parent.parent
 IDENTITY = np.eye(3)
 CENTERED = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -421,3 +429,146 @@ class TestMatchesReference:
         path = tmp_path / "cloud.xyz"
         path.write_bytes(content)
         assert load_error(load_point_cloud, path) == f"{path}: empty point cloud"
+
+
+def scene_inputs(scene):
+    cam = scene.camera
+    k = Intrinsics(cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height)
+    return k, [Pose6DOF(rot, t) for rot, t in zip(scene.rotations, scene.translations)]
+
+
+def mask_stack_iou(cloud, poses, k):
+    masks = np.stack([visible_mask(cloud, pose, k) for pose in poses])
+    return iou_matrix(masks), masks
+
+
+def near_bound_cloud(scene, per_camera, seed):
+    """Points placed on each camera's four image edges and at depths within a few ulps of
+    ``Z_NEAR``: their masks flip when a projection rounds differently."""
+    cam = scene.camera
+    rng = np.random.default_rng(seed)
+    parts = []
+    for rot, t in zip(scene.rotations, scene.translations):
+        z = np.where(rng.random(per_camera) < 0.5, rng.uniform(0.5, 20.0, per_camera),
+                     Z_NEAR + rng.integers(-8, 9, per_camera) * 1e-16)
+        u = rng.uniform(0.0, cam.width, per_camera)
+        v = rng.uniform(0.0, cam.height, per_camera)
+        edge = rng.integers(0, 5, per_camera)  # 4: inside the image, depth decides
+        u = np.where(edge == 0, 0.0, np.where(edge == 1, cam.width, u))
+        v = np.where(edge == 2, 0.0, np.where(edge == 3, cam.height, v))
+        xyz = np.column_stack(((u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy, z))
+        parts.append((xyz - t) @ rot)
+    return PointCloud(np.concatenate(parts))
+
+
+def check_camera_iou_bits():
+    """``camera_iou`` against the per-camera mask stack, bit for bit, on the corridor scenes and the
+    near-bound points of ``TestCameraIou``; run under a given BLAS thread count by the tests."""
+    cases = [(points, cameras, 100 * cameras + points % 97)
+             for points in (4_095, 4_096, 4_097, 13_001) for cameras in (2, 12, 50, 300)]
+    # 52 cameras: sub-blocks of 315 points, so every block ends in a lone row; 1- and 2-point clouds
+    cases += [(13_001, 52, 1), (1, 12, 2), (2, 12, 3)]
+    for points, cameras, seed in cases:
+        scene = corridor.generate_scene(points, cameras, seed)
+        k, poses = scene_inputs(scene)
+        cloud = PointCloud(scene.points)
+        want, masks = mask_stack_iou(cloud, poses, k)
+        assert points < 3 or 0 < masks.sum() < masks.size
+        assert_bit_equal(camera_iou(cloud, poses, k), want)
+    scene = corridor.generate_scene(10, 12, 7)
+    k, poses = scene_inputs(scene)
+    cloud = near_bound_cloud(scene, 1_000, 8)
+    want, masks = mask_stack_iou(cloud, poses, k)
+    assert 0.05 < masks.mean() < 0.95
+    assert_bit_equal(camera_iou(cloud, poses, k), want)
+
+
+class TestCameraIou:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equals_the_mask_stack_under_blas_threads(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(str(p) for p in (ROOT / "src", ROOT, ROOT / "tests")))
+        done = subprocess.run([sys.executable, "-c", "import test_surf3d; test_surf3d.check_camera_iou_bits()"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 315])
+    @pytest.mark.parametrize("points", [1, 2, 4_097, 8_193])
+    def test_sub_block_sizes(self, monkeypatch, step, points):
+        # 4,096 = 3 * 1,365 + 1 = 13 * 315 + 1: each block ends in a lone row, and 4,097 and 8,193
+        # points end in a lone block; a step of 1 makes every row a lone one.
+        scene = corridor.generate_scene(points, 12, step)
+        k, poses = scene_inputs(scene)
+        monkeypatch.setattr("gvpr.surf3d._PROJECT_CELLS", step * len(poses))
+        near = near_bound_cloud(scene, 50, points).points
+        for cloud in (PointCloud(scene.points), PointCloud(np.concatenate([scene.points, near])[-points:])):
+            assert_bit_equal(camera_iou(cloud, poses, k), mask_stack_iou(cloud, poses, k)[0])
+
+    def test_memory_is_bounded_by_a_point_block(self):
+        # 60 cameras x 60,000 points: the mask stack alone is 3.6 MB
+        scene = corridor.generate_scene(60_000, 60, 13)
+        k, poses = scene_inputs(scene)
+        cloud = PointCloud(scene.points)
+        camera_iou(PointCloud(cloud.points[:5]), poses, k)  # first-call imports
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                result = run()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        block_peak, got = peak(lambda: camera_iou(cloud, poses, k))
+        stack_peak, want = peak(lambda: mask_stack_iou(cloud, poses, k)[0])
+        assert_bit_equal(got, want)
+        assert block_peak < 4_000_000 < stack_peak
+
+
+class TestCloudParsers:
+    """The C text reader's points, or the line rule's points or error: always the reference's."""
+
+    @pytest.mark.parametrize("content", [
+        "\u0663 2 3\n",  # an Arabic-Indic digit, which only ``float`` reads
+        "1\xa02 3\n",
+        "1 2\x0b3\n",
+        "1 2\x1c3\n",
+        "nan 0 0\n",
+        "0 0 1\n1 2 3 4\n",
+        "1 2 3 4\n",
+        "1 2 3\n4 5 6 7 8 9\n",
+        "1\n2\n3\n",
+        "1 2 3\x854 5 6\n",
+        "1 2 3\n# 4 5 6\n",
+        "inf 0 0\n",
+    ], ids=["arabic-indic-digit", "no-break-space", "vertical-tab", "file-separator", "nan", "four-columns-at-2",
+            "four-columns", "six-columns", "one-column", "next-line", "hash", "inf"])
+    def test_equals_the_reference(self, tmp_path, content):
+        path = tmp_path / "cloud.xyz"
+        path.write_text(content, encoding="utf-8", newline="")
+
+        def outcome(loader):
+            try:
+                return loader(path).points.tobytes()
+            except ValueError as e:
+                return str(e)
+
+        assert outcome(load_point_cloud) == outcome(_reference_load_point_cloud)
+
+    @pytest.mark.parametrize("content, message", [
+        ("nan 0 0\n", ": point coordinates must be finite"),
+        ("1 2 3 4\n", ":1: expected 3 coordinates, got 4"),
+        ("0 0 1\n1 2 3 4\n", ":2: expected 3 coordinates, got 4"),
+    ])
+    def test_errors(self, tmp_path, content, message):
+        path = tmp_path / "cloud.xyz"
+        path.write_text(content)
+        assert load_error(load_point_cloud, path) == f"{path}{message}"
+
+    @pytest.mark.parametrize("content", [b"", b"\n\r\n  \n"], ids=["empty", "blank"])
+    def test_empty_cloud_lets_no_warning_escape(self, tmp_path, content):
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_error(load_point_cloud, path) == f"{path}: empty point cloud"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gvpr.embed import FeatureMap
-from gvpr.fov2d import wrapped_angle_diff
+from gvpr.fov2d import planar_distance, wrapped_angle_diff
 from gvpr.io import read_feature_array
 from gvpr.relabel import PoseTable
 from gvpr.synth import (
@@ -142,6 +142,42 @@ class TestGenerateWorld:
             want[qid] = tuple(maps.ids[order[i]] for i in hits)
         assert _ground_truth(world.query_poses, maps) == want == world.gt_positives
         assert 0 < sum(map(len, want.values()))
+
+    @staticmethod
+    def _full_scan(queries, maps):
+        """The former rule: every map row measured for every query, in map-id order."""
+        order = sorted(range(len(maps)), key=maps.ids.__getitem__)
+        rows = maps.poses[order]
+        want = {}
+        for qid, q in zip(queries.ids, queries.poses):
+            near = np.flatnonzero(planar_distance(q, rows) <= POSITIVE_DISTANCE_M)
+            hits = near[wrapped_angle_diff(q[2], rows[near, 2]) < POSITIVE_HEADING_RAD]
+            want[qid] = tuple(maps.ids[order[i]] for i in hits.tolist())
+        return want
+
+    @pytest.mark.parametrize("places, seed", [(40, 4), (120, 9)])
+    def test_t0_window_equals_the_full_scan(self, places, seed):
+        world = generate_world(SynthConfig(places=places, images_per_place=6, channels=1, locations=1, seed=seed))
+        want = self._full_scan(world.query_poses, world.map_poses)
+        assert world.gt_positives == want
+        assert 0 < sum(map(len, want.values())) < len(want) * 6
+
+    def test_t0_window_edges(self):
+        """Map rows exactly 25 m away along t0 are positives; those an ulp beyond are not; ties in t0
+        and far coordinates keep their map-id order."""
+        queries = PoseTable(("qa", "qb", "qc"), ("s",) * 3, [[0.0, 0.0, 0.1], [1e5 + 0.3, -7.0, 6.0], [-3.0, 2.0, 3.0]])
+        rows, ids = [], []
+        for q0, q1, qa in queries.poses.tolist():
+            for dx in (-25.0, 25.0, np.nextafter(25.0, 30.0), -np.nextafter(25.0, 30.0), 0.0, 24.0):
+                for dy in (0.0, np.nextafter(0.0, 1.0), 7.0):
+                    ids.append(f"m{len(ids):03d}")
+                    rows.append([q0 + dx, q1 + dy, qa + 0.1])
+        order = np.random.default_rng(5).permutation(len(ids))  # the map file's order is not the id order
+        maps = PoseTable(tuple(ids[i] for i in order), ("s",) * len(ids), np.array(rows)[order])
+        got = _ground_truth(queries, maps)
+        assert got == self._full_scan(queries, maps)
+        assert "m000" in got["qa"] and "m006" not in got["qa"]
+        assert all(list(hits) == sorted(hits) and len(hits) >= 9 for hits in got.values())
 
     def test_same_place_images_usually_positive(self, world):
         # co-located images mostly stay within the positive thresholds
