@@ -73,7 +73,7 @@ class FeatureMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"feature map must be (channels, locations), got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", v)
 

@@ -11,8 +11,9 @@ area of their intersection divided by the area of one sector. It is
 computed on the discretized sector polygons by Green's theorem: each
 polygon's edges are clipped parametrically to the other polygon, each edge
 against O(1) of the other's edges picked by angle, and the clipped pieces'
-area terms are summed. ``fov_overlap_mc`` is an independent Monte-Carlo
-estimator over the exact (non-discretized) sectors.
+area terms are summed. Only the edges that reach the other sector's disk
+are clipped; the rest provably keep nothing. ``fov_overlap_mc`` is an
+independent Monte-Carlo estimator over the exact (non-discretized) sectors.
 """
 
 from __future__ import annotations
@@ -128,19 +129,24 @@ def _canonical(a: CameraPose2D, b: CameraPose2D) -> tuple[CameraPose2D, CameraPo
     return (a, b) if ka <= kb else (b, a)
 
 
-_WINDOW = np.arange(4)[:, None, None, None]  # chords k-1 .. k+2 around a piece in cells k, k+1: edges k .. k+3
-_ROW_B = np.array([[False], [True]])
+_WINDOW = np.arange(4)[:, None, None]  # chords k-1 .. k+2 around a piece in cells k, k+1: edges k .. k+3
 _CLIP_ALL_MAX_SEGMENTS = 8  # up to this n, two 4-chord windows could hold every chord: clip against all of them
+# the line's two annulus pieces end where it enters the disk, the inner circle, then leaves them: root and sign
+_PIECE_ROOT = np.array([0, 1, 1, 0])
+_PIECE_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
 
 
 def _disk_and_windows(start, edge, ee, apex, alpha, fov, n, tol):
-    """Each edge's interval inside the other sector's disk, and the lines to clip it against.
+    """The edges that reach the other sector's disk, each one's interval inside it, and its lines.
 
-    Rows are as in ``fov_overlap``; ``alpha`` holds the heading of the
-    sector each row is clipped against. The lines are indices into the
-    other sector's edges, both rows stacked: the 4-cell chord window
-    around each of the edge line's two pieces in the annulus
-    h <= |x - c| <= r, then the two radial edges.
+    Inputs are indexed (east/north, sector, edge) as in ``fov_overlap``;
+    ``alpha`` holds the heading of the sector each sector's edges are
+    clipped against. Returns the live edges (interval hi > lo) as flat
+    (sector, edge) indices, A's first, the number of A's among them, their
+    intervals, and per live edge 11 flat indices into the same edges: the
+    edge itself, the other sector's chords in the 4-cell window around each
+    of the edge line's two pieces in the annulus h <= |x - c| <= r, then the
+    other sector's two radial edges.
     """
     r, theta = fov.r, fov.theta
     # the other sector's disk: |w + t e| <= r with w = start - c, and the line's annulus pieces
@@ -149,18 +155,25 @@ def _disk_and_windows(start, edge, ee, apex, alpha, fov, n, tol):
     r2 = (r + tol) ** 2  # widened: a short chord with both ends on the circle is ill-conditioned there
     disc = we * we - ee * ((w * w).sum(axis=0) - r2)
     h = r * math.cos(theta / (2 * n))
-    root = np.sqrt(np.maximum(np.stack((disc, disc + ee * (r2 - h * h))), 0.0))
-    ends = (root[[0, 1, 1, 0]] * np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None] - we) / ee
-    pts = w[:, None] + ends * edge[:, None]  # (east/north, piece end, row, edge)
-    behind = np.arctan2(pts[0], pts[1]) - (np.array(alpha) - math.pi)[:, None]
+    root = np.sqrt(np.maximum(np.concatenate((disc[None], (disc + ee * (r2 - h * h))[None])), 0.0))
+    ends = (root[_PIECE_ROOT] * _PIECE_SIGN - we) / ee
+    lo, hi = np.maximum(ends[0], 0.0), np.minimum(ends[3], 1.0)
+    reach = hi > lo
+    live = reach.ravel().nonzero()[0]
+    na = int(np.count_nonzero(reach[0]))
+    pts = (w[:, None] + ends * edge[:, None]).reshape(2, 4, -1).take(live, axis=2)  # (east/north, piece end, edge)
+    behind = np.arctan2(pts[0], pts[1])
+    behind[:, :na] -= alpha[0] - math.pi
+    behind[:, na:] -= alpha[1] - math.pi
     behind -= TWO_PI * np.floor(behind / TWO_PI)  # compass angle from straight behind, in [0, 2 pi)
     cell = (math.pi + theta / 2 - behind) * (n / theta)  # in [0, n] inside the wedge
-    k = np.floor(np.minimum(cell[0::2], cell[1::2]))  # (piece, row, edge)
-    rows = np.array([[0], [n + 2]])
-    idx = np.empty((10, 2, n + 2), dtype=np.intp)
-    idx[:8] = np.minimum(np.maximum(k + _WINDOW, 1), n).reshape(8, 2, n + 2) + rows
-    idx[8], idx[9] = rows, rows + n + 1
-    return np.maximum(ends[0], 0.0), np.minimum(ends[3], 1.0), idx
+    k = np.floor(np.minimum(cell[0::2], cell[1::2]))  # (piece, edge)
+    idx = np.empty((11, len(live)), dtype=np.intp)
+    idx[0] = live
+    idx[1:9] = np.minimum(np.maximum(k + _WINDOW, 1), n).reshape(8, -1)
+    idx[9], idx[10] = 0, n + 1
+    idx[1:, :na] += n + 2  # A's edges are clipped against B's, the second sector's
+    return live, na, lo.take(live), hi.take(live), idx
 
 
 def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: int = DEFAULT_ARC_SEGMENTS) -> float:
@@ -201,9 +214,19 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     on each side against rounding. When the window would hold every chord
     (n <= 8), the edge is clipped against all of them instead.
 
+    Only the edges whose interval inside the other disk is nonempty
+    (hi > lo) are clipped, both sectors' live edges on one flat axis, A's
+    first; the others keep 0. Proof that this changes no bit: the clip only
+    raises lo (by fmax) and lowers hi (by fmin), and a collinear pair only
+    sets the kept length to 0, so an edge that starts with hi <= lo ends with
+    hi - lo <= 0 and keeps max(hi - lo, 0) = 0 whatever its lines are. The
+    live edges' kept lengths are scattered into a zero vector over every
+    edge, so the area sum takes the same terms in the same order (a zero
+    term may differ in sign, which changes no nonzero sum).
+
     Where A's and B's boundaries meet, both must put the meeting point at
     the same place, or the sum gains a stray fan triangle. So each side test
-    of an edge pair is evaluated with the same rounding in both rows, and an
+    of an edge pair is evaluated with the same rounding for both edges, and an
     end of A's edge within a small tolerance of B's line counts as on it.
     Where A's edge meets B's, B's edge ends at A's meeting point, projected
     onto it: nearly parallel edges then still meet at one point. Edges whose
@@ -219,60 +242,69 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     n, r, theta = arc_segments, fov.r, fov.theta
     cx, cy = q.t0 - p.t0, q.t1 - p.t1
     tol = _SIDE_TOL * (1.0 + abs(cx) + abs(cy) + r)
-    # row 0 holds A's edges clipped against B, row 1 B's edges clipped against A
     apex = np.array([[0.0, cx], [0.0, cy]])  # (east/north, sector)
     ring = np.empty((2, 2, n + 3))  # (east/north, sector, vertex): apex, n + 1 arc vertices, apex
     ring[..., 0] = ring[..., -1] = apex
-    ring[:, :, 1:-1] = r * np.stack(_arc_directions(np.array([[p.alpha], [q.alpha]]), fov, n)) + apex[..., None]
-    tips = np.stack((ring[..., :-1], ring[..., 1:]), axis=1)  # (east/north, edge end, sector, edge)
+    arc = np.concatenate(_arc_directions(np.array([[p.alpha], [q.alpha]]), fov, n)).reshape(2, 2, n + 1)
+    ring[:, :, 1:-1] = r * arc + apex[..., None]
+    # every edge of both sectors, A's first: start and end (east/north each), then length
+    edges = np.empty((5, 2, n + 2))
+    edges[:2], edges[2:4] = ring[..., :-1], ring[..., 1:]
+    edges[4] = 2.0 * r * math.sin(theta / (2 * n))
+    edges[4, :, 0] = edges[4, :, -1] = r
+    cross = edges[0] * edges[3] - edges[1] * edges[2]  # twice each edge's area term
+    if n <= _CLIP_ALL_MAX_SEGMENTS:  # every edge against every edge of the other, and the disk adds nothing
+        live, na, lo, hi = slice(None), n + 2, 0.0, 1.0
+        own = edges.reshape(5, -1)
+        lines = own.take(np.arange(n + 2)[:, None] + np.array([n + 2, 0]).repeat(n + 2), axis=1)  # (5, line, edge)
+    else:
+        start, edge = edges[:2], edges[2:4] - edges[:2]
+        live, na, lo, hi, idx = _disk_and_windows(start, edge, (edge * edge).sum(axis=0), apex,
+                                                  (q.alpha, p.alpha), fov, n, tol)
+        gathered = edges.reshape(5, -1).take(idx, axis=1)
+        own, lines = gathered[:, 0], gathered[:, 1:]
+    # the clip, on one edge axis: A's edges [:na] against B's lines, B's [na:] against A's
+    tips = own[:4].reshape(2, 2, -1).swapaxes(0, 1)  # (east/north, edge end, edge)
     start = tips[:, 0]
     edge = tips[:, 1] - start
-    ee = (edge * edge).sum(axis=0)
-    cross = start[0] * tips[1, 1] - start[1] * tips[0, 1]  # twice each edge's area term
-    length = np.full(n + 2, 2.0 * r * math.sin(theta / (2 * n)))
-    length[[0, -1]] = r
-    # the lines each edge is clipped against: the other sector's edges 0 and n + 1 (radial) and
-    # 1 .. n (chords) as start, end and length, indexed (line, row, edge)
-    other = np.concatenate((tips[:, :, ::-1].swapaxes(0, 1).reshape(4, 2, n + 2), length[None, None].repeat(2, 1)))
-    if n <= _CLIP_ALL_MAX_SEGMENTS:  # every chord, and the disk adds nothing to them
-        lo, hi = 0.0, 1.0
-        other = other.transpose(0, 2, 1)[..., None]
-    else:
-        lo, hi, idx = _disk_and_windows(start, edge, ee, apex, (q.alpha, p.alpha), fov, n, tol)
-        other = np.take(other.reshape(5, -1), idx, axis=1)
-    line_tips = other[:4].reshape(2, 2, *other.shape[1:]).swapaxes(0, 1)  # (east/north, end, line, row, edge)
+    line_tips = lines[:4].reshape(2, 2, *lines.shape[1:]).swapaxes(0, 1)  # (east/north, end, line, edge)
     line_dir = line_tips[:, 1] - line_tips[:, 0]
     same_way = edge[0] * line_dir[0] + edge[1] * line_dir[1] > 0.0
     # sides, positive inside: s of the edge's ends against the line, o of the line's ends against the
-    # edge; for a pair of edges one row's o is bitwise the other row's s
+    # edge; for a pair of edges one's o is bitwise the other's s
     s = _side(line_dir, tips[:, :, None], line_tips[:, :1])
     o = _side(edge, line_tips, start[:, None, None])
-    # an end of A's edge within the tolerance of B's line is on it: s in row 0, o in row 1
-    for a_ends, scale in ((s[:, :, 0], other[4, :, 0]), (o[:, :, 1], length)):
-        a_ends[np.abs(a_ends) <= tol * scale] = 0.0
-    collinear = (np.abs(s).max(axis=0) <= tol * other[4]) | (np.abs(o).max(axis=0) <= tol * length)
+    # an end of A's edge within the tolerance of B's line is on it: s of A's edges, o of B's
+    near_s, near_o = np.abs(s) <= tol * lines[4], np.abs(o) <= tol * own[4]
+    s[..., :na][near_s[..., :na]] = 0.0
+    o[..., na:][near_o[..., na:]] = 0.0
+    collinear = near_s.all(axis=0) | near_o.all(axis=0)  # both ends of one within the tolerance of the other
     with np.errstate(divide="ignore", invalid="ignore"):
         # where A's edge meets B's edge, B's edge takes A's meeting point, projected: both pieces end
         # at one point however nearly parallel the edges are
-        t_a = o[0, :, 1] / (o[0, :, 1] - o[1, :, 1])
-        shared = (((line_tips[0, 0, :, 1] - start[0, 1]) + t_a * line_dir[0, :, 1]) * edge[0, 1]
-                  + ((line_tips[1, 0, :, 1] - start[1, 1]) + t_a * line_dir[1, :, 1]) * edge[1, 1]) / ee[1]
-        del other, line_tips, line_dir  # the largest temporaries: release them before the clip
+        ob, eb = o[..., na:], edge[:, na:]
+        t_a = ob[0] / (ob[0] - ob[1])
+        shared = (((line_tips[0, 0, :, na:] - start[0, na:]) + t_a * line_dir[0, :, na:]) * eb[0]
+                  + ((line_tips[1, 0, :, na:] - start[1, na:]) + t_a * line_dir[1, :, na:]) * eb[1])
+        shared /= (eb * eb).sum(axis=0)
         t = s[0] / (s[0] - s[1])  # where the edge meets the line; +-inf when parallel
-    meet = (s[0, :, 1] * s[1, :, 1] < 0.0) & (o[0, :, 1] * o[1, :, 1] <= 0.0) & ~collinear[:, 1]
-    t[:, 1] = np.where(meet, shared, t[:, 1])
+    meet = (s[0, :, na:] * s[1, :, na:] < 0.0) & (ob[0] * ob[1] <= 0.0) & ~collinear[:, na:]
+    t[:, na:] = np.where(meet, shared, t[:, na:])
     t[collinear] = np.nan  # no bound
     entering = s[1] > s[0]
     lo = np.fmax(lo, np.fmax.reduce(np.where(entering, t, -np.inf), axis=0))
     hi = np.fmin(hi, np.fmin.reduce(np.where(entering, np.inf, t), axis=0))
     # a collinear pair is boundary of A and B only where both run the same way (both interiors on
     # its left), and it counts once, as A's edge: B's edges are open
-    keep = np.maximum(hi - lo, 0.0)
-    keep[(collinear & (_ROW_B | ~same_way)).any(axis=0)] = 0.0
+    same_way[:, na:] = False
+    kept = np.maximum(hi - lo, 0.0)
+    kept[(collinear & ~same_way).any(axis=0)] = 0.0
+    keep = np.zeros(2 * (n + 2))  # an edge that misses the other disk keeps nothing
+    keep[live] = kept
     area = 0.5 * float(np.vdot(cross, keep))
     if area < _EMPTY_AREA:
         return 0.0
-    ratio = area / (0.5 * float(np.min(cross.sum(axis=1))))
+    ratio = area / (0.5 * float(cross.sum(axis=1).min()))
     return min(max(ratio, 0.0), 1.0)
 
 

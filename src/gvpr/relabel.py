@@ -230,19 +230,26 @@ def fov_distance_profile(
     that many equal-width translation-distance bins and the result holds
     (bin_center, mean_rotation, mean_psi) for each nonempty bin. The bins
     take two walks over the pair blocks, one for the largest distance and
-    one for per-bin counts and sums, so no pair outlives its block.
+    one for per-bin counts and sums, so no pair outlives its block. The
+    rows keep only each block's three columns, joined and sorted once.
     """
     if len(table) < 2:
         raise ValueError("profile needs at least 2 poses")
     if bins is not None and bins < 1:
         raise ValueError("bins must be a positive count")
-    if bins is None:
-        i, j, dist, psi = _same_scene_pairs(table, fov, arc_segments)
-        if not len(psi):
-            raise ValueError("no same-scene pairs to profile")
-        rot = wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2])
-        return np.stack((dist, rot, psi), axis=1)[np.lexsort((psi, rot, dist))]
     check_arc_segments(arc_segments)
+    if bins is None:
+        blocks = [(dist, wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2]), psi)
+                  for i, j, dist, psi in _scored_blocks(table, fov, arc_segments, math.inf)]
+        if not blocks:
+            raise ValueError("no same-scene pairs to profile")
+        dist, rot, psi = (np.concatenate(column) for column in zip(*blocks))
+        del blocks
+        order = np.lexsort((psi, rot, dist))
+        out = np.empty((len(order), 3))
+        for k, column in enumerate((dist, rot, psi)):  # one sorted column at a time
+            out[:, k] = column[order]
+        return out
     top = max((float(np.max(dist)) for _, _, dist in _pair_blocks(table, math.inf)), default=None)
     if top is None:
         raise ValueError("no same-scene pairs to profile")

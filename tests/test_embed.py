@@ -51,6 +51,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             FeatureMap("a", np.array([[np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_feature_map_refuses_a_nonfinite_value(self, bad):
+        values = np.ones((3, 4))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            FeatureMap("a", values)
+
     def test_feature_map_keeps_signed_values(self):
         fm = FeatureMap("a", np.array([[-1.5, 2.0]]))
         assert fm.values[0, 0] == -1.5

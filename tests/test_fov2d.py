@@ -481,6 +481,166 @@ class TestReferenceEquivalence:
         assert sum(0.0 < psi < 1.0 for psi in every_chord) >= 200
 
 
+def _frozen_side(u, p, q):
+    out = p[1] - q[1]
+    out *= u[0]
+    tmp = p[0] - q[0]
+    tmp *= u[1]
+    out -= tmp
+    return out
+
+
+def _frozen_disk_and_windows(start, edge, ee, apex, alpha, fov, n, tol):
+    """The disk intervals and chord windows of ``_frozen_fov_overlap``, for every edge of both rows."""
+    r, theta = fov.r, fov.theta
+    w = start - apex[:, ::-1, None]
+    we = (w * edge).sum(axis=0)
+    r2 = (r + tol) ** 2
+    disc = we * we - ee * ((w * w).sum(axis=0) - r2)
+    h = r * math.cos(theta / (2 * n))
+    root = np.sqrt(np.maximum(np.stack((disc, disc + ee * (r2 - h * h))), 0.0))
+    ends = (root[[0, 1, 1, 0]] * np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None] - we) / ee
+    pts = w[:, None] + ends * edge[:, None]
+    behind = np.arctan2(pts[0], pts[1]) - (np.array(alpha) - math.pi)[:, None]
+    behind -= TWO_PI * np.floor(behind / TWO_PI)
+    cell = (math.pi + theta / 2 - behind) * (n / theta)
+    k = np.floor(np.minimum(cell[0::2], cell[1::2]))
+    rows = np.array([[0], [n + 2]])
+    idx = np.empty((10, 2, n + 2), dtype=np.intp)
+    idx[:8] = np.minimum(np.maximum(k + np.arange(4)[:, None, None, None], 1), n).reshape(8, 2, n + 2) + rows
+    idx[8], idx[9] = rows, rows + n + 1
+    return np.maximum(ends[0], 0.0), np.minimum(ends[3], 1.0), idx
+
+
+def _frozen_fov_overlap(a, b, fov, arc_segments=256):
+    """``fov_overlap`` as it stood before it culled the edges that miss the other sector's disk: every
+    edge of both sectors is clipped, in two rows (A's edges against B, B's against A). Frozen here as
+    the bit-for-bit reference of the culled kernel."""
+    if a == b:
+        return 1.0
+    p, q = (a, b) if (a.t0, a.t1, a.alpha) <= (b.t0, b.t1, b.alpha) else (b, a)
+    n, r, theta = arc_segments, fov.r, fov.theta
+    cx, cy = q.t0 - p.t0, q.t1 - p.t1
+    tol = 16 * math.ulp(1.0) * (1.0 + abs(cx) + abs(cy) + r)
+    apex = np.array([[0.0, cx], [0.0, cy]])
+    ring = np.empty((2, 2, n + 3))
+    ring[..., 0] = ring[..., -1] = apex
+    ring[:, :, 1:-1] = r * np.stack(_arc_directions(np.array([[p.alpha], [q.alpha]]), fov, n)) + apex[..., None]
+    tips = np.stack((ring[..., :-1], ring[..., 1:]), axis=1)
+    start = tips[:, 0]
+    edge = tips[:, 1] - start
+    ee = (edge * edge).sum(axis=0)
+    cross = start[0] * tips[1, 1] - start[1] * tips[0, 1]
+    length = np.full(n + 2, 2.0 * r * math.sin(theta / (2 * n)))
+    length[[0, -1]] = r
+    other = np.concatenate((tips[:, :, ::-1].swapaxes(0, 1).reshape(4, 2, n + 2), length[None, None].repeat(2, 1)))
+    if n <= 8:
+        lo, hi = 0.0, 1.0
+        other = other.transpose(0, 2, 1)[..., None]
+    else:
+        lo, hi, idx = _frozen_disk_and_windows(start, edge, ee, apex, (q.alpha, p.alpha), fov, n, tol)
+        other = np.take(other.reshape(5, -1), idx, axis=1)
+    line_tips = other[:4].reshape(2, 2, *other.shape[1:]).swapaxes(0, 1)
+    line_dir = line_tips[:, 1] - line_tips[:, 0]
+    same_way = edge[0] * line_dir[0] + edge[1] * line_dir[1] > 0.0
+    s = _frozen_side(line_dir, tips[:, :, None], line_tips[:, :1])
+    o = _frozen_side(edge, line_tips, start[:, None, None])
+    for a_ends, scale in ((s[:, :, 0], other[4, :, 0]), (o[:, :, 1], length)):
+        a_ends[np.abs(a_ends) <= tol * scale] = 0.0
+    collinear = (np.abs(s).max(axis=0) <= tol * other[4]) | (np.abs(o).max(axis=0) <= tol * length)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_a = o[0, :, 1] / (o[0, :, 1] - o[1, :, 1])
+        shared = (((line_tips[0, 0, :, 1] - start[0, 1]) + t_a * line_dir[0, :, 1]) * edge[0, 1]
+                  + ((line_tips[1, 0, :, 1] - start[1, 1]) + t_a * line_dir[1, :, 1]) * edge[1, 1]) / ee[1]
+        t = s[0] / (s[0] - s[1])
+    meet = (s[0, :, 1] * s[1, :, 1] < 0.0) & (o[0, :, 1] * o[1, :, 1] <= 0.0) & ~collinear[:, 1]
+    t[:, 1] = np.where(meet, shared, t[:, 1])
+    t[collinear] = np.nan
+    entering = s[1] > s[0]
+    lo = np.fmax(lo, np.fmax.reduce(np.where(entering, t, -np.inf), axis=0))
+    hi = np.fmin(hi, np.fmin.reduce(np.where(entering, np.inf, t), axis=0))
+    keep = np.maximum(hi - lo, 0.0)
+    keep[(collinear & (np.array([[False], [True]]) | ~same_way)).any(axis=0)] = 0.0
+    area = 0.5 * float(np.vdot(cross, keep))
+    if area < _EMPTY_AREA:
+        return 0.0
+    ratio = area / (0.5 * float(np.min(cross.sum(axis=1))))
+    return min(max(ratio, 0.0), 1.0)
+
+
+def _bit_sweep(theta_deg, segments):
+    """Seeded pairs of every layout the cull could get wrong: random, near (within 5 m), shared apex,
+    turned by whole segments and a hair, centers 2r apart (facing each other, and back to back), and
+    arcs that overlap by a hair."""
+    fov = FovParams(math.radians(theta_deg), 50.0)
+    rng = np.random.default_rng(10_000 * int(theta_deg) + segments)
+    cases = []
+    for _ in range(12):
+        a = random_pose(rng)
+        near = CameraPose2D(a.t0 + float(rng.uniform(-5.0, 5.0)), a.t1 + float(rng.uniform(-5.0, 5.0)),
+                            a.alpha + float(rng.normal(0.0, 0.5)))
+        shared_apex = CameraPose2D(a.t0, a.t1, a.alpha + float(rng.uniform(-fov.theta, fov.theta)))
+        cases += [(a, random_pose(rng)), (a, near), (a, shared_apex)]
+    a = random_pose(rng)
+    for j in (1, 2, segments // 2):
+        for eps in (-1e-9, -1e-11, -1e-13, 1e-13, 1e-11, 1e-9):
+            cases.append((a, CameraPose2D(a.t0, a.t1, a.alpha + j * fov.theta / segments + eps)))
+    for ang in (a.alpha, a.alpha + 0.3):
+        far = (a.t0 + 2 * fov.r * math.sin(ang), a.t1 + 2 * fov.r * math.cos(ang))
+        cases += [(a, CameraPose2D(*far, ang + math.pi)),  # facing each other
+                  (CameraPose2D(a.t0, a.t1, ang + math.pi), CameraPose2D(*far, ang))]  # back to back
+    for gap in (1e-3, 1e-2, 0.1, 0.5, 2.0):  # facing each other, arcs overlapping by a hair: edges barely reach the disk
+        ang = a.alpha + float(rng.uniform(-0.5, 0.5)) * fov.theta
+        d = 2 * fov.r - gap
+        cases.append((a, CameraPose2D(a.t0 + d * math.sin(ang), a.t1 + d * math.cos(ang),
+                                      ang + math.pi + float(rng.uniform(-0.5, 0.5)) * fov.theta)))
+    return fov, cases
+
+
+class TestCulledKernelBits:
+    """The kernel clips only the edges that reach the other sector's disk: the same psi, bit for bit,
+    as the frozen kernel that clips every edge."""
+
+    def test_degenerate_layouts(self):
+        cases = _degenerate_sweep()
+        assert _bits([fov_overlap(a, b, fov, n) for a, b, fov, n in cases]) == \
+            _bits([_frozen_fov_overlap(a, b, fov, n) for a, b, fov, n in cases])
+
+    @pytest.mark.parametrize("segments", [9, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("theta_deg", [10.0, 37.0, 90.0, 120.0, 180.0])
+    def test_seeded_sweep(self, theta_deg, segments):
+        fov, cases = _bit_sweep(theta_deg, segments)
+        got = [fov_overlap(a, b, fov, segments) for a, b in cases]
+        assert _bits(got) == _bits([_frozen_fov_overlap(a, b, fov, segments) for a, b in cases])
+        assert sum(0.0 < psi < 1.0 for psi in got) >= 10
+
+    @staticmethod
+    def _live_counts(monkeypatch, a, b, fov, n):
+        """psi of the pair, and the live edges of A and of B that ``_disk_and_windows`` kept."""
+        seen = []
+        windows = fov2d._disk_and_windows
+        monkeypatch.setattr(fov2d, "_disk_and_windows", lambda *args: seen.append(windows(*args)) or seen[-1])
+        psi = fov_overlap(a, b, fov, n)
+        (live, na, *_), = seen
+        return psi, na, len(live) - na
+
+    @pytest.mark.parametrize("segments", [9, 256])
+    def test_a_sector_with_no_live_edge(self, segments, monkeypatch):
+        # B looks away from A with its apex 1.8 r off: A's arc reaches B's disk, B reaches nowhere near A's
+        a, b = CameraPose2D(0.0, 0.0, 0.5 * math.pi), CameraPose2D(90.0, 0.0, 0.5 * math.pi)
+        psi, live_a, live_b = self._live_counts(monkeypatch, a, b, FOV90_50, segments)
+        assert live_a > 0 and live_b == 0
+        assert _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, segments)) == _bits(0.0)
+
+    @pytest.mark.parametrize("segments", [9, 256])
+    def test_every_edge_live(self, segments, monkeypatch):
+        # a shared apex: every edge of each sector lies within r of the other's apex
+        a, b = CameraPose2D(3.0, -4.0, 0.2), CameraPose2D(3.0, -4.0, 0.9)
+        psi, live_a, live_b = self._live_counts(monkeypatch, a, b, FOV90_50, segments)
+        assert live_a == live_b == segments + 2
+        assert 0.0 < psi < 1.0 and _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, segments))
+
+
 class TestFovOverlapMc:
     def test_identical_poses_exact_one(self):
         p = CameraPose2D(1.0, 2.0, 0.3)

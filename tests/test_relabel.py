@@ -305,21 +305,27 @@ class TestArrayPairPath:
         assert again.ids == table.ids and list(again) == list(table)
 
     def test_profile_memory_per_pair(self, monkeypatch):
+        """One scene of 1,500 poses 150 m apart on a line: 1,124,250 pairs. The raw profile holds three
+        columns a pair, their sort order and the output: 64 B a pair."""
         def no_geometry(*args):
             raise AssertionError("no pair lies within 2r")
 
         monkeypatch.setattr(relabel, "fov_overlap", no_geometry)
-        table = PoseTable([f"p{k}" for k in range(600)], ["s"] * 600,
-                          np.column_stack([150.0 * np.arange(600), np.zeros(600), np.zeros(600)]))
-        pairs = 600 * 599 // 2
+        table = PoseTable([f"p{k}" for k in range(1_500)], ["s"] * 1_500,
+                          np.column_stack([150.0 * np.arange(1_500), 7.0 * np.sin(np.arange(1_500)),
+                                           np.arange(1_500) % 5.0]))
+        pairs = 1_500 * 1_499 // 2
         tracemalloc.start()
         try:
             records = fov_distance_profile(table, FOV)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert records.shape == (pairs, 3) == (179_700, 3)
-        assert peak <= 160 * pairs, f"{peak / pairs:.0f} B per pair"
+        assert records.shape == (pairs, 3) == (1_124_250, 3)
+        assert peak <= 80 * pairs, f"{peak / pairs:.0f} B per pair"
+        i, j, dist, psi = relabel._same_scene_pairs(table, FOV, 8)
+        rot = wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2])
+        assert records.tobytes() == np.stack((dist, rot, psi), axis=1)[np.lexsort((psi, rot, dist))].tobytes()
 
     def test_binned_profile_memory_is_one_block(self, monkeypatch):
         """One scene of 1,200 poses 150 m apart on a line: 719,400 pairs in 20 bins. Holding every pair
