@@ -4,7 +4,9 @@ A feature map of shape (channels, locations) stands in for the last layer
 of a convolutional backbone. The model pools it with a generalized mean,
 applies a single trainable linear layer and L2-normalizes, yielding a
 unit-norm descriptor. Feature maps travel as one (n, channels, locations)
-array of one shape, pooled by one GeM call; ``forward``,
+array of one shape, pooled a block of records at a time into one
+(n, channels) array, which one matmul projects: a one-row product would
+take BLAS's vector path and round differently. ``forward``,
 ``compute_descriptors`` and ``file_descriptors`` share one
 pool-project-normalize core that rejects descriptors that overflow.
 Every pooling, theirs and ``train``'s, rejects a pool that overflows at
@@ -32,11 +34,12 @@ import numpy as np
 
 from .gcl import LossConfig, _gcl_kernel
 from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
-from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_array, read_header,
-                 write_feature_array)
+from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_array, read_feature_records,
+                 read_header, write_feature_array)
 from .sampler import Batch, BatchSampler, BatchStrategy, LabelTable, index_labels
 
 _NORM_EPS = 1e-12
+_POOL_BLOCK = 256  # records pooled at a time: GeM's float64 temporaries stay 256 x channels x locations x 8 B
 
 MODEL_MAGIC = b"GVPM"
 
@@ -161,9 +164,13 @@ def gem_pool(v, p: float) -> np.ndarray:
 
 
 def _pooled(values: np.ndarray, gem_p: float) -> np.ndarray:
-    """``gem_pool`` of a (n, channels, locations) array; a row that overflows is a PoolingOverflow, not a warning."""
+    """``gem_pool`` of a (n, channels, locations) array, float32 or float64, into one (n, channels)
+    float64 array, ``_POOL_BLOCK`` records at a time: GeM's steps are element-wise or per (record,
+    channel), so the bits are those of one call. A row that overflows is a PoolingOverflow, not a warning."""
+    pooled = np.empty(values.shape[:2])
     with np.errstate(over="ignore"):
-        pooled = gem_pool(values, gem_p)
+        for lo in range(0, len(values), _POOL_BLOCK):
+            pooled[lo:lo + _POOL_BLOCK] = gem_pool(values[lo:lo + _POOL_BLOCK], gem_p)
     if not np.isfinite(pooled).all():
         raise PoolingOverflow(f"GeM pooling overflows at gem_p {gem_p:g}")
     return pooled
@@ -350,8 +357,9 @@ def write_features(path, feature_maps) -> None:
 @file_reader
 def file_descriptors(path, model: EmbedModel) -> tuple:
     """Descriptors of a features file, (ids, (n, d_out) unit rows), bit-identical to
-    ``compute_descriptors(model, read_features(path))`` with no FeatureMap per record."""
-    ids, values = read_feature_array(path)
+    ``compute_descriptors(model, read_features(path))`` with no FeatureMap per record
+    and no float64 copy of the file: its float32 values are widened a pooling block at a time."""
+    ids, values = read_feature_records(path)
     return ids, _descriptors(model, ids[0], values)
 
 

@@ -26,7 +26,9 @@ file (a bad line, a spelling that only ``float`` reads, an empty file).
 Features file (little-endian; descriptor files have one location): magic
 `GVPR`, version u32, count u32, channels u32, locations u32, then per record
 u16 id byte length, UTF-8 id and channels*locations float32 values, read in
-one pass into one array, with ids and values checked once per file.
+one pass into one float32 array, with ids and values checked once per file;
+``read_feature_array`` widens it to float64, and ``embed.file_descriptors``
+pools it a block of records at a time.
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ def write_feature_array(path, ids, values: np.ndarray) -> None:
             fh.write(b"".join(struct.pack("<H", len(raw)) + raw + record.tobytes() for raw, record in records))
 
 
-def read_feature_array(path) -> tuple:
-    """Ids and float64 values, (count, channels, locations), of a features file.
+def read_feature_records(path) -> tuple:
+    """Ids and float32 values, (count, channels, locations), of a features file.
 
     A repeated id fails as it is read; empty ids and non-finite values are
     checked once for the whole file. Callers add the path.
@@ -214,9 +216,14 @@ def read_feature_array(path) -> tuple:
             raise ValueError(f"trailing bytes after {count} records")
     if "" in ids:
         raise ValueError("feature map id must be nonempty")
-    with np.errstate(invalid="ignore"):  # a signalling NaN fails the finiteness check below, not as a warning
-        values = raw.view("<f4").reshape(count, channels, locations).astype(np.float64)
-    del raw  # drop the float32 bytes before the finiteness mask is allocated: a lower peak RSS
-    if not np.all(np.isfinite(values)):
+    values = raw.view("<f4").reshape(count, channels, locations)
+    if not np.isfinite(values).all():  # on the float32 values, so a signalling NaN is never widened with a warning
         raise ValueError("feature values must be finite")
     return ids, values
+
+
+def read_feature_array(path) -> tuple:
+    """Ids and float64 values, (count, channels, locations), of a features file: ``read_feature_records``
+    with its values widened, exactly, in one copy."""
+    ids, values = read_feature_records(path)
+    return ids, values.astype(np.float64)

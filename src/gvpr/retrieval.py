@@ -1,8 +1,12 @@
 """Retrieval evaluation: exact nearest neighbors, recall, localization, whitening.
 
 Search is brute force by L2 distance with ties broken by map id, so
-rankings do not depend on row order. It runs on blocks of query rows:
-one partition of each block's squared distances picks k candidate
+rankings do not depend on row order. Nor do a query's rankings and
+distance bits depend on the other queries searched with it: inner
+products come from one fixed-shape tile of query rows, zero-padded,
+against the map padded with zero rows to a multiple of 64, so memory
+is bounded by one tile, not by queries x map. Within a tile, one
+partition of each small block's squared distances picks k candidate
 columns per row, and only those are square-rooted and sorted by
 (distance, id). A row where square-rooting could tie a column outside
 the candidates with the k-th distance is ranked instead by its own
@@ -40,7 +44,11 @@ DEFAULT_LOC_THRESHOLDS = (
     (5.0, math.radians(10.0)),
 )
 
-_BLOCK_ROWS = 256  # queries per nn_search block: 4 MB of float64 distances at 2,000 map rows
+_TILE_ROWS = 256  # query rows per inner-product call, the one shape BLAS sees: 4 MB of products at 2,000 map rows
+# map rows are zero-padded to a multiple of this: otherwise the bits of the last n_map mod 8 columns move
+# with the query's row in the tile
+_MAP_PAD_ROWS = 64
+_BLOCK_ROWS = 32  # query rows per top-k selection: 0.5 MB of float64 squared distances at 2,000 map rows
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
@@ -136,7 +144,8 @@ def nn_search(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> list:
     """Exact top-k nearest references per query by L2 distance, as Rankings.
 
     Ties are broken by ascending map id, so the result is invariant under
-    permutation of the map rows. The search is ``_top_k``'s.
+    permutation of the map rows, and a query's ranking does not depend on
+    the other queries. The search is ``_top_k``'s.
     """
     rows, dist = _top_k(queries, map_set, k)
     ids = np.array([str(i) for i in map_set.ids], dtype=object)
@@ -148,30 +157,44 @@ def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
     """Map rows of each query's k nearest references, (nq, k), and their distances.
 
     Each query's row is ordered by (distance, map id). Distances use the expanded form
-    sqrt(max(|q|^2 + |m|^2 - 2 q.m, 0)). The inner products come from one
-    ``q @ m.T`` call, because BLAS rounds a block of rows differently
-    from the whole matrix; the rest runs on blocks of ``_BLOCK_ROWS``
-    queries, so beyond that nq x n_map product the temporaries stay
-    within a few block x n_map x 8 B arrays. Each block's k candidates
-    are picked on the squared distances, and the max and sqrt run only
-    on the picked (block, k) entries.
+    sqrt(max((|q|^2 + |m|^2) - 2 q.m, 0)). A query's result does not depend on the other
+    queries of the call: the inner products come from one fixed ``(_TILE_ROWS, d)`` tile
+    of query rows, zero-padded, against the id-ordered map padded with zero rows to a
+    multiple of ``_MAP_PAD_ROWS``, so BLAS rounds every query the same whatever the query
+    count and the query's place in its tile. The tile, its products and the squared
+    distances reuse one buffer each, so beyond the (nq, k) results memory stays within
+    ``_TILE_ROWS`` x n_map x 8 B. Each ``_BLOCK_ROWS`` rows of a tile pick their k
+    candidates on the squared distances, and the max and sqrt run only on the picked
+    (block, k) entries.
     """
     if queries.dim != map_set.dim:
         raise ValueError(f"dimension mismatch: queries {queries.dim}, map {map_set.dim}")
     if not 1 <= k <= len(map_set):
         raise ValueError(f"k must be in [1, {len(map_set)}], got {k}")
     order = np.argsort(np.array(map_set.ids))  # canonical id order for tie-breaks
-    m = map_set.matrix[order]
+    n_map = len(order)
+    m = np.zeros((-(-n_map // _MAP_PAD_ROWS) * _MAP_PAD_ROWS, map_set.dim))
+    m[:n_map] = map_set.matrix[order]
     q = queries.matrix
-    qq, mm, qm = np.sum(q * q, axis=1), np.sum(m * m, axis=1), q @ m.T
+    qq, mm = np.sum(q * q, axis=1), np.sum(m[:n_map] * m[:n_map], axis=1)
+    tile = np.zeros((_TILE_ROWS, q.shape[1]))
+    qm = np.empty((_TILE_ROWS, len(m)))
+    d2 = np.empty((_BLOCK_ROWS, n_map))
     rows = np.empty((len(q), k), dtype=np.intp)
     dist = np.empty((len(q), k))
-    for lo in range(0, len(q), _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        d2 = qq[block, None] + mm[None, :]
-        d2 -= 2.0 * qm[block]
-        cols, dist[block] = _block_top_k(d2, k)
-        rows[block] = order[cols]
+    for lo in range(0, len(q), _TILE_ROWS):
+        n = min(_TILE_ROWS, len(q) - lo)
+        tile[:n] = q[lo:lo + n]
+        tile[n:] = 0.0
+        np.matmul(tile, m.T, out=qm)
+        qm *= 2.0  # exact, so the bits of 2.0 * qm
+        for b in range(0, n, _BLOCK_ROWS):
+            r = min(_BLOCK_ROWS, n - b)
+            block = slice(lo + b, lo + b + r)
+            np.add(qq[block, None], mm[None, :], out=d2[:r])
+            d2[:r] -= qm[b:b + r, :n_map]
+            cols, dist[block] = _block_top_k(d2[:r], k)
+            rows[block] = order[cols]
     return rows, dist
 
 

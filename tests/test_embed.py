@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -266,6 +267,25 @@ class TestFileDescriptors:
             assert ids == want_ids
             assert mat.dtype == want.dtype and mat.shape == want.shape
             assert mat.tobytes() == want.tobytes()
+
+    def test_memory_is_the_file_and_one_pooling_block(self, tmp_path):
+        """3,841 records of 32 x 8 values, the last one alone in its pooling block: the file's
+        float32 values take 3.9 MB, and a float64 copy of them 7.9 MB more."""
+        rng = np.random.default_rng(23)
+        n, channels, locations = 15 * 256 + 1, 32, 8
+        path = tmp_path / "features.bin"
+        io.write_feature_array(path, [f"r{i:04d}" for i in range(n)], rng.uniform(0.0, 2.0, (n, channels, locations)))
+        model = init_model(16, channels, gem_p=2.7, seed=4)
+        tracemalloc.start()
+        try:
+            ids, mat = file_descriptors(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw_bytes = 4 * n * channels * locations
+        assert peak <= 2 * raw_bytes, f"{peak / 1e6:.1f} MB"
+        want_ids, want = compute_descriptors(model, read_features(path))
+        assert ids == want_ids and mat.tobytes() == want.tobytes()
 
 
 class TestBatchGradient:

@@ -1,18 +1,24 @@
 """Nearest-neighbor search, recall, localization and whitening tests."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gvpr.fov2d import CameraPose2D, wrapped_angle_diff
 from gvpr.retrieval import (
-    _BLOCK_ROWS,
+    _TILE_ROWS,
     DEFAULT_LOC_THRESHOLDS,
     DescriptorSet,
     Ranking,
     _localization,
+    _top_k,
     apply_whitening,
     fit_pca_whitening,
     localization_accuracy,
@@ -23,18 +29,35 @@ from gvpr.retrieval import (
 )
 from gvpr.synth import SynthConfig, generate_world
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def dset(ids, rows, **kw):
     return DescriptorSet(ids=tuple(ids), matrix=np.asarray(rows, dtype=float), **kw)
 
 
-def _reference_nn_search(queries, map_set, k):
-    """The former dense search: the full distance matrix, then one lexsort per query."""
+def _tiled_inner_products(q, m):
+    """``q @ m.T`` by the documented rule of the search: 256 query rows at a time, the last tile
+    zero-padded to 256 rows, against ``m`` zero-padded to a multiple of 64 rows."""
+    tile_rows, pad_rows = 256, 64
+    m_pad = np.zeros((-(-len(m) // pad_rows) * pad_rows, m.shape[1]))
+    m_pad[:len(m)] = m
+    out = np.empty((len(q), len(m)))
+    for lo in range(0, len(q), tile_rows):
+        rows = q[lo:lo + tile_rows]
+        tile = np.zeros((tile_rows, q.shape[1]))
+        tile[:len(rows)] = rows
+        out[lo:lo + len(rows)] = (tile @ m_pad.T)[:len(rows), :len(m)]
+    return out
+
+
+def _reference_nn_search(queries, map_set, k, inner_products=_tiled_inner_products):
+    """The dense search: the full distance matrix, then one lexsort per query."""
     order = np.argsort(np.array(map_set.ids))
     m = map_set.matrix[order]
     ids = [map_set.ids[i] for i in order]
     q = queries.matrix
-    d2 = np.sum(q * q, axis=1)[:, None] + np.sum(m * m, axis=1)[None, :] - 2.0 * (q @ m.T)
+    d2 = (np.sum(q * q, axis=1)[:, None] + np.sum(m * m, axis=1)[None, :]) - 2.0 * inner_products(q, m)
     dist = np.sqrt(np.maximum(d2, 0.0))
     out = []
     for qi, query_id in enumerate(queries.ids):
@@ -123,15 +146,24 @@ class TestNnSearch:
 class TestBlockedSearchMatchesReference:
     """nn_search equals the dense reference exactly: ids and float distances, every block boundary."""
 
-    @pytest.mark.parametrize("nq", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("nq", [1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1, 2 * _TILE_ROWS + 3])
     def test_random_unit_descriptors(self, nq):
         rng = np.random.default_rng(nq)
         queries = dset([f"q{i:04d}" for i in range(nq)], unit_rows(rng, nq, 16), normalized=True)
         refs = dset([f"m{i:03d}" for i in range(300)], unit_rows(rng, 300, 16), normalized=True)
         for k in (1, 10, len(refs)):
-            assert nn_search(queries, refs, k) == _reference_nn_search(queries, refs, k)
+            got = nn_search(queries, refs, k)
+            assert got == _reference_nn_search(queries, refs, k)
+            # Against one full q @ m.T, which rounds some inner products otherwise: a 16-term dot
+            # product of unit rows moves by at most 16 ulps of 1 (3.6e-15) with its summation order,
+            # and with every distance above 0.5 a distance moves by no more than its d2 does.
+            full = _reference_nn_search(queries, refs, k, inner_products=lambda q, m: q @ m.T)
+            assert [[mid for mid, _ in r.hits] for r in got] == [[mid for mid, _ in r.hits] for r in full]
+            got_d, full_d = ([d for r in rankings for _, d in r.hits] for rankings in (got, full))
+            assert min(got_d) > 0.5
+            np.testing.assert_allclose(got_d, full_d, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("nq", [3, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("nq", [3, _TILE_ROWS + 1])
     def test_exact_ties_across_the_kth_place(self, nq):
         rng = np.random.default_rng(7)
         # integer rows give exact integer squared distances, so many ties straddle the k-th place
@@ -142,7 +174,7 @@ class TestBlockedSearchMatchesReference:
 
     def test_map_rows_in_shuffled_id_order(self):
         rng = np.random.default_rng(11)
-        queries = dset([f"q{i}" for i in range(_BLOCK_ROWS + 5)], rng.normal(size=(_BLOCK_ROWS + 5, 6)))
+        queries = dset([f"q{i}" for i in range(_TILE_ROWS + 5)], rng.normal(size=(_TILE_ROWS + 5, 6)))
         rows = rng.normal(size=(150, 6)) * rng.uniform(0.5, 3.0, size=(150, 1))
         refs = dset([f"m{i:03d}" for i in rng.permutation(150)], rows)
         for k in (1, 10, len(refs)):
@@ -182,6 +214,55 @@ class TestBlockedSearchMatchesReference:
                 assert np.array_equal([d for _, d in got.hits], [d for _, d in want.hits], equal_nan=True)
 
 
+def _subset_mismatches(seed: int) -> list:
+    """Cases where ``_top_k`` of a random subset of queries, in random order, differs from the
+    full set's rows in map rows or in distance bits, over map sizes on both sides of the padding
+    rule and dimensions 3, 16 and 300."""
+    rng = np.random.default_rng(seed)
+    nq = 2 * _TILE_ROWS + 88
+    out = []
+    for n_map in (1, 7, 300, 2003):
+        for d in (3, 16, 300):
+            queries = dset([f"q{i:03d}" for i in range(nq)], rng.normal(size=(nq, d)))
+            refs = dset([f"m{i:04d}" for i in rng.permutation(n_map)], rng.normal(size=(n_map, d)))
+            k = min(10, n_map)
+            rows, dist = _top_k(queries, refs, k)
+            for size in (1, 31, 257, nq):
+                pick = rng.permutation(nq)[:size]
+                sub = dset([queries.ids[i] for i in pick], queries.matrix[pick])
+                sub_rows, sub_dist = _top_k(sub, refs, k)
+                if not (np.array_equal(sub_rows, rows[pick]) and sub_dist.tobytes() == dist[pick].tobytes()):
+                    out.append((n_map, d, size))
+    return out
+
+
+class TestBatchIndependence:
+    """A query's map rows and distance bits do not depend on which other queries share the call."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_query_subsets_rank_as_in_the_full_set(self, threads):
+        # BLAS reads its thread count once, at load: each count runs in its own interpreter
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", "import test_retrieval as t; print(t._subset_mismatches(5))"],
+                              cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_memory_is_one_tile_of_products(self):
+        """2,000 queries x 2,000 map rows: the whole q @ m.T takes 32 MB, one tile's products 4.2 MB."""
+        rng = np.random.default_rng(29)
+        queries = dset([f"q{i:04d}" for i in range(2_000)], unit_rows(rng, 2_000, 16), normalized=True)
+        refs = dset([f"m{i:04d}" for i in range(2_000)], unit_rows(rng, 2_000, 16), normalized=True)
+        tracemalloc.start()
+        try:
+            rows, dist = _top_k(queries, refs, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == dist.shape == (2_000, 10)
+        assert peak <= 8_000_000, f"{peak / 1e6:.1f} MB"
+
+
 class TestSquaredDistanceSelection:
     """Candidates are picked on squared distances, yet the ranking is that of the rounded distances."""
 
@@ -197,7 +278,7 @@ class TestSquaredDistanceSelection:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_integer_grid_ties_with_k_at_the_edges(self, seed):
         rng = np.random.default_rng(seed)
-        nq, n_map = _BLOCK_ROWS + 9, 60
+        nq, n_map = _TILE_ROWS + 9, 60
         queries = dset([f"q{i:03d}" for i in range(nq)], rng.integers(-2, 3, size=(nq, 2)))
         refs = dset([f"m{i:02d}" for i in rng.permutation(n_map)], rng.integers(-2, 3, size=(n_map, 2)))
         for k in (1, 2, n_map - 1, n_map):
