@@ -19,7 +19,7 @@ import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta
-from .io import InputError, file_reader, write_csv
+from .io import InputError, file_reader, read_feature_records, write_csv
 from .sampler import BatchStrategy, EmptyQuotaGroup, check_batch_size
 
 
@@ -91,15 +91,17 @@ def cmd_train(args, parser) -> int:
     )
     check_batch_size(cfg.strategy, cfg.batch_size)  # the library trains a single label at any batch size
     labels = relabel.load_labels(args.labels)
-    features = embed.read_features(args.features)
+    ids, values = file_reader(read_feature_records)(args.features)
     if not len(labels):
         raise InputError(args.labels, "no labels to train on")
-    missing = sorted(set(labels.ids) - {fm.id for fm in features})
+    row_of = {ident: row for row, ident in enumerate(ids)}
+    missing = sorted(set(labels.ids) - row_of.keys())
     if missing:
         raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
-    model = embed.init_model(args.d_out, features[0].channels, gem_p=args.gem_p, seed=args.seed)
-    try:
-        trained, trace = embed.train(model, labels, features, cfg)
+    model = embed.init_model(args.d_out, values.shape[1], gem_p=args.gem_p, seed=args.seed)
+    try:  # the labelled records, pooled a block at a time from the file's float32 values, as eval pools them
+        pooled = embed._pooled(values, model.gem_p, [row_of[ident] for ident in labels.ids])
+        trained, trace = embed._train(model, labels, pooled, cfg)
     except EmptyQuotaGroup as e:
         raise InputError(args.labels, e) from None
     except embed.PoolingOverflow as e:

@@ -9,14 +9,14 @@ array of one shape, pooled a block of records at a time into one
 take BLAS's vector path and round differently. ``forward``,
 ``compute_descriptors`` and ``file_descriptors`` share one
 pool-project-normalize core that rejects descriptors that overflow.
-Every pooling, theirs and ``train``'s, rejects a pool that overflows at
-the model's ``gem_p`` as a ``PoolingOverflow``.
-Training runs plain SGD over contrastive pairs streamed by the batch
-sampler, on the graded loss (binary labels as psi in {0, 1}); only the
-linear weights are trained, the pooling exponent stays fixed.
-
-Features files are read and written by ``gvpr.io``; the FeatureMaps
-``read_features`` returns are views of the one array it reads.
+Every pooling, theirs and training's, rejects a pool that overflows at
+the model's ``gem_p`` as a ``PoolingOverflow``. Training runs plain SGD
+over contrastive pairs streamed by the batch sampler, on the graded loss
+(binary labels as psi in {0, 1}), in ``_train``, a core on pooled rows
+that ``gvpr train`` runs on a features file's records and ``train`` on
+FeatureMaps; only the linear weights are trained, the pooling exponent
+stays fixed. Features files are read and written by ``gvpr.io``; the
+FeatureMaps ``read_features`` returns are views of one float64 array.
 Model file (little-endian): magic `GVPM`, version u32, d_out u32,
 channels u32, gem_p float32, then d_out*channels float32 weights
 row-major, with the header rules of ``io.read_header``. Model files hold
@@ -34,8 +34,8 @@ import numpy as np
 
 from .gcl import LossConfig, _gcl_kernel
 from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
-from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_array, read_feature_records,
-                 read_header, write_feature_array)
+from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_records, read_header,
+                 write_feature_array)
 from .sampler import Batch, BatchSampler, BatchStrategy, LabelTable, index_labels
 
 _NORM_EPS = 1e-12
@@ -144,6 +144,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         LossConfig(self.tau)  # the margin's rule is LossConfig's
+        if not math.isfinite(self.batch_size * 0.5 * max(4.0, self.tau * self.tau)):  # a pair's loss <= that
+            raise ValueError(f"tau {self.tau:g} overflows the loss of a batch of {self.batch_size} pairs")
 
 
 def gem_pool(v, p: float) -> np.ndarray:
@@ -163,14 +165,16 @@ def gem_pool(v, p: float) -> np.ndarray:
     return np.mean(np.maximum(v, 0.0) ** p, axis=-1) ** (1.0 / p)
 
 
-def _pooled(values: np.ndarray, gem_p: float) -> np.ndarray:
-    """``gem_pool`` of a (n, channels, locations) array, float32 or float64, into one (n, channels)
-    float64 array, ``_POOL_BLOCK`` records at a time: GeM's steps are element-wise or per (record,
-    channel), so the bits are those of one call. A row that overflows is a PoolingOverflow, not a warning."""
-    pooled = np.empty(values.shape[:2])
+def _pooled(values: np.ndarray, gem_p: float, rows=None) -> np.ndarray:
+    """``gem_pool`` of records ``rows`` (default all) of a (n, channels, locations) array, float32 or float64,
+    into one (len(rows), channels) float64 array, ``_POOL_BLOCK`` records at a time: GeM's steps are element-wise
+    or per (record, channel), so the bits are those of one call. A row that overflows is a PoolingOverflow."""
+    n = len(values) if rows is None else len(rows)
+    pooled = np.empty((n, values.shape[1]))
     with np.errstate(over="ignore"):
-        for lo in range(0, len(values), _POOL_BLOCK):
-            pooled[lo:lo + _POOL_BLOCK] = gem_pool(values[lo:lo + _POOL_BLOCK], gem_p)
+        for lo in range(0, n, _POOL_BLOCK):  # a slice of all records is a view; of ``rows``, a one-block copy
+            block = values[lo:lo + _POOL_BLOCK] if rows is None else values[rows[lo:lo + _POOL_BLOCK]]
+            pooled[lo:lo + _POOL_BLOCK] = gem_pool(block, gem_p)
     if not np.isfinite(pooled).all():
         raise PoolingOverflow(f"GeM pooling overflows at gem_p {gem_p:g}")
     return pooled
@@ -308,8 +312,11 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     missing = [ident for ident in table.ids if ident not in features]
     if missing:
         raise ValueError(f"labels reference ids without features: {', '.join(map(repr, missing[:5]))}")
+    return _train(model, table, _pooled(_stack([features[ident] for ident in table.ids], model), model.gem_p), cfg)
 
-    pooled = _pooled(_stack([features[ident] for ident in table.ids], model), model.gem_p)
+
+def _train(model: EmbedModel, table: LabelTable, pooled: np.ndarray, cfg: TrainConfig) -> tuple:
+    """``train``'s SGD on ``pooled``, the (len(table.ids), channels) pooled rows of ``table.ids``."""
     # Overflow and NaN end as TrainingDiverged at the step they reach, not as NumPy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         psi = table.psi
@@ -369,8 +376,8 @@ def read_features(path) -> list:
 
     The maps are checked, and their values are views of one (count, channels, locations) array.
     """
-    ids, values = read_feature_array(path)
-    return [FeatureMap(ident, v) for ident, v in zip(ids, values)]
+    ids, values = read_feature_records(path)
+    return [FeatureMap(ident, v) for ident, v in zip(ids, values.astype(np.float64))]
 
 
 def save_model(path, model: EmbedModel) -> None:

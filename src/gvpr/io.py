@@ -3,7 +3,7 @@
 Every public reader, and the subcommands that reach it:
   relabel.load_poses          relabel, profile; eval --query-poses/--map-poses (cli._poses_covering)
   relabel.load_labels         train --labels
-  embed.read_features         train --features
+  embed.read_features         none: train --features reads file_reader(read_feature_records)
   embed.file_descriptors      eval --query-features/--map-features
   embed.load_model            eval --model
   retrieval.read_descriptors  eval --query-descriptors/--map-descriptors
@@ -26,9 +26,9 @@ file (a bad line, a spelling that only ``float`` reads, an empty file).
 Features file (little-endian; descriptor files have one location): magic
 `GVPR`, version u32, count u32, channels u32, locations u32, then per record
 u16 id byte length, UTF-8 id and channels*locations float32 values, read in
-one pass into one float32 array, with ids and values checked once per file;
-``read_feature_array`` widens it to float64, and ``embed.file_descriptors``
-pools it a block of records at a time.
+one pass into one float32 array, with ids and values checked once per file:
+``gvpr train`` and ``embed.file_descriptors`` pool it a block of records at
+a time, ``embed.read_features`` and ``retrieval.read_descriptors`` widen it.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def check_size(fh, need: int) -> None:
 
 def write_feature_array(path, ids, values: np.ndarray) -> None:
     """Write ids and their values, (count, channels, locations), as a features file in order:
-    the mirror of ``read_feature_array``, refusing the empty sizes and ids that it rejects."""
+    the mirror of ``read_feature_records``, refusing the empty sizes and ids that it rejects."""
     if not len(ids):
         raise ValueError("no feature maps to write")
     if 0 in values.shape:
@@ -220,10 +220,3 @@ def read_feature_records(path) -> tuple:
     if not np.isfinite(values).all():  # on the float32 values, so a signalling NaN is never widened with a warning
         raise ValueError("feature values must be finite")
     return ids, values
-
-
-def read_feature_array(path) -> tuple:
-    """Ids and float64 values, (count, channels, locations), of a features file: ``read_feature_records``
-    with its values widened, exactly, in one copy."""
-    ids, values = read_feature_records(path)
-    return ids, values.astype(np.float64)

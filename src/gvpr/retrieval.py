@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fov2d import planar_distance, wrapped_angle_diff
-from .io import file_reader, read_feature_array, write_feature_array
+from .io import file_reader, read_feature_records, write_feature_array
 
 # (meters, radians) thresholds a correctly localized query must meet
 DEFAULT_LOC_THRESHOLDS = (
@@ -371,7 +371,7 @@ def write_descriptors(path, s: DescriptorSet) -> None:
 
 @file_reader
 def read_descriptors(path) -> DescriptorSet:
-    ids, values = read_feature_array(path)
+    ids, values = read_feature_records(path)
     if values.shape[2] != 1:
         raise ValueError("not a descriptor file (multiple locations per channel)")
     return DescriptorSet(ids=tuple(ids), matrix=values[:, :, 0])

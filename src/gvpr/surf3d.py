@@ -128,6 +128,15 @@ def _in_image(cam: np.ndarray, t: np.ndarray, k: Intrinsics) -> np.ndarray:
     return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)
 
 
+def _rotated(points: np.ndarray, lo: int, hi: int, rt: np.ndarray) -> np.ndarray:
+    """``points[lo:hi] @ rt`` from a product of two or more rows, whose bits are each row's own; a
+    one-row product takes BLAS's vector path, whose bits differ. So a lone row is multiplied with the
+    row before it, or, in a one-point cloud, with itself."""
+    first = max(0, min(lo, hi - 2))
+    rows = points[first:hi] if hi - first > 1 else np.repeat(points[first:hi], 2, axis=0)
+    return (rows @ rt)[lo - first:hi - first]
+
+
 def visible_mask(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics) -> np.ndarray:
     """Boolean mask over cloud points: which project inside the image.
 
@@ -136,7 +145,7 @@ def visible_mask(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics) -> np.ndarray
     (half-open bounds). The result does not depend on point order beyond
     the index labels themselves.
     """
-    return _in_image(cloud.points @ pose.rotation.T, pose.translation, k)
+    return _in_image(_rotated(cloud.points, 0, len(cloud.points), pose.rotation.T), pose.translation, k)
 
 
 def project_points(cloud: PointCloud, pose: Pose6DOF, k: Intrinsics, image_id: str = "") -> VisibleSet:
@@ -192,9 +201,9 @@ def camera_iou(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
     into every camera at once, in sub-blocks of at most 2**14 // cameras points (at least one), by
     one ``(S, 3) @ (3, 3C)`` product with the stacked ``R.T``. Each element of it is the same
     3-term dot product as in ``points @ R.T``, with the same bits whenever both products have two
-    or more rows; a one-row product takes BLAS's vector path, whose bits differ. So a lone row of
-    a larger cloud is projected together with the row before it, and a one-point cloud alone, as
-    ``visible_mask`` projects it. Tier-1 checks the bits under one and two BLAS threads.
+    or more rows, which ``_rotated`` ensures for both: a lone row is multiplied with the row before
+    it, and the point of a one-point cloud with itself. Tier-1 checks the bits under one and two
+    BLAS threads.
     ``visible_mask``'s rule turns the product into the 0/1 columns of one reused
     ``(4096, cameras)`` float32 buffer, whose ``m.T @ m`` is added into the int64 counts as in
     ``iou_matrix``. Memory is O(cameras * 4,096 + cameras**2), whatever the cloud size.
@@ -211,9 +220,7 @@ def camera_iou(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
         m = buf[:hi - lo]
         for s in range(lo, hi, step):
             e = min(s + step, hi)
-            first = max(0, min(s, e - 2))  # a lone row is projected with the row before it
-            cam = (points[first:e] @ rt)[s - first:]
-            m[s - lo:e - lo] = _in_image(cam.reshape(-1, cameras, 3), t, k)
+            m[s - lo:e - lo] = _in_image(_rotated(points, s, e, rt).reshape(-1, cameras, 3), t, k)
         inter += (m.T @ m).astype(np.int64)
     return _iou_of_counts(inter)
 

@@ -21,10 +21,10 @@ images alternate into map and query roles. Retrieval ground truth marks a
 (query, map) pair positive when the poses are within 25 m and their
 headings differ by less than 40 degrees. The world's pose tables are
 columns, as ``relabel.load_poses`` returns them, and its features are one
-(n, channels, locations) array per role, as ``io.read_feature_array``
-returns them. A ground-truth file is read back as positive (query row,
-map row) pairs of the evaluated id lists, the form ``gvpr eval`` counts
-recall from.
+float64 (n, channels, locations) array per role, the shape of the float32
+array ``io.read_feature_records`` returns. A ground-truth file is read back
+as positive (query row, map row) pairs of the evaluated id lists, the form
+``gvpr eval`` counts recall from.
 """
 
 from __future__ import annotations

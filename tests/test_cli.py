@@ -5,14 +5,17 @@ import inspect
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gvpr import cli, embed, fov2d, relabel, retrieval, synth
+from gvpr import io as gvpr_io
 from gvpr.cli import main
 from gvpr.fov2d import CameraPose2D, wrapped_angle_diff
+from gvpr.sampler import BatchStrategy
 
 TOY_CLOUD = "0 0 1\n0.25 0 1\n0.5 0 1\n0.75 0 1\n"
 TOY_INTRINSICS = "fx = 2\nfy = 2\ncx = 0.5\ncy = 0.5\nwidth = 1\nheight = 1\n"
@@ -278,6 +281,53 @@ class TestTrain:
         assert "divisible" in capsys.readouterr().err
 
 
+class TestTrainFromFeatureRows:
+    """`gvpr train` pools the labelled records from the file's float32 values, a block at a time."""
+
+    @pytest.mark.parametrize("loss", ["gcl", "cl"])
+    @pytest.mark.parametrize("labels, strategy", [("world", "A"), ("world", "B"), ("world", "C"), ("world", "D"),
+                                                  ("one", "A")])
+    def test_model_is_train_over_read_features(self, world_dir, labels_csv, tmp_path, labels, strategy, loss):
+        """The model file is ``save_model`` of ``embed.train`` over ``read_features``, byte for byte."""
+        features, out, want = world_dir / "train_features.bin", tmp_path / "model.bin", tmp_path / "want.bin"
+        if labels == "one":  # two records, neither first in the file, named against file order
+            labels_csv = tmp_path / "labels.csv"
+            labels_csv.write_text("query_id,map_id,psi\np002_i003,p001_i000,0.4\n")
+        rc = main(["train", "--labels", str(labels_csv), "--features", str(features), "--out", str(out),
+                   "--loss", loss, "--strategy", strategy, "--batch-size", "12", "--d-out", "8", "--epochs", "2",
+                   "--gem-p", "2.5", "--seed", "11"])
+        assert rc == 0
+        cfg = embed.TrainConfig(loss_kind=loss, epochs=2, batch_size=12, strategy=BatchStrategy[strategy], seed=11)
+        model = embed.init_model(8, 8, gem_p=2.5, seed=11)
+        trained, _ = embed.train(model, relabel.load_labels(labels_csv), embed.read_features(features), cfg)
+        embed.save_model(want, trained)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_memory_is_the_file_one_pooling_block_and_the_pooled_rows(self, tmp_path, capsys):
+        """3,841 records of 32 x 8 values, each labelled, the last alone in its pooling block: the file's
+        float32 values take 3.9 MB, and a float64 copy of them, or of the labelled records, 7.9 MB more."""
+        rng = np.random.default_rng(29)
+        n, channels, locations = 15 * 256 + 1, 32, 8
+        features, labels = tmp_path / "features.bin", tmp_path / "labels.csv"
+        ids = [f"r{i:04d}" for i in range(n)]
+        gvpr_io.write_feature_array(features, ids, rng.uniform(0.0, 2.0, (n, channels, locations)))
+        psi = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 1.0, n))
+        labels.write_text("query_id,map_id,psi\n" + "".join(
+            f"{ids[i]},{ids[(i + 1) % n]},{p:.6f}\n" for i, p in enumerate(psi)))
+        argv = ["train", "--labels", str(labels), "--features", str(features), "--out", str(tmp_path / "m.bin")]
+        assert main(argv) == 0  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        raw_bytes, pooled_bytes = 4 * n * channels * locations, 8 * n * channels
+        block_bytes = 8 * embed._POOL_BLOCK * channels * locations  # one block of float64 values
+        assert peak <= raw_bytes + 4 * block_bytes + pooled_bytes + 1_000_000, f"{peak / 1e6:.2f} MB"
+
+
 class TestEval:
     def test_model_mode_metrics(self, world_dir, model_path, tmp_path, capsys):
         out_csv = tmp_path / "metrics.csv"
@@ -394,6 +444,13 @@ class TestEval:
                 "--gt", str(world_dir / "gt.csv"),
             ])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--query-descriptors", "--map-descriptors"])
+    def test_lone_descriptor_file_is_usage_error(self, world_dir, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", option, str(tmp_path / "absent.bin"), "--gt", str(world_dir / "gt.csv")])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --query-descriptors and --map-descriptors go together\n")
 
     def test_incomplete_model_mode_is_usage_error(self, world_dir, model_path):
         with pytest.raises(SystemExit) as err:
@@ -722,8 +779,9 @@ class TestProfile:
 
 
 class TestNonFiniteRadiusAndMargin:
-    """An infinite radius or margin is one `error:` line and exit 1, before any file is read and with no output:
-    relabel and profile dropped or wrote NaN psi, calibrate-theta raised, and train blamed the features."""
+    """An infinite radius or margin, or one whose batch loss overflows, is one `error:` line and exit 1, before
+    any file is read and with no output: relabel and profile dropped or wrote NaN psi, calibrate-theta raised,
+    and train blamed the features."""
 
     @pytest.mark.parametrize("command, message", [
         (["relabel", "--radius-m", "inf"], "r must be positive and finite, got inf"),
@@ -731,6 +789,8 @@ class TestNonFiniteRadiusAndMargin:
         (["profile", "--radius-m", "nan"], "r must be positive and finite, got nan"),
         (["train", "--tau", "inf"], "tau must be positive and finite, got inf"),
         (["train", "--tau", "nan"], "tau must be positive and finite, got nan"),
+        (["train", "--tau", "1e200"], "tau 1e+200 overflows the loss of a batch of 64 pairs"),
+        (["train", "--tau", "1e153", "--batch-size", "1024"], "tau 1e+153 overflows the loss of a batch of 1024 pairs"),
     ])
     def test_file_commands(self, tmp_path, capsys, command, message):
         inputs = {"relabel": ["--poses", "absent.csv"], "profile": ["--poses", "absent.csv"],
@@ -890,6 +950,19 @@ class TestMalformedInputs:
                        "--gem-p", "100", "--d-out", "4", "--batch-size", "4"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bright}: GeM pooling overflows at gem_p 100\n"
+
+    def test_zero_record_fails_at_step_0_naming_the_features(self, tmp_path, capsys):
+        """A record of zeros pools to a zero row, whose embedding has no direction: step 0 of a one-label
+        file fails from the features alone, so the error names them."""
+        features, labels = tmp_path / "features.bin", tmp_path / "labels.csv"
+        embed.write_features(features, [embed.FeatureMap("a", np.zeros((8, 4))),
+                                        embed.FeatureMap("b", np.ones((8, 4)))])
+        labels.write_text("query_id,map_id,psi\na,b,0.5\n")
+        rc = main(["train", "--labels", str(labels), "--features", str(features), "--out", str(tmp_path / "m.bin"),
+                   "--d-out", "4", "--batch-size", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {features}: step 0: zero-norm embedding before normalization\n"
+        assert not (tmp_path / "m.bin").exists()
 
     def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)

@@ -52,6 +52,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             FeatureMap("a", np.array([[np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda path: compute_descriptors(init_model(2, 3), []), "no feature maps given"),
+        (lambda path: train(init_model(2, 3), [], [], TrainConfig()), "no labels to train on"),
+        (lambda path: write_features(path, []), "no feature maps to write"),
+    ], ids=["compute_descriptors", "train", "write_features"])
+    def test_empty_input_refused(self, tmp_path, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(tmp_path / "features.bin")
+        assert not (tmp_path / "features.bin").exists()
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_feature_map_refuses_a_nonfinite_value(self, bad):
         values = np.ones((3, 4))

@@ -665,6 +665,11 @@ class TestFovOverlapMc:
         two = fov_overlap_mc(a, b, FOV90_50, samples=50_000, seed=12)
         assert one == two
 
+    def test_no_sample_in_the_first_sector_is_zero_without_error(self):
+        """A sector of 1e-9 rad covers ~1e-6 m^2 of a 500 m x 100 m box: no sample lands in it."""
+        est = fov_overlap_mc(CameraPose2D(0, 0, 0), CameraPose2D(400.0, 0, 0), FovParams(1e-9, 50.0), samples=1000)
+        assert est == (0.0, 0.0)
+
     def test_rejects_tiny_sample_counts(self):
         a, b = reference_pair(10.0, 0.0)
         with pytest.raises(ValueError):

@@ -146,6 +146,10 @@ class TestFiniteDifferences:
 
 
 class TestPairGrad:
+    def test_descriptor_shapes_must_agree(self):
+        with pytest.raises(ValueError, match=re.escape("descriptor shapes differ: (3,) vs (2,)")):
+            pair_grad([0.1, 0.2, 0.3], [0.1, 0.2], 0.5)
+
     def test_zero_distance_gives_zero_gradients(self):
         f = np.array([0.3, -0.7])
         res = pair_grad(f, f.copy(), 1.0)

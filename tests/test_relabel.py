@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,16 @@ class TestPoseTable:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             PoseTable.of((rec("a", 0, 0, 0), rec("a", 1, 0, 0)))
+
+    @pytest.mark.parametrize("ids, scenes, shape, message", [
+        (["a", "b"], ["s"], (2, 3), "2 ids and 1 scenes for pose rows of shape (2, 3)"),
+        (["a", "b"], ["s", "s"], (3, 3), "2 ids and 2 scenes for pose rows of shape (3, 3)"),
+        (["a", "b"], ["s", "s"], (2, 2), "2 ids and 2 scenes for pose rows of shape (2, 2)"),
+        (["a", ""], ["s", "s"], (2, 3), "image id must be nonempty"),
+    ])
+    def test_rejects_columns_that_disagree_and_empty_ids(self, ids, scenes, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PoseTable(ids, scenes, np.zeros(shape))
 
     def test_rejects_empty_scene(self):
         with pytest.raises(ValueError, match="scene"):
@@ -185,10 +196,11 @@ class TestProfile:
         with pytest.raises(ValueError):
             fov_distance_profile(PoseTable.of((rec("a", 0, 0, 0),)), FOV)
 
-    def test_needs_a_same_scene_pair(self):
+    @pytest.mark.parametrize("bins", [None, 4], ids=["raw", "binned"])
+    def test_needs_a_same_scene_pair(self, bins):
         table = PoseTable.of((rec("a", 0, 0, 0, scene="s"), rec("b", 10.0, 0, 0, scene="t")))
         with pytest.raises(ValueError, match="^no same-scene pairs to profile$"):
-            fov_distance_profile(table, FOV)
+            fov_distance_profile(table, FOV, bins=bins)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"bins": 0}, "bins"), ({"arc_segments": 1}, "arc_segments"),

@@ -17,6 +17,7 @@ from gvpr.retrieval import (
     DEFAULT_LOC_THRESHOLDS,
     DescriptorSet,
     Ranking,
+    WhitenTransform,
     _localization,
     _top_k,
     apply_whitening,
@@ -84,6 +85,16 @@ class TestContainers:
             dset(["a"], [[2.0, 0.0]], normalized=True)
         ok = dset(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], normalized=True)
         assert len(ok) == 2 and ok.dim == 2
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DescriptorSet(("a", "b", "c"), np.ones(3)), "matrix must be 2-dimensional, got shape (3,)"),
+        (lambda: WhitenTransform(np.zeros(3), np.eye(4)), "inconsistent shapes: mean (3,), projection (4, 4)"),
+        (lambda: WhitenTransform(np.zeros((1, 3)), np.eye(3)), "inconsistent shapes: mean (1, 3), projection (3, 3)"),
+        (lambda: WhitenTransform(np.zeros(3), np.ones((4, 3))), "cannot whiten to more dimensions than the input has"),
+    ])
+    def test_shapes_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_ranking_validation(self):
         with pytest.raises(ValueError):
@@ -344,6 +355,10 @@ class TestRecall:
 
 
 class TestLocalization:
+    def test_no_queries(self):
+        with pytest.raises(ValueError, match="^no rankings to evaluate$"):
+            localization_accuracy([], {}, {})
+
     def test_threshold_tiers(self):
         rankings = [
             Ranking("near", (("m1", 0.1),)),
@@ -426,6 +441,12 @@ def correlated_training_set(n=200, d=8, seed=3):
 
 
 class TestWhitening:
+    def test_row_that_collapses_to_zero_is_refused(self):
+        """A row equal to the transform's mean whitens to zero, which has no unit direction."""
+        s = dset(["a", "b"], [[0.6, 0.8], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="^whitened descriptor collapsed to zero; cannot renormalize$"):
+            apply_whitening(WhitenTransform(s.matrix[1], np.eye(2)), s)
+
     def test_whitened_training_set_has_identity_covariance(self):
         train = correlated_training_set()
         t = fit_pca_whitening(train, d_pca=8)

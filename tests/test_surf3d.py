@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -66,6 +67,16 @@ class TestTypes:
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             Pose6DOF(np.eye(3) * 2.0, np.zeros(3))
+
+    @pytest.mark.parametrize("rotation, translation, message", [
+        (np.eye(2), np.zeros(3), "rotation must be 3x3, got (2, 2)"),
+        (np.eye(3), np.zeros((3, 1)), "translation must be a 3-vector, got (3, 1)"),
+        (np.eye(3), [0.0, math.inf, 0.0], "pose entries must be finite"),
+        (np.diag([1.0, math.nan, 1.0]), np.zeros(3), "pose entries must be finite"),
+    ])
+    def test_pose_shapes_and_values(self, rotation, translation, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Pose6DOF(rotation, translation)
 
     def test_rotation_must_not_reflect(self):
         flip = np.diag([1.0, 1.0, -1.0])
@@ -268,6 +279,7 @@ class TestLoaders:
     @pytest.mark.parametrize("text, message", [
         ("fx 1\nfy 1\nfx 2\n", "3: duplicate field 'fx'"),
         ("fx 1\nfy one\n", "2: non-numeric value for 'fy'"),
+        ("\n# camera\n  # fitted\n\t\nfx 1\n\nfy one\n", "7: non-numeric value for 'fy'"),  # skipped lines count
     ])
     def test_intrinsics_line_errors(self, tmp_path, text, message):
         path = tmp_path / "intr.cfg"
@@ -503,6 +515,19 @@ class TestCameraIou:
         near = near_bound_cloud(scene, 50, points).points
         for cloud in (PointCloud(scene.points), PointCloud(np.concatenate([scene.points, near])[-points:])):
             assert_bit_equal(camera_iou(cloud, poses, k), mask_stack_iou(cloud, poses, k)[0])
+
+    def test_a_lone_point_is_seen_as_in_the_whole_cloud(self):
+        """Each point alone, through ``visible_mask`` and ``camera_iou``, against its column of the
+        whole cloud's masks: a one-row product, BLAS's vector path, flipped 388 of these 43,200."""
+        scene = corridor.generate_scene(10, 12, 7)
+        k, poses = scene_inputs(scene)
+        cloud = near_bound_cloud(scene, 300, 8)
+        masks = mask_stack_iou(cloud, poses, k)[1]
+        assert masks.size == 43_200 and 0.05 < masks.mean() < 0.95
+        alone = [[visible_mask(PointCloud(point[None]), pose, k)[0] for point in cloud.points] for pose in poses]
+        assert np.array_equal(alone, masks)
+        for point, column in zip(cloud.points, masks.T):
+            assert_bit_equal(camera_iou(PointCloud(point[None]), poses, k), iou_matrix(column[:, None]))
 
     def test_memory_is_bounded_by_a_point_block(self):
         # 60 cameras x 60,000 points: the mask stack alone is 3.6 MB

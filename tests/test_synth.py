@@ -10,7 +10,7 @@ import pytest
 
 from gvpr.embed import FeatureMap
 from gvpr.fov2d import planar_distance, wrapped_angle_diff
-from gvpr.io import read_feature_array
+from gvpr.io import read_feature_records
 from gvpr.relabel import PoseTable
 from gvpr.synth import (
     CENTER_JITTER_M,
@@ -276,7 +276,7 @@ class TestColumnarGenerator:
         for role, poses, values in (("train", world.train_poses, world.train_values),
                                     ("map", world.map_poses, world.map_values),
                                     ("query", world.query_poses, world.query_values)):
-            ids, read = read_feature_array(paths[f"{role}_features"])
+            ids, read = read_feature_records(paths[f"{role}_features"])
             assert ids == list(poses.ids)
             assert np.array_equal(read, values.astype(np.float32))
 
