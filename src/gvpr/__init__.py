@@ -79,8 +79,8 @@ from .surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
-    camera_iou,
-    iou_matrix,
+    intersection_counts,
+    iou_pairs,
     load_intrinsics,
     load_point_cloud,
     load_poses_6dof,

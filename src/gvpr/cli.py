@@ -20,7 +20,7 @@ import numpy as np
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta
 from .io import InputError, file_reader, read_feature_records, write_csv
-from .sampler import BatchStrategy, EmptyQuotaGroup, check_batch_size
+from .sampler import BatchStrategy, EmptyQuotaGroup, LabelTable, check_batch_size
 
 
 def _add_fov_args(p: argparse.ArgumentParser) -> None:
@@ -59,15 +59,15 @@ def cmd_relabel(args) -> int:
 
 def cmd_overlap3d(args) -> int:
     cloud = surf3d.load_point_cloud(args.cloud)
-    poses = surf3d.load_poses_6dof(args.poses)
+    # ranked by id, the cameras' pairs i < j come out in label order: query i, map j
+    poses = sorted(surf3d.load_poses_6dof(args.poses), key=lambda entry: entry[0])
     if len(poses) < 2:
         raise InputError(args.poses, "need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
-    iou = surf3d.camera_iou(cloud, [pose for _, pose in poses], intr)
-    iu, ju = np.triu_indices(len(poses), k=1)
-    ids = [image_id for image_id, _ in poses]
-    labels = relabel.labels_of_pairs(ids, iu, ju, iou[iu, ju])
-    skipped = len(iu) - len(labels)
+    i, j, iou = surf3d.iou_pairs(surf3d.intersection_counts(cloud, [pose for _, pose in poses], intr))
+    # a pair is defined when one of its cameras sees a point, and such a camera pairs with every other
+    labels = LabelTable(tuple(image_id for image_id, _ in poses) if len(iou) else (), i, j, iou)
+    skipped = len(poses) * (len(poses) - 1) // 2 - len(labels)
     relabel.save_labels(args.out, labels)
     print(f"labels={len(labels)}")
     print(f"skipped_undefined={skipped}")
@@ -91,7 +91,7 @@ def cmd_train(args, parser) -> int:
     )
     check_batch_size(cfg.strategy, cfg.batch_size)  # the library trains a single label at any batch size
     labels = relabel.load_labels(args.labels)
-    ids, values = file_reader(read_feature_records)(args.features)
+    ids, values = read_feature_records(args.features)
     if not len(labels):
         raise InputError(args.labels, "no labels to train on")
     row_of = {ident: row for row, ident in enumerate(ids)}
@@ -104,7 +104,7 @@ def cmd_train(args, parser) -> int:
         trained, trace = embed._train(model, labels, pooled, cfg)
     except EmptyQuotaGroup as e:
         raise InputError(args.labels, e) from None
-    except embed.PoolingOverflow as e:
+    except (embed.PoolingOverflow, embed.EmbeddingRejected) as e:
         raise InputError(args.features, e) from None
     except embed.TrainingDiverged as e:
         if e.step > 0:  # a later step diverges from the weights training made, not from the features alone

@@ -8,7 +8,9 @@ array of one shape, pooled a block of records at a time into one
 (n, channels) array, which one matmul projects: a one-row product would
 take BLAS's vector path and round differently. ``forward``,
 ``compute_descriptors`` and ``file_descriptors`` share one
-pool-project-normalize core that rejects descriptors that overflow.
+pool-project-normalize core that rejects a zero-norm or overflowing
+embedding as an ``EmbeddingRejected``; training runs its checks on every
+labelled row at the initial weights before its first step.
 Every pooling, theirs and training's, rejects a pool that overflows at
 the model's ``gem_p`` as a ``PoolingOverflow``. Training runs plain SGD
 over contrastive pairs streamed by the batch sampler, on the graded loss
@@ -57,6 +59,10 @@ class TrainingDiverged(RuntimeError):
 
 class PoolingOverflow(ValueError):
     """Raised when GeM pooling at a model's ``gem_p`` overflows a feature row."""
+
+
+class EmbeddingRejected(ValueError):
+    """Raised when a pooled row embeds to a zero-norm row, which has no direction, or a non-finite one."""
 
 
 @dataclass(frozen=True)
@@ -207,19 +213,23 @@ def _unit_rows(z: np.ndarray) -> tuple:
     normalization; a (near-)zero norm is an error rather than a NaN descriptor."""
     norms = _row_norms(z)
     if (norms <= _NORM_EPS).any():
-        raise ValueError("zero-norm embedding before normalization")
+        raise EmbeddingRejected("zero-norm embedding before normalization")
     return z / norms[:, None], norms
+
+
+def _embedded(pooled: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit rows of ``pooled @ w.T``; a row of zero norm, then one that is not finite, is an EmbeddingRejected."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as the error below, not as warnings
+        u, norms = _unit_rows(pooled @ w.T)
+    if not np.isfinite(norms).all():
+        raise EmbeddingRejected("descriptors must be finite")
+    return u
 
 
 def _descriptors(model: EmbedModel, first_id: str, values: np.ndarray) -> np.ndarray:
     """Unit descriptor rows, (n, d_out), of a (n, channels, locations) array led by map ``first_id``."""
     _check_channels(model, first_id, values.shape[1])
-    pooled = _pooled(values, model.gem_p)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as the error below, not as warnings
-        u, norms = _unit_rows(pooled @ model.W.T)
-    if not np.isfinite(norms).all():
-        raise ValueError("descriptors must be finite")
-    return u
+    return _embedded(_pooled(values, model.gem_p), model.W)
 
 
 def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
@@ -294,8 +304,10 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     inputs. Binary-loss training derives y = 1 iff psi >= 0.5 and feeds y
     to the graded formula, which equals the binary one there.
     Deterministic for a fixed config and data. A label psi outside [0, 1]
-    is a ValueError and a pool that overflows a PoolingOverflow, both before
-    the first step; a non-finite distance, loss or weight aborts with the
+    is a ValueError, a pool that overflows a PoolingOverflow, and a labelled
+    row whose embedding at the initial weights has zero norm or is not
+    finite an EmbeddingRejected, all before the first step, whatever the
+    sampler draws; a non-finite distance, loss or weight aborts with the
     step index.
 
     A single-label list cannot satisfy any strategy's band quotas, so it
@@ -322,6 +334,7 @@ def _train(model: EmbedModel, table: LabelTable, pooled: np.ndarray, cfg: TrainC
         psi = table.psi
         if not ((psi >= 0.0) & (psi <= 1.0)).all():  # also rejects NaN
             raise ValueError("label psi must be in [0, 1]")
+        _embedded(pooled, model.W)  # descriptors' checks, on every labelled row at once
         if len(table) == 1:
             only = Batch(np.zeros(cfg.batch_size, dtype=np.intp), np.repeat(psi, cfg.batch_size))
             next_batch = lambda: only

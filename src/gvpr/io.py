@@ -3,7 +3,8 @@
 Every public reader, and the subcommands that reach it:
   relabel.load_poses          relabel, profile; eval --query-poses/--map-poses (cli._poses_covering)
   relabel.load_labels         train --labels
-  embed.read_features         none: train --features reads file_reader(read_feature_records)
+  io.read_feature_records     train --features; inside read_features, file_descriptors and read_descriptors
+  embed.read_features         none: a library reader
   embed.file_descriptors      eval --query-features/--map-features
   embed.load_model            eval --model
   retrieval.read_descriptors  eval --query-descriptors/--map-descriptors
@@ -191,11 +192,12 @@ def write_feature_array(path, ids, values: np.ndarray) -> None:
             fh.write(b"".join(struct.pack("<H", len(raw)) + raw + record.tobytes() for raw, record in records))
 
 
+@file_reader
 def read_feature_records(path) -> tuple:
     """Ids and float32 values, (count, channels, locations), of a features file.
 
     A repeated id fails as it is read; empty ids and non-finite values are
-    checked once for the whole file. Callers add the path.
+    checked once for the whole file.
     """
     with open(path, "rb") as fh:
         count, channels, locations = read_header(fh, FEATURES_MAGIC, "features", "<IIII")

@@ -182,15 +182,13 @@ def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach
 
 
 def labels_of_pairs(ids, i, j, psi) -> LabelTable:
-    """Labels of the pair arrays (ids[i[k]], ids[j[k]]) with similarity psi[k], 2D or 3D, in canonical
-    id order within each pair and sorted by (query_id, map_id); a NaN psi (undefined) gets no label."""
-    psi = np.asarray(psi, dtype=np.float64)
-    defined = ~np.isnan(psi)
-    ends = np.stack((np.asarray(i)[defined], np.asarray(j)[defined]), axis=1).ravel()
+    """Labels of the pair arrays (ids[i[k]], ids[j[k]]) with similarity psi[k], in canonical id order
+    within each pair and sorted by (query_id, map_id); the table names only the ids some pair names."""
+    ends = np.stack((i, j), axis=1).ravel()
     named = np.zeros(len(ids), dtype=bool)
     named[ends] = True
     code = np.cumsum(named) - 1  # of each named id, its position among the named ids
-    table = LabelTable._coded([ids[k] for k in np.flatnonzero(named).tolist()], code[ends], psi[defined])
+    table = LabelTable._coded([ids[k] for k in np.flatnonzero(named).tolist()], code[ends], psi)
     lo, hi = np.minimum(table.query, table.map), np.maximum(table.query, table.map)
     order = np.lexsort((hi, lo))
     return LabelTable(table.ids, lo[order], hi[order], table.psi[order])

@@ -4,6 +4,8 @@ Each camera pose projects a shared scene point cloud through a pinhole
 model; the set of point indices that land inside the image bounds (in
 front of the camera) is that image's visible surface. The similarity of
 two images is the intersection-over-union of their visible index sets.
+Many cameras are compared through ``intersection_counts``, the exact counts
+of the points each pair sees, which ``iou_pairs`` turns into IoU by tiles.
 
 No occlusion reasoning is performed: a point counts as visible whenever
 it projects into the image with positive depth.
@@ -23,8 +25,9 @@ from .io import LineError, file_reader, floats, read_blocks, read_csv, text_line
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
-_IOU_BLOCK = 4096
-_PROJECT_CELLS = 1 << 14  # points x cameras projected by one product in camera_iou
+_POINT_BLOCK = 4096  # cloud points counted at a time by intersection_counts
+_PROJECT_CELLS = 1 << 14  # points x cameras projected by one product in intersection_counts
+_PAIR_CELLS = 1 << 14  # counts turned into pairs at a time by iou_pairs
 _CLOUD_BLOCK_CHARS = 1 << 14
 
 
@@ -167,62 +170,54 @@ def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _iou_of_counts(inter: np.ndarray) -> np.ndarray:
-    """IoU from the int64 intersection counts of every pair (visible-set sizes on the diagonal)."""
-    sizes = np.diagonal(inter)
-    union = sizes[:, None] + sizes[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / union, np.nan)
+def intersection_counts(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
+    """Int64 counts of the points that both of two ``poses`` (Pose6DOFs) see, the ``visible_mask`` sizes
+    on the diagonal, with no (cameras, points) array.
 
-
-def iou_matrix(masks: np.ndarray) -> np.ndarray:
-    """IoU of every pair of (cameras, points) visibility rows; NaN where both are empty.
-
-    The intersection counts come from ``m @ m.T`` over blocks of at most
-    ``_IOU_BLOCK`` = 4,096 points, with ``m`` the block's rows as float32 0/1.
-    They are exact whatever the cloud size or the BLAS summation order: every
-    partial sum of a block is an integer <= 4,096 < 2**24, so float32 holds it
-    exactly, and the blocks are added into an int64 total. Each entry
-    therefore equals ``surface_overlap``. ``camera_iou`` counts the same way
-    without the stack of rows.
-    """
-    inter = np.zeros((len(masks), len(masks)), dtype=np.int64)
-    for lo in range(0, masks.shape[1], _IOU_BLOCK):
-        m = masks[:, lo:lo + _IOU_BLOCK].astype(np.float32)
-        inter += (m @ m.T).astype(np.int64)
-    return _iou_of_counts(inter)
-
-
-def camera_iou(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
-    """``iou_matrix`` of the ``visible_mask`` rows of ``poses`` (Pose6DOFs), bit for bit, in memory
-    bounded by a point block: no (cameras, points) array is built.
-
-    The cloud is walked in blocks of at most ``_IOU_BLOCK`` = 4,096 points. A block is projected
+    The cloud is walked in blocks of at most ``_POINT_BLOCK`` = 4,096 points. A block is projected
     into every camera at once, in sub-blocks of at most 2**14 // cameras points (at least one), by
     one ``(S, 3) @ (3, 3C)`` product with the stacked ``R.T``. Each element of it is the same
     3-term dot product as in ``points @ R.T``, with the same bits whenever both products have two
-    or more rows, which ``_rotated`` ensures for both: a lone row is multiplied with the row before
-    it, and the point of a one-point cloud with itself. Tier-1 checks the bits under one and two
-    BLAS threads.
-    ``visible_mask``'s rule turns the product into the 0/1 columns of one reused
-    ``(4096, cameras)`` float32 buffer, whose ``m.T @ m`` is added into the int64 counts as in
-    ``iou_matrix``. Memory is O(cameras * 4,096 + cameras**2), whatever the cloud size.
+    or more rows, which ``_rotated`` ensures for both; so a camera's mask depends neither on the
+    cloud's size nor on the other cameras. Tier-1 checks the counts under one and two BLAS threads.
+    The masks are the 0/1 columns of one reused ``(4096, cameras)`` float32 buffer, whose ``m.T @ m``
+    is exact (each partial sum is an integer <= 4,096 < 2**24) and added into the int64 counts.
+    Memory is O(cameras * 4,096 + cameras**2), whatever the cloud size.
     """
     cameras = len(poses)
     rt = np.concatenate([pose.rotation.T for pose in poses], axis=1)
     t = np.array([pose.translation for pose in poses])
     step = max(1, _PROJECT_CELLS // cameras)
-    buf = np.empty((_IOU_BLOCK, cameras), dtype=np.float32)
+    buf = np.empty((_POINT_BLOCK, cameras), dtype=np.float32)
     inter = np.zeros((cameras, cameras), dtype=np.int64)
     points = cloud.points
-    for lo in range(0, len(points), _IOU_BLOCK):
-        hi = min(lo + _IOU_BLOCK, len(points))
+    for lo in range(0, len(points), _POINT_BLOCK):
+        hi = min(lo + _POINT_BLOCK, len(points))
         m = buf[:hi - lo]
         for s in range(lo, hi, step):
             e = min(s + step, hi)
             m[s - lo:e - lo] = _in_image(_rotated(points, s, e, rt).reshape(-1, cameras, 3), t, k)
         inter += (m.T @ m).astype(np.int64)
-    return _iou_of_counts(inter)
+    return inter
+
+
+def iou_pairs(inter: np.ndarray) -> tuple:
+    """Arrays (i, j, IoU) of the pairs i < j of ``intersection_counts`` whose union is not empty, in
+    row-major order: ``inter / union``, ``surface_overlap``'s value, without the C(blind, 2) pairs of
+    two empty sets (0/0). Made by tiles of rows of at most 2**14 counts into arrays of their exact length."""
+    sizes = np.diagonal(inter)
+    cameras, blind = len(sizes), int(np.count_nonzero(sizes == 0))
+    n = (cameras * (cameras - 1) - blind * (blind - 1)) // 2
+    i, j, iou = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    step, end = max(1, _PAIR_CELLS // max(cameras, 1)), 0
+    for lo in range(0, cameras, step):
+        rows = inter[lo:lo + step, lo + 1:]  # column b is camera lo + 1 + b, after row lo + a
+        union = sizes[lo:lo + step, None] + sizes[lo + 1:] - rows
+        a, b = np.nonzero(np.triu(union > 0))
+        got = slice(end, end + len(a))
+        i[got], j[got], iou[got] = lo + a, lo + 1 + b, rows[a, b] / union[a, b]
+        end += len(a)
+    return i, j, iou
 
 
 @file_reader

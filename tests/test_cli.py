@@ -951,9 +951,9 @@ class TestMalformedInputs:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bright}: GeM pooling overflows at gem_p 100\n"
 
-    def test_zero_record_fails_at_step_0_naming_the_features(self, tmp_path, capsys):
-        """A record of zeros pools to a zero row, whose embedding has no direction: step 0 of a one-label
-        file fails from the features alone, so the error names them."""
+    def test_zero_record_fails_before_step_0_naming_the_features(self, tmp_path, capsys):
+        """A record of zeros pools to a zero row, whose embedding has no direction: a one-label file fails
+        from the features alone, so the error names them."""
         features, labels = tmp_path / "features.bin", tmp_path / "labels.csv"
         embed.write_features(features, [embed.FeatureMap("a", np.zeros((8, 4))),
                                         embed.FeatureMap("b", np.ones((8, 4)))])
@@ -961,8 +961,30 @@ class TestMalformedInputs:
         rc = main(["train", "--labels", str(labels), "--features", str(features), "--out", str(tmp_path / "m.bin"),
                    "--d-out", "4", "--batch-size", "4"])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {features}: step 0: zero-norm embedding before normalization\n"
+        assert capsys.readouterr().err == f"error: {features}: zero-norm embedding before normalization\n"
         assert not (tmp_path / "m.bin").exists()
+
+    def test_zero_record_fails_as_eval_does_whatever_the_seed(self, tmp_path, capsys):
+        """12 records, ``r0`` all zeros and named by one of 12 labels: every seed fails before its first
+        step with eval's line for the same file, whichever batch first draws ``r0``, and writes no model."""
+        features, labels, model = tmp_path / "features.bin", tmp_path / "labels.csv", tmp_path / "model.bin"
+        rng = np.random.default_rng(0)
+        embed.write_features(features, [embed.FeatureMap(f"r{k}", rng.uniform(0.5, 2.0, (8, 4)) if k else np.zeros((8, 4)))
+                                        for k in range(12)])
+        psi = [1.0, 0.8, 0.6, 0.5, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.9]
+        labels.write_text("\n".join(["query_id,map_id,psi", *(f"r{k},r{k + 1},{p}" for k, p in enumerate(psi)),
+                                     "r1,r11,0.4"]) + "\n")
+        embed.save_model(model, embed.init_model(4, 8, seed=1))
+        assert main(["eval", "--model", str(model), "--query-features", str(features), "--map-features", str(features),
+                     "--gt", str(labels)]) == 1
+        line = capsys.readouterr().err
+        assert line == f"error: {features}: zero-norm embedding before normalization\n"
+        for seed in range(6):
+            out = tmp_path / f"model{seed}.bin"
+            rc = main(["train", "--labels", str(labels), "--features", str(features), "--out", str(out),
+                       "--batch-size", "4", "--epochs", "3", "--seed", str(seed)])
+            assert (rc, capsys.readouterr().err) == (1, line)
+            assert not out.exists()
 
     def test_model_header_beyond_file_size(self, tmp_path, capsys, world_dir, model_path):
         header = b"GVPM" + struct.pack("<IIIf", 1, 2**31, 2**31, 3.0)

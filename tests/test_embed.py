@@ -13,6 +13,7 @@ import pytest
 from gvpr import io
 from gvpr.embed import (
     EmbedModel,
+    EmbeddingRejected,
     FeatureMap,
     PoolingOverflow,
     TrainConfig,
@@ -226,7 +227,7 @@ class TestForward:
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="zero-norm"):
             compute_descriptors(model, random_maps(rng, 2) + [dark])
-        with pytest.raises(TrainingDiverged, match="step 0: zero-norm"):
+        with pytest.raises(EmbeddingRejected, match="^zero-norm embedding before normalization$"):
             train(model, [SimilarityLabel("dark", "m000", 1.0)], random_maps(rng, 1) + [dark],
                   TrainConfig(batch_size=2))
 
@@ -538,24 +539,22 @@ class TestTrain:
             train(model, labels, maps, TrainConfig(batch_size=8))
 
     def test_divergence_reports_step(self):
-        maps = {
-            "a": FeatureMap("a", np.zeros((3, 2))),
-            "b": FeatureMap("b", np.ones((3, 2))),
-        }
+        """A rate near the float limit: step 0 moves the weights so far that step 1's embeddings overflow."""
+        rng = np.random.default_rng(1)
+        maps = {ident: FeatureMap(ident, rng.uniform(0.5, 2.0, (3, 2))) for ident in "ab"}
         model = init_model(d_out=2, channels=3, seed=0)
         with pytest.raises(TrainingDiverged) as err:
-            train(model, [SimilarityLabel("a", "b", 1.0)], maps, TrainConfig(batch_size=2))
-        assert err.value.step == 0
+            train(model, [SimilarityLabel("a", "b", 0.0)], maps, TrainConfig(batch_size=2, lr0=1e308, epochs=3))
+        assert str(err.value) == "step 1: d must be finite"
+        assert err.value.step == 1
 
     @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
-    def test_non_finite_distance_diverges_at_step_zero(self, n_labels):
+    def test_non_finite_embedding_fails_before_step_zero(self, n_labels):
         """Pooled rows are finite, but weights near the float limit project them past it."""
         labels, maps = toy_training_setup()
         model = EmbedModel(gem_p=3.0, W=np.full((4, 6), 1e308))
-        with pytest.raises(TrainingDiverged) as err:
+        with pytest.raises(EmbeddingRejected, match="^descriptors must be finite$"):
             train(model, labels[:n_labels], maps, TrainConfig(batch_size=12))
-        assert str(err.value) == "step 0: d must be finite"
-        assert err.value.step == 0
 
     @pytest.mark.parametrize("n_labels", [1, 24], ids=["single-label", "sampled"])
     def test_overflowing_pool_fails_before_step_zero(self, n_labels):

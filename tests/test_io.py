@@ -3,10 +3,12 @@
 Each case mutates one small valid input of one subcommand by a bit flip, an insert, a delete, a
 truncation or a duplicated span, and runs the subcommand in process. It must exit 0, or exit 1
 with exactly one stderr line that starts `error: <path>:`, where the path is the mutated file's
-or, for inputs that must agree with it, one listed in the case's ``blame``. Deterministic cases
-give one input of a subcommand another input's header; each must exit 1 in that way. No case may raise
-past ``main`` (a NumPy RuntimeWarning raises in tier-1) or allocate more than ``PEAK_BYTES``
-at its tracemalloc peak.
+or, for inputs that must agree with it, one listed in the case's ``blame``. The valid run of each
+case must call the case's reader. Deterministic cases give one input of a subcommand another
+input's header; each must exit 1 in that way. No case may raise past ``main`` (a NumPy
+RuntimeWarning raises in tier-1) or allocate more than ``PEAK_BYTES`` at its tracemalloc peak.
+A reader that no subcommand reaches is a library case: called on the mutated file, it must
+return or raise the ValueError whose message ``main`` would print as that one line.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import io
 import itertools
 import pkgutil
 import random
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -24,6 +27,7 @@ import pytest
 
 import gvpr
 from gvpr import cli, embed, relabel, retrieval, surf3d, synth
+from gvpr import io as gvpr_io
 from gvpr.cli import main
 
 CASES_PER_READER = 12  # about 20 ms a case under tracemalloc, most of it argparse: 4 s in all
@@ -87,7 +91,7 @@ READERS = [
     Case("relabel", "poses.csv", relabel.load_poses),
     Case("profile", "poses.csv", relabel.load_poses),
     Case("train", "labels.csv", relabel.load_labels),
-    Case("train", "features.bin", embed.read_features, ("labels.csv",)),
+    Case("train", "features.bin", gvpr_io.read_feature_records, ("labels.csv",)),
     Case("eval-model", "model.bin", embed.load_model, ("query_features.bin", "map_features.bin")),
     Case("eval-model", "query_features.bin", embed.file_descriptors, ("gt.csv", "query_poses.csv")),
     Case("eval-model", "map_features.bin", embed.file_descriptors, ("gt.csv", "map_poses.csv")),
@@ -100,6 +104,7 @@ READERS = [
     Case("overlap3d", "poses6.csv", surf3d.load_poses_6dof),
     Case("overlap3d", "intrinsics.txt", surf3d.load_intrinsics),
 ]
+LIBRARY_READERS = [Case("", "features.bin", embed.read_features)]
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
@@ -121,17 +126,51 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
 
 def run(argv) -> tuple:
     """(exit code, stderr, tracemalloc peak) of ``main(argv)``; an exception past main is the code."""
+    return traced(lambda: main([str(a) for a in argv]))
+
+
+def run_library(reader, path) -> tuple:
+    """``run``'s triple for ``reader(path)``: exit 0 when it returns, 1 with main's `error:` line for a ValueError."""
+    def call():
+        try:
+            reader(path)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        return 0
+    return traced(call)
+
+
+def traced(call) -> tuple:
     err = io.StringIO()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main([str(a) for a in argv])
-    except Exception as e:  # any exception that leaves main breaks the contract
+            rc = call()
+    except Exception as e:  # any exception that leaves the call breaks the contract
         rc = repr(e)
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return rc, err.getvalue(), peak
+
+
+def readers_called(argv) -> set:
+    """The decorated readers whose bodies run in ``main(argv)``, which must succeed."""
+    reader_of = {reader.__wrapped__.__code__: reader for reader in wrapped_readers()}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in reader_of:
+            called.add(reader_of[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([str(a) for a in argv]) == 0
+    finally:
+        sys.setprofile(None)
+    return called
 
 
 def wrapped_readers() -> set:
@@ -144,13 +183,16 @@ def wrapped_readers() -> set:
     return found
 
 
-def test_every_reader_is_fuzzed():
-    assert wrapped_readers() == {case.reader for case in READERS}
-
-
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     return write_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+def test_every_reader_is_fuzzed(tmp_path, inputs):
+    """Every decorated reader has a case, and each subcommand case's valid run calls its reader."""
+    assert wrapped_readers() == {case.reader for case in READERS + LIBRARY_READERS}
+    for case in READERS:
+        assert case.reader in readers_called(command(case.command, inputs, tmp_path / "out")), case
 
 
 @pytest.mark.parametrize("case", READERS, ids=lambda c: f"{c.command}-{c.file}")
@@ -165,6 +207,20 @@ def test_mutated_input_fails_as_one_line(tmp_path, inputs, case):
         rc, err, peak = run(command(case.command, {**inputs, case.file: bad}, out))
         ok = rc == 0 or (rc == 1 and err.count("\n") == 1 and err.endswith("\n")
                          and any(err.startswith(f"error: {path}:") for path in blamed))
+        if not ok or peak > PEAK_BYTES:
+            failures.append((seed, rc, err, peak))
+    assert failures == []
+
+
+@pytest.mark.parametrize("case", LIBRARY_READERS, ids=lambda c: c.reader.__name__)
+def test_mutated_input_fails_a_library_reader_as_one_line(tmp_path, inputs, case):
+    assert run_library(case.reader, inputs[case.file])[:2] == (0, "")
+    bad = tmp_path / case.file
+    failures = []
+    for seed in range(CASES_PER_READER):
+        bad.write_bytes(mutate(inputs[case.file].read_bytes(), random.Random(f"{case.reader.__name__}/{seed}")))
+        rc, err, peak = run_library(case.reader, bad)
+        ok = rc == 0 or (rc == 1 and err.count("\n") == 1 and err.endswith("\n") and err.startswith(f"error: {bad}:"))
         if not ok or peak > PEAK_BYTES:
             failures.append((seed, rc, err, peak))
     assert failures == []

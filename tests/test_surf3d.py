@@ -1,5 +1,9 @@
 """Pinhole projection and visible-surface overlap tests."""
 
+import contextlib
+import dataclasses
+import io
+import itertools
 import math
 import os
 import re
@@ -20,8 +24,8 @@ from gvpr.surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
-    camera_iou,
-    iou_matrix,
+    intersection_counts,
+    iou_pairs,
     load_intrinsics,
     load_point_cloud,
     load_poses_6dof,
@@ -29,6 +33,7 @@ from gvpr.surf3d import (
     surface_overlap,
     visible_mask,
 )
+from gvpr.cli import main
 from perfbench import corridor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,22 +190,29 @@ class TestSurfaceOverlap:
         assert surface_overlap(a, b) == surface_overlap(b, a)
 
 
-class TestIouMatrix:
+class TestIouPairs:
     def test_equals_surface_overlap_on_random_masks(self):
         rng = np.random.default_rng(21)
         masks = rng.random((9, 300)) < rng.uniform(0.0, 0.6, size=(9, 1))
         masks[[2, 5]] = False  # two blind cameras: their pair is undefined
         sets = [VisibleSet(f"c{i}", np.flatnonzero(m)) for i, m in enumerate(masks)]
-        iou = iou_matrix(masks)
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if not a.indices and not b.indices:
-                    with pytest.raises(UndefinedOverlapError):
-                        surface_overlap(a, b)
-                    assert math.isnan(iou[i, j])
-                else:
-                    assert iou[i, j] == surface_overlap(a, b)
-        assert np.isnan(iou).sum() == 4
+        i, j, iou = iou_pairs(mask_counts(masks))
+        assert np.all(i < j) and np.all(np.diff(i * len(masks) + j) > 0)  # upper triangle, row-major
+        got = dict(zip(zip(i.tolist(), j.tolist()), iou.tolist()))
+        for a, b in itertools.combinations(range(len(sets)), 2):
+            if not sets[a].indices and not sets[b].indices:
+                with pytest.raises(UndefinedOverlapError):
+                    surface_overlap(sets[a], sets[b])
+                assert (a, b) not in got
+            else:
+                assert got[a, b] == surface_overlap(sets[a], sets[b])
+        assert len(got) == 9 * 8 // 2 - 1
+
+    @pytest.mark.parametrize("cameras", [0, 1])
+    def test_fewer_than_two_cameras_have_no_pairs(self, cameras):
+        i, j, iou = iou_pairs(np.full((cameras, cameras), 10, dtype=np.int64))
+        assert (i.dtype, j.dtype, iou.dtype) == (np.intp, np.intp, np.float64)
+        assert len(i) == len(j) == len(iou) == 0
 
 
 class TestToyScene:
@@ -290,8 +302,8 @@ class TestLoaders:
 
 
 # Frozen references: the line-by-line parser, the broadcast projection and the
-# per-row intersection counts that load_point_cloud, visible_mask and
-# iou_matrix replaced. The fast versions must match them bit for bit.
+# per-row intersection counts and IoU matrix that load_point_cloud, visible_mask
+# and iou_pairs replaced. The fast versions must match them bit for bit.
 @file_reader
 def _reference_load_point_cloud(path) -> PointCloud:
     rows = []
@@ -327,9 +339,28 @@ def _reference_iou_matrix(masks):
         return np.where(union > 0, inter / union, np.nan)
 
 
+def _reference_pairs(masks) -> tuple:
+    """The upper triangle of ``_reference_iou_matrix`` in row-major order, NaN pairs dropped."""
+    iou = _reference_iou_matrix(masks)
+    i, j = np.triu_indices(len(masks), k=1)
+    defined = ~np.isnan(iou[i, j])
+    return i[defined], j[defined], iou[i, j][defined]
+
+
+def mask_counts(masks) -> np.ndarray:
+    """Intersection counts of a (cameras, points) mask stack by one float64 product, exact below 2**53 points."""
+    m = masks.astype(np.float64)
+    return (m @ m.T).astype(np.int64)
+
+
 def assert_bit_equal(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def assert_pairs_equal(got, want):
+    for column, expected in zip(got, want, strict=True):
+        assert_bit_equal(column, expected)
 
 
 def load_error(loader, path):
@@ -354,7 +385,9 @@ class TestMatchesReference:
             assert_bit_equal(masks[-1], _reference_visible_mask(cloud, pose, k))
         masks = np.stack(masks)
         assert 0 < masks.sum() < masks.size
-        assert_bit_equal(iou_matrix(masks), _reference_iou_matrix(masks))
+        counts = intersection_counts(cloud, [pose for _, pose in load_poses_6dof(paths["poses"])], k)
+        assert_bit_equal(counts, mask_counts(masks))
+        assert_pairs_equal(iou_pairs(counts), _reference_pairs(masks))
 
     def test_points_on_the_image_edges(self):
         # Points placed on the four image edges of each camera project to within a few ulps
@@ -378,18 +411,16 @@ class TestMatchesReference:
             assert 0.05 < want.mean() < 0.95
             assert_bit_equal(visible_mask(cloud, pose, k), want)
 
-    @pytest.mark.parametrize("shape", [(9, 3 * 4096 + 7), (6, 4096), (1, 5_000), (1, 0), (4, 1)])
-    def test_masks_with_empty_rows(self, shape):
+    # tiles of one row, of three rows (a short last tile at 1, 4 and 40 cameras) and one tile for all rows
+    @pytest.mark.parametrize("tile_rows", [1, 3, 100])
+    @pytest.mark.parametrize("shape", [(9, 3 * 4096 + 7), (6, 4096), (1, 5_000), (1, 0), (4, 1), (40, 300)])
+    def test_masks_with_empty_rows(self, monkeypatch, shape, tile_rows):
+        monkeypatch.setattr("gvpr.surf3d._PAIR_CELLS", tile_rows * shape[0])
         rng = np.random.default_rng(shape[1])
         masks = rng.random(shape) < rng.uniform(0.0, 0.9, size=(shape[0], 1))
         masks[::3] = False  # blind cameras: pairs of them are NaN
-        want = _reference_iou_matrix(masks)
-        assert np.isnan(want).any()
-        assert_bit_equal(iou_matrix(masks), want)
-
-    def test_single_seeing_camera(self):
-        masks = np.ones((1, 10), dtype=bool)
-        assert_bit_equal(iou_matrix(masks), np.ones((1, 1)))
+        assert np.isnan(_reference_iou_matrix(masks)).any()
+        assert_pairs_equal(iou_pairs(mask_counts(masks)), _reference_pairs(masks))
 
     @pytest.mark.parametrize("content", [
         b"0 0 1\r\n0.5 -1 2\r\n3 4 5\r\n",
@@ -449,9 +480,9 @@ def scene_inputs(scene):
     return k, [Pose6DOF(rot, t) for rot, t in zip(scene.rotations, scene.translations)]
 
 
-def mask_stack_iou(cloud, poses, k):
+def mask_stack_counts(cloud, poses, k):
     masks = np.stack([visible_mask(cloud, pose, k) for pose in poses])
-    return iou_matrix(masks), masks
+    return mask_counts(masks), masks
 
 
 def near_bound_cloud(scene, per_camera, seed):
@@ -473,9 +504,9 @@ def near_bound_cloud(scene, per_camera, seed):
     return PointCloud(np.concatenate(parts))
 
 
-def check_camera_iou_bits():
-    """``camera_iou`` against the per-camera mask stack, bit for bit, on the corridor scenes and the
-    near-bound points of ``TestCameraIou``; run under a given BLAS thread count by the tests."""
+def check_intersection_count_bits():
+    """``intersection_counts`` against the per-camera mask stack's, exactly, on the corridor scenes and
+    the near-bound points of ``TestIntersectionCounts``; run under a given BLAS thread count by the tests."""
     cases = [(points, cameras, 100 * cameras + points % 97)
              for points in (4_095, 4_096, 4_097, 13_001) for cameras in (2, 12, 50, 300)]
     # 52 cameras: sub-blocks of 315 points, so every block ends in a lone row; 1- and 2-point clouds
@@ -484,23 +515,23 @@ def check_camera_iou_bits():
         scene = corridor.generate_scene(points, cameras, seed)
         k, poses = scene_inputs(scene)
         cloud = PointCloud(scene.points)
-        want, masks = mask_stack_iou(cloud, poses, k)
+        want, masks = mask_stack_counts(cloud, poses, k)
         assert points < 3 or 0 < masks.sum() < masks.size
-        assert_bit_equal(camera_iou(cloud, poses, k), want)
+        assert_bit_equal(intersection_counts(cloud, poses, k), want)
     scene = corridor.generate_scene(10, 12, 7)
     k, poses = scene_inputs(scene)
     cloud = near_bound_cloud(scene, 1_000, 8)
-    want, masks = mask_stack_iou(cloud, poses, k)
+    want, masks = mask_stack_counts(cloud, poses, k)
     assert 0.05 < masks.mean() < 0.95
-    assert_bit_equal(camera_iou(cloud, poses, k), want)
+    assert_bit_equal(intersection_counts(cloud, poses, k), want)
 
 
-class TestCameraIou:
+class TestIntersectionCounts:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_equals_the_mask_stack_under_blas_threads(self, threads):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(str(p) for p in (ROOT / "src", ROOT, ROOT / "tests")))
-        done = subprocess.run([sys.executable, "-c", "import test_surf3d; test_surf3d.check_camera_iou_bits()"],
+        done = subprocess.run([sys.executable, "-c", "import test_surf3d; test_surf3d.check_intersection_count_bits()"],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 
@@ -514,27 +545,27 @@ class TestCameraIou:
         monkeypatch.setattr("gvpr.surf3d._PROJECT_CELLS", step * len(poses))
         near = near_bound_cloud(scene, 50, points).points
         for cloud in (PointCloud(scene.points), PointCloud(np.concatenate([scene.points, near])[-points:])):
-            assert_bit_equal(camera_iou(cloud, poses, k), mask_stack_iou(cloud, poses, k)[0])
+            assert_bit_equal(intersection_counts(cloud, poses, k), mask_stack_counts(cloud, poses, k)[0])
 
     def test_a_lone_point_is_seen_as_in_the_whole_cloud(self):
-        """Each point alone, through ``visible_mask`` and ``camera_iou``, against its column of the
+        """Each point alone, through ``visible_mask`` and ``intersection_counts``, against its column of the
         whole cloud's masks: a one-row product, BLAS's vector path, flipped 388 of these 43,200."""
         scene = corridor.generate_scene(10, 12, 7)
         k, poses = scene_inputs(scene)
         cloud = near_bound_cloud(scene, 300, 8)
-        masks = mask_stack_iou(cloud, poses, k)[1]
+        masks = mask_stack_counts(cloud, poses, k)[1]
         assert masks.size == 43_200 and 0.05 < masks.mean() < 0.95
         alone = [[visible_mask(PointCloud(point[None]), pose, k)[0] for point in cloud.points] for pose in poses]
         assert np.array_equal(alone, masks)
         for point, column in zip(cloud.points, masks.T):
-            assert_bit_equal(camera_iou(PointCloud(point[None]), poses, k), iou_matrix(column[:, None]))
+            assert_bit_equal(intersection_counts(PointCloud(point[None]), poses, k), mask_counts(column[:, None]))
 
     def test_memory_is_bounded_by_a_point_block(self):
         # 60 cameras x 60,000 points: the mask stack alone is 3.6 MB
         scene = corridor.generate_scene(60_000, 60, 13)
         k, poses = scene_inputs(scene)
         cloud = PointCloud(scene.points)
-        camera_iou(PointCloud(cloud.points[:5]), poses, k)  # first-call imports
+        intersection_counts(PointCloud(cloud.points[:5]), poses, k)  # first-call imports
 
         def peak(run):
             tracemalloc.start()
@@ -544,8 +575,8 @@ class TestCameraIou:
             finally:
                 tracemalloc.stop()
 
-        block_peak, got = peak(lambda: camera_iou(cloud, poses, k))
-        stack_peak, want = peak(lambda: mask_stack_iou(cloud, poses, k)[0])
+        block_peak, got = peak(lambda: intersection_counts(cloud, poses, k))
+        stack_peak, want = peak(lambda: mask_stack_counts(cloud, poses, k)[0])
         assert_bit_equal(got, want)
         assert block_peak < 4_000_000 < stack_peak
 
@@ -597,3 +628,64 @@ class TestCloudParsers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_error(load_point_cloud, path) == f"{path}: empty point cloud"
+
+
+def blinded_scene(points, cameras, seed, blind):
+    """A corridor scene with its camera ids in shuffled order, ``blind`` of its cameras turned away from
+    every point: pairs of two blind cameras have no IoU."""
+    scene = corridor.generate_scene(points, cameras, seed)
+    rng = np.random.default_rng(seed)
+    translations = scene.translations.copy()
+    translations[rng.permutation(cameras)[:blind]] = (0.0, 0.0, -1_000.0)  # every point lies behind
+    ids = tuple(f"cam{k}" if k % 3 else f"Cam{k:03d}" for k in rng.permutation(cameras))  # "cam10" < "cam9"
+    return dataclasses.replace(scene, ids=ids, translations=translations)
+
+
+def run_overlap3d(paths, out) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["overlap3d", "--cloud", paths["cloud"], "--poses", paths["poses"],
+                     "--intrinsics", paths["intrinsics"], "--out", str(out)]) == 0
+    return stdout.getvalue()
+
+
+class TestOverlap3dLabels:
+    def test_shuffled_ids_and_blind_cameras_equal_the_reference(self, tmp_path):
+        """The labels file and counts against the frozen path: the reference IoU matrix in file order, its
+        pairs sorted by id key with NaN pairs dropped."""
+        scene = blinded_scene(3_000, 14, 4, blind=2)
+        paths = corridor.write_scene(tmp_path, scene)
+        stdout = run_overlap3d(paths, tmp_path / "labels.csv")
+        k, poses = scene_inputs(scene)
+        cloud = PointCloud(scene.points)
+        masks = np.stack([_reference_visible_mask(cloud, pose, k) for pose in poses])
+        assert (~masks.any(axis=1)).sum() == 2
+        iou = _reference_iou_matrix(masks)
+        rows = sorted((min(scene.ids[a], scene.ids[b]), max(scene.ids[a], scene.ids[b]), iou[a, b])
+                      for a, b in itertools.combinations(range(len(scene.ids)), 2) if not math.isnan(iou[a, b]))
+        want = "".join(f"{q},{m},{psi:.6f}\r\n" for q, m, psi in rows)
+        assert (tmp_path / "labels.csv").read_bytes().decode() == "query_id,map_id,psi\r\n" + want
+        assert stdout == f"labels={len(rows)}\nskipped_undefined=1\n"
+
+    def test_labels_hold_no_cameras_squared_floats(self, tmp_path, monkeypatch):
+        """From the counts of 600 cameras to the labels file: the labels' three columns, 24 B a pair,
+        and one tile of counts. The IoU matrix, its triangle's indices and a sort of the labels took
+        about 64 B an ordered pair, 130 B a label."""
+        cameras = 600
+        scene = blinded_scene(2, cameras, 6, blind=0)  # the poses file; the counts stand in for its cameras
+        paths = corridor.write_scene(tmp_path, scene)
+        rng = np.random.default_rng(6)
+        masks = rng.random((cameras, 400)) < rng.uniform(0.05, 0.5, size=(cameras, 1))
+        masks[rng.permutation(cameras)[:10]] = False
+        counts = mask_counts(masks)
+        monkeypatch.setattr("gvpr.surf3d.intersection_counts", lambda *args: counts)
+        run_overlap3d(paths, tmp_path / "warm.csv")  # first-call imports
+        tracemalloc.start()
+        try:
+            stdout = run_overlap3d(paths, tmp_path / "labels.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        labels = cameras * (cameras - 1) // 2 - 45
+        assert stdout == f"labels={labels}\nskipped_undefined=45\n"
+        assert peak < 24 * labels + 3_000_000, f"{peak / labels:.1f} B a label"
