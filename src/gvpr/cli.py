@@ -20,7 +20,7 @@ import numpy as np
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta
 from .io import InputError, file_reader, read_feature_records, write_csv
-from .sampler import BatchStrategy, EmptyQuotaGroup, LabelTable, check_batch_size
+from .sampler import BatchStrategy, EmptyQuotaGroup, _block_records, check_batch_size
 
 
 def _add_fov_args(p: argparse.ArgumentParser) -> None:
@@ -49,7 +49,7 @@ def cmd_relabel(args) -> int:
         table, fov, candidate_radius=args.candidate_radius_m,
         arc_segments=args.arc_segments,
     )
-    relabel.save_labels(args.out, labels)
+    relabel.save_labels(args.out, labels.records())
     counts = relabel.class_counts(labels)
     print(f"labels={len(labels)}")
     for cls in relabel.SimilarityClass:
@@ -64,12 +64,11 @@ def cmd_overlap3d(args) -> int:
     if len(poses) < 2:
         raise InputError(args.poses, "need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
-    i, j, iou = surf3d.iou_pairs(surf3d.intersection_counts(cloud, [pose for _, pose in poses], intr))
-    # a pair is defined when one of its cameras sees a point, and such a camera pairs with every other
-    labels = LabelTable(tuple(image_id for image_id, _ in poses) if len(iou) else (), i, j, iou)
-    skipped = len(poses) * (len(poses) - 1) // 2 - len(labels)
-    relabel.save_labels(args.out, labels)
-    print(f"labels={len(labels)}")
+    inter = surf3d.intersection_counts(cloud, [pose for _, pose in poses], intr)
+    relabel.save_labels(args.out, _block_records([image_id for image_id, _ in poses], surf3d.iou_pairs(inter)))
+    blind = int(np.count_nonzero(np.diagonal(inter) == 0))
+    skipped = blind * (blind - 1) // 2  # the pairs of two cameras that see no point
+    print(f"labels={len(poses) * (len(poses) - 1) // 2 - skipped}")
     print(f"skipped_undefined={skipped}")
     return 0
 
@@ -90,10 +89,11 @@ def cmd_train(args, parser) -> int:
         seed=args.seed,
     )
     check_batch_size(cfg.strategy, cfg.batch_size)  # the library trains a single label at any batch size
+    embed.check_d_out(args.d_out)
     labels = relabel.load_labels(args.labels)
-    ids, values = read_feature_records(args.features)
     if not len(labels):
         raise InputError(args.labels, "no labels to train on")
+    ids, values = read_feature_records(args.features)
     row_of = {ident: row for row, ident in enumerate(ids)}
     missing = sorted(set(labels.ids) - row_of.keys())
     if missing:
@@ -254,6 +254,7 @@ def cmd_synth(args) -> int:
 
 def cmd_profile(args) -> int:
     fov = _fov(args)
+    relabel.check_bins(args.bins)
     table = relabel.load_poses(args.poses)
     if len(table) < 2:
         raise InputError(args.poses, "profile needs at least 2 poses")

@@ -237,10 +237,15 @@ def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
     return compute_descriptors(model, [fm])[1][0]
 
 
-def init_model(d_out: int, channels: int, gem_p: float = DEFAULT_GEM_P, seed: int = 0) -> EmbedModel:
-    """Random untrained model; weights scaled so initial descriptors are tame."""
+def check_d_out(d_out: int) -> None:
+    """Raise ValueError unless the descriptor dimension ``d_out`` is positive."""
     if d_out < 1:
         raise ValueError(f"d_out must be a positive integer, got {d_out}")
+
+
+def init_model(d_out: int, channels: int, gem_p: float = DEFAULT_GEM_P, seed: int = 0) -> EmbedModel:
+    """Random untrained model; weights scaled so initial descriptors are tame."""
+    check_d_out(d_out)
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(channels), size=(d_out, channels))
     return EmbedModel(gem_p=gem_p, W=w)

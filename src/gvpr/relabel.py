@@ -11,8 +11,8 @@ positive (psi >= 0.5), soft negative (0 < psi < 0.5) and hard negative
 A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
 array of (t0, t1, alpha) rows, checked and wrapped as CameraPose2D is.
 CameraPose2Ds are built from the rows only where ``fov_overlap`` needs
-them, once per table. Labels come and go as
-a ``sampler.LabelTable`` of columns, with no object per label.
+them, once per table. Labels are made and read as a ``sampler.LabelTable``
+of columns, with no object per label, and written from its records.
 
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
@@ -141,9 +141,9 @@ def load_labels(path) -> LabelTable:
                              np.concatenate([np.empty(0), *(b[1] for b in blocks)]))
 
 
-def save_labels(path, labels) -> None:
-    """Write labels (a LabelTable, or what ``LabelTable.of`` takes) as a labels CSV."""
-    write_csv(path, LABELS_HEADER, ([q, m, f"{psi:.6f}"] for q, m, psi in LabelTable.of(labels).records()))
+def save_labels(path, records) -> None:
+    """Write (query id, map id, psi) records, such as ``LabelTable.records()``, as a labels CSV."""
+    write_csv(path, LABELS_HEADER, ([q, m, f"{psi:.6f}"] for q, m, psi in records))
 
 
 def _pair_blocks(table: PoseTable, reach: float):
@@ -214,6 +214,12 @@ def pairwise_similarity(
     return labels_of_pairs(table.ids, i, j, psi)
 
 
+def check_bins(bins: int | None) -> None:
+    """Raise ValueError unless ``bins`` is None (raw pairs) or a positive count."""
+    if bins is not None and bins < 1:
+        raise ValueError("bins must be a positive count")
+
+
 def fov_distance_profile(
     table: PoseTable,
     fov: FovParams,
@@ -233,8 +239,7 @@ def fov_distance_profile(
     """
     if len(table) < 2:
         raise ValueError("profile needs at least 2 poses")
-    if bins is not None and bins < 1:
-        raise ValueError("bins must be a positive count")
+    check_bins(bins)
     check_arc_segments(arc_segments)
     if bins is None:
         blocks = [(dist, wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2]), psi)

@@ -171,7 +171,9 @@ def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
         raise ValueError(f"dimension mismatch: queries {queries.dim}, map {map_set.dim}")
     if not 1 <= k <= len(map_set):
         raise ValueError(f"k must be in [1, {len(map_set)}], got {k}")
-    order = np.argsort(np.array(map_set.ids))  # canonical id order for tie-breaks
+    # canonical id order for tie-breaks: Python's str order, as every id sort here (NumPy's unicode
+    # order holds "a" and "a\x00" equal)
+    order = np.array(sorted(range(len(map_set)), key=map_set.ids.__getitem__), dtype=np.intp)
     n_map = len(order)
     m = np.zeros((-(-n_map // _MAP_PAD_ROWS) * _MAP_PAD_ROWS, map_set.dim))
     m[:n_map] = map_set.matrix[order]

@@ -5,7 +5,7 @@ model; the set of point indices that land inside the image bounds (in
 front of the camera) is that image's visible surface. The similarity of
 two images is the intersection-over-union of their visible index sets.
 Many cameras are compared through ``intersection_counts``, the exact counts
-of the points each pair sees, which ``iou_pairs`` turns into IoU by tiles.
+of the points each pair sees, which ``iou_pairs`` yields as IoU pairs by row tiles.
 
 No occlusion reasoning is performed: a point counts as visible whenever
 it projects into the image with positive depth.
@@ -181,8 +181,9 @@ def intersection_counts(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
     or more rows, which ``_rotated`` ensures for both; so a camera's mask depends neither on the
     cloud's size nor on the other cameras. Tier-1 checks the counts under one and two BLAS threads.
     The masks are the 0/1 columns of one reused ``(4096, cameras)`` float32 buffer, whose ``m.T @ m``
-    is exact (each partial sum is an integer <= 4,096 < 2**24) and added into the int64 counts.
-    Memory is O(cameras * 4,096 + cameras**2), whatever the cloud size.
+    is exact (each partial sum is an integer <= 4,096 < 2**24) and added into the int64 counts in place.
+    Memory is the buffer, the counts and one float32 product: O(cameras * 4,096 + cameras**2), whatever
+    the cloud size.
     """
     cameras = len(poses)
     rt = np.concatenate([pose.rotation.T for pose in poses], axis=1)
@@ -197,27 +198,23 @@ def intersection_counts(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
         for s in range(lo, hi, step):
             e = min(s + step, hi)
             m[s - lo:e - lo] = _in_image(_rotated(points, s, e, rt).reshape(-1, cameras, 3), t, k)
-        inter += (m.T @ m).astype(np.int64)
+        # no int64 copy of the product: the add runs in float64, exact for every count below 2**53,
+        # and each float32 entry is already an exact integer below 2**24
+        np.add(inter, m.T @ m, out=inter, casting="unsafe")
     return inter
 
 
-def iou_pairs(inter: np.ndarray) -> tuple:
-    """Arrays (i, j, IoU) of the pairs i < j of ``intersection_counts`` whose union is not empty, in
-    row-major order: ``inter / union``, ``surface_overlap``'s value, without the C(blind, 2) pairs of
-    two empty sets (0/0). Made by tiles of rows of at most 2**14 counts into arrays of their exact length."""
+def iou_pairs(inter: np.ndarray):
+    """Yield arrays (i, j, IoU) of the pairs i < j of ``intersection_counts`` whose union is not empty,
+    one tile of rows of at most 2**14 counts at a time, in row-major order: ``inter / union``,
+    ``surface_overlap``'s value, without the pairs of two empty sets (0/0)."""
     sizes = np.diagonal(inter)
-    cameras, blind = len(sizes), int(np.count_nonzero(sizes == 0))
-    n = (cameras * (cameras - 1) - blind * (blind - 1)) // 2
-    i, j, iou = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
-    step, end = max(1, _PAIR_CELLS // max(cameras, 1)), 0
-    for lo in range(0, cameras, step):
+    step = max(1, _PAIR_CELLS // max(len(sizes), 1))
+    for lo in range(0, len(sizes) - 1, step):
         rows = inter[lo:lo + step, lo + 1:]  # column b is camera lo + 1 + b, after row lo + a
         union = sizes[lo:lo + step, None] + sizes[lo + 1:] - rows
         a, b = np.nonzero(np.triu(union > 0))
-        got = slice(end, end + len(a))
-        i[got], j[got], iou[got] = lo + a, lo + 1 + b, rows[a, b] / union[a, b]
-        end += len(a)
-    return i, j, iou
+        yield lo + a, lo + 1 + b, rows[a, b] / union[a, b]
 
 
 @file_reader

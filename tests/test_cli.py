@@ -264,12 +264,16 @@ class TestTrain:
 
     @pytest.mark.parametrize("d_out", ["-3", "0"])
     def test_nonpositive_descriptor_dimension_rejected(self, world_dir, labels_csv, tmp_path, capsys, d_out):
+        """The dimension rule holds before any file is read."""
         out = tmp_path / "model.bin"
-        rc = main(["train", "--labels", str(labels_csv), "--features", str(world_dir / "train_features.bin"),
-                   "--out", str(out), "--d-out", d_out])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: d_out must be a positive integer, got {d_out}\n"
-        assert not out.exists()
+        absent_labels, absent_features = tmp_path / "absent.csv", tmp_path / "absent.bin"
+        for labels, features in ((labels_csv, world_dir / "train_features.bin"), (labels_csv, absent_features),
+                                 (absent_labels, absent_features)):
+            rc = main(["train", "--labels", str(labels), "--features", str(features), "--out", str(out),
+                       "--d-out", d_out])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: d_out must be a positive integer, got {d_out}\n"
+            assert not out.exists()
 
     def test_indivisible_batch_size_fails_cleanly(self, world_dir, labels_csv, tmp_path, capsys):
         rc = main([
@@ -773,9 +777,12 @@ class TestProfile:
         assert not out.exists()
 
     def test_bad_bins_is_the_arguments_fault(self, tmp_path, capsys):
+        """The bins rule holds before the poses file is read."""
         out = tmp_path / "profile.csv"
-        assert main(["profile", "--poses", str(self.poses_csv(tmp_path)), "--out", str(out), "--bins", "0"]) == 1
-        assert capsys.readouterr().err == "error: bins must be a positive count\n"
+        for poses in (self.poses_csv(tmp_path), tmp_path / "absent.csv"):
+            assert main(["profile", "--poses", str(poses), "--out", str(out), "--bins", "0"]) == 1
+            assert capsys.readouterr().err == "error: bins must be a positive count\n"
+            assert not out.exists()
 
 
 class TestNonFiniteRadiusAndMargin:
@@ -882,7 +889,7 @@ class TestMalformedInputs:
         descriptors = tmp_path / "descriptors.bin"
         retrieval.write_descriptors(descriptors, retrieval.DescriptorSet(("d0", "d1"), np.eye(2, 8)))
         labels = tmp_path / "labels.csv"
-        labels.write_text("query_id,map_id,psi\n")
+        labels.write_text("query_id,map_id,psi\nd0,d1,0.5\n")  # a header-only file fails before the features
         world_eval = ["eval", "--model", str(model_path), "--query-features", features,
                       "--map-features", str(world_dir / "map_features.bin"),
                       "--gt", str(world_dir / "gt.csv"), "--ks", "1"]
@@ -1222,6 +1229,10 @@ class TestMalformedInputs:
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "no_labels.csv",
                             b"query_id,map_id,psi\n")
         assert err == f"error: {tmp_path / 'no_labels.csv'}: no labels to train on\n"
+        # the labels fail before the features file is read
+        rc = main(["train", "--labels", str(tmp_path / "no_labels.csv"), "--features", str(tmp_path / "absent.bin"),
+                   "--out", str(tmp_path / "model.bin")])
+        assert (rc, capsys.readouterr().err) == (1, err)
 
     def test_labels_without_features(self, tmp_path, capsys, world_dir, model_path):
         err = self.run_with(tmp_path, capsys, world_dir, model_path, "train-labels", "stray_labels.csv",

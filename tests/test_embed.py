@@ -474,7 +474,7 @@ class TestTrain:
     def test_a_table_trains_as_its_label_list(self, n_labels, tmp_path):
         labels, maps = toy_training_setup()
         labels = [SimilarityLabel(lab.query_id, lab.map_id, float(f"{lab.psi:.6f}")) for lab in labels[:n_labels]]
-        save_labels(tmp_path / "labels.csv", labels)
+        save_labels(tmp_path / "labels.csv", LabelTable.of(labels).records())
         model = init_model(d_out=4, channels=6, seed=0)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
         runs = {}

@@ -497,8 +497,7 @@ class TestPersistence:
 
     def test_labels_roundtrip_with_six_decimals(self, tmp_path):
         path = tmp_path / "labels.csv"
-        labels = [SimilarityLabel("a", "b", 1 / 3), SimilarityLabel("a", "c", 0.0)]
-        save_labels(path, labels)
+        save_labels(path, [("a", "b", 1 / 3), ("a", "c", 0.0)])
         text = path.read_text()
         assert "0.333333" in text
         again = list(load_labels(path))
@@ -512,12 +511,12 @@ class TestPersistence:
             psis += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, 1.0))]
         labels = [SimilarityLabel(f"q{n:02d}", f"m{n % 3}", p) for n, p in enumerate(psis)]
         first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-        save_labels(first, labels)
+        save_labels(first, LabelTable.of(labels).records())
         assert first.read_bytes().decode("utf-8").split("\r\n") == [
             "query_id,map_id,psi", *(f"{lab.query_id},{lab.map_id},{lab.psi:.6f}" for lab in labels), ""]
         table = load_labels(first)
         assert list(table) == [SimilarityLabel(lab.query_id, lab.map_id, float(f"{lab.psi:.6f}")) for lab in labels]
-        save_labels(again, table)
+        save_labels(again, table.records())
         assert again.read_bytes() == first.read_bytes()
 
     def test_load_labels_memory_per_label(self, tmp_path):
@@ -536,7 +535,7 @@ class TestPersistence:
             tracemalloc.stop()
         assert len(table) == len(pairs) == 19_900 and table.ids == tuple(ids)
         assert peak <= 160 * len(pairs), f"{peak / len(pairs):.0f} B per label"
-        save_labels(tmp_path / "again.csv", table)  # written a block of labels at a time
+        save_labels(tmp_path / "again.csv", table.records())  # written a block of labels at a time
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_load_labels_validates(self, tmp_path):

@@ -119,6 +119,13 @@ class TestNnSearch:
         (r,) = nn_search(queries, refs, k=2)
         assert [mid for mid, _ in r.hits] == ["a", "z"]
 
+    @pytest.mark.parametrize("ids", [("a", "a\x00"), ("a\x00", "a")])
+    def test_tie_broken_by_python_str_order_in_either_row_order(self, ids):
+        # NumPy's fixed-width unicode order holds "a" and "a\x00" equal
+        queries = dset(["q"], [[0.0, 0.0]])
+        (r,) = nn_search(queries, dset(ids, [[1.0, 0.0], [0.0, 1.0]]), k=2)
+        assert [mid for mid, _ in r.hits] == ["a", "a\x00"]
+
     def test_invariant_under_map_row_permutation(self):
         rng = np.random.default_rng(0)
         queries = dset([f"q{i}" for i in range(5)], rng.normal(size=(5, 4)))
