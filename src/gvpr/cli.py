@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
-from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta
+from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta, check_arc_segments
 from .io import InputError, file_reader, read_feature_records, write_csv
 from .sampler import BatchStrategy, EmptyQuotaGroup, _block_records, check_batch_size
 
@@ -42,6 +42,8 @@ def _fov(args) -> FovParams:
 
 def cmd_relabel(args) -> int:
     fov = _fov(args)
+    check_arc_segments(args.arc_segments)
+    relabel.check_candidate_radius(args.candidate_radius_m, fov)
     table = relabel.load_poses(args.poses)
     if len(table) == 0:
         raise InputError(args.poses, "no pose records")
@@ -105,10 +107,6 @@ def cmd_train(args, parser) -> int:
     except EmptyQuotaGroup as e:
         raise InputError(args.labels, e) from None
     except (embed.PoolingOverflow, embed.EmbeddingRejected) as e:
-        raise InputError(args.features, e) from None
-    except embed.TrainingDiverged as e:
-        if e.step > 0:  # a later step diverges from the weights training made, not from the features alone
-            raise
         raise InputError(args.features, e) from None
     embed.save_model(args.out, trained)
     if args.trace:
@@ -255,14 +253,12 @@ def cmd_synth(args) -> int:
 def cmd_profile(args) -> int:
     fov = _fov(args)
     relabel.check_bins(args.bins)
+    check_arc_segments(args.arc_segments)
     table = relabel.load_poses(args.poses)
-    if len(table) < 2:
-        raise InputError(args.poses, "profile needs at least 2 poses")
-    if len(set(table.scenes)) == len(table):
-        raise InputError(args.poses, "no same-scene pairs to profile")
-    records = relabel.fov_distance_profile(
-        table, fov, bins=args.bins, arc_segments=args.arc_segments
-    )
+    try:  # every option has passed its check, so what the profile rejects is the table's fault
+        records = relabel.fov_distance_profile(table, fov, bins=args.bins, arc_segments=args.arc_segments)
+    except ValueError as e:
+        raise InputError(args.poses, e) from None
     rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"]  # made Python floats 4,096 rows at a time
             for lo in range(0, len(records), 4096) for t, r, psi in records[lo:lo + 4096].tolist())
     write_csv(args.out, ["translation_m", "rotation_deg", "psi"], rows, "\n")
@@ -383,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as e:
+    except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -149,6 +149,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         LossConfig(self.tau)  # the margin's rule is LossConfig's
         if not math.isfinite(self.batch_size * 0.5 * max(4.0, self.tau * self.tau)):  # a pair's loss <= that
             raise ValueError(f"tau {self.tau:g} overflows the loss of a batch of {self.batch_size} pairs")

@@ -375,6 +375,8 @@ def calibrate_theta(
     equals the target over the whole bracket (e.g. target 1.0 at zero
     offset) the bracket midpoint is returned.
     """
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     tol = 1e-3
     pose_a, pose_b = reference_pair(delta_t, delta_alpha)
 

@@ -208,10 +208,15 @@ def pairwise_similarity(
     deduplicated, canonically ordered within each pair and sorted, so it
     is deterministic regardless of record order.
     """
-    if not candidate_radius >= 2.0 * fov.r:  # also rejects NaN
-        raise ValueError(f"candidate_radius must be at least 2r = {2.0 * fov.r} m (or infinite)")
+    check_candidate_radius(candidate_radius, fov)
     i, j, _, psi = _same_scene_pairs(table, fov, arc_segments, candidate_radius)
     return labels_of_pairs(table.ids, i, j, psi)
+
+
+def check_candidate_radius(candidate_radius: float, fov: FovParams) -> None:
+    """Raise ValueError unless ``candidate_radius`` reaches at least 2r, where view circles can meet."""
+    if not candidate_radius >= 2.0 * fov.r:  # also rejects NaN
+        raise ValueError(f"candidate_radius must be at least 2r = {2.0 * fov.r} m (or infinite)")
 
 
 def check_bins(bins: int | None) -> None:
@@ -241,11 +246,11 @@ def fov_distance_profile(
         raise ValueError("profile needs at least 2 poses")
     check_bins(bins)
     check_arc_segments(arc_segments)
+    if len(set(table.scenes)) == len(table):  # no scene has two rows, so the walk yields no block
+        raise ValueError("no same-scene pairs to profile")
     if bins is None:
         blocks = [(dist, wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2]), psi)
                   for i, j, dist, psi in _scored_blocks(table, fov, arc_segments, math.inf)]
-        if not blocks:
-            raise ValueError("no same-scene pairs to profile")
         dist, rot, psi = (np.concatenate(column) for column in zip(*blocks))
         del blocks
         order = np.lexsort((psi, rot, dist))
@@ -253,9 +258,7 @@ def fov_distance_profile(
         for k, column in enumerate((dist, rot, psi)):  # one sorted column at a time
             out[:, k] = column[order]
         return out
-    top = max((float(np.max(dist)) for _, _, dist in _pair_blocks(table, math.inf)), default=None)
-    if top is None:
-        raise ValueError("no same-scene pairs to profile")
+    top = max(float(np.max(dist)) for _, _, dist in _pair_blocks(table, math.inf))
     edges = np.linspace(0.0, top, bins + 1)
     count, rot_sum, psi_sum = np.zeros(bins, dtype=np.int64), np.zeros(bins), np.zeros(bins)
     for i, j, dist, psi in _scored_blocks(table, fov, arc_segments, math.inf):

@@ -68,6 +68,8 @@ class SynthConfig:
             raise ValueError("need at least 2 images per place")
         if self.channels < 1 or self.locations < 1:
             raise ValueError("feature shape must be at least 1x1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,25 @@ class TestTrain:
             assert capsys.readouterr().err == f"error: d_out must be a positive integer, got {d_out}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("seed, lr, train_seed, epochs, message", [
+        (1, "1e308", "0", "3", "step 1: d must be finite"),
+        (25, "1.79e308", "25", "1", "step 0: non-finite weights after update"),
+    ], ids=["step-1", "step-0"])
+    def test_divergence_names_the_step_and_no_file(self, tmp_path, capsys, seed, lr, train_seed, epochs, message):
+        """Faults of the features file end before step 0, so a divergence at any step comes from the updates:
+        the line names the step, not the features, and no model is written."""
+        features, labels, out = tmp_path / "features.bin", tmp_path / "labels.csv", tmp_path / "model.bin"
+        rng = np.random.default_rng(seed)
+        embed.write_features(features, [embed.FeatureMap(i, rng.uniform(0.5, 2.0, (3, 2))) for i in "ab"])
+        labels.write_text("query_id,map_id,psi\na,b,0.0\n")
+        argv = ["train", "--labels", str(labels), "--features", str(features), "--out", str(out),
+                "--seed", train_seed, "--d-out", "2", "--batch-size", "4", "--epochs", epochs]
+        assert main([*argv, "--lr", lr]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert main([*argv, "--lr", "0.1"]) == 0  # the same files train at a sane rate
+        assert out.exists()
+
     def test_indivisible_batch_size_fails_cleanly(self, world_dir, labels_csv, tmp_path, capsys):
         rc = main([
             "train", "--labels", str(labels_csv),
@@ -818,6 +837,61 @@ class TestNonFiniteRadiusAndMargin:
     def test_calibrate_theta(self, capsys):
         rc = main(["calibrate-theta", "--delta-t", "5", "--delta-alpha-deg", "10", "--radius-m", "inf"])
         assert (rc, capsys.readouterr()) == (1, ("", "error: r must be positive and finite, got inf\n"))
+
+
+ABSENT_INPUTS = {
+    "relabel": ["--poses", "absent.csv", "--out", "out"],
+    "profile": ["--poses", "absent.csv", "--out", "out"],
+    "train": ["--labels", "absent.csv", "--features", "absent.bin", "--out", "out"],
+    "eval": ["--model", "absent.bin", "--query-features", "absent.bin", "--map-features", "absent.bin",
+             "--gt", "absent.csv", "--out", "out"],
+    "synth": ["--out-dir", "out"],
+    "calibrate-theta": ["--delta-t", "5", "--delta-alpha-deg", "10"],
+}
+
+
+OPTION_FAULTS = [
+    *((command, option, value, 1, message) for command in ("relabel", "profile") for option, value, message in [
+        ("--theta-deg", "0", "theta must be in (0, pi], got 0.0"),
+        ("--radius-m", "0", "r must be positive and finite, got 0.0"),
+        ("--arc-segments", "1", "arc_segments must be an integer >= 2, got 1"),
+    ]),
+    ("relabel", "--candidate-radius-m", "1", 1, "candidate_radius must be at least 2r = 100.0 m (or infinite)"),
+    ("profile", "--bins", "0", 1, "bins must be a positive count"),
+    ("train", "--tau", "0", 1, "tau must be positive and finite, got 0.0"),
+    ("train", "--lr", "-1", 1, "lr0 must be finite and nonnegative, got -1.0"),
+    ("train", "--lr-decay-after", "0", 1, "lr_decay_after must be a positive pair count"),
+    ("train", "--epochs", "0", 1, "epochs must be >= 1"),
+    ("train", "--batch-size", "6", 1, "strategy A needs batch_size divisible by 4, got 6"),
+    ("train", "--d-out", "0", 1, "d_out must be a positive integer, got 0"),
+    ("train", "--gem-p", "0", 2, "--gem-p must be positive and finite in float32, got 0.0"),
+    ("train", "--seed", "-1", 1, "seed must be nonnegative, got -1"),
+    ("eval", "--ks", "0", 2, "--ks ranks must be positive, got 0"),
+    ("eval", "--loc-thresholds", "x", 2, "bad threshold 'x', expected meters:degrees"),
+    ("eval", "--pca-dim", "0", 2, "--pca-dim must be positive, got 0"),
+    ("synth", "--places", "1", 1, "need at least 2 places (one per scene)"),
+    ("synth", "--seed", "-1", 1, "seed must be nonnegative, got -1"),
+    ("calibrate-theta", "--target", "nan", 1, "target must be finite, got nan"),
+]
+
+
+class TestOptionRulesBeforeAnyFile:
+    """Every option with a range rule fails by its own message before any input file is read: each run
+    names absent inputs, so a rule checked after a read would print `No such file` instead."""
+
+    @pytest.mark.parametrize("command, option, value, code, message", OPTION_FAULTS,
+                             ids=[f"{command}{option}" for command, option, *_ in OPTION_FAULTS])
+    def test_option_fault_names_the_option(self, tmp_path, capsys, command, option, value, code, message):
+        argv = [str(tmp_path / a) if a.startswith("absent") or a == "out" else a for a in ABSENT_INPUTS[command]]
+        try:
+            rc = main([command, *argv, option, value])
+        except SystemExit as e:  # a usage error
+            rc = e.code
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.endswith(f"error: {message}\n")
+        assert "No such file" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGemP:
