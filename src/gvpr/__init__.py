@@ -77,6 +77,7 @@ from .surf3d import (
     Intrinsics,
     PointCloud,
     Pose6DOF,
+    PoseTable6DOF,
     UndefinedOverlapError,
     VisibleSet,
     intersection_counts,

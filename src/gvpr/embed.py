@@ -248,6 +248,8 @@ def check_d_out(d_out: int) -> None:
 def init_model(d_out: int, channels: int, gem_p: float = DEFAULT_GEM_P, seed: int = 0) -> EmbedModel:
     """Random untrained model; weights scaled so initial descriptors are tame."""
     check_d_out(d_out)
+    if seed < 0:  # NumPy's own error names no argument
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(channels), size=(d_out, channels))
     return EmbedModel(gem_p=gem_p, W=w)

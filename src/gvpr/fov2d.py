@@ -375,8 +375,9 @@ def calibrate_theta(
     equals the target over the whole bracket (e.g. target 1.0 at zero
     offset) the bracket midpoint is returned.
     """
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+    for name, value in (("target", target), ("delta_t", delta_t), ("delta_alpha", delta_alpha)):
+        if not math.isfinite(value):  # before any pose is built, whose error names no argument
+            raise ValueError(f"{name} must be finite, got {value}")
     tol = 1e-3
     pose_a, pose_b = reference_pair(delta_t, delta_alpha)
 

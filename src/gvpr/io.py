@@ -1,4 +1,4 @@
-"""Input files: the error contract, one block reader, CSV and the features codec.
+"""Files: the input error contract, one block reader, one array CSV writer and the features codec.
 
 Every public reader, and the subcommands that reach it:
   relabel.load_poses          relabel, profile; eval --query-poses/--map-poses (cli._poses_covering)
@@ -24,6 +24,15 @@ once, and its error is the LineError of the file's first bad record. The
 point cloud reaches it only when NumPy's C text reader does not take the
 file (a bad line, a spelling that only ``float`` reads, an empty file).
 
+Every large CSV is written by ``write_table``, from arrays, with the bytes
+``csv.writer`` would write for the same rows:
+  relabel.save_labels         relabel, overlap3d --out (from LabelTable columns, or IoU tiles)
+  synth.save_ground_truth     synth (gt.csv)
+  cli.cmd_profile             profile --out, raw and binned
+Ids are quoted by ``csv.writer`` once each, and psi, distances and degrees are
+``f"{x:.6f}"`` from ``np.rint(x * 1e6)``, with Python's format where that
+could differ. ``write_csv`` writes the small tables: poses, metrics, traces.
+
 Features file (little-endian; descriptor files have one location): magic
 `GVPR`, version u32, count u32, channels u32, locations u32, then per record
 u16 id byte length, UTF-8 id and channels*locations float32 values, read in
@@ -46,6 +55,12 @@ FEATURES_MAGIC = b"GVPR"
 FORMAT_VERSION = 1
 
 _CSV_BLOCK = 1024  # records read at a time: a whole file's row lists would stay in RSS after use
+_TABLE_ROWS = 4096  # rows formatted at a time by write_table, fewer where ids are wide:
+_TABLE_ID_BYTES = 1 << 18  # at most this many padded bytes of one id column
+_FIXED_LIMIT = 2.0 ** 23  # values formatted by NumPy: 13 digits at most, products v * 1e6 below 2**43
+_DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+           + ord("0")).astype(np.uint8).view(np.uint32).ravel()  # k as four ASCII digits; uint16 keeps the import small
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _FEATURE_BLOCK_BYTES = 1 << 20  # float32 values cast and written at a time: a whole-array copy is half its size
 
 
@@ -142,6 +157,114 @@ def write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
         writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+class _Lines(list):
+    """A ``csv.writer`` target that keeps each line it is given."""
+
+    write = list.append
+
+
+def write_table(path, header: list, ids, blocks, lineterminator: str = "\r\n") -> None:
+    """Write the UTF-8 CSV that ``write_csv`` writes, from arrays: the header, then the rows of each block.
+
+    A block is a tuple of equal-length columns, one row per index. An integer column holds positions
+    in ``ids``, and the row's field is that id; a float column's field is ``f"{x:.6f}"``. Each id is
+    quoted once by ``csv.writer``. A run of at most ``_TABLE_ROWS`` rows is laid out as fixed-width records
+    of padded fields, with a mask of the bytes to write: no object or index array per row or byte. Memory
+    is the quoted ids, one (ids, widest) byte table, and one run of records, whatever the row count.
+    """
+    quoted, lengths = _quoted_ids(ids, lineterminator)
+    step = max(1, min(_TABLE_ROWS, _TABLE_ID_BYTES // quoted.dtype.itemsize))
+    head = _Lines()
+    csv.writer(head, lineterminator=lineterminator).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head[0].encode("utf-8"))
+        for block in blocks:
+            if len(set(map(len, block))) > 1:
+                raise ValueError(f"columns of unequal lengths {[len(column) for column in block]}")
+            for lo in range(0, len(block[0]), step):
+                fields = [_id_field(quoted, lengths, column[lo:lo + step]) if column.dtype.kind in "iu"
+                          else _fixed_field(column[lo:lo + step]) for column in block]
+                fh.write(_joined_rows(fields, lineterminator))
+
+
+def _quoted_ids(ids, lineterminator: str) -> tuple:
+    """Each id as ``csv.writer`` writes it in a row ending in ``lineterminator``, in UTF-8: one NUL-padded
+    void item per id, and the byte length of each."""
+    lines = _Lines()
+    csv.writer(lines, lineterminator=lineterminator).writerows([ident, ""] for ident in ids)
+    fields = [line[:-len(lineterminator) - 1].encode("utf-8") for line in lines]  # less the `,` of the empty field
+    lengths = np.fromiter(map(len, fields), np.intp, len(fields))
+    return np.array(fields, dtype=f"V{max(1, int(lengths.max(initial=0)))}"), lengths
+
+
+def _id_field(quoted: np.ndarray, lengths: np.ndarray, codes: np.ndarray) -> tuple:
+    """The quoted ids at ``codes``, and the mask of their bytes: void items of one width."""
+    if len(codes) and not 0 <= codes.min() <= codes.max() < len(lengths):
+        raise ValueError(f"id positions must be in [0, {len(lengths)}), got {codes.min()}..{codes.max()}")
+    width = quoted.dtype.itemsize
+    return quoted[codes], _void(np.arange(width) < lengths[codes][:, None])
+
+
+def _fixed_field(x: np.ndarray) -> tuple:
+    """``f"{v:.6f}"`` of each value, and the mask of its bytes: void items of one width.
+
+    The digits are those of ``np.rint(v * 1e6)``, four at a time from ``_DIGITS``, whenever ``v`` lies
+    in [0, ``_FIXED_LIMIT``) and the product lies farther from a half-way point than ``p * 2**-51``,
+    twice its largest rounding error: the product and the exact decimal value of ``v`` then round
+    alike. Python formats the rest: negative values (-0.0 too), values out of range or not finite,
+    and values within that guard of a half-way point.
+    """
+    fast = ~np.signbit(x) & (x < _FIXED_LIMIT)  # NaN fails the bound
+    p = np.where(fast, x, 0.0) * 1e6
+    fast &= np.abs(p - np.floor(p) - 0.5) > p * 2.0 ** -51
+    whole, frac = np.divmod(np.rint(p).astype(np.int64), 1_000_000)
+    digits = np.searchsorted(_POWERS_OF_TEN, whole, side="right")  # of the whole part, less one
+    groups = int(digits.max(initial=0)) // 4 + 1  # four-digit groups of the whole part
+    quads = np.empty((len(x), groups + 2), dtype=np.uint32)  # each the bytes of four digits
+    for k in range(groups - 1, -1, -1):
+        whole, quads[:, k] = np.divmod(whole, 10_000)
+    quads[:, groups], quads[:, groups + 1] = np.divmod(frac, 10_000)
+    text = _DIGITS[quads].view(np.uint8).reshape(len(x), -1)
+    text[:, 4 * groups + 1] = ord(".")  # "00ab" of the fraction's first two digits becomes "0.ab"
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, :4 * groups] = np.arange(4 * groups) >= 4 * groups - 1 - digits[:, None]  # no leading zeros
+    keep[:, 4 * groups] = False
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        written = [f"{v:.6f}".encode() for v in x[slow].tolist()]
+        width = max(text.shape[1], *map(len, written))
+        text = np.pad(text, ((0, 0), (0, width - text.shape[1])))
+        keep = np.pad(keep, ((0, 0), (0, width - keep.shape[1])))
+        text[slow] = np.array(written, dtype=f"S{width}").view(np.uint8).reshape(len(slow), width)
+        keep[slow] = np.arange(width) < np.fromiter(map(len, written), np.intp, len(slow))[:, None]
+    return _void(text), _void(keep)
+
+
+def _void(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 or bool array as void items."""
+    return np.ascontiguousarray(a).view(f"V{a.shape[1]}").ravel()
+
+
+def _joined_rows(fields: list, lineterminator: str) -> np.ndarray:
+    """The bytes of the rows of ``fields``, (items, mask) pairs of one row count: the masked bytes of
+    each row's fields, with `,` between them and ``lineterminator`` after them."""
+    rows = len(fields[0][0])
+    parts = [fields[0]]
+    for field in fields[1:]:
+        parts += [_constant(b",", rows), field]
+    parts.append(_constant(lineterminator.encode(), rows))
+    record = np.dtype([(f"f{k}", value.dtype) for k, (value, _) in enumerate(parts)])
+    text, keep = np.empty(rows, record), np.empty(rows, record)
+    for name, (value, mask) in zip(record.names, parts):
+        text[name], keep[name] = value, mask
+    return text.view(np.uint8)[keep.view(np.bool_)]
+
+
+def _constant(data: bytes, rows: int) -> tuple:
+    """A field of the same bytes in every row, all of them written."""
+    return tuple(np.broadcast_to(np.array(b, dtype=f"V{len(data)}"), rows) for b in (data, b"\x01" * len(data)))
 
 
 def read_exact(fh, n: int, what: str) -> bytes:

@@ -12,7 +12,8 @@ A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
 array of (t0, t1, alpha) rows, checked and wrapped as CameraPose2D is.
 CameraPose2Ds are built from the rows only where ``fov_overlap`` needs
 them, once per table. Labels are made and read as a ``sampler.LabelTable``
-of columns, with no object per label, and written from its records.
+of columns, with no object per label, and written from its columns by
+``io.write_table``.
 
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
@@ -31,7 +32,7 @@ import numpy as np
 
 from .fov2d import (DEFAULT_ARC_SEGMENTS, CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance,
                     wrap_heading, wrapped_angle_diff)
-from .io import file_reader, floats, read_csv, write_csv
+from .io import file_reader, floats, read_csv, write_csv, write_table
 from .sampler import Band, LabelTable, _band_codes, band_of
 from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where labels are made
 
@@ -141,9 +142,10 @@ def load_labels(path) -> LabelTable:
                              np.concatenate([np.empty(0), *(b[1] for b in blocks)]))
 
 
-def save_labels(path, records) -> None:
-    """Write (query id, map id, psi) records, such as ``LabelTable.records()``, as a labels CSV."""
-    write_csv(path, LABELS_HEADER, ([q, m, f"{psi:.6f}"] for q, m, psi in records))
+def save_labels(path, ids, blocks) -> None:
+    """Write labels as a labels CSV: each block is (i, j, psi) arrays, one label (ids[i], ids[j], psi)
+    per index, such as a LabelTable's ``ids`` and ``[(query, map, psi)]`` or ``surf3d.iou_pairs``'s tiles."""
+    write_table(path, LABELS_HEADER, ids, blocks)
 
 
 def _pair_blocks(table: PoseTable, reach: float):

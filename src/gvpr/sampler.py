@@ -91,20 +91,13 @@ class LabelTable:
         return len(self.psi)
 
     def records(self):
-        """(query id, map id, psi) of each label in order (see ``_block_records``)."""
-        return _block_records(self.ids, [(self.query, self.map, self.psi)])
+        """(query id, map id, psi) of each label in order, made Python objects 4,096 rows at a time."""
+        for lo in range(0, len(self.psi), 4096):
+            q, m, v = (column[lo:lo + 4096].tolist() for column in (self.query, self.map, self.psi))
+            yield from zip(map(self.ids.__getitem__, q), map(self.ids.__getitem__, m), v)
 
     def __iter__(self):
         return (SimilarityLabel(*record) for record in self.records())
-
-
-def _block_records(ids, blocks):
-    """(ids[i], ids[j], value) of each row of a sequence of (i, j, value) array blocks, in order, made
-    Python objects 4,096 rows at a time: the records a labels file is written from."""
-    for i, j, value in blocks:
-        for lo in range(0, len(value), 4096):
-            q, m, v = (column[lo:lo + 4096].tolist() for column in (i, j, value))
-            yield from zip(map(ids.__getitem__, q), map(ids.__getitem__, m), v)
 
 
 class BatchStrategy(Enum):

@@ -6,6 +6,8 @@ front of the camera) is that image's visible surface. The similarity of
 two images is the intersection-over-union of their visible index sets.
 Many cameras are compared through ``intersection_counts``, the exact counts
 of the points each pair sees, which ``iou_pairs`` yields as IoU pairs by row tiles.
+The cameras come as the columns of a ``PoseTable6DOF``, read and checked a
+block of records at a time, with no object per pose.
 
 No occlusion reasoning is performed: a point counts as visible whenever
 it projects into the image with positive depth.
@@ -35,6 +37,18 @@ class UndefinedOverlapError(ValueError):
     """Raised when both visible sets are empty and the IoU is 0/0."""
 
 
+def check_rigid(rotations: np.ndarray, translations: np.ndarray) -> None:
+    """The rule of a rigid transform, on a stack of (n, 3, 3) rotations and (n, 3) translations: every
+    entry finite, then each RᵀR within ``_ORTHO_TOL`` of the identity, then each det R within it of +1.
+    A ValueError names the first rule that some row breaks."""
+    if not (np.isfinite(rotations).all() and np.isfinite(translations).all()):
+        raise ValueError("pose entries must be finite")
+    if len(rotations) and np.max(np.abs(rotations.transpose(0, 2, 1) @ rotations - np.eye(3))) > _ORTHO_TOL:
+        raise ValueError("rotation is not orthonormal")
+    if len(rotations) and np.max(np.abs(np.linalg.det(rotations) - 1.0)) > _ORTHO_TOL:
+        raise ValueError("rotation determinant must be +1 (no reflections)")
+
+
 @dataclass(frozen=True)
 class Pose6DOF:
     """Rigid world-to-camera transform: x_cam = rotation @ x_world + translation."""
@@ -49,14 +63,38 @@ class Pose6DOF:
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {t.shape}")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValueError("pose entries must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rotation determinant must be +1 (no reflections)")
+        check_rigid(r[None], t[None])
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+
+
+@dataclass(frozen=True)
+class PoseTable6DOF:
+    """6DOF poses as columns: image ids (unique), (n, 3, 3) rotations and (n, 3) translations, float64,
+    checked by ``check_rigid`` as a whole. Iterating gives (image id, Pose6DOF) pairs, built on demand."""
+
+    ids: tuple
+    rotations: np.ndarray = field(repr=False)
+    translations: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        r = np.asarray(self.rotations, dtype=np.float64)
+        t = np.asarray(self.translations, dtype=np.float64)
+        if r.shape != (len(ids), 3, 3) or t.shape != (len(ids), 3):
+            raise ValueError(f"{len(ids)} ids for rotations of shape {r.shape} and translations of shape {t.shape}")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate id {next(i for k, i in enumerate(ids) if i in ids[:k])!r}")
+        check_rigid(r, t)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "rotations", r)
+        object.__setattr__(self, "translations", t)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return ((ident, Pose6DOF(r, t)) for ident, r, t in zip(self.ids, self.rotations, self.translations))
 
 
 @dataclass(frozen=True)
@@ -170,9 +208,11 @@ def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def intersection_counts(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
-    """Int64 counts of the points that both of two ``poses`` (Pose6DOFs) see, the ``visible_mask`` sizes
-    on the diagonal, with no (cameras, points) array.
+def intersection_counts(cloud: PointCloud, rotations: np.ndarray, translations: np.ndarray,
+                        k: Intrinsics) -> np.ndarray:
+    """Int64 counts of the points that both of two cameras see, the ``visible_mask`` sizes on the diagonal,
+    with no (cameras, points) array. Camera c is the pose (``rotations[c]``, ``translations[c]``), rows of
+    a checked PoseTable6DOF.
 
     The cloud is walked in blocks of at most ``_POINT_BLOCK`` = 4,096 points. A block is projected
     into every camera at once, in sub-blocks of at most 2**14 // cameras points (at least one), by
@@ -185,9 +225,9 @@ def intersection_counts(cloud: PointCloud, poses, k: Intrinsics) -> np.ndarray:
     Memory is the buffer, the counts and one float32 product: O(cameras * 4,096 + cameras**2), whatever
     the cloud size.
     """
-    cameras = len(poses)
-    rt = np.concatenate([pose.rotation.T for pose in poses], axis=1)
-    t = np.array([pose.translation for pose in poses])
+    cameras = len(rotations)
+    rt = rotations.transpose(2, 0, 1).reshape(3, 3 * cameras)  # column block c is rotations[c].T
+    t = translations
     step = max(1, _PROJECT_CELLS // cameras)
     buf = np.empty((_POINT_BLOCK, cameras), dtype=np.float32)
     inter = np.zeros((cameras, cameras), dtype=np.int64)
@@ -255,30 +295,31 @@ def _read_cloud_lines(path) -> np.ndarray:
 _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22", "t0", "t1", "t2"]
 
 
-def _pose6(row) -> Pose6DOF:
-    vals = floats(row[1:], "non-numeric pose entry")
-    return Pose6DOF(vals[:9].reshape(3, 3), vals[9:])
-
-
 @file_reader
-def load_poses_6dof(path) -> list:
-    """Parse a 6DOF pose CSV with header id,r00..r22,t0,t1,t2.
+def load_poses_6dof(path) -> PoseTable6DOF:
+    """Parse a 6DOF pose CSV with header id,r00..r22,t0,t1,t2 into a PoseTable6DOF in file order.
 
-    Returns a list of (image_id, Pose6DOF) in file order; duplicate ids or
-    malformed rows are errors reported with their line number.
+    Each block of ``io.read_csv`` records is parsed into one float64 run and checked as one table; a
+    duplicate id or a malformed record is an error reported with the line number of the first.
     """
     seen = set()  # ids of the records parsed so far
 
-    def parse(rows) -> list:
+    def parse(rows) -> PoseTable6DOF:
         ids = [row[0] for row in rows]
         if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
             first = next(i for k, i in enumerate(ids) if i in seen or i in ids[:k])
             raise ValueError(f"duplicate id {first!r}")
-        out = [(row[0], _pose6(row)) for row in rows]
+        values = floats(chain.from_iterable(row[1:] for row in rows), "non-numeric pose entry").reshape(-1, 12)
+        table = PoseTable6DOF(ids, values[:, :9].reshape(-1, 3, 3), values[:, 9:])
         seen.update(ids)
-        return out
+        return table
 
-    return list(chain.from_iterable(read_csv(path, _POSE6_HEADER, parse)))
+    blocks = read_csv(path, _POSE6_HEADER, parse)
+    if len(blocks) == 1:
+        return blocks[0]
+    return PoseTable6DOF(tuple(chain.from_iterable(b.ids for b in blocks)),  # checked once more, as a whole
+                         np.concatenate([np.empty((0, 3, 3)), *(b.rotations for b in blocks)]),
+                         np.concatenate([np.empty((0, 3)), *(b.translations for b in blocks)]))
 
 
 _INTR_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")

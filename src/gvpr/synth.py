@@ -37,7 +37,7 @@ import numpy as np
 
 from .embed import FeatureMap
 from .fov2d import planar_distance, wrapped_angle_diff
-from .io import file_reader, read_csv, write_csv, write_feature_array
+from .io import file_reader, read_csv, write_feature_array, write_table
 from .relabel import PoseTable, save_poses
 
 PLACE_SPACING_M = 250.0
@@ -206,8 +206,13 @@ GT_HEADER = ["query_id", "map_id"]
 
 
 def save_ground_truth(path, gt: dict) -> None:
-    """Write positive pairs as CSV rows; queries with no positives have none."""
-    write_csv(path, GT_HEADER, ([qid, mid] for qid in sorted(gt) for mid in gt[qid]))
+    """Write positive pairs as CSV rows, queries in id order; queries with no positives have none."""
+    queries = sorted(gt)
+    maps = list(dict.fromkeys(mid for qid in queries for mid in gt[qid]))  # each id quoted once
+    code = {mid: k for k, mid in enumerate(maps, start=len(queries))}
+    counts = np.fromiter((len(gt[qid]) for qid in queries), np.intp, len(queries))
+    map_rows = np.fromiter((code[mid] for qid in queries for mid in gt[qid]), np.intp, int(counts.sum()))
+    write_table(path, GT_HEADER, queries + maps, [(np.repeat(np.arange(len(queries)), counts), map_rows)])
 
 
 @file_reader

@@ -14,7 +14,7 @@ import pytest
 from gvpr import cli, embed, fov2d, relabel, retrieval, synth
 from gvpr import io as gvpr_io
 from gvpr.cli import main
-from gvpr.fov2d import CameraPose2D, wrapped_angle_diff
+from gvpr.fov2d import CameraPose2D, FovParams, wrapped_angle_diff
 from gvpr.sampler import BatchStrategy
 
 TOY_CLOUD = "0 0 1\n0.25 0 1\n0.5 0 1\n0.75 0 1\n"
@@ -775,6 +775,19 @@ class TestProfile:
         assert lines[0] == "translation_m,rotation_deg,psi"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("bins", [None, 7])
+    def test_file_equals_the_row_writer(self, world_dir, tmp_path, bins):
+        """Raw and binned, the array writer's file is the former rows': `f"{x:.6f}"` of the distance,
+        ``math.degrees`` of the rotation and psi."""
+        out = tmp_path / "profile.csv"
+        table = relabel.load_poses(world_dir / "train_poses.csv")
+        assert main(["profile", "--poses", str(world_dir / "train_poses.csv"), "--out", str(out),
+                     "--arc-segments", "8", *(["--bins", str(bins)] if bins else [])]) == 0
+        records = relabel.fov_distance_profile(table, FovParams(math.radians(90.0), 50.0), bins, 8)
+        rows = ([f"{t:.6f}", f"{math.degrees(r):.6f}", f"{psi:.6f}"] for t, r, psi in records.tolist())
+        gvpr_io.write_csv(tmp_path / "reference.csv", ["translation_m", "rotation_deg", "psi"], rows, "\n")
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_binned_records(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
         rc = main(["profile", "--poses", str(self.poses_csv(tmp_path)),
@@ -872,6 +885,9 @@ OPTION_FAULTS = [
     ("synth", "--places", "1", 1, "need at least 2 places (one per scene)"),
     ("synth", "--seed", "-1", 1, "seed must be nonnegative, got -1"),
     ("calibrate-theta", "--target", "nan", 1, "target must be finite, got nan"),
+    ("calibrate-theta", "--delta-t", "nan", 1, "delta_t must be finite, got nan"),
+    ("calibrate-theta", "--delta-t", "inf", 1, "delta_t must be finite, got inf"),
+    ("calibrate-theta", "--delta-alpha-deg", "nan", 1, "delta_alpha must be finite, got nan"),
 ]
 
 

@@ -88,6 +88,8 @@ class TestContainers:
         for bad in (-3, 0):
             with pytest.raises(ValueError, match=f"^d_out must be a positive integer, got {bad}$"):
                 init_model(bad, 3)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):  # NumPy's names no argument
+            init_model(4, 8, seed=-1)
 
     def test_train_config_defaults_follow_loss_kind(self):
         assert TrainConfig(loss_kind="gcl").lr0 == pytest.approx(0.1)
@@ -474,7 +476,8 @@ class TestTrain:
     def test_a_table_trains_as_its_label_list(self, n_labels, tmp_path):
         labels, maps = toy_training_setup()
         labels = [SimilarityLabel(lab.query_id, lab.map_id, float(f"{lab.psi:.6f}")) for lab in labels[:n_labels]]
-        save_labels(tmp_path / "labels.csv", LabelTable.of(labels).records())
+        table = LabelTable.of(labels)
+        save_labels(tmp_path / "labels.csv", table.ids, [(table.query, table.map, table.psi)])
         model = init_model(d_out=4, channels=6, seed=0)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
         runs = {}

@@ -406,10 +406,10 @@ class TestReferenceEquivalence:
     def test_synth_world_labels(self, seed, tmp_path, monkeypatch):
         table = generate_world(SynthConfig(places=4, images_per_place=7, seed=seed)).train_poses
         labels = relabel.pairwise_similarity(table, FOV90_50)
-        relabel.save_labels(tmp_path / "new.csv", labels.records())
+        relabel.save_labels(tmp_path / "new.csv", labels.ids, [(labels.query, labels.map, labels.psi)])
         monkeypatch.setattr(relabel, "fov_overlap", _reference_fov_overlap)
         expected = relabel.pairwise_similarity(table, FOV90_50)
-        relabel.save_labels(tmp_path / "reference.csv", expected.records())
+        relabel.save_labels(tmp_path / "reference.csv", expected.ids, [(expected.query, expected.map, expected.psi)])
         assert sum(0.0 < lab.psi < 1.0 for lab in expected) > 10
         assert [(lab.query_id, lab.map_id) for lab in labels] == [(lab.query_id, lab.map_id) for lab in expected]
         assert max(abs(x.psi - y.psi) for x, y in zip(labels, expected)) <= 1e-12

@@ -497,7 +497,7 @@ class TestPersistence:
 
     def test_labels_roundtrip_with_six_decimals(self, tmp_path):
         path = tmp_path / "labels.csv"
-        save_labels(path, [("a", "b", 1 / 3), ("a", "c", 0.0)])
+        save_labels(path, ("a", "b", "c"), [(np.array([0, 0]), np.array([1, 2]), np.array([1 / 3, 0.0]))])
         text = path.read_text()
         assert "0.333333" in text
         again = list(load_labels(path))
@@ -511,12 +511,13 @@ class TestPersistence:
             psis += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, 1.0))]
         labels = [SimilarityLabel(f"q{n:02d}", f"m{n % 3}", p) for n, p in enumerate(psis)]
         first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-        save_labels(first, LabelTable.of(labels).records())
+        table = LabelTable.of(labels)
+        save_labels(first, table.ids, [(table.query, table.map, table.psi)])
         assert first.read_bytes().decode("utf-8").split("\r\n") == [
             "query_id,map_id,psi", *(f"{lab.query_id},{lab.map_id},{lab.psi:.6f}" for lab in labels), ""]
         table = load_labels(first)
         assert list(table) == [SimilarityLabel(lab.query_id, lab.map_id, float(f"{lab.psi:.6f}")) for lab in labels]
-        save_labels(again, table.records())
+        save_labels(again, table.ids, [(table.query, table.map, table.psi)])
         assert again.read_bytes() == first.read_bytes()
 
     def test_load_labels_memory_per_label(self, tmp_path):
@@ -535,7 +536,7 @@ class TestPersistence:
             tracemalloc.stop()
         assert len(table) == len(pairs) == 19_900 and table.ids == tuple(ids)
         assert peak <= 160 * len(pairs), f"{peak / len(pairs):.0f} B per label"
-        save_labels(tmp_path / "again.csv", table.records())  # written a block of labels at a time
+        save_labels(tmp_path / "again.csv", table.ids, [(table.query, table.map, table.psi)])
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_load_labels_validates(self, tmp_path):
@@ -548,8 +549,8 @@ class TestPersistence:
 POSE6 = "id,r00,r01,r02,r10,r11,r12,r20,r21,r22,t0,t1,t2"
 
 
-def pose6(image_id, entry="0"):
-    return f"{image_id},1,0,0,0,1,0,0,0,1,{entry},0,0"
+def pose6(image_id, entry="0", rotation="1,0,0,0,1,0,0,0,1"):
+    return f"{image_id},{rotation},{entry},0,0"
 
 
 def read_gt(path):
@@ -584,11 +585,22 @@ class TestBulkCsvFirstFault:
         (load_poses_6dof, POSE6, [pose6("a"), "", pose6("a"), pose6("b", "x")], 4, "duplicate id 'a'"),
         (load_poses_6dof, POSE6, [pose6("a"), pose6("b", "x"), "", pose6("a")], 3, "non-numeric pose entry"),
         (load_poses_6dof, POSE6, MANY_POSES6 + [pose6("c3"), pose6("d", "x")], 1201, "duplicate id 'c3'"),
+        *((load_poses_6dof, POSE6, MANY_POSES6 + [pose6("q"), "", bad, pose6("z", "x"), pose6("q")], 1203, message)
+          for bad, message in [
+              (pose6("d", rotation="1,0,0,0,1,0,0,0.01,1"), "rotation is not orthonormal"),
+              (pose6("d", rotation="1,0,0,0,1,0,0,0,-1"), "rotation determinant must be +1 (no reflections)"),
+              (pose6("d", rotation="1,0,0,0,nan,0,0,0,1"), "pose entries must be finite"),
+              (pose6("d", "-inf"), "pose entries must be finite"),
+              (pose6("d", rotation="1,0,0,0,1,0,0,0,one"), "non-numeric pose entry"),
+              (pose6("q"), "duplicate id 'q'"),
+          ]),
     ], ids=["poses-value-before-count", "poses-count-before-value", "poses-row-before-table",
             "poses-multiline-record", "poses-second-block", "poses-count-in-second-block",
             "labels-range-before-value", "labels-value-before-count", "gt-map-before-query",
             "gt-query-before-count", "pose6-duplicate-before-value", "pose6-value-before-duplicate",
-            "pose6-duplicate-across-blocks"])
+            "pose6-duplicate-across-blocks", "pose6-second-block-not-orthonormal", "pose6-second-block-reflection",
+            "pose6-second-block-nan", "pose6-second-block-infinite", "pose6-second-block-value",
+            "pose6-second-block-duplicate"])
     def test_first_fault_wins(self, tmp_path, reader, header, records, line, message):
         path = tmp_path / "input.csv"
         path.write_text("\n".join([header, *records]) + "\n")

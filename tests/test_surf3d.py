@@ -260,8 +260,8 @@ class TestLoaders:
             "a,1,0,0,0,1,0,0,0,1,0.5,0,0\n"
         )
         poses = load_poses_6dof(path)
-        assert poses[0][0] == "a"
-        assert poses[0][1].translation[0] == 0.5
+        assert poses.ids == ("a",)
+        assert poses.translations[0, 0] == 0.5
 
     def test_pose_csv_rejects_duplicates_and_bad_rotations(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -397,7 +397,8 @@ class TestMatchesReference:
             assert_bit_equal(masks[-1], _reference_visible_mask(cloud, pose, k))
         masks = np.stack(masks)
         assert 0 < masks.sum() < masks.size
-        counts = intersection_counts(cloud, [pose for _, pose in load_poses_6dof(paths["poses"])], k)
+        table = load_poses_6dof(paths["poses"])
+        counts = intersection_counts(cloud, table.rotations, table.translations, k)
         assert_bit_equal(counts, mask_counts(masks))
         assert_pairs_equal(joined(iou_pairs(counts)), _reference_pairs(masks))
 
@@ -492,6 +493,11 @@ def scene_inputs(scene):
     return k, [Pose6DOF(rot, t) for rot, t in zip(scene.rotations, scene.translations)]
 
 
+def pose_arrays(poses):
+    """The (n, 3, 3) rotations and (n, 3) translations of Pose6DOFs, as a PoseTable6DOF holds them."""
+    return np.array([pose.rotation for pose in poses]), np.array([pose.translation for pose in poses])
+
+
 def mask_stack_counts(cloud, poses, k):
     masks = np.stack([visible_mask(cloud, pose, k) for pose in poses])
     return mask_counts(masks), masks
@@ -529,13 +535,13 @@ def check_intersection_count_bits():
         cloud = PointCloud(scene.points)
         want, masks = mask_stack_counts(cloud, poses, k)
         assert points < 3 or 0 < masks.sum() < masks.size
-        assert_bit_equal(intersection_counts(cloud, poses, k), want)
+        assert_bit_equal(intersection_counts(cloud, *pose_arrays(poses), k), want)
     scene = corridor.generate_scene(10, 12, 7)
     k, poses = scene_inputs(scene)
     cloud = near_bound_cloud(scene, 1_000, 8)
     want, masks = mask_stack_counts(cloud, poses, k)
     assert 0.05 < masks.mean() < 0.95
-    assert_bit_equal(intersection_counts(cloud, poses, k), want)
+    assert_bit_equal(intersection_counts(cloud, *pose_arrays(poses), k), want)
 
 
 class TestIntersectionCounts:
@@ -557,7 +563,7 @@ class TestIntersectionCounts:
         monkeypatch.setattr("gvpr.surf3d._PROJECT_CELLS", step * len(poses))
         near = near_bound_cloud(scene, 50, points).points
         for cloud in (PointCloud(scene.points), PointCloud(np.concatenate([scene.points, near])[-points:])):
-            assert_bit_equal(intersection_counts(cloud, poses, k), mask_stack_counts(cloud, poses, k)[0])
+            assert_bit_equal(intersection_counts(cloud, *pose_arrays(poses), k), mask_stack_counts(cloud, poses, k)[0])
 
     def test_a_lone_point_is_seen_as_in_the_whole_cloud(self):
         """Each point alone, through ``visible_mask`` and ``intersection_counts``, against its column of the
@@ -569,15 +575,18 @@ class TestIntersectionCounts:
         assert masks.size == 43_200 and 0.05 < masks.mean() < 0.95
         alone = [[visible_mask(PointCloud(point[None]), pose, k)[0] for point in cloud.points] for pose in poses]
         assert np.array_equal(alone, masks)
+        rotations, translations = pose_arrays(poses)
         for point, column in zip(cloud.points, masks.T):
-            assert_bit_equal(intersection_counts(PointCloud(point[None]), poses, k), mask_counts(column[:, None]))
+            assert_bit_equal(intersection_counts(PointCloud(point[None]), rotations, translations, k),
+                             mask_counts(column[:, None]))
 
     def test_memory_is_bounded_by_a_point_block(self):
         # 60 cameras x 60,000 points: the mask stack alone is 3.6 MB
         scene = corridor.generate_scene(60_000, 60, 13)
         k, poses = scene_inputs(scene)
         cloud = PointCloud(scene.points)
-        intersection_counts(PointCloud(cloud.points[:5]), poses, k)  # first-call imports
+        rotations, translations = pose_arrays(poses)
+        intersection_counts(PointCloud(cloud.points[:5]), rotations, translations, k)  # first-call imports
 
         def peak(run):
             tracemalloc.start()
@@ -587,7 +596,7 @@ class TestIntersectionCounts:
             finally:
                 tracemalloc.stop()
 
-        block_peak, got = peak(lambda: intersection_counts(cloud, poses, k))
+        block_peak, got = peak(lambda: intersection_counts(cloud, rotations, translations, k))
         stack_peak, want = peak(lambda: mask_stack_counts(cloud, poses, k)[0])
         assert_bit_equal(got, want)
         assert block_peak < 4_000_000 < stack_peak
@@ -599,10 +608,11 @@ class TestIntersectionCounts:
         scene = corridor.generate_scene(5_000, cameras, 13)
         k, poses = scene_inputs(scene)
         cloud = PointCloud(scene.points)
-        intersection_counts(PointCloud(cloud.points[:5]), poses[:3], k)  # first-call imports
+        rotations, translations = pose_arrays(poses)
+        intersection_counts(PointCloud(cloud.points[:5]), rotations[:3], translations[:3], k)  # first-call imports
         tracemalloc.start()
         try:
-            got = intersection_counts(cloud, poses, k)
+            got = intersection_counts(cloud, rotations, translations, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

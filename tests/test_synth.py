@@ -10,7 +10,7 @@ import pytest
 
 from gvpr.embed import FeatureMap
 from gvpr.fov2d import planar_distance, wrapped_angle_diff
-from gvpr.io import read_feature_records
+from gvpr.io import read_feature_records, write_csv
 from gvpr.relabel import PoseTable
 from gvpr.synth import (
     CENTER_JITTER_M,
@@ -291,6 +291,14 @@ class TestGroundTruthIO:
         for q, m in zip(queries.tolist(), maps.tolist()):
             again[query_ids[q]].append(map_ids[m])
         assert {q: tuple(sorted(m)) for q, m in again.items()} == dict(world.gt_positives)
+
+    def test_file_equals_the_row_writer(self, tmp_path, world):
+        """The array writer's file is the former ``csv.writer`` rows' file, ids that need quoting too."""
+        awkward = {"q,1": ("m 1", 'm"2'), "q\n0": (), "q0": ("m 1", "m3", "é"), **world.gt_positives}
+        save_ground_truth(tmp_path / "gt.csv", awkward)
+        rows = ([qid, mid] for qid in sorted(awkward) for mid in awkward[qid])
+        write_csv(tmp_path / "reference.csv", ["query_id", "map_id"], rows)
+        assert (tmp_path / "gt.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_positives_are_distinct_sorted_rows(self, tmp_path):
         path = tmp_path / "gt.csv"
