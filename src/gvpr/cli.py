@@ -12,6 +12,7 @@ on success, 2 on usage errors, 1 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import collections
 import math
 import sys
 
@@ -47,13 +48,16 @@ def cmd_relabel(args) -> int:
     table = relabel.load_poses(args.poses)
     if len(table) == 0:
         raise InputError(args.poses, "no pose records")
-    labels = relabel.pairwise_similarity(
-        table, fov, candidate_radius=args.candidate_radius_m,
-        arc_segments=args.arc_segments,
-    )
-    relabel.save_labels(args.out, labels.ids, [(labels.query, labels.map, labels.psi)])
-    counts = relabel.class_counts(labels)
-    print(f"labels={len(labels)}")
+    ids, blocks = relabel.label_blocks(table, fov, args.candidate_radius_m, args.arc_segments)
+    counts = collections.Counter()
+
+    def counted():
+        for i, j, psi in blocks:
+            counts.update(relabel.class_counts(psi))
+            yield i, j, psi
+
+    relabel.save_labels(args.out, ids, counted())
+    print(f"labels={sum(counts.values())}")
     for cls in relabel.SimilarityClass:
         print(f"{cls.value}={counts[cls]}")
     return 0

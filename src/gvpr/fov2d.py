@@ -91,7 +91,9 @@ def wrapped_angle_diff(a, b):
 def planar_distance(a, b) -> np.ndarray:
     """Center distance of pose rows (t0, t1, ...) as sqrt(d0*d0 + d1*d1), d = a - b, element by element."""
     d0, d1 = np.subtract(a[..., 0], b[..., 0]), np.subtract(a[..., 1], b[..., 1])
-    return np.sqrt(d0 * d0 + d1 * d1)
+    d0 *= d0  # in place: the same products and sum, with no array beyond d0 and d1
+    d0 += np.multiply(d1, d1, out=d1)
+    return np.sqrt(d0, out=d0)
 
 
 def check_arc_segments(arc_segments: int) -> None:

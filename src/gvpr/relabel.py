@@ -11,9 +11,9 @@ positive (psi >= 0.5), soft negative (0 < psi < 0.5) and hard negative
 A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
 array of (t0, t1, alpha) rows, checked and wrapped as CameraPose2D is.
 CameraPose2Ds are built from the rows only where ``fov_overlap`` needs
-them, once per table. Labels are made and read as a ``sampler.LabelTable``
-of columns, with no object per label, and written from its columns by
-``io.write_table``.
+them, once per table. One walk yields a table's same-scene pairs i < j in
+row-major order, a row block at a time; on the rows ranked by id, that is
+the labels file's order, so labels are written as they are made.
 
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
@@ -79,6 +79,11 @@ class PoseTable:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def by_id(self) -> PoseTable:
+        """The rows in Python ``str`` order of their ids: a same-scene pair i < j is then a label (query i, map j)."""
+        order = sorted(range(len(self)), key=self.ids.__getitem__)
+        return PoseTable([self.ids[k] for k in order], [self.scenes[k] for k in order], self.poses[order])
+
 
 class SimilarityClass(Enum):
     POSITIVE = "positive"
@@ -138,8 +143,10 @@ def load_labels(path) -> LabelTable:
         return np.fromiter(codes, np.intp, 2 * len(rows)), psi
 
     blocks = read_csv(path, LABELS_HEADER, parse)
-    return LabelTable._coded(list(code_of), np.concatenate([np.empty(0, np.intp), *(b[0] for b in blocks)]),
-                             np.concatenate([np.empty(0), *(b[1] for b in blocks)]))
+    codes = np.concatenate([np.empty(0, np.intp), *(b[0] for b in blocks)])
+    psi = np.concatenate([np.empty(0), *(b[1] for b in blocks)])
+    del blocks  # before the codes are ranked: at most the blocks and their join are alive at once
+    return LabelTable._coded(list(code_of), codes, psi)
 
 
 def save_labels(path, ids, blocks) -> None:
@@ -149,18 +156,25 @@ def save_labels(path, ids, blocks) -> None:
 
 
 def _pair_blocks(table: PoseTable, reach: float):
-    """Arrays (i, j, center distance) of the unordered same-scene pairs within ``reach``, one row block
-    of at most ``_PAIR_BLOCK`` candidates (or one row) at a time: i < j positions in upper-triangle
-    order per scene, scenes in order of their first row. No geometry is evaluated."""
-    rows_of: dict = {}
-    for pos, scene in enumerate(table.scenes):
-        rows_of.setdefault(scene, []).append(pos)
-    for rows in map(np.array, rows_of.values()):
-        p, step = table.poses[rows], max(1, _PAIR_BLOCK // max(len(rows) - 1, 1))
-        for lo in range(0, len(rows) - 1, step):
-            dist = planar_distance(p[lo:lo + step, None], p[lo + 1:])
-            a, b = np.nonzero(np.triu(dist <= reach))  # column b is row lo + 1 + b, after row lo + a
-            yield rows[lo + a], rows[lo + 1 + b], dist[a, b]
+    """Arrays (i, j, center distance) of the same-scene pairs i < j within ``reach``, in row-major order:
+    a run of ``_PAIR_BLOCK // (largest scene - 1)`` rows at a time (at least one), each row measured only
+    against the later rows of its own scene, so a block measures at most ``_PAIR_BLOCK`` candidates (or one
+    row's). Measures no geometry."""
+    code_of: dict = {}
+    scene = np.fromiter((code_of.setdefault(s, len(code_of)) for s in table.scenes), np.intp, len(table))
+    order = np.argsort(scene, kind="stable")  # scene by scene, rows ascending in each
+    at = np.argsort(order)  # of each row, its position in ``order``
+    sizes = np.bincount(scene)
+    later = np.cumsum(sizes)[scene] - at - 1  # the row's scene holds later rows at order[at + 1 : at + 1 + later]
+    xy, xy_in_order = table.poses[:, :2], table.poses[order, :2]
+    step = max(1, _PAIR_BLOCK // max(int(sizes.max(initial=0)) - 1, 1))
+    for lo in range(0, len(table) - 1, step):
+        count = later[lo:lo + step]
+        k = np.repeat(at[lo:lo + step] + 1 + count - np.cumsum(count), count)  # positions in ``order``, row by row
+        k += np.arange(len(k))
+        dist = planar_distance(np.repeat(xy[lo:lo + step], count, axis=0), np.take(xy_in_order, k, axis=0))
+        kept = dist <= reach
+        yield np.repeat(np.arange(lo, lo + len(count)), count)[kept], order[k[kept]], dist[kept]
 
 
 def _scored_blocks(table: PoseTable, fov: FovParams, arc_segments: int, reach: float):
@@ -175,44 +189,28 @@ def _scored_blocks(table: PoseTable, fov: FovParams, arc_segments: int, reach: f
         yield i, j, dist, psi
 
 
-def _same_scene_pairs(table: PoseTable, fov: FovParams, arc_segments: int, reach: float = math.inf) -> tuple:
-    """Arrays (i, j, center distance, psi) of every unordered same-scene pair within ``reach``: the
-    blocks of ``_scored_blocks`` end to end."""
-    check_arc_segments(arc_segments)
-    empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
-    return tuple(np.concatenate(column) for column in zip(empty, *_scored_blocks(table, fov, arc_segments, reach)))
-
-
-def labels_of_pairs(ids, i, j, psi) -> LabelTable:
-    """Labels of the pair arrays (ids[i[k]], ids[j[k]]) with similarity psi[k], in canonical id order
-    within each pair and sorted by (query_id, map_id); the table names only the ids some pair names."""
-    ends = np.stack((i, j), axis=1).ravel()
-    named = np.zeros(len(ids), dtype=bool)
-    named[ends] = True
-    code = np.cumsum(named) - 1  # of each named id, its position among the named ids
-    table = LabelTable._coded([ids[k] for k in np.flatnonzero(named).tolist()], code[ends], psi)
-    lo, hi = np.minimum(table.query, table.map), np.maximum(table.query, table.map)
-    order = np.lexsort((hi, lo))
-    return LabelTable(table.ids, lo[order], hi[order], table.psi[order])
-
-
-def pairwise_similarity(
-    table: PoseTable,
-    fov: FovParams,
-    candidate_radius: float = math.inf,
-    arc_segments: int = DEFAULT_ARC_SEGMENTS,
-) -> LabelTable:
-    """Graded labels for every unordered same-scene pair within reach.
-
-    Pairs with center distance in (2r, candidate_radius] are emitted as
-    psi = 0 without evaluating any geometry (their view circles cannot
-    meet); pairs beyond candidate_radius are omitted. Output is
-    deduplicated, canonically ordered within each pair and sorted, so it
-    is deterministic regardless of record order.
-    """
+def label_blocks(table: PoseTable, fov: FovParams, candidate_radius: float = math.inf,
+                 arc_segments: int = DEFAULT_ARC_SEGMENTS) -> tuple:
+    """Checked arguments, then the table's ids ranked in ``str`` order and a generator of (i, j, psi) label
+    blocks, one label (ids[i], ids[j], psi) per index, i < j: every same-scene pair within ``candidate_radius``,
+    in the labels file's order whatever the record order. Beyond 2r, psi is 0 with no geometry evaluated."""
     check_candidate_radius(candidate_radius, fov)
-    i, j, _, psi = _same_scene_pairs(table, fov, arc_segments, candidate_radius)
-    return labels_of_pairs(table.ids, i, j, psi)
+    check_arc_segments(arc_segments)
+    ranked = table.by_id()
+    return ranked.ids, ((i, j, psi) for i, j, _, psi in _scored_blocks(ranked, fov, arc_segments, candidate_radius))
+
+
+def pairwise_similarity(table: PoseTable, fov: FovParams, candidate_radius: float = math.inf,
+                        arc_segments: int = DEFAULT_ARC_SEGMENTS) -> LabelTable:
+    """Graded labels for every unordered same-scene pair within reach: the table of the blocks of
+    ``label_blocks``, which ``gvpr relabel`` writes, naming only the ids some label names."""
+    ids, blocks = label_blocks(table, fov, candidate_radius, arc_segments)
+    empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    i, j, psi = (np.concatenate(column) for column in zip(empty, *blocks))
+    named = np.zeros(len(ids), dtype=bool)
+    named[i] = named[j] = True
+    code = np.cumsum(named) - 1  # of each named id, its position among the named ids
+    return LabelTable(tuple(ids[k] for k in np.flatnonzero(named).tolist()), code[i], code[j], psi)
 
 
 def check_candidate_radius(candidate_radius: float, fov: FovParams) -> None:
@@ -227,12 +225,8 @@ def check_bins(bins: int | None) -> None:
         raise ValueError("bins must be a positive count")
 
 
-def fov_distance_profile(
-    table: PoseTable,
-    fov: FovParams,
-    bins: int | None = None,
-    arc_segments: int = DEFAULT_ARC_SEGMENTS,
-) -> np.ndarray:
+def fov_distance_profile(table: PoseTable, fov: FovParams, bins: int | None = None,
+                         arc_segments: int = DEFAULT_ARC_SEGMENTS) -> np.ndarray:
     """How overlap decays with translation and rotation distance.
 
     Returns an (n, 3) array of (translation_distance_m, rotation_distance_rad,
@@ -260,7 +254,7 @@ def fov_distance_profile(
         for k, column in enumerate((dist, rot, psi)):  # one sorted column at a time
             out[:, k] = column[order]
         return out
-    top = max(float(np.max(dist)) for _, _, dist in _pair_blocks(table, math.inf))
+    top = max(float(np.max(dist, initial=0.0)) for _, _, dist in _pair_blocks(table, math.inf))
     edges = np.linspace(0.0, top, bins + 1)
     count, rot_sum, psi_sum = np.zeros(bins, dtype=np.int64), np.zeros(bins), np.zeros(bins)
     for i, j, dist, psi in _scored_blocks(table, fov, arc_segments, math.inf):
@@ -274,9 +268,9 @@ def fov_distance_profile(
 
 
 def class_counts(labels) -> dict:
-    """Histogram of similarity classes over labels (a LabelTable, or what ``LabelTable.of`` takes)."""
+    """Histogram of similarity classes over labels: a LabelTable, what ``LabelTable.of`` takes, or a psi array."""
+    psi = labels if isinstance(labels, np.ndarray) else LabelTable.of(labels).psi
     counts = {cls: 0 for cls in SimilarityClass}
-    bands = np.bincount(_band_codes(LabelTable.of(labels).psi), minlength=len(Band))
-    for band, n in zip(Band, bands.tolist()):
+    for band, n in zip(Band, np.bincount(_band_codes(psi), minlength=len(Band)).tolist()):
         counts[_CLASS_OF_BAND[band]] += n
     return counts

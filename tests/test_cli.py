@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import itertools
 import math
 import re
 import struct
@@ -127,6 +128,46 @@ class TestRelabel:
         assert rc == 1
         assert "candidate_radius must be at least 2r" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_memory_is_one_block_whatever_the_pair_count(self, tmp_path, capsys):
+        """1,500 poses in two interleaved scenes, in threes 300 m apart: 624,250 labels, whose three
+        columns alone take 15 MB, written a block at a time (about 7.5 MB; the whole-run table took 70 MB).
+        The ids need CSV quoting, and their ``str`` order differs from the file's; the file equals
+        ``write_csv`` of the per-pair reference sorted by key."""
+        marks = ["a,b", 'q"u', "new\nline", "caf\u00e9", " x"]
+        ids = [f"{marks[k % 5]}{1_500 - k:04d}" for k in range(1_500)]
+        scenes = ["s1" if k % 3 == 0 else "s0" for k in range(1_500)]
+        poses = tmp_path / "poses.csv"
+        gvpr_io.write_csv(poses, relabel.POSES_HEADER, (
+            [ident, scene, repr(300.0 * (k // 3) + 10.0 * (k % 3) * (1 + k // 3 % 4)), "0.0", repr(7.0 * k)]
+            for k, (ident, scene) in enumerate(zip(ids, scenes))))
+        out, fov = tmp_path / "labels.csv", FovParams(math.radians(90.0), 50.0)
+        tracemalloc.start()
+        try:
+            rc = main(["relabel", "--poses", str(poses), "--out", str(out), "--arc-segments", "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        table = relabel.load_poses(poses)
+        rows = [CameraPose2D(*row) for row in table.poses.tolist()]
+        want = []
+        for a, b in itertools.combinations(range(1_500), 2):
+            if scenes[a] == scenes[b]:
+                d0, d1 = rows[a].t0 - rows[b].t0, rows[a].t1 - rows[b].t1
+                psi = fov2d.fov_overlap(rows[a], rows[b], fov, 8) if math.sqrt(d0 * d0 + d1 * d1) <= 100.0 else 0.0
+                want.append((*sorted((ids[a], ids[b])), psi))
+        want.sort(key=lambda label: label[:2])
+        reference = tmp_path / "reference.csv"
+        gvpr_io.write_csv(reference, relabel.LABELS_HEADER, ((q, m, f"{psi:.6f}") for q, m, psi in want))
+        assert len(want) == 1_000 * 999 // 2 + 500 * 499 // 2 == 624_250
+        assert out.read_bytes() == reference.read_bytes()
+        psi = [label[2] for label in want]
+        positive, soft = sum(p >= 0.5 for p in psi), sum(0.0 < p < 0.5 for p in psi)
+        assert positive and soft
+        assert capsys.readouterr().out == (f"labels=624250\npositive={positive}\nsoft_negative={soft}\n"
+                                           f"hard_negative={len(psi) - positive - soft}\n")
+        assert peak <= 12_000_000, f"{peak / 1e6:.1f} MB"
 
     def test_header_only_table_is_runtime_error(self, tmp_path, capsys):
         poses = tmp_path / "empty.csv"

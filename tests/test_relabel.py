@@ -1,6 +1,7 @@
 """Pose-table relabeling, classification and persistence tests."""
 
 import csv
+import itertools
 import math
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gvpr import relabel
-from gvpr.fov2d import TWO_PI, CameraPose2D, FovParams, fov_overlap, wrapped_angle_diff
+from gvpr.fov2d import TWO_PI, CameraPose2D, FovParams, fov_overlap, planar_distance, wrapped_angle_diff
 from gvpr.relabel import (
     LabelTable,
     PoseTable,
@@ -273,17 +274,21 @@ class TestArrayPairPath:
             np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0.0)
 
     def test_labels_equal_the_key_sort_reference(self):
-        rng = np.random.default_rng(8)
-        ids = [f"id{k:03d}" for k in rng.permutation(120)]  # id order unlike row order
-        i, j = rng.integers(0, 120, (2, 3_000))
-        i[:50], j[:50] = j[50:100], i[50:100]  # the same pairs again, swapped
-        psi = rng.uniform(0.0, 1.0, 3_000)
-        psi[::7] = 0.0
-        want = [SimilarityLabel(*sorted((ids[a], ids[b])), p) for a, b, p in zip(i.tolist(), j.tolist(), psi.tolist())]
+        """The walk runs on the table ranked by id; the reference measures each pair in row order and
+        sorts Python labels by key, so a pair's psi comes from ``fov_overlap`` with its poses swapped."""
+        table = _shuffled_scenes(3)  # three scenes, ids in an order unlike the rows
+        poses = [CameraPose2D(*row) for row in table.poses.tolist()]
+        want = []
+        for a, b in itertools.combinations(range(len(table)), 2):
+            if table.scenes[a] == table.scenes[b]:
+                d0, d1 = poses[a].t0 - poses[b].t0, poses[a].t1 - poses[b].t1
+                near = math.sqrt(d0 * d0 + d1 * d1) <= 2.0 * FOV.r
+                psi = fov_overlap(poses[a], poses[b], FOV, 16) if near else 0.0
+                want.append(SimilarityLabel(*sorted((table.ids[a], table.ids[b])), psi))
         want.sort(key=lambda lab: (lab.query_id, lab.map_id))
-        got = list(relabel.labels_of_pairs(ids, i, j, psi))
+        assert sorted(table.ids) != list(table.ids) and 0 < sum(0.0 < lab.psi < 1.0 for lab in want)
+        got = list(pairwise_similarity(table, FOV, arc_segments=16))
         assert got == want
-        assert [lab.psi for lab in got] == [lab.psi for lab in want]  # pairs of equal ids keep input order
         assert all(type(lab.psi) is float for lab in got)
 
     def test_relabel_memory_per_label(self, monkeypatch):
@@ -304,14 +309,15 @@ class TestArrayPairPath:
         assert peak <= 200 * len(labels), f"{peak / len(labels):.0f} B per label"
 
     def test_table_names_only_labeled_ids(self):
-        ids = ["zz", "aa", "unused", "mm", "gone"]
-        table = relabel.labels_of_pairs(ids, np.array([0, 3, 1]), np.array([1, 1, 0]), np.array([0.25, 1.0, 0.5]))
-        assert table.ids == ("aa", "mm", "zz")
-        assert table.query.tolist() == [0, 0, 0] and table.map.tolist() == [1, 2, 2]
-        assert table.psi.tolist() == [1.0, 0.25, 0.5] and len(table) == 3
-        assert LabelTable.of(table) is table
-        again = LabelTable.of(list(table))
-        assert again.ids == table.ids and list(again) == list(table)
+        """A scene of one pose names no label, so its id is left out of the table."""
+        table = PoseTable.of((rec("zz", 0, 0, 0), rec("aa", 1, 0, 0), rec("lone", 2, 0, 0, scene="t"),
+                              rec("mm", 3, 0, 0)))
+        labels = pairwise_similarity(table, FOV)
+        assert labels.ids == ("aa", "mm", "zz")
+        assert labels.query.tolist() == [0, 0, 1] and labels.map.tolist() == [1, 2, 2] and len(labels) == 3
+        assert LabelTable.of(labels) is labels
+        again = LabelTable.of(list(labels))
+        assert again.ids == labels.ids and list(again) == list(labels)
 
     def test_profile_memory_per_pair(self, monkeypatch):
         """One scene of 1,500 poses 150 m apart on a line: 1,124,250 pairs. The raw profile holds three
@@ -332,7 +338,7 @@ class TestArrayPairPath:
             tracemalloc.stop()
         assert records.shape == (pairs, 3) == (1_124_250, 3)
         assert peak <= 80 * pairs, f"{peak / pairs:.0f} B per pair"
-        i, j, dist, psi = relabel._same_scene_pairs(table, FOV, 8)
+        i, j, dist, psi = _dense_same_scene_pairs(table, FOV, 8)
         rot = wrapped_angle_diff(table.poses[i, 2], table.poses[j, 2])
         assert records.tobytes() == np.stack((dist, rot, psi), axis=1)[np.lexsort((psi, rot, dist))].tobytes()
 
@@ -389,8 +395,15 @@ def _scattered_scenes(seed, sizes, extent):
     return PoseTable([f"p{k:04d}" for k in range(len(scenes))], scenes, poses)
 
 
+def _walked_pairs(table, fov, arc_segments, reach=math.inf):
+    """Arrays (i, j, center distance, psi): the blocks of ``relabel._scored_blocks`` end to end."""
+    empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+    blocks = relabel._scored_blocks(table, fov, arc_segments, reach)
+    return tuple(np.concatenate(column) for column in zip(empty, *blocks))
+
+
 class TestBlockWalk:
-    """``_same_scene_pairs`` walks each scene in row blocks and equals the frozen dense enumerator."""
+    """The walk yields the frozen dense enumerator's pairs in row-major order, one row block at a time."""
 
     TABLES = {
         "uneven": ((40, 7, 1, 23, 1, 2), 150.0),
@@ -402,6 +415,7 @@ class TestBlockWalk:
     @pytest.mark.parametrize("block", [None, 1, 50])
     @pytest.mark.parametrize("name", list(TABLES))
     def test_pairs_equal_the_dense_enumerator(self, monkeypatch, name, block):
+        """The reference is reordered by (i, j), the walk's row-major order, and compared byte for byte."""
         sizes, extent = self.TABLES[name]
         if block is not None:
             monkeypatch.setattr(relabel, "_PAIR_BLOCK", block)
@@ -409,17 +423,40 @@ class TestBlockWalk:
             assert 400 * 399 // 2 > relabel._PAIR_BLOCK
         table = _scattered_scenes(len(name), sizes, extent)
         for reach in (2.0 * FOV.r, 4.0 * FOV.r, math.inf):
-            got = relabel._same_scene_pairs(table, FOV, 8, reach)
+            got = _walked_pairs(table, FOV, 8, reach)
             want = _dense_same_scene_pairs(table, FOV, 8, reach)
+            order = np.lexsort((want[1], want[0]))
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+                assert g.tobytes() == w[order].tobytes()
+            i, j = got[:2]
+            assert (i < j).all() and (np.diff(i * len(table) + j) > 0).all()  # row-major, each pair once
         assert len(got[0]) == sum(n * (n - 1) // 2 for n in sizes)
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    def test_measures_no_cross_scene_candidate(self, monkeypatch, block):
+        """Rows of six scenes interleaved: each block measures each of its rows against the later rows
+        of that row's scene only, at most sum n(n - 1) candidates; one cross-scene rectangle is more."""
+        measured = []
+
+        def counted(a, b):
+            dist = planar_distance(a, b)
+            measured.append(dist.size)
+            return dist
+
+        if block is not None:
+            monkeypatch.setattr(relabel, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(relabel, "planar_distance", counted)
+        sizes = self.TABLES["uneven"][0]
+        table = _scattered_scenes(6, sizes, 150.0)
+        pairs = sum(len(i) for i, _, _ in relabel._pair_blocks(table, math.inf))
+        assert pairs == sum(n * (n - 1) // 2 for n in sizes)
+        assert sum(measured) <= sum(n * (n - 1) for n in sizes) < len(table) * (len(table) - 1) // 2
 
     def test_memory_is_one_block_and_the_output(self, monkeypatch):
         """One scene of 1,200 poses 150 m apart on a line, at reach 200: 1,199 pairs kept of 719,400
         candidates. The dense enumerator holds every candidate (about 46 MB), the block walk one block
-        (about 3 MB)."""
+        (about 4 MB)."""
         def no_geometry(*args):
             raise AssertionError("no pair lies within 2r")
 
@@ -436,7 +473,7 @@ class TestBlockWalk:
             finally:
                 tracemalloc.stop()
 
-        (i, j, dist, psi), peak = peak_of(relabel._same_scene_pairs)
+        (i, j, dist, psi), peak = peak_of(_walked_pairs)
         assert len(i) == 1_199 and np.array_equal(j, i + 1) and not psi.any()
         assert peak <= bound, f"{peak / 1e6:.1f} MB"
         dense, dense_peak = peak_of(_dense_same_scene_pairs)
@@ -538,6 +575,23 @@ class TestPersistence:
         assert peak <= 160 * len(pairs), f"{peak / len(pairs):.0f} B per label"
         save_labels(tmp_path / "again.csv", table.ids, [(table.query, table.map, table.psi)])
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_load_labels_peak_is_about_twice_its_table(self, tmp_path):
+        """244,650 labels of 700 ids: the blocks are dropped before the codes are ranked, so the peak is
+        the blocks and their join, about twice the table; with the ranked columns as well it was 2.7 times."""
+        ids = [f"p{k // 20:03d}_i{k % 20:03d}" for k in range(700)]
+        i, j = np.triu_indices(700, k=1)
+        path = tmp_path / "labels.csv"
+        save_labels(path, ids, [(i, j, np.random.default_rng(7).uniform(0.0, 1.0, len(i)))])
+        tracemalloc.start()
+        try:
+            table = load_labels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = table.query.nbytes + table.map.nbytes + table.psi.nbytes
+        assert len(table) == 244_650 and table.query.tolist() == i.tolist() and table.map.tolist() == j.tolist()
+        assert peak <= 2.2 * table_bytes + 1_000_000, f"{peak / table_bytes:.2f} times the table"
 
     def test_load_labels_validates(self, tmp_path):
         path = tmp_path / "labels.csv"
