@@ -20,7 +20,7 @@ import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta, check_arc_segments
-from .io import InputError, file_reader, read_feature_records, write_csv, write_table
+from .io import InputError, feature_blocks, file_reader, write_csv, write_table
 from .sampler import BatchStrategy, EmptyQuotaGroup, check_batch_size
 
 
@@ -100,15 +100,12 @@ def cmd_train(args, parser) -> int:
     labels = relabel.load_labels(args.labels)
     if not len(labels):
         raise InputError(args.labels, "no labels to train on")
-    ids, values = read_feature_records(args.features)
-    row_of = {ident: row for row, ident in enumerate(ids)}
-    missing = sorted(set(labels.ids) - row_of.keys())
+    pooled, missing = _labelled_pools(args.features, labels.ids, args.gem_p)
     if missing:
         raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
-    model = embed.init_model(args.d_out, values.shape[1], gem_p=args.gem_p, seed=args.seed)
-    try:  # the labelled records, pooled a block at a time from the file's float32 values, as eval pools them
-        pooled = embed._pooled(values, model.gem_p, [row_of[ident] for ident in labels.ids])
-        trained, trace = embed._train(model, labels, pooled, cfg)
+    model = embed.init_model(args.d_out, pooled.shape[1], gem_p=args.gem_p, seed=args.seed)
+    try:
+        trained, trace = embed._train(model, labels, embed._checked_pools(pooled, model.gem_p), cfg)
     except EmptyQuotaGroup as e:
         raise InputError(args.labels, e) from None
     except (embed.PoolingOverflow, embed.EmbeddingRejected) as e:
@@ -120,6 +117,24 @@ def cmd_train(args, parser) -> int:
     print(f"steps={len(trace)}")
     print(f"final_loss={trace[-1]:.10g}")
     return 0
+
+
+@file_reader
+def _labelled_pools(path, ids, gem_p: float) -> tuple:
+    """GeM pools of the records ``ids`` of a features file, (len(ids), channels) float64 in the order of
+    ``ids``, and the ids that the file lacks, in that order. Only the named records of each block are pooled,
+    as the block is read, as eval pools them; an overflowing pool is left for ``embed._checked_pools``."""
+    row_of = {ident: row for row, ident in enumerate(ids)}
+    with open(path, "rb") as fh:
+        (_, channels, _), blocks = feature_blocks(fh)
+        pooled, found = np.empty((len(ids), channels)), np.zeros(len(ids), dtype=bool)
+        for block_ids, values in blocks:
+            records = [k for k, ident in enumerate(block_ids) if ident in row_of]
+            rows = [row_of[block_ids[k]] for k in records]
+            block = np.empty((len(records), channels))
+            embed._pool(values, gem_p, block, records)
+            pooled[rows], found[rows] = block, True
+    return pooled, [ident for ident, hit in zip(ids, found) if not hit]
 
 
 def _load_eval_descriptors(parser, args):

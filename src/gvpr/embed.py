@@ -4,20 +4,20 @@ A feature map of shape (channels, locations) stands in for the last layer
 of a convolutional backbone. The model pools it with a generalized mean,
 applies a single trainable linear layer and L2-normalizes, yielding a
 unit-norm descriptor. Feature maps travel as one (n, channels, locations)
-array of one shape, pooled a block of records at a time into one
-(n, channels) array, which one matmul projects: a one-row product would
-take BLAS's vector path and round differently. ``forward``,
-``compute_descriptors`` and ``file_descriptors`` share one
-pool-project-normalize core that rejects a zero-norm or overflowing
-embedding as an ``EmbeddingRejected``; training runs its checks on every
-labelled row at the initial weights before its first step.
-Every pooling, theirs and training's, rejects a pool that overflows at
-the model's ``gem_p`` as a ``PoolingOverflow``. Training runs plain SGD
-over contrastive pairs streamed by the batch sampler, on the graded loss
-(binary labels as psi in {0, 1}), in ``_train``, a core on pooled rows
-that ``gvpr train`` runs on a features file's records and ``train`` on
-FeatureMaps; only the linear weights are trained, the pooling exponent
-stays fixed. Features files are read and written by ``gvpr.io``; the
+array of one shape, or as the blocks of a features file, pooled a block
+of records at a time into one (n, channels) array, which one matmul
+projects: a one-row product would take BLAS's vector path and round
+differently. ``forward``, ``compute_descriptors`` and ``file_descriptors``
+share one pool-project-normalize core that rejects a zero-norm or
+overflowing embedding as an ``EmbeddingRejected``; training runs its
+checks on every labelled row at the initial weights before its first
+step. Every pooling, theirs and training's, rejects a pool that
+overflows at the model's ``gem_p`` as a ``PoolingOverflow``. Training
+runs plain SGD over contrastive pairs streamed by the batch sampler, on
+the graded loss (binary labels as psi in {0, 1}), in ``_train``, a core
+on pooled rows that ``gvpr train`` runs on the labelled records of a
+features file's blocks and ``train`` on FeatureMaps; only the linear
+weights are trained, the pooling exponent stays fixed. Features files are read and written by ``gvpr.io``; the
 FeatureMaps ``read_features`` returns are views of one float64 array.
 Model file (little-endian): magic `GVPM`, version u32, d_out u32,
 channels u32, gem_p float32, then d_out*channels float32 weights
@@ -36,8 +36,8 @@ import numpy as np
 
 from .gcl import LossConfig, _gcl_kernel
 from .gcl import gcl_grad_d, gcl_loss  # noqa: F401 -- the traced benchmark wraps these names here
-from .io import (FORMAT_VERSION, check_size, file_reader, read_exact, read_feature_records, read_header,
-                 write_feature_array)
+from .io import (FORMAT_VERSION, check_size, feature_blocks, file_reader, read_exact, read_feature_records,
+                 read_header, write_feature_array)
 from .sampler import Batch, BatchSampler, BatchStrategy, LabelTable, index_labels
 
 _NORM_EPS = 1e-12
@@ -175,14 +175,25 @@ def gem_pool(v, p: float) -> np.ndarray:
 
 def _pooled(values: np.ndarray, gem_p: float, rows=None) -> np.ndarray:
     """``gem_pool`` of records ``rows`` (default all) of a (n, channels, locations) array, float32 or float64,
-    into one (len(rows), channels) float64 array, ``_POOL_BLOCK`` records at a time: GeM's steps are element-wise
-    or per (record, channel), so the bits are those of one call. A row that overflows is a PoolingOverflow."""
-    n = len(values) if rows is None else len(rows)
-    pooled = np.empty((n, values.shape[1]))
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, _POOL_BLOCK):  # a slice of all records is a view; of ``rows``, a one-block copy
+    into one (len(rows), channels) float64 array, by ``_pool``. A row that overflows is a PoolingOverflow."""
+    pooled = np.empty((len(values) if rows is None else len(rows), values.shape[1]))
+    _pool(values, gem_p, pooled, rows)
+    return _checked_pools(pooled, gem_p)
+
+
+def _pool(values: np.ndarray, gem_p: float, out: np.ndarray, rows=None) -> None:
+    """Write ``gem_pool`` of records ``rows`` (default all) of ``values`` to the rows of ``out``, ``_POOL_BLOCK``
+    records at a time: GeM's steps are element-wise or per (record, channel), so the bits are those of one call,
+    whatever the blocks. A row that overflows, or whose values are not finite, is left as it comes out, with no
+    warning, for ``_checked_pools`` or the features file's own error."""
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: a signalling NaN that a bad file holds
+        for lo in range(0, len(out), _POOL_BLOCK):  # a slice of all records is a view; of ``rows``, a one-block copy
             block = values[lo:lo + _POOL_BLOCK] if rows is None else values[rows[lo:lo + _POOL_BLOCK]]
-            pooled[lo:lo + _POOL_BLOCK] = gem_pool(block, gem_p)
+            out[lo:lo + _POOL_BLOCK] = gem_pool(block, gem_p)
+
+
+def _checked_pools(pooled: np.ndarray, gem_p: float) -> np.ndarray:
+    """``pooled``, unless a row overflowed at ``gem_p``: then a PoolingOverflow."""
     if not np.isfinite(pooled).all():
         raise PoolingOverflow(f"GeM pooling overflows at gem_p {gem_p:g}")
     return pooled
@@ -386,10 +397,19 @@ def write_features(path, feature_maps) -> None:
 @file_reader
 def file_descriptors(path, model: EmbedModel) -> tuple:
     """Descriptors of a features file, (ids, (n, d_out) unit rows), bit-identical to
-    ``compute_descriptors(model, read_features(path))`` with no FeatureMap per record
-    and no float64 copy of the file: its float32 values are widened a pooling block at a time."""
-    ids, values = read_feature_records(path)
-    return ids, _descriptors(model, ids[0], values)
+    ``compute_descriptors(model, read_features(path))``, and its errors in the same order.
+
+    Each block of ``io.feature_blocks`` is pooled as it is read into one (n, channels) float64 array, which
+    one product embeds: memory is one block of the file and the pooled rows, whatever the record count.
+    """
+    with open(path, "rb") as fh:
+        (count, channels, _), blocks = feature_blocks(fh)
+        ids, pooled = [], np.empty((count, channels))
+        for block_ids, values in blocks:
+            _pool(values, model.gem_p, pooled[len(ids):len(ids) + len(block_ids)])
+            ids += block_ids
+    _check_channels(model, ids[0], channels)
+    return ids, _embedded(_checked_pools(pooled, model.gem_p), model.W)
 
 
 @file_reader

@@ -3,7 +3,7 @@
 Every public reader, and the subcommands that reach it:
   relabel.load_poses          relabel, profile; eval --query-poses/--map-poses (cli._poses_covering)
   relabel.load_labels         train --labels
-  io.read_feature_records     train --features; inside read_features, file_descriptors and read_descriptors
+  cli._labelled_pools         train --features
   embed.read_features         none: a library reader
   embed.file_descriptors      eval --query-features/--map-features
   embed.load_model            eval --model
@@ -35,10 +35,14 @@ could differ. ``write_csv`` writes the small tables: poses, metrics, traces.
 
 Features file (little-endian; descriptor files have one location): magic
 `GVPR`, version u32, count u32, channels u32, locations u32, then per record
-u16 id byte length, UTF-8 id and channels*locations float32 values, read in
-one pass into one float32 array, with ids and values checked once per file:
-``gvpr train`` and ``embed.file_descriptors`` pool it a block of records at
-a time, ``embed.read_features`` and ``retrieval.read_descriptors`` widen it.
+u16 id byte length, UTF-8 id and channels*locations float32 values. Every
+features reader reads it through ``feature_blocks``, one pass of float32
+blocks of at most ``_FEATURE_BLOCK_BYTES`` of values, with one record rule:
+``cli._labelled_pools`` (``gvpr train``) and ``embed.file_descriptors`` pool
+each block as it is read, and ``read_feature_records`` joins the blocks into
+one array, which ``embed.read_features`` and ``retrieval.read_descriptors``
+widen. The blocks' errors name the path only when a decorated reader drains
+them: ``file_reader`` wraps a call, not the iteration of a generator.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ _FIXED_LIMIT = 2.0 ** 23  # values formatted by NumPy: 13 digits at most, produc
 _DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
            + ord("0")).astype(np.uint8).view(np.uint32).ravel()  # k as four ASCII digits; uint16 keeps the import small
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-_FEATURE_BLOCK_BYTES = 1 << 20  # float32 values cast and written at a time: a whole-array copy is half its size
+_FEATURE_BLOCK_BYTES = 1 << 20  # float32 values read, or cast and written, at a time
 
 
 class LineError(ValueError):
@@ -296,7 +300,7 @@ def check_size(fh, need: int) -> None:
 
 def write_feature_array(path, ids, values: np.ndarray) -> None:
     """Write ids and their values, (count, channels, locations), as a features file in order:
-    the mirror of ``read_feature_records``, refusing the empty sizes and ids that it rejects."""
+    the mirror of ``feature_blocks``, refusing the empty sizes and ids that it rejects."""
     if not len(ids):
         raise ValueError("no feature maps to write")
     if 0 in values.shape:
@@ -315,33 +319,57 @@ def write_feature_array(path, ids, values: np.ndarray) -> None:
             fh.write(b"".join(struct.pack("<H", len(raw)) + raw + record.tobytes() for raw, record in records))
 
 
-@file_reader
-def read_feature_records(path) -> tuple:
-    """Ids and float32 values, (count, channels, locations), of a features file.
+def feature_blocks(fh) -> tuple:
+    """The (count, channels, locations) header of the features file open in ``fh``, and a generator of its
+    records in order, as (ids, float32 values) blocks of at most ``_FEATURE_BLOCK_BYTES`` of values.
 
-    A repeated id fails as it is read; empty ids and non-finite values are
-    checked once for the whole file.
+    Each block's values are a view of one buffer that the next block overwrites, and that holds the smaller of
+    one block and the whole file. The record rule, in the order of its messages: a truncated id length, id or
+    values, bad UTF-8 and a repeated id fail as they are read; after the last record, trailing bytes, then an
+    empty id, then a non-finite value. A block is yielded before its values are known to be finite, so its
+    reader must drain the generator before it trusts a block, and under ``file_reader``, so that the error
+    names the path. The header's faults raise here, before any block.
     """
-    with open(path, "rb") as fh:
-        count, channels, locations = read_header(fh, FEATURES_MAGIC, "features", "<IIII")
-        record_bytes = 4 * channels * locations
-        check_size(fh, 20 + count * (2 + record_bytes))
-        raw = np.empty(count * record_bytes, dtype=np.uint8)
-        ids, seen = [], set()
-        for lo in range(0, len(raw), record_bytes):
+    count, channels, locations = read_header(fh, FEATURES_MAGIC, "features", "<IIII")
+    record_bytes = 4 * channels * locations
+    check_size(fh, 20 + count * (2 + record_bytes))
+    return (count, channels, locations), _blocks(fh, count, channels, locations)
+
+
+def _blocks(fh, count: int, channels: int, locations: int):
+    per_block = min(count, max(1, _FEATURE_BLOCK_BYTES // (4 * channels * locations)))
+    buffer = np.empty((per_block, channels, locations), dtype="<f4")
+    raw = buffer.reshape(per_block, -1).view(np.uint8)
+    seen, finite = set(), True
+    for lo in range(0, count, per_block):
+        ids = []
+        for record in map(memoryview, raw[:min(per_block, count - lo)]):
             (id_len,) = struct.unpack("<H", read_exact(fh, 2, "id length"))
             ident = read_exact(fh, id_len, "id").decode("utf-8")
             if ident in seen:
                 raise ValueError(f"duplicate feature id {ident!r}")
             seen.add(ident)
-            if fh.readinto(memoryview(raw[lo:lo + record_bytes])) != record_bytes:
+            if fh.readinto(record) != record.nbytes:
                 raise ValueError(f"truncated file while reading values of {ident!r}")
             ids.append(ident)
-        if fh.read(1):
-            raise ValueError(f"trailing bytes after {count} records")
-    if "" in ids:
+        values = buffer[:len(ids)]
+        finite = finite and bool(np.isfinite(values).all())  # on float32: a signalling NaN is never widened
+        yield ids, values
+    if fh.read(1):
+        raise ValueError(f"trailing bytes after {count} records")
+    if "" in seen:
         raise ValueError("feature map id must be nonempty")
-    values = raw.view("<f4").reshape(count, channels, locations)
-    if not np.isfinite(values).all():  # on the float32 values, so a signalling NaN is never widened with a warning
+    if not finite:
         raise ValueError("feature values must be finite")
+
+
+def read_feature_records(path) -> tuple:
+    """Ids and float32 values, (count, channels, locations), of a features file: its blocks, joined.
+    Its callers are decorated readers, which put the path in its errors."""
+    with open(path, "rb") as fh:
+        shape, blocks = feature_blocks(fh)
+        ids, values = [], np.empty(shape, dtype="<f4")
+        for block_ids, block in blocks:
+            values[len(ids):len(ids) + len(block_ids)] = block
+            ids += block_ids
     return ids, values

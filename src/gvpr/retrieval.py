@@ -3,14 +3,13 @@
 Search is brute force by L2 distance with ties broken by map id, so
 rankings do not depend on row order. Nor do a query's rankings and
 distance bits depend on the other queries searched with it: inner
-products come from one fixed-shape tile of query rows, zero-padded,
+products come from one fixed-shape block of 32 query rows, zero-padded,
 against the map padded with zero rows to a multiple of 64, so memory
-is bounded by one tile, not by queries x map. Within a tile, one
-partition of each small block's squared distances picks k candidate
-columns per row, and only those are square-rooted and sorted by
-(distance, id). A row where square-rooting could tie a column outside
-the candidates with the k-th distance is ranked instead by its own
-sort over the exact distances. Recall@k is the percentage of queries
+is bounded by one block, not by queries x map. One partition of the
+block's squared distances picks k candidate columns per row, and only
+those are square-rooted and sorted by (distance, id). A row where
+square-rooting could tie a column outside the candidates with the k-th
+distance is ranked instead by its own sort over the exact distances. Recall@k is the percentage of queries
 with at least one true positive among their k nearest references,
 counted from each query's first positive rank; queries without any
 positive are excluded and counted. Localization accuracy checks the
@@ -44,11 +43,10 @@ DEFAULT_LOC_THRESHOLDS = (
     (5.0, math.radians(10.0)),
 )
 
-_TILE_ROWS = 256  # query rows per inner-product call, the one shape BLAS sees: 4 MB of products at 2,000 map rows
+_TILE_ROWS = 32  # query rows per inner-product call, the one shape BLAS sees: 0.5 MB of products at 2,000 map rows
 # map rows are zero-padded to a multiple of this: otherwise the bits of the last n_map mod 8 columns move
 # with the query's row in the tile
 _MAP_PAD_ROWS = 64
-_BLOCK_ROWS = 32  # query rows per top-k selection: 0.5 MB of float64 squared distances at 2,000 map rows
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
@@ -158,14 +156,14 @@ def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
 
     Each query's row is ordered by (distance, map id). Distances use the expanded form
     sqrt(max((|q|^2 + |m|^2) - 2 q.m, 0)). A query's result does not depend on the other
-    queries of the call: the inner products come from one fixed ``(_TILE_ROWS, d)`` tile
+    queries of the call: the inner products come from one fixed ``(_TILE_ROWS, d)`` block
     of query rows, zero-padded, against the id-ordered map padded with zero rows to a
     multiple of ``_MAP_PAD_ROWS``, so BLAS rounds every query the same whatever the query
-    count and the query's place in its tile. The tile, its products and the squared
-    distances reuse one buffer each, so beyond the (nq, k) results memory stays within
-    ``_TILE_ROWS`` x n_map x 8 B. Each ``_BLOCK_ROWS`` rows of a tile pick their k
-    candidates on the squared distances, and the max and sqrt run only on the picked
-    (block, k) entries.
+    count and the query's place in its block. Each block is multiplied, selected and
+    written in turn: the block, its products and its squared distances reuse one buffer
+    each, so beyond the map and the (nq, k) results memory stays within a few
+    ``_TILE_ROWS`` x n_map x 8 B. A block picks its k candidates per row on the squared
+    distances, and the max and sqrt run only on the picked (block, k) entries.
     """
     if queries.dim != map_set.dim:
         raise ValueError(f"dimension mismatch: queries {queries.dim}, map {map_set.dim}")
@@ -181,7 +179,7 @@ def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
     qq, mm = np.sum(q * q, axis=1), np.sum(m[:n_map] * m[:n_map], axis=1)
     tile = np.zeros((_TILE_ROWS, q.shape[1]))
     qm = np.empty((_TILE_ROWS, len(m)))
-    d2 = np.empty((_BLOCK_ROWS, n_map))
+    d2 = np.empty((_TILE_ROWS, n_map))
     rows = np.empty((len(q), k), dtype=np.intp)
     dist = np.empty((len(q), k))
     for lo in range(0, len(q), _TILE_ROWS):
@@ -190,13 +188,10 @@ def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
         tile[n:] = 0.0
         np.matmul(tile, m.T, out=qm)
         qm *= 2.0  # exact, so the bits of 2.0 * qm
-        for b in range(0, n, _BLOCK_ROWS):
-            r = min(_BLOCK_ROWS, n - b)
-            block = slice(lo + b, lo + b + r)
-            np.add(qq[block, None], mm[None, :], out=d2[:r])
-            d2[:r] -= qm[b:b + r, :n_map]
-            cols, dist[block] = _block_top_k(d2[:r], k)
-            rows[block] = order[cols]
+        np.add(qq[lo:lo + n, None], mm[None, :], out=d2[:n])
+        d2[:n] -= qm[:n, :n_map]
+        cols, dist[lo:lo + n] = _block_top_k(d2[:n], k)
+        rows[lo:lo + n] = order[cols]
     return rows, dist
 
 

@@ -33,12 +33,12 @@ class Band(Enum):
 
 
 def _band_codes(psi) -> np.ndarray:
-    """The position in ``Band`` of each psi's band; the first psi outside [0, 1] (NaN too) raises."""
+    """The position in ``Band`` of each psi's band, uint8; the first psi outside [0, 1] (NaN too) raises."""
     psi = np.asarray(psi, dtype=np.float64)
     bad = ~((psi >= 0.0) & (psi <= 1.0))
     if bad.any():
         raise ValueError(f"psi must be in [0, 1], got {float(psi[bad].flat[0])}")
-    return (psi <= 0.0).astype(np.intp) + (psi < 0.5) + (psi < 0.75)
+    return (psi <= 0.0).astype(np.uint8) + (psi < 0.5) + (psi < 0.75)
 
 
 def band_of(psi: float) -> Band:
@@ -158,10 +158,12 @@ def check_batch_size(strategy: BatchStrategy, batch_size: int) -> None:
 
 @dataclass(frozen=True)
 class PairIndex:
-    """Label psi values and, per similarity band, the ascending positions of its labels."""
+    """Label psi values; ``order``, the positions of the labels by band in ``Band`` order, then ascending;
+    and per similarity band its run of ``order``, a view."""
 
     psi: np.ndarray = field(repr=False)
     rows: dict = field(repr=False)
+    order: np.ndarray = field(repr=False)
 
     def band_sizes(self) -> dict:
         return {band: len(self.rows[band]) for band in Band}
@@ -195,7 +197,9 @@ def index_labels(labels) -> PairIndex:
     if not len(psi):
         raise ValueError("cannot index an empty label list")
     codes = _band_codes(psi)
-    return PairIndex(psi, {band: np.flatnonzero(codes == k) for k, band in enumerate(Band)})
+    order = np.argsort(codes, kind="stable")  # a radix sort of the uint8 codes
+    ends = np.cumsum(np.bincount(codes, minlength=len(Band))).tolist()
+    return PairIndex(psi, {band: order[lo:hi] for band, lo, hi in zip(Band, [0, *ends], ends)}, order)
 
 
 class BatchSampler:
@@ -211,21 +215,22 @@ class BatchSampler:
         self.strategy = strategy
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
-        # per quota group its pooled label rows and pair count; config errors surface here
-        pools, counts = [], []
+        # every quota group is a run of consecutive bands in Band order, so its label rows are one run of
+        # idx.order: per group that run's size and start, and its pair count; config errors surface here
+        start = dict(zip(Band, np.cumsum([0] + [len(idx.rows[band]) for band in Band]).tolist()))
+        sizes, offsets, counts = [], [], []
         for group, frac in _QUOTAS[strategy]:
-            pool = np.concatenate([idx.rows[band] for band in group])
-            if not len(pool):
+            sizes.append(sum(len(idx.rows[band]) for band in group))
+            if not sizes[-1]:
                 raise EmptyQuotaGroup(
                     f"strategy {strategy.value} needs pairs with psi in {_group_desc(group)}; none indexed"
                 )
-            pools.append(pool)
+            offsets.append(start[group[0]])
             counts.append(int(frac * batch_size))
-        # the pools end to end, and per batch slot the size of its pool and that pool's offset
-        sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
-        self._rows = np.concatenate(pools)
-        self._high = np.repeat(sizes, counts)
-        self._offset = np.repeat(np.cumsum(sizes) - sizes, counts)
+        # per batch slot the size of its group's run and that run's offset in idx.order
+        self._rows = idx.order
+        self._high = np.repeat(np.array(sizes, dtype=np.int64), counts)
+        self._offset = np.repeat(np.array(offsets, dtype=np.int64), counts)
 
     def next_batch(self) -> Batch:
         """The next batch, from one bounded draw for all its slots; the draw consumes the

@@ -299,7 +299,7 @@ _POSE6_HEADER = ["id", "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "
 def load_poses_6dof(path) -> PoseTable6DOF:
     """Parse a 6DOF pose CSV with header id,r00..r22,t0,t1,t2 into a PoseTable6DOF in file order.
 
-    Each block of ``io.read_csv`` records is parsed into one float64 run and checked as one table; a
+    Each block of ``io.read_csv`` records is parsed into one float64 run and checked as one table, once; a
     duplicate id or a malformed record is an error reported with the line number of the first.
     """
     seen = set()  # ids of the records parsed so far
@@ -317,9 +317,12 @@ def load_poses_6dof(path) -> PoseTable6DOF:
     blocks = read_csv(path, _POSE6_HEADER, parse)
     if len(blocks) == 1:
         return blocks[0]
-    return PoseTable6DOF(tuple(chain.from_iterable(b.ids for b in blocks)),  # checked once more, as a whole
-                         np.concatenate([np.empty((0, 3, 3)), *(b.rotations for b in blocks)]),
-                         np.concatenate([np.empty((0, 3)), *(b.translations for b in blocks)]))
+    # each block is a checked table, and no id is in two of them: the joined rows are not checked again
+    joined = object.__new__(PoseTable6DOF)
+    object.__setattr__(joined, "ids", tuple(chain.from_iterable(b.ids for b in blocks)))
+    object.__setattr__(joined, "rotations", np.concatenate([np.empty((0, 3, 3)), *(b.rotations for b in blocks)]))
+    object.__setattr__(joined, "translations", np.concatenate([np.empty((0, 3)), *(b.translations for b in blocks)]))
+    return joined
 
 
 _INTR_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")

@@ -391,6 +391,35 @@ class TestTrainFromFeatureRows:
         block_bytes = 8 * embed._POOL_BLOCK * channels * locations  # one block of float64 values
         assert peak <= raw_bytes + 4 * block_bytes + pooled_bytes + 1_000_000, f"{peak / 1e6:.2f} MB"
 
+    @pytest.mark.parametrize("blocks", [4, 8])
+    def test_memory_is_one_features_block_and_the_labelled_pooled_rows(self, tmp_path, capsys, blocks):
+        """Records of 4 x 64 values, 1,024 to a features block, one record more than ``blocks`` blocks, and
+        every eighth record labelled: the peak is one block, one pooling block's float64 temporaries, the
+        labelled rows and the file's ids, whatever the size of its values (8.4 MB at 8 blocks)."""
+        rng = np.random.default_rng(37)
+        channels, locations = 4, 64
+        n = blocks * (gvpr_io._FEATURE_BLOCK_BYTES // (4 * channels * locations)) + 1
+        features, labels = tmp_path / "features.bin", tmp_path / "labels.csv"
+        ids = [f"r{i:05d}" for i in range(n)]
+        gvpr_io.write_feature_array(features, ids, rng.uniform(0.0, 2.0, (n, channels, locations)))
+        named = ids[::8]
+        psi = np.where(rng.random(len(named)) < 0.25, 0.0, rng.uniform(0.0, 1.0, len(named)))
+        labels.write_text("query_id,map_id,psi\n" + "".join(
+            f"{a},{b},{p:.6f}\n" for a, b, p in zip(named, named[1:] + named[:1], psi)))
+        argv = ["train", "--labels", str(labels), "--features", str(features), "--out", str(tmp_path / "m.bin")]
+        assert main(argv) == 0  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        pooling = 3 * 8 * embed._POOL_BLOCK * channels * locations  # GeM's float64 temporaries of one pooling block
+        rows = len(named) * (8 * channels + 200)  # pooled rows; labels, ids and the trainer's per-label arrays
+        seen = n * 100  # the file's ids, which the duplicate-id rule keeps
+        assert peak <= gvpr_io._FEATURE_BLOCK_BYTES + pooling + rows + seen + 1_000_000, f"{peak / 1e6:.2f} MB"
+
 
 class TestEval:
     def test_model_mode_metrics(self, world_dir, model_path, tmp_path, capsys):

@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gvpr import io
+from gvpr import cli, io
 from gvpr.embed import (
+    _POOL_BLOCK,
     EmbedModel,
     EmbeddingRejected,
     FeatureMap,
@@ -299,6 +300,64 @@ class TestFileDescriptors:
         assert peak <= 2 * raw_bytes, f"{peak / 1e6:.1f} MB"
         want_ids, want = compute_descriptors(model, read_features(path))
         assert ids == want_ids and mat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blocks", [4, 8])
+    def test_memory_is_one_features_block_and_the_pooled_rows(self, tmp_path, blocks):
+        """Records of 4 x 64 values, 1,024 to a features block, and one record more than ``blocks`` blocks:
+        the peak is one block, one pooling block's float64 temporaries and the per-record rows, whatever the
+        file's size (8.4 MB of values at 8 blocks)."""
+        rng = np.random.default_rng(31)
+        channels, locations, d_out = 4, 64, 4
+        n = blocks * (io._FEATURE_BLOCK_BYTES // (4 * channels * locations)) + 1
+        path = tmp_path / "features.bin"
+        io.write_feature_array(path, [f"r{i:05d}" for i in range(n)], rng.uniform(0.0, 2.0, (n, channels, locations)))
+        model = init_model(d_out, channels, gem_p=2.7, seed=4)
+        tracemalloc.start()
+        try:
+            ids, mat = file_descriptors(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pooling = 3 * 8 * _POOL_BLOCK * channels * locations  # GeM's float64 temporaries of one pooling block
+        rows = n * (8 * channels + 3 * 8 * d_out + 100)  # pooled rows, descriptors and their temporaries, ids
+        assert peak <= io._FEATURE_BLOCK_BYTES + pooling + rows + 250_000, f"{peak / 1e6:.2f} MB"
+        want_ids, want = compute_descriptors(model, read_features(path))
+        assert ids == want_ids and mat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-record-more"])
+    def test_matches_compute_descriptors_at_a_block_edge(self, tmp_path, extra):
+        rng = np.random.default_rng(5 + extra)
+        channels, locations = 32, 8
+        n = io._FEATURE_BLOCK_BYTES // (4 * channels * locations) + extra
+        path = tmp_path / "features.bin"
+        io.write_feature_array(path, [f"r{i:04d}" for i in range(n)], rng.uniform(0.0, 2.0, (n, channels, locations)))
+        model = init_model(16, channels, gem_p=2.7, seed=6)
+        ids, mat = file_descriptors(path, model)
+        want_ids, want = compute_descriptors(model, read_features(path))
+        assert ids == want_ids and len(ids) == n
+        assert mat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("none", "feature values must be finite"),
+        ("repeated", "duplicate feature id 'a'"),
+        ("trailing", "trailing bytes after 4 records"),
+        ("empty", "feature map id must be nonempty"),
+    ])
+    def test_errors_keep_their_precedence_across_blocks(self, tmp_path, monkeypatch, fault, message):
+        """Records of 2 x 2 values, two to a block, with a NaN in block 1: a repeated id in block 2, trailing
+        bytes and an empty id each fail before it, in every features reader."""
+        monkeypatch.setattr(io, "_FEATURE_BLOCK_BYTES", 32)
+        ids = ["a", "b", "c", {"repeated": "a", "empty": ""}.get(fault, "d")]
+        values = np.ones((4, 2, 2), dtype="<f4")
+        values[0, 1, 0] = np.nan
+        path = tmp_path / "features.bin"
+        path.write_bytes(b"GVPR" + struct.pack("<IIII", 1, 4, 2, 2) + b"".join(
+            struct.pack("<H", len(ident)) + ident.encode() + record.tobytes() for ident, record in zip(ids, values))
+            + (b"\0" if fault == "trailing" else b""))
+        model = init_model(2, 2, seed=1)
+        for read in (read_features, lambda p: file_descriptors(p, model), lambda p: cli._labelled_pools(p, ["a"], 3.0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+                read(path)
 
 
 class TestBatchGradient:

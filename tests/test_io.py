@@ -91,7 +91,7 @@ READERS = [
     Case("relabel", "poses.csv", relabel.load_poses),
     Case("profile", "poses.csv", relabel.load_poses),
     Case("train", "labels.csv", relabel.load_labels),
-    Case("train", "features.bin", gvpr_io.read_feature_records, ("labels.csv",)),
+    Case("train", "features.bin", cli._labelled_pools, ("labels.csv",)),
     Case("eval-model", "model.bin", embed.load_model, ("query_features.bin", "map_features.bin")),
     Case("eval-model", "query_features.bin", embed.file_descriptors, ("gt.csv", "query_poses.csv")),
     Case("eval-model", "map_features.bin", embed.file_descriptors, ("gt.csv", "map_poses.csv")),

@@ -267,7 +267,7 @@ class TestBatchIndependence:
         assert done.stdout.strip() == "[]"
 
     def test_memory_is_one_tile_of_products(self):
-        """2,000 queries x 2,000 map rows: the whole q @ m.T takes 32 MB, one tile's products 4.2 MB."""
+        """2,000 queries x 2,000 map rows: the whole q @ m.T takes 32 MB, one tile's products 0.5 MB."""
         rng = np.random.default_rng(29)
         queries = dset([f"q{i:04d}" for i in range(2_000)], unit_rows(rng, 2_000, 16), normalized=True)
         refs = dset([f"m{i:04d}" for i in range(2_000)], unit_rows(rng, 2_000, 16), normalized=True)
@@ -279,6 +279,21 @@ class TestBatchIndependence:
             tracemalloc.stop()
         assert rows.shape == dist.shape == (2_000, 10)
         assert peak <= 8_000_000, f"{peak / 1e6:.1f} MB"
+
+    def test_memory_is_one_block_of_32_queries(self):
+        """2,000 queries x 2,000 map rows of 16 dimensions, k = 1: the padded map (0.26 MB), one 32-row
+        block's products (0.52 MB), squared distances and partition (0.51 MB each), and the results."""
+        rng = np.random.default_rng(30)
+        queries = dset([f"q{i:04d}" for i in range(2_000)], unit_rows(rng, 2_000, 16), normalized=True)
+        refs = dset([f"m{i:04d}" for i in range(2_000)], unit_rows(rng, 2_000, 16), normalized=True)
+        tracemalloc.start()
+        try:
+            rows, dist = _top_k(queries, refs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == dist.shape == (2_000, 1)
+        assert peak < 2 << 20, f"{peak / 1e6:.2f} MB"
 
 
 class TestSquaredDistanceSelection:

@@ -1,6 +1,7 @@
 """Band bucketing and quota-exact batch composition tests."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from gvpr.sampler import (
     Batch,
     BatchSampler,
     BatchStrategy,
+    LabelTable,
     band_of,
     index_labels,
     strategy_denominator,
@@ -218,6 +220,24 @@ class TestBatchSampler:
         no_mid = index_labels(make_labels([0.9, 0.2, 0.0, 0.0]))
         with pytest.raises(ValueError, match=r"\[0.5, 0.75\)"):
             BatchSampler(no_mid, BatchStrategy.B, 4, seed=0)
+
+    @pytest.mark.parametrize("strategy", list(BatchStrategy))
+    def test_sampler_copies_no_label_rows(self, strategy):
+        """On 250,000 labels the index keeps one intp array of label rows, each band a view of it, and the
+        sampler draws from that array: building it allocates less than a byte a label."""
+        n = 250_000
+        rng = np.random.default_rng(12)
+        psi = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        idx = index_labels(LabelTable(("a", "b"), np.zeros(n, np.intp), np.ones(n, np.intp), psi))
+        assert all(np.shares_memory(idx.rows[band], idx.order) for band in Band)
+        tracemalloc.start()
+        try:
+            sampler = BatchSampler(idx, strategy, 48, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n, f"{peak} B"
+        assert len(sampler.next_batch()) == 48
 
     def test_batches_iterator_counts(self, mixed_index):
         sampler = BatchSampler(mixed_index, BatchStrategy.C, 6, seed=1)

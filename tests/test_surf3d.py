@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gvpr import surf3d
 from gvpr.io import LineError, file_reader, text_lines
 from gvpr.surf3d import (
     Z_NEAR,
@@ -24,6 +25,7 @@ from gvpr.surf3d import (
     Pose6DOF,
     UndefinedOverlapError,
     VisibleSet,
+    check_rigid,
     intersection_counts,
     iou_pairs,
     load_intrinsics,
@@ -277,6 +279,33 @@ class TestLoaders:
             "a,2,0,0,0,2,0,0,0,2,0,0,0\n"
         )
         with pytest.raises(ValueError, match=":2"):
+            load_poses_6dof(path)
+
+    def test_pose_csv_checks_each_record_once(self, tmp_path, monkeypatch):
+        """A file of three read blocks is checked a block at a time, and the joined table not again; a bad
+        record in a later block still names its own line."""
+        rng = np.random.default_rng(8)
+        rotations = np.linalg.qr(rng.normal(size=(2_049, 3, 3)))[0]
+        rotations[np.linalg.det(rotations) < 0] *= -1.0
+        translations = rng.normal(size=(2_049, 3))
+        rows = [f"c{k}," + ",".join(map(repr, [*r.ravel().tolist(), *t.tolist()]))
+                for k, (r, t) in enumerate(zip(rotations, translations))]
+        path = tmp_path / "poses6.csv"
+        path.write_text("\n".join(["id,r00,r01,r02,r10,r11,r12,r20,r21,r22,t0,t1,t2", *rows]) + "\n")
+        checked = []
+
+        def counting(r, t):
+            checked.append(len(r))
+            return check_rigid(r, t)
+
+        monkeypatch.setattr(surf3d, "check_rigid", counting)
+        poses = load_poses_6dof(path)
+        assert sum(checked) == 2_049
+        assert poses.ids == tuple(f"c{k}" for k in range(2_049))
+        assert np.array_equal(poses.rotations, rotations) and np.array_equal(poses.translations, translations)
+        rows[1_500] = ",".join(["c1500", "2", *rows[1_500].split(",")[2:]])  # r00 = 2: not orthonormal
+        path.write_text("\n".join(["id,r00,r01,r02,r10,r11,r12,r20,r21,r22,t0,t1,t2", *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1502: rotation is not orthonormal$"):
             load_poses_6dof(path)
 
     def test_intrinsics_formats(self, tmp_path):
