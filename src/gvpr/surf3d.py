@@ -6,6 +6,10 @@ front of the camera) is that image's visible surface. The similarity of
 two images is the intersection-over-union of their visible index sets.
 Many cameras are compared through ``intersection_counts``, the exact counts
 of the points each pair sees, which ``iou_pairs`` yields as IoU pairs by row tiles.
+It walks the cloud in buckets of 512 points ranked along its longest axis, and
+projects a bucket only into the cameras whose frustum its bounding box may meet
+(a conservative test with a relative margin of 1e-9), so a camera costs work only
+where it can see; memory is the C x C counts plus one product over a bucket's cameras.
 The cameras come as the columns of a ``PoseTable6DOF``, read and checked a
 block of records at a time, with no object per pose.
 
@@ -27,8 +31,9 @@ from .io import LineError, file_reader, floats, read_blocks, read_csv, text_line
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
-_POINT_BLOCK = 4096  # cloud points counted at a time by intersection_counts
-_PROJECT_CELLS = 1 << 14  # points x cameras projected by one product in intersection_counts
+_BUCKET = 512  # cloud points culled and counted at a time by intersection_counts
+_CULL_TOL = 1e-9  # relative margin of intersection_counts's bucket-frustum test
+_PROJECT_CELLS = 1 << 14  # points x cameras projected by one product, or counts added at a time, in intersection_counts
 _PAIR_CELLS = 1 << 14  # counts turned into pairs at a time by iou_pairs
 _CLOUD_BLOCK_CHARS = 1 << 14
 
@@ -208,39 +213,99 @@ def surface_overlap(a: VisibleSet, b: VisibleSet) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
+def _buckets(points: np.ndarray):
+    """Yield index arrays of at most ``_BUCKET`` points, ranked along the cloud's longest bounding-box axis by
+    a uint16 code (its 65,536 equal steps) and one stable argsort. Halved coordinates cannot overflow."""
+    low, high = np.array([(c.min(), c.max()) for c in points.T]).T * 0.5  # column by column: a fast reduction
+    axis = int(np.argmax(high - low))
+    code = points[:, axis] * 0.5 - low[axis]
+    if high[axis] > low[axis]:
+        code /= high[axis] - low[axis]  # in [0, 1], as each rounding is monotone
+        code *= 65535
+    order = np.argsort(code.astype(np.uint16), kind="stable")
+    for lo in range(0, len(points), _BUCKET):
+        yield order[lo:lo + _BUCKET]
+
+
+def _frustum_rows(rotations: np.ndarray, translations: np.ndarray, k: Intrinsics) -> np.ndarray:
+    """The (5 * cameras, 10) cull rows of ``intersection_counts``. Camera c sees a point only if each of its
+    five bounds ``n . x_cam`` clears a threshold: ``z > Z_NEAR``, ``fx*x + cx*z >= 0``, ``(width - cx)*z -
+    fx*x > 0``, and the same two for y. In the world frame a bound is ``g . x + n . t``, ``g = n R``, whose
+    largest value over a box [lo, hi] is ``min(g, 0) . lo + max(g, 0) . hi + n . t``. So a row dotted with
+    (lo, hi, max(-lo, hi), 1) is that value, less the threshold, plus a margin ``_CULL_TOL * s``: ``s`` bounds
+    every term the projection rounds (fx |x| + (|cx| + width) |z| for u), and the rounding of the mask and of
+    this product are a few ulps of it. A camera whose five rows are all negative sees no point of the box."""
+    fx, fy, cx, cy, w, h = k.fx, k.fy, k.cx, k.cy, k.width, k.height
+    normals = np.array([[0, 0, 1], [fx, 0, cx], [-fx, 0, w - cx], [0, fy, cy], [0, -fy, h - cy]])
+    sizes = np.array([[0, 0, 1], [fx, 0, abs(cx) + w], [fx, 0, abs(cx) + w], [0, fy, abs(cy) + h],
+                      [0, fy, abs(cy) + h]])
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN row culls nothing
+        g = normals @ rotations
+        offset = translations @ normals.T - [Z_NEAR, 0, 0, 0, 0] + _CULL_TOL * (abs(translations) @ sizes.T)
+        rows = np.concatenate([np.minimum(g, 0), np.maximum(g, 0), _CULL_TOL * (sizes @ abs(rotations)),
+                               offset[..., None]], axis=2)
+    return rows.reshape(-1, 10)
+
+
 def intersection_counts(cloud: PointCloud, rotations: np.ndarray, translations: np.ndarray,
                         k: Intrinsics) -> np.ndarray:
     """Int64 counts of the points that both of two cameras see, the ``visible_mask`` sizes on the diagonal,
     with no (cameras, points) array. Camera c is the pose (``rotations[c]``, ``translations[c]``), rows of
-    a checked PoseTable6DOF.
+    a checked PoseTable6DOF. No camera gives a (0, 0) array.
 
-    The cloud is walked in blocks of at most ``_POINT_BLOCK`` = 4,096 points. A block is projected
-    into every camera at once, in sub-blocks of at most 2**14 // cameras points (at least one), by
-    one ``(S, 3) @ (3, 3C)`` product with the stacked ``R.T``. Each element of it is the same
-    3-term dot product as in ``points @ R.T``, with the same bits whenever both products have two
-    or more rows, which ``_rotated`` ensures for both; so a camera's mask depends neither on the
-    cloud's size nor on the other cameras. Tier-1 checks the counts under one and two BLAS threads.
-    The masks are the 0/1 columns of one reused ``(4096, cameras)`` float32 buffer, whose ``m.T @ m``
-    is exact (each partial sum is an integer <= 4,096 < 2**24) and added into the int64 counts in place.
-    Memory is the buffer, the counts and one float32 product: O(cameras * 4,096 + cameras**2), whatever
-    the cloud size.
+    The cloud is walked in buckets of at most ``_BUCKET`` = 512 points, ranked along its longest axis
+    (``_buckets``); each bucket's rows are gathered by index. **Cull:** a camera is dropped for a
+    bucket when the bucket's bounding box lies wholly beyond one of its five frustum bounds: depth
+    at most ``Z_NEAR``, or outside one image edge, each bound's extreme over the box taken by the
+    signs of its coefficients (``_frustum_rows``). The test keeps a relative margin of
+    ``_CULL_TOL`` = 1e-9 of the size of the projection's terms, some 10**6 times its rounding, so a
+    camera is dropped only when no point of the box can pass ``_in_image``; a NaN or infinite
+    bound drops nothing. It runs one bucket at a time, in O(cameras) memory.
+
+    **Masks:** the bucket is projected into the cameras kept, in sub-blocks of at most 2**14 //
+    kept points (at least one), by one ``(S, 3) @ (3, 3 * kept)`` product with the stacked ``R.T``.
+    Each element of it is the same 3-term dot product as in ``points @ R.T``, with the same bits
+    whenever both products have two or more rows, which ``_rotated`` ensures for both; so a camera's
+    mask depends neither on the cloud's size or order nor on the other cameras. Tier-1 checks the
+    counts under one and two BLAS threads. **Counts:** the masks are the 0/1 columns of one reused
+    float32 buffer, whose ``m.T @ m`` over the kept cameras is exact (each entry is an integer <=
+    512 < 2**24). Its upper triangle is added into the kept cameras' rows and columns of the int64
+    counts in tiles of about 2**14 counts (one row at least), with no int64 copy of the product,
+    and the lower triangle is copied from the upper at the end. Every count is an exact integer, so
+    neither the buckets nor the cull can change it.
+
+    Memory is the counts, the buffer, one product over the kept cameras and a tile:
+    8 C**2 + 4 * 512 * C + 4 K**2 bytes and O(C + points) besides, for C cameras of which at most K
+    are kept for one bucket.
     """
     cameras = len(rotations)
-    rt = rotations.transpose(2, 0, 1).reshape(3, 3 * cameras)  # column block c is rotations[c].T
-    t = translations
-    step = max(1, _PROJECT_CELLS // cameras)
-    buf = np.empty((_POINT_BLOCK, cameras), dtype=np.float32)
+    cull = _frustum_rows(rotations, translations, k)
+    buf = np.empty(_BUCKET * cameras, dtype=np.float32)
     inter = np.zeros((cameras, cameras), dtype=np.int64)
-    points = cloud.points
-    for lo in range(0, len(points), _POINT_BLOCK):
-        hi = min(lo + _POINT_BLOCK, len(points))
-        m = buf[:hi - lo]
-        for s in range(lo, hi, step):
-            e = min(s + step, hi)
-            m[s - lo:e - lo] = _in_image(_rotated(points, s, e, rt).reshape(-1, cameras, 3), t, k)
-        # no int64 copy of the product: the add runs in float64, exact for every count below 2**53,
-        # and each float32 entry is already an exact integer below 2**24
-        np.add(inter, m.T @ m, out=inter, casting="unsafe")
+    for rows in _buckets(cloud.points):
+        points = cloud.points.take(rows, axis=0)
+        xyz = points.T.copy()  # rows of x, y and z: a fast reduction
+        lo, hi = xyz.min(axis=1), xyz.max(axis=1)
+        box = np.concatenate([lo, hi, np.maximum(-lo, hi), [1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = np.flatnonzero(~(cull @ box < 0).reshape(cameras, 5).any(axis=1))
+        if not len(kept):
+            continue
+        rt = rotations[kept].transpose(2, 0, 1).reshape(3, -1)  # column block c is rotations[kept[c]].T
+        t = translations[kept]
+        m = buf[:len(points) * len(kept)].reshape(len(points), len(kept))
+        step = max(1, _PROJECT_CELLS // len(kept))
+        for s in range(0, len(points), step):
+            e = min(s + step, len(points))
+            m[s:e] = _in_image(_rotated(points, s, e, rt).reshape(-1, len(kept), 3), t, k)
+        product = m.T @ m
+        for a in range(0, len(kept), step):
+            # the tile's rows from its first column on: every count above the diagonal, as kept ascends
+            tile = kept[a:a + step, None], kept[a:]
+            # the sum runs in float64, exact for every count below 2**53
+            inter[tile] = inter[tile] + product[a:a + step, a:]
+    for i in range(1, cameras):  # below the diagonal, the tiles left partial sums
+        inter[i, :i] = inter[:i, i]
     return inter
 
 

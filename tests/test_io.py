@@ -27,7 +27,6 @@ import pytest
 
 import gvpr
 from gvpr import cli, embed, relabel, retrieval, surf3d, synth
-from gvpr import io as gvpr_io
 from gvpr.cli import main
 
 CASES_PER_READER = 12  # about 20 ms a case under tracemalloc, most of it argparse: 4 s in all

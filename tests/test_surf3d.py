@@ -551,26 +551,89 @@ def near_bound_cloud(scene, per_camera, seed):
     return PointCloud(np.concatenate(parts))
 
 
+def facing_scene(cameras, points, seed):
+    """``points`` in a 0.2 m cube at the origin and ``cameras`` on a 10 m circle around it, each facing it:
+    every camera sees every point, so the cull keeps every camera for every bucket."""
+    rng = np.random.default_rng(seed)
+    yaws = 2 * math.pi * (np.arange(cameras) + rng.random(cameras)) / cameras
+    rotations = np.stack([corridor.yaw_rotation(yaw + math.pi) for yaw in yaws])
+    centres = 10 * np.column_stack([np.cos(yaws), np.sin(yaws), np.zeros(cameras)])
+    translations = -np.einsum("kij,kj->ki", rotations, centres)
+    ids = tuple(f"cam{i:04d}" for i in range(cameras))
+    return corridor.Scene(rng.uniform(-0.1, 0.1, (points, 3)), ids, rotations, translations, corridor.Camera())
+
+
+def assert_counts_of_the_mask_stack(cloud, scene):
+    """``intersection_counts`` of a scene's cameras equals the per-camera mask stack's, exactly; the masks."""
+    k, poses = scene_inputs(scene)
+    want, masks = mask_stack_counts(cloud, poses, k)
+    assert_bit_equal(intersection_counts(cloud, *pose_arrays(poses), k), want)
+    return masks
+
+
+def traced_peak(run):
+    """The ``tracemalloc`` peak of ``run()``, and its result."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def bucket_boxes(cloud):
+    return [(cloud.points[rows].min(axis=0), cloud.points[rows].max(axis=0)) for rows in surf3d._buckets(cloud.points)]
+
+
 def check_intersection_count_bits():
-    """``intersection_counts`` against the per-camera mask stack's, exactly, on the corridor scenes and
-    the near-bound points of ``TestIntersectionCounts``; run under a given BLAS thread count by the tests."""
+    """``intersection_counts`` against the per-camera mask stack's, exactly, on the corridor scenes, the
+    near-bound points of ``TestIntersectionCounts`` and the cases that put the bucket cull at its limits;
+    run under a given BLAS thread count by the tests."""
     cases = [(points, cameras, 100 * cameras + points % 97)
              for points in (4_095, 4_096, 4_097, 13_001) for cameras in (2, 12, 50, 300)]
-    # 52 cameras: sub-blocks of 315 points, so every block ends in a lone row; 1- and 2-point clouds
-    cases += [(13_001, 52, 1), (1, 12, 2), (2, 12, 3)]
+    # 52 cameras: sub-blocks of 315 points; clouds of 1 and 2 points, and of one bucket less one, one
+    # bucket and one bucket and a lone point
+    cases += [(13_001, 52, 1), (1, 12, 2), (2, 12, 3), (511, 50, 4), (512, 50, 5), (513, 50, 6)]
     for points, cameras, seed in cases:
         scene = corridor.generate_scene(points, cameras, seed)
-        k, poses = scene_inputs(scene)
-        cloud = PointCloud(scene.points)
-        want, masks = mask_stack_counts(cloud, poses, k)
+        masks = assert_counts_of_the_mask_stack(PointCloud(scene.points), scene)
         assert points < 3 or 0 < masks.sum() < masks.size
-        assert_bit_equal(intersection_counts(cloud, *pose_arrays(poses), k), want)
+    # cameras stand inside buckets' boxes: each box spans the corridor's width and height
+    scene = corridor.generate_scene(13_001, 50, 7)
+    centres = np.einsum("kji,kj->ki", scene.rotations, -scene.translations)
+    assert any(np.all((lo <= c) & (c <= hi)) for lo, hi in bucket_boxes(PointCloud(scene.points)) for c in centres)
+    # planar clouds, whose boxes have no extent across the plane: one wall, and the floor
+    for axis, value in ((1, 0.5 * corridor.CORRIDOR_WIDTH_M), (2, 0.0)):
+        points = scene.points.copy()
+        points[:, axis] = value
+        masks = assert_counts_of_the_mask_stack(PointCloud(points), scene)
+        assert 0 < masks.sum() < masks.size
+    # every camera kept for every bucket; sub-blocks of 2**14 // 224 = 73 points, so every full bucket of
+    # 512 = 7 * 73 + 1 points ends in a lone row, and the last bucket is a lone point
+    scene = facing_scene(224, 1_537, 5)
+    assert assert_counts_of_the_mask_stack(PointCloud(scene.points), scene).all()
+    # a principal point left of, right of, above and below the image, with near-bound points for it
+    for cx, cy in ((-200.0, 240.0), (900.0, 240.0), (320.0, -150.0), (320.0, 700.0)):
+        scene = corridor.generate_scene(4_097, 50, 9)
+        scene = dataclasses.replace(scene, camera=dataclasses.replace(scene.camera, cx=cx, cy=cy))
+        cloud = PointCloud(np.concatenate([scene.points, near_bound_cloud(scene, 20, 10).points]))
+        masks = assert_counts_of_the_mask_stack(cloud, scene)
+        assert 0 < masks.sum() < masks.size
     scene = corridor.generate_scene(10, 12, 7)
-    k, poses = scene_inputs(scene)
-    cloud = near_bound_cloud(scene, 1_000, 8)
-    want, masks = mask_stack_counts(cloud, poses, k)
+    masks = assert_counts_of_the_mask_stack(near_bound_cloud(scene, 1_000, 8), scene)
     assert 0.05 < masks.mean() < 0.95
-    assert_bit_equal(intersection_counts(cloud, *pose_arrays(poses), k), want)
+    # every point of a bucket at one spot, on an image edge or within ulps of Z_NEAR: each box is a point,
+    # whose bounds sit at a rounding's distance from the frustum's
+    spots = near_bound_cloud(scene, 10, 9).points
+    cloud = PointCloud(np.repeat(spots, surf3d._BUCKET, axis=0))
+    assert all(np.array_equal(lo, hi) for lo, hi in bucket_boxes(cloud))
+    masks = assert_counts_of_the_mask_stack(cloud, scene)
+    assert 0.05 < masks.mean() < 0.95
+    # the whole cloud at one spot, which some cameras see: no longest axis
+    seen = masks[:, ::surf3d._BUCKET]
+    spot = spots[np.flatnonzero(seen.any(axis=0) & ~seen.all(axis=0))[0]]
+    masks = assert_counts_of_the_mask_stack(PointCloud(np.repeat(spot[None], 1_000, axis=0)), scene)
+    assert 0 < masks.sum() < masks.size
 
 
 class TestIntersectionCounts:
@@ -585,8 +648,9 @@ class TestIntersectionCounts:
     @pytest.mark.parametrize("step", [1, 2, 3, 315])
     @pytest.mark.parametrize("points", [1, 2, 4_097, 8_193])
     def test_sub_block_sizes(self, monkeypatch, step, points):
-        # 4,096 = 3 * 1,365 + 1 = 13 * 315 + 1: each block ends in a lone row, and 4,097 and 8,193
-        # points end in a lone block; a step of 1 makes every row a lone one.
+        # A bucket with c of the 12 cameras kept is projected step * 12 // c rows at a time, so the
+        # sub-blocks vary from bucket to bucket and some end in a lone row; with every camera kept, a
+        # step of 1 makes every row a lone one. 4,097 and 8,193 points end in a one-point bucket.
         scene = corridor.generate_scene(points, 12, step)
         k, poses = scene_inputs(scene)
         monkeypatch.setattr("gvpr.surf3d._PROJECT_CELLS", step * len(poses))
@@ -609,6 +673,10 @@ class TestIntersectionCounts:
             assert_bit_equal(intersection_counts(PointCloud(point[None]), rotations, translations, k),
                              mask_counts(column[:, None]))
 
+    def test_no_camera_has_no_counts(self):
+        counts = intersection_counts(PointCloud(np.eye(3)), np.empty((0, 3, 3)), np.empty((0, 3)), CENTERED)
+        assert_bit_equal(counts, np.zeros((0, 0), dtype=np.int64))
+
     def test_memory_is_bounded_by_a_point_block(self):
         # 60 cameras x 60,000 points: the mask stack alone is 3.6 MB
         scene = corridor.generate_scene(60_000, 60, 13)
@@ -616,38 +684,36 @@ class TestIntersectionCounts:
         cloud = PointCloud(scene.points)
         rotations, translations = pose_arrays(poses)
         intersection_counts(PointCloud(cloud.points[:5]), rotations, translations, k)  # first-call imports
-
-        def peak(run):
-            tracemalloc.start()
-            try:
-                result = run()
-                return tracemalloc.get_traced_memory()[1], result
-            finally:
-                tracemalloc.stop()
-
-        block_peak, got = peak(lambda: intersection_counts(cloud, rotations, translations, k))
-        stack_peak, want = peak(lambda: mask_stack_counts(cloud, poses, k)[0])
+        block_peak, got = traced_peak(lambda: intersection_counts(cloud, rotations, translations, k))
+        stack_peak, want = traced_peak(lambda: mask_stack_counts(cloud, poses, k)[0])
         assert_bit_equal(got, want)
         assert block_peak < 4_000_000 < stack_peak
 
     def test_each_block_is_added_into_the_counts_in_place(self):
         """1,000 cameras: the mask buffer, the int64 counts and one float32 product of a block, with no int64
         copy of the product (8 MB)."""
-        cameras = 1_000
-        scene = corridor.generate_scene(5_000, cameras, 13)
-        k, poses = scene_inputs(scene)
-        cloud = PointCloud(scene.points)
-        rotations, translations = pose_arrays(poses)
-        intersection_counts(PointCloud(cloud.points[:5]), rotations[:3], translations[:3], k)  # first-call imports
-        tracemalloc.start()
-        try:
-            got = intersection_counts(cloud, rotations, translations, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert_bit_equal(got, mask_stack_counts(cloud, poses, k)[0])
-        held = 4 * 4_096 * cameras + 8 * cameras**2 + 4 * cameras**2
-        assert peak < held + 2_000_000, f"{(peak - held) / 1e6:.1f} MB beyond the buffer, counts and product"
+        assert_within_the_in_place_bound(corridor.generate_scene(5_000, 1_000, 13), seen_by_all=False)
+
+    def test_every_camera_kept_for_every_bucket_stays_in_place(self):
+        """1,000 cameras that all see every point of a small cloud, so the cull keeps each for every bucket and
+        every product is 1,000 x 1,000: the bound of the test above."""
+        assert_within_the_in_place_bound(facing_scene(1_000, 5_000, 13), seen_by_all=True)
+
+
+def assert_within_the_in_place_bound(scene, seen_by_all):
+    """``intersection_counts`` equals the mask stack's counts, within the mask buffer, the int64 counts and one
+    float32 product of a 4,096-point block's every camera, plus 2 MB."""
+    cameras = len(scene.ids)
+    k, poses = scene_inputs(scene)
+    cloud = PointCloud(scene.points)
+    rotations, translations = pose_arrays(poses)
+    intersection_counts(PointCloud(cloud.points[:5]), rotations[:3], translations[:3], k)  # first-call imports
+    peak, got = traced_peak(lambda: intersection_counts(cloud, rotations, translations, k))
+    want, masks = mask_stack_counts(cloud, poses, k)
+    assert_bit_equal(got, want)
+    assert masks.all() == seen_by_all
+    held = 4 * 4_096 * cameras + 8 * cameras**2 + 4 * cameras**2
+    assert peak < held + 2_000_000, f"{(peak - held) / 1e6:.1f} MB beyond the buffer, counts and product"
 
 
 class TestCloudParsers:
