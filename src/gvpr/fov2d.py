@@ -11,9 +11,11 @@ area of their intersection divided by the area of one sector. It is
 computed on the discretized sector polygons by Green's theorem: each
 polygon's edges are clipped parametrically to the other polygon, each edge
 against O(1) of the other's edges picked by angle, and the clipped pieces'
-area terms are summed. Only the edges that reach the other sector's disk
-are clipped; the rest provably keep nothing. ``fov_overlap_mc`` is an
-independent Monte-Carlo estimator over the exact (non-discretized) sectors.
+area terms are summed. Only the edges that may cross the other sector's
+boundary are clipped: an edge provably inside keeps all of itself, and one
+provably outside, or beyond the other's disk, keeps nothing.
+``fov_overlap_mc`` is an independent Monte-Carlo estimator over the exact
+(non-discretized) sectors.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ DEFAULT_ARC_SEGMENTS = 256  # sector arc discretization of every overlap, unless
 
 _EMPTY_AREA = 1e-12  # fp slivers below this area count as empty
 _SIDE_TOL = 16 * math.ulp(1.0)  # on-edge distance per unit of coordinate scale
+_CULL_MARGIN = 1e-9  # fov_overlap's inside/outside margin per unit of coordinate scale, far above _SIDE_TOL
 
 
 def wrap_heading(alpha):
@@ -135,47 +138,76 @@ _WINDOW = np.arange(4)[:, None, None]  # chords k-1 .. k+2 around a piece in cel
 _CLIP_ALL_MAX_SEGMENTS = 8  # up to this n, two 4-chord windows could hold every chord: clip against all of them
 # the line's two annulus pieces end where it enters the disk, the inner circle, then leaves them: root and sign
 _PIECE_ROOT = np.array([0, 1, 1, 0])
-_PIECE_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
+_PIECE_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
 
 
-def _disk_and_windows(start, edge, ee, apex, alpha, fov, n, tol):
-    """The edges that reach the other sector's disk, each one's interval inside it, and its lines.
+def _triage(ring, fov, n, h, tol, m):
+    """Each sector's interior edges, as a (sector, edge) mask, and the flat (sector, edge) indices of the
+    edges left to clip, A's first, with the number of A's among them.
 
-    Inputs are indexed (east/north, sector, edge) as in ``fov_overlap``;
-    ``alpha`` holds the heading of the sector each sector's edges are
-    clipped against. Returns the live edges (interval hi > lo) as flat
-    (sector, edge) indices, A's first, the number of A's among them, their
-    intervals, and per live edge 11 flat indices into the same edges: the
-    edge itself, the other sector's chords in the 4-cell window around each
-    of the edge line's two pieces in the annulus h <= |x - c| <= r, then the
-    other sector's two radial edges.
+    ``ring`` is indexed (east/north, sector, vertex) as in ``fov_overlap``, whose docstring proves that the
+    clip keeps 1 of an interior edge and 0 of an outside one. A vertex is inside the other sector when it
+    lies within h - m of the other apex and more than m r on the inner side of both its radial lines. An
+    edge is interior when both its ends are inside, and outside when both lie more than m r beyond one
+    radial line.
+    """
+    other = ring[:, ::-1]
+    u = other[..., 1::n + 1] - other[..., ::n + 1]  # (east/north, sector, radial): the other's radial directions
+    w = ring - other[..., :1]  # from the other apex
+    sides = u[0, ..., None] * w[1, :, None] - u[1, ..., None] * w[0, :, None]  # (sector, radial, vertex): u x w
+    # else a line within h - m of the apex could pass within tol of both ends of a chord: then no edge is interior
+    chord = 2.0 * fov.r * math.sin(fov.theta / (2 * n))
+    inner = max(h - m, 0.0) if chord * chord * m > 32.0 * tol * tol * h else 0.0
+    mr = m * fov.r
+    flags = np.empty((2, 3, n + 3), dtype=bool)  # (sector, inside / beyond the first radial / the last, vertex)
+    np.less((w * w).sum(axis=0), inner * inner, out=flags[:, 0])
+    flags[:, 0] &= np.minimum(sides[:, 0], sides[:, 1]) > mr
+    np.less(sides, -mr, out=flags[:, 1:])
+    both = flags[..., :-1] & flags[..., 1:]  # (sector, kind, edge)
+    clip = ~both.any(axis=1)
+    return both[:, 0], clip.ravel().nonzero()[0], int(np.count_nonzero(clip[0]))
+
+
+def _disk_and_windows(cand, nc, edges, apex, alpha, fov, n, h, tol):
+    """Of the edges ``cand`` (flat (sector, edge) indices, A's first, ``nc`` of them A's), those that reach
+    the other sector's disk, each one's interval inside it, and its lines.
+
+    ``edges`` is indexed (row, sector, edge) and ``apex`` (east/north, sector), as in ``fov_overlap``;
+    ``alpha`` holds the heading of the sector each sector's edges are clipped against. Returns the live edges (interval
+    hi > lo) as flat (sector, edge) indices, A's first, the number of A's among them, their
+    intervals, and per live edge 11 flat indices into the same edges: the edge itself, the other
+    sector's chords in the 4-cell window around each of the edge line's two pieces in the annulus
+    h <= |x - c| <= r, then the other sector's two radial edges.
     """
     r, theta = fov.r, fov.theta
+    tips = edges.reshape(5, -1)[:4].take(cand, axis=1)
+    start = tips[:2]
+    edge = tips[2:] - start
+    ee = (edge * edge).sum(axis=0)
     # the other sector's disk: |w + t e| <= r with w = start - c, and the line's annulus pieces
-    w = start - apex[:, ::-1, None]
+    w = start - apex[:, ::-1].repeat((nc, len(cand) - nc), axis=1)
     we = (w * edge).sum(axis=0)
     r2 = (r + tol) ** 2  # widened: a short chord with both ends on the circle is ill-conditioned there
     disc = we * we - ee * ((w * w).sum(axis=0) - r2)
-    h = r * math.cos(theta / (2 * n))
     root = np.sqrt(np.maximum(np.concatenate((disc[None], (disc + ee * (r2 - h * h))[None])), 0.0))
     ends = (root[_PIECE_ROOT] * _PIECE_SIGN - we) / ee
     lo, hi = np.maximum(ends[0], 0.0), np.minimum(ends[3], 1.0)
-    reach = hi > lo
-    live = reach.ravel().nonzero()[0]
-    na = int(np.count_nonzero(reach[0]))
-    pts = (w[:, None] + ends * edge[:, None]).reshape(2, 4, -1).take(live, axis=2)  # (east/north, piece end, edge)
+    reach = (hi > lo).nonzero()[0]
+    na = int(reach.searchsorted(nc))
+    pts = (w[:, None] + ends * edge[:, None]).take(reach, axis=2)  # (east/north, piece end, edge)
     behind = np.arctan2(pts[0], pts[1])
     behind[:, :na] -= alpha[0] - math.pi
     behind[:, na:] -= alpha[1] - math.pi
     behind -= TWO_PI * np.floor(behind / TWO_PI)  # compass angle from straight behind, in [0, 2 pi)
     cell = (math.pi + theta / 2 - behind) * (n / theta)  # in [0, n] inside the wedge
     k = np.floor(np.minimum(cell[0::2], cell[1::2]))  # (piece, edge)
+    live = cand.take(reach)
     idx = np.empty((11, len(live)), dtype=np.intp)
     idx[0] = live
     idx[1:9] = np.minimum(np.maximum(k + _WINDOW, 1), n).reshape(8, -1)
     idx[9], idx[10] = 0, n + 1
     idx[1:, :na] += n + 2  # A's edges are clipped against B's, the second sector's
-    return live, na, lo.take(live), hi.take(live), idx
+    return live, na, lo.take(reach), hi.take(reach), idx
 
 
 def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: int = DEFAULT_ARC_SEGMENTS) -> float:
@@ -216,15 +248,51 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     on each side against rounding. When the window would hold every chord
     (n <= 8), the edge is clipped against all of them instead.
 
-    Only the edges whose interval inside the other disk is nonempty
-    (hi > lo) are clipped, both sectors' live edges on one flat axis, A's
-    first; the others keep 0. Proof that this changes no bit: the clip only
-    raises lo (by fmax) and lowers hi (by fmin), and a collinear pair only
-    sets the kept length to 0, so an edge that starts with hi <= lo ends with
-    hi - lo <= 0 and keeps max(hi - lo, 0) = 0 whatever its lines are. The
-    live edges' kept lengths are scattered into a zero vector over every
-    edge, so the area sum takes the same terms in the same order (a zero
-    term may differ in sign, which changes no nonzero sum).
+    Most edges need no clip. With n > 8, each sector's vertices are first
+    tested against the other sector with a margin m = 1e-9 (1 + |c| + r),
+    about 2.8e5 times the side tolerance tol (c: the apex of B from the
+    apex of A). A vertex is inside when it lies within h - m of the other
+    apex and more than m r on the inner side of both radial lines (side
+    values u x w of the radial direction u, of length r, and the offset w
+    from the other apex). An edge is interior when both its ends are inside:
+    it keeps exactly 1. It is outside when both its ends lie more than m r
+    beyond the same radial line: it keeps 0. Only the other edges go to the
+    disk test and the clip, both sectors' on one flat axis, A's first. Proof
+    that the clip would give the same values (the rounding of every side
+    value is a few ulps of r (1 + |c| + r), far below the margin):
+
+    - Interior edge, both side values: each end lies more than m from every
+      line it is clipped against, since each chord line lies h from the
+      other apex. So both side values exceed tol times the line's length:
+      nothing is zeroed, and no end pair lies within tol of its line.
+    - Interior edge, no collinear flag: nor do both ends of a line lie
+      within tol of the edge's line. Within r of the apex, a line through
+      both ends of a radial edge to within tol stays within about 3 tol of
+      it. A line through both ends of a chord to within 2 tol, and within
+      h - m of the apex, needs chord^2 (m - 2 tol) <= 16 tol^2 h. Unless
+      chord^2 m > 32 tol^2 h, no edge is taken as interior.
+    - Interior edge, t and the disk: both side values are positive, so
+      t = s0 / (s0 - s1) is negative on entering and at least 1 (or +inf)
+      on leaving: every t falls outside (0, 1). Both ends lie well inside
+      the widened disk, so its interval is [0, 1]. The clip keeps
+      hi - lo = 1 - 0 = 1.
+    - Outside edge: against that radial line both side values are below
+      -m r, so they are not zeroed, and they have one sign, so the meeting
+      point rule of B's edges does not apply. Then t >= 1 on entering, and
+      t < 0 (or -inf) on leaving, and the interval is empty. The one
+      exception is when both ends of the radial line lie within tol of the
+      edge's line. Then the edge's ends, more than m off the radial line,
+      lie over 10^4 r from the apex. The edge is at most r long, so it
+      misses the disk, and its disk interval is already empty.
+    - The disk test: an edge whose interval inside the other disk is empty
+      (hi <= lo) keeps 0, whatever its lines are. The clip only raises lo
+      (by fmax) and lowers hi (by fmin), and a collinear pair only sets the
+      kept length to 0, so it keeps max(hi - lo, 0) = 0.
+
+    The clipped edges' kept lengths are scattered into a vector that is 1
+    on the interior edges and 0 elsewhere. So the area sum takes the same
+    terms in the same order. A zero term's sign may differ, which changes
+    no nonzero sum.
 
     Where A's and B's boundaries meet, both must put the meeting point at
     the same place, or the sum gains a stray fan triangle. So each side test
@@ -243,7 +311,8 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     p, q = _canonical(a, b)
     n, r, theta = arc_segments, fov.r, fov.theta
     cx, cy = q.t0 - p.t0, q.t1 - p.t1
-    tol = _SIDE_TOL * (1.0 + abs(cx) + abs(cy) + r)
+    scale = 1.0 + abs(cx) + abs(cy) + r
+    tol = _SIDE_TOL * scale
     apex = np.array([[0.0, cx], [0.0, cy]])  # (east/north, sector)
     ring = np.empty((2, 2, n + 3))  # (east/north, sector, vertex): apex, n + 1 arc vertices, apex
     ring[..., 0] = ring[..., -1] = apex
@@ -257,12 +326,14 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     cross = edges[0] * edges[3] - edges[1] * edges[2]  # twice each edge's area term
     if n <= _CLIP_ALL_MAX_SEGMENTS:  # every edge against every edge of the other, and the disk adds nothing
         live, na, lo, hi = slice(None), n + 2, 0.0, 1.0
+        keep = np.zeros(2 * (n + 2))
         own = edges.reshape(5, -1)
         lines = own.take(np.arange(n + 2)[:, None] + np.array([n + 2, 0]).repeat(n + 2), axis=1)  # (5, line, edge)
     else:
-        start, edge = edges[:2], edges[2:4] - edges[:2]
-        live, na, lo, hi, idx = _disk_and_windows(start, edge, (edge * edge).sum(axis=0), apex,
-                                                  (q.alpha, p.alpha), fov, n, tol)
+        h = r * math.cos(theta / (2 * n))
+        interior, cand, nc = _triage(ring, fov, n, h, tol, _CULL_MARGIN * scale)
+        live, na, lo, hi, idx = _disk_and_windows(cand, nc, edges, apex, (q.alpha, p.alpha), fov, n, h, tol)
+        keep = interior.ravel().astype(float)  # an interior edge keeps all of itself
         gathered = edges.reshape(5, -1).take(idx, axis=1)
         own, lines = gathered[:, 0], gathered[:, 1:]
     # the clip, on one edge axis: A's edges [:na] against B's lines, B's [na:] against A's
@@ -301,8 +372,7 @@ def fov_overlap(a: CameraPose2D, b: CameraPose2D, fov: FovParams, arc_segments: 
     same_way[:, na:] = False
     kept = np.maximum(hi - lo, 0.0)
     kept[(collinear & ~same_way).any(axis=0)] = 0.0
-    keep = np.zeros(2 * (n + 2))  # an edge that misses the other disk keeps nothing
-    keep[live] = kept
+    keep[live] = kept  # an edge that is outside, or misses the other disk, keeps nothing
     area = 0.5 * float(np.vdot(cross, keep))
     if area < _EMPTY_AREA:
         return 0.0

@@ -168,7 +168,7 @@ def _in_image(cam: np.ndarray, t: np.ndarray, k: Intrinsics) -> np.ndarray:
     # rows: every element still sees the same operations in the same order as `cam + t`, so the
     # mask is bit-identical, without one full-size temporary.
     z = cam[..., 2] + t[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = k.fx * (cam[..., 0] + t[..., 0]) / z + k.cx
         v = k.fy * (cam[..., 1] + t[..., 1]) / z + k.cy
     return (z > Z_NEAR) & (u >= 0.0) & (u < k.width) & (v >= 0.0) & (v < k.height)

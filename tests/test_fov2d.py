@@ -615,30 +615,141 @@ class TestCulledKernelBits:
         assert sum(0.0 < psi < 1.0 for psi in got) >= 10
 
     @staticmethod
-    def _live_counts(monkeypatch, a, b, fov, n):
-        """psi of the pair, and the live edges of A and of B that ``_disk_and_windows`` kept."""
+    def _split(monkeypatch, a, b, fov, n):
+        """psi of the pair, and per sector (A's, then B's) the edges that reach the other's disk, split three
+        ways: interior (kept whole), outside (kept 0) and clipped. The edges that reach the disk are those
+        the disk test keeps when ``_triage`` passes every edge on, which gives psi bit for bit as well."""
         seen = []
-        windows = fov2d._disk_and_windows
+        triage, windows = fov2d._triage, fov2d._disk_and_windows
+        monkeypatch.setattr(fov2d, "_triage", lambda *args: seen.append(triage(*args)) or seen[-1])
         monkeypatch.setattr(fov2d, "_disk_and_windows", lambda *args: seen.append(windows(*args)) or seen[-1])
         psi = fov_overlap(a, b, fov, n)
-        (live, na, *_), = seen
-        return psi, na, len(live) - na
+        (interior, cand, _), (clipped, *_) = seen
+        monkeypatch.setattr(fov2d, "_triage", lambda ring, fov, n, *args: (
+            np.zeros((2, n + 2), dtype=bool), np.arange(2 * (n + 2)), n + 2))
+        seen.clear()
+        assert _bits(fov_overlap(a, b, fov, n)) == _bits(psi)
+        (reach, *_), = seen
+        interior = interior.ravel().nonzero()[0]
+        outside = np.setdiff1d(reach, np.union1d(interior, cand))
+        assert np.array_equal(np.sort(np.concatenate((interior, outside, clipped))), reach)  # disjoint, and all of it
+        per_sector = [[np.count_nonzero((e >= lo) & (e < lo + n + 2)) for e in (reach, interior, outside, clipped)]
+                      for lo in (0, n + 2)]
+        return psi, per_sector
 
     @pytest.mark.parametrize("segments", [9, 256])
     def test_a_sector_with_no_live_edge(self, segments, monkeypatch):
-        # B looks away from A with its apex 1.8 r off: A's arc reaches B's disk, B reaches nowhere near A's
+        # B looks away from A with its apex 1.8 r off: A's arc reaches B's disk, behind B, so those edges are
+        # outside; B reaches nowhere near A's
         a, b = CameraPose2D(0.0, 0.0, 0.5 * math.pi), CameraPose2D(90.0, 0.0, 0.5 * math.pi)
-        psi, live_a, live_b = self._live_counts(monkeypatch, a, b, FOV90_50, segments)
-        assert live_a > 0 and live_b == 0
+        psi, (split_a, split_b) = self._split(monkeypatch, a, b, FOV90_50, segments)
+        reach_a, interior_a, outside_a, clipped_a = split_a
+        assert reach_a > 0 and reach_a == interior_a + outside_a + clipped_a == outside_a
+        assert split_b == [0, 0, 0, 0]
         assert _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, segments)) == _bits(0.0)
 
     @pytest.mark.parametrize("segments", [9, 256])
     def test_every_edge_live(self, segments, monkeypatch):
-        # a shared apex: every edge of each sector lies within r of the other's apex
+        # a shared apex: every edge of each sector lies within r of the other's apex. The arcs lie on one
+        # circle, beyond every chord of the other's, so no edge is interior: those outside the other's wedge
+        # are outside, and the radial edges and the arc where the wedges overlap are clipped
         a, b = CameraPose2D(3.0, -4.0, 0.2), CameraPose2D(3.0, -4.0, 0.9)
-        psi, live_a, live_b = self._live_counts(monkeypatch, a, b, FOV90_50, segments)
-        assert live_a == live_b == segments + 2
+        psi, splits = self._split(monkeypatch, a, b, FOV90_50, segments)
+        for reach, interior, outside, clipped in splits:
+            assert reach == interior + outside + clipped == segments + 2
+            assert interior == 0 and outside > 0 and clipped > 2
         assert 0.0 < psi < 1.0 and _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, segments))
+
+    def test_interior_edges_keep_themselves_whole(self, monkeypatch):
+        # A's apex 10 m behind B's, with the same heading: most of A's arc lies inside B, within its inscribed
+        # radius, and the rest beyond a radial line of B's; of B only the radial edges reach A's disk
+        a, b = CameraPose2D(0.0, -10.0, 0.0), CameraPose2D(0.0, 0.0, 0.0)
+        psi, (split_a, split_b) = self._split(monkeypatch, a, b, FOV90_50, 256)
+        reach_a, interior_a, outside_a, clipped_a = split_a
+        assert reach_a == 258 and interior_a > 200 and outside_a > 40 and clipped_a == 2
+        assert split_b == [2, 0, 0, 2]
+        assert _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, 256))
+
+    @pytest.mark.parametrize("segments", [9, 256, 1024, 4096])
+    def test_where_the_margin_decides(self, segments):
+        """Vertices on either side of the margin m = 1e-9 (1 + |c| + r): A's chord on B's radial line, off it
+        by a fraction of tol, by a few tol, by m / 2, by m give or take a millionth of it, and by 2 m; a vertex
+        of A at h - m from B's apex, give or take a few ulp; shared apexes; a third of the pairs 1e6 m from the
+        origin; a sector so small and narrow that no edge is taken as interior."""
+        cases = []
+        for theta_deg in (10.0, 90.0, 180.0):
+            fov = FovParams(math.radians(theta_deg), 50.0)
+            for k in (0, segments // 2, segments - 1):
+                for same_way in (True, False):
+                    cases += _chord_on_radial_line(fov, segments, k, same_way)
+            cases += _vertex_at_inscribed_radius(fov, segments)
+            a = CameraPose2D(-9.475, 19.452, 2.843)
+            for rot in (fov.theta, fov.theta + 1e-9, fov.theta - 1e-9, fov.theta / segments, math.pi):
+                cases.append((a, CameraPose2D(a.t0, a.t1, a.alpha + rot), fov))
+        cases += [(CameraPose2D(a.t0 + 1e6, a.t1 - 1e6, a.alpha), CameraPose2D(b.t0 + 1e6, b.t1 - 1e6, b.alpha), fov)
+                  for a, b, fov in cases[::3]]
+        # a 10-micron sector 0.03 deg wide: at 4,096 segments its chord is too short for the interior test
+        cases += _chord_on_radial_line(FovParams(5e-4, 1e-5), segments, segments // 2, True)
+        got = [fov_overlap(a, b, fov, segments) for a, b, fov in cases]
+        assert _bits(got) == _bits([_frozen_fov_overlap(a, b, fov, segments) for a, b, fov in cases])
+        assert sum(0.0 < psi < 1.0 for psi in got) >= 50
+
+    def test_clip_axis_per_pair_at_256_segments(self, monkeypatch):
+        """The work bound: on 400 seeded pairs whose sectors overlap, at most 16 edges a pair, and 6 on average,
+        reach the clip axis (measured: at most 9, and 4.45 on average). Before the triage, 293.5 a pair did on
+        average, and all 516 edges of both sectors on a pair with a shared apex."""
+        clipped = []
+        windows = fov2d._disk_and_windows
+        monkeypatch.setattr(fov2d, "_disk_and_windows", lambda *args: clipped.append(windows(*args)) or clipped[-1])
+        rng = np.random.default_rng(256)
+        counts = []
+        while len(counts) < 400:
+            a, b = random_pose(rng), random_pose(rng)
+            clipped.clear()
+            if 0.0 < fov_overlap(a, b, FOV90_50, 256) < 1.0:
+                (live, *_), = clipped
+                counts.append(len(live))
+        assert max(counts) <= 16 and np.mean(counts) <= 6.0, (max(counts), np.mean(counts))
+
+
+def _chord_on_radial_line(fov, n, k, same_way):
+    """Pairs whose A's chord k (between arc vertices k and k + 1) lies along B's first radial line, running
+    its way or against it, displaced toward B's inside by eps (outside when negative): a fraction of tol, a
+    few tol, and m and around it. B's apex lies on the line r / 4 from the chord's nearer end, so both
+    chord ends lie within h - m of it."""
+    a = CameraPose2D(0.0, 0.0, 0.3)
+    east, north = _arc_directions(a.alpha, fov, n)
+    v0, v1 = fov.r * np.array([east[k], north[k]]), fov.r * np.array([east[k + 1], north[k + 1]])
+    tau = (v1 - v0) / math.hypot(*(v1 - v0))
+    u = tau if same_way else -tau  # B's first radial direction, compass angle alpha_b + theta / 2
+    base = v0 - 0.25 * fov.r * tau if same_way else v1 + 0.25 * fov.r * tau
+    alpha_b = math.atan2(u[0], u[1]) - fov.theta / 2
+    left = np.array([-u[1], u[0]])  # toward B's inside
+    scale = 1.0 + abs(base[0]) + abs(base[1]) + fov.r
+    tol, m = 16 * math.ulp(1.0) * scale, 1e-9 * scale
+    cases = []
+    for eps in (tol / 3, 3 * tol, m / 2, m * (1 - 1e-6), m * (1 + 1e-6), 2 * m):
+        for signed in (eps, -eps):
+            apex = base - signed * left
+            cases.append((a, CameraPose2D(float(apex[0]), float(apex[1]), alpha_b), fov))
+    return cases
+
+
+def _vertex_at_inscribed_radius(fov, n):
+    """Pairs whose A's arc vertex n // 2 lies on B's heading, h - m from B's apex give or take a few ulp."""
+    a = CameraPose2D(0.0, 0.0, 1.1)
+    east, north = _arc_directions(a.alpha, fov, n)
+    vertex = fov.r * np.array([east[n // 2], north[n // 2]])
+    h = fov.r * math.cos(fov.theta / (2 * n))
+    cases = []
+    for heading in (a.alpha + math.pi, a.alpha + 2.0):
+        direction = np.array([math.sin(heading), math.cos(heading)])
+        apex = vertex - h * direction
+        m = 1e-9 * (1.0 + abs(apex[0]) + abs(apex[1]) + fov.r)
+        for ulps in (-4, -1, 0, 1, 4):
+            apex = vertex - (h - m + ulps * math.ulp(h)) * direction
+            cases.append((a, CameraPose2D(float(apex[0]), float(apex[1]), heading), fov))
+    return cases
 
 
 class TestFovOverlapMc:

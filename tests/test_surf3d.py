@@ -149,6 +149,23 @@ class TestProjectPoints:
         seen_b = {tuple(pts[perm][i]) for i in vis_b.indices}
         assert seen_a == seen_b
 
+    @pytest.mark.parametrize("fx", [100.0, 1e308])
+    def test_overflow_lets_no_warning_escape(self, fx):
+        # fx * x overflows to +-inf for a coordinate or a focal length near 1e308: the mask is the one
+        # computed with every warning ignored, and no warning is raised
+        k = dataclasses.replace(CENTERED, fx=fx, fy=fx)
+        cloud = PointCloud(np.array([[1e308, 0.0, 1.0], [-1e308, 1e308, 2.0], [1.5e308, -1.5e308, 1e308],
+                                     [0.0, 0.0, 1.0], [1e-3, -1e-3, 1e300], [1e-300, 0.0, 1.0]]))
+        pose = Pose6DOF(IDENTITY, np.array([1e308, 0.0, 0.0]))
+        for p in (Pose6DOF(IDENTITY, np.zeros(3)), pose):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with np.errstate(all="ignore"):
+                    quiet = visible_mask(cloud, p, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(visible_mask(cloud, p, k), quiet)
+
     def test_rigid_consistency(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2.0, 2.0, size=(60, 3)) + np.array([0.0, 0.0, 4.0])
