@@ -56,8 +56,7 @@ def cmd_relabel(args) -> int:
             counts.update(relabel.class_counts(psi))
             yield i, j, psi
 
-    relabel.save_labels(args.out, ids, counted())
-    print(f"labels={sum(counts.values())}")
+    print(f"labels={relabel.save_labels(args.out, ids, counted())}")
     for cls in relabel.SimilarityClass:
         print(f"{cls.value}={counts[cls]}")
     return 0
@@ -72,11 +71,9 @@ def cmd_overlap3d(args) -> int:
     # ranked by id, the cameras' pairs i < j come out in label order: query i, map j
     order = sorted(range(len(poses)), key=poses.ids.__getitem__)
     inter = surf3d.intersection_counts(cloud, poses.rotations[order], poses.translations[order], intr)
-    relabel.save_labels(args.out, [poses.ids[k] for k in order], surf3d.iou_pairs(inter))
-    blind = int(np.count_nonzero(np.diagonal(inter) == 0))
-    skipped = blind * (blind - 1) // 2  # the pairs of two cameras that see no point
-    print(f"labels={len(poses) * (len(poses) - 1) // 2 - skipped}")
-    print(f"skipped_undefined={skipped}")
+    written = relabel.save_labels(args.out, [poses.ids[k] for k in order], surf3d.iou_pairs(inter))
+    print(f"labels={written}")
+    print(f"skipped_undefined={len(poses) * (len(poses) - 1) // 2 - written}")  # pairs of two blind cameras
     return 0
 
 

@@ -173,11 +173,11 @@ def gem_pool(v, p: float) -> np.ndarray:
     return np.mean(np.maximum(v, 0.0) ** p, axis=-1) ** (1.0 / p)
 
 
-def _pooled(values: np.ndarray, gem_p: float, rows=None) -> np.ndarray:
-    """``gem_pool`` of records ``rows`` (default all) of a (n, channels, locations) array, float32 or float64,
-    into one (len(rows), channels) float64 array, by ``_pool``. A row that overflows is a PoolingOverflow."""
-    pooled = np.empty((len(values) if rows is None else len(rows), values.shape[1]))
-    _pool(values, gem_p, pooled, rows)
+def _pooled(values: np.ndarray, gem_p: float) -> np.ndarray:
+    """``gem_pool`` of a (n, channels, locations) array, float32 or float64, into one (n, channels) float64
+    array, by ``_pool``. A row that overflows is a PoolingOverflow."""
+    pooled = np.empty((len(values), values.shape[1]))
+    _pool(values, gem_p, pooled)
     return _checked_pools(pooled, gem_p)
 
 

@@ -18,15 +18,16 @@ Every public reader, and the subcommands that reach it:
 one `error:` line before it exits 1.
 
 ``read_blocks`` parses records (CSV records, split cloud lines) in bulk, a
-block at a time, by the reader's ``parse``, and rescans a failed block one
-record at a time by the same ``parse``: each reader writes its record rule
-once, and its error is the LineError of the file's first bad record. The
-point cloud reaches it only when NumPy's C text reader does not take the
-file (a bad line, a spelling that only ``float`` reads, an empty file).
+block at a time, by the reader's ``parse``, rescans a failed block one
+record at a time by the same ``parse``, and joins the blocks' columns: each
+reader writes its record rule once, and its error is the LineError of the
+file's first bad record. The point cloud reaches it only when NumPy's C text
+reader does not take the file (a bad line, a spelling that only ``float``
+reads, an empty file).
 
 Every large CSV is written by ``write_table``, from arrays, with the bytes
-``csv.writer`` would write for the same rows:
-  relabel.save_labels         relabel, overlap3d --out (from LabelTable columns, or IoU tiles)
+``csv.writer`` would write for the same rows, and returns their count:
+  relabel.save_labels         relabel, overlap3d --out (from LabelTable columns, or IoU pairs)
   synth.save_ground_truth     synth (gt.csv)
   cli.cmd_profile             profile --out, raw and binned
 Ids are quoted by ``csv.writer`` once each, and psi, distances and degrees are
@@ -113,15 +114,15 @@ def floats(fields, message: str) -> np.ndarray:
         raise ValueError(message) from None
 
 
-def read_blocks(blocks, width: int, parse, first: int, noun: str) -> list:
-    """``parse(records)`` of the nonblank records (lists of fields) of each block, in order.
+def read_blocks(blocks, width: int, parse, first: int, noun: str) -> tuple:
+    """The columns (lists, arrays) of ``parse(records)`` of each block's nonblank records (lists of fields), joined.
 
-    Records are numbered from ``first``, blank ones too. When a block holds a record of neither 0
-    nor ``width`` fields, or ``parse`` raises a ValueError, ``parse([record])`` runs on each of its
-    records in turn: the first with a wrong count (``expected <width> <noun>, got <n>``) or a
-    ValueError raises as its LineError. If none does, ``parse``'s error stands. State ``parse``
-    keeps across calls (ids seen) must be left unchanged by a call that raises. An error of reading
-    a block (bad UTF-8, a csv.Error) comes before any bad record in that block.
+    A file with no record gives ``parse([])``. Records are numbered from ``first``, blank ones too. When a
+    block holds a record of neither 0 nor ``width`` fields, or ``parse`` raises a ValueError, ``parse([record])``
+    runs on each of its records in turn: the first with a wrong count (``expected <width> <noun>, got <n>``)
+    or a ValueError raises as its LineError. If none does, ``parse``'s error stands. State ``parse`` keeps
+    across calls (ids seen) must be left unchanged by a call that raises. An error of reading a block (bad
+    UTF-8, a csv.Error) comes before any bad record in that block.
     """
     out = []
     for records in blocks:
@@ -141,10 +142,11 @@ def read_blocks(blocks, width: int, parse, first: int, noun: str) -> list:
                     raise LineError(lineno, e) from None
             raise
         first += len(records)
-    return out
+    return tuple(list(itertools.chain.from_iterable(column)) if isinstance(column[0], list) else np.concatenate(column)
+                 for column in zip(*(out or [parse([])])))
 
 
-def read_csv(path, header: list, parse) -> list:
+def read_csv(path, header: list, parse) -> tuple:
     """``read_blocks`` over blocks of ``_CSV_BLOCK`` records of a UTF-8 CSV with ``header``, numbered
     from 2 (the header is record 1). A wrong header is a ValueError."""
     with open(path, encoding="utf-8", newline="") as fh:
@@ -169,8 +171,8 @@ class _Lines(list):
     write = list.append
 
 
-def write_table(path, header: list, ids, blocks, lineterminator: str = "\r\n") -> None:
-    """Write the UTF-8 CSV that ``write_csv`` writes, from arrays: the header, then the rows of each block.
+def write_table(path, header: list, ids, blocks, lineterminator: str = "\r\n") -> int:
+    """Write ``write_csv``'s UTF-8 CSV from arrays: the header, then each block's rows; returns their count.
 
     A block is a tuple of equal-length columns, one row per index. An integer column holds positions
     in ``ids``, and the row's field is that id; a float column's field is ``f"{x:.6f}"``. Each id is
@@ -182,6 +184,7 @@ def write_table(path, header: list, ids, blocks, lineterminator: str = "\r\n") -
     step = max(1, min(_TABLE_ROWS, _TABLE_ID_BYTES // quoted.dtype.itemsize))
     head = _Lines()
     csv.writer(head, lineterminator=lineterminator).writerow(header)
+    rows = 0
     with open(path, "wb") as fh:
         fh.write(head[0].encode("utf-8"))
         for block in blocks:
@@ -191,6 +194,8 @@ def write_table(path, header: list, ids, blocks, lineterminator: str = "\r\n") -
                 fields = [_id_field(quoted, lengths, column[lo:lo + step]) if column.dtype.kind in "iu"
                           else _fixed_field(column[lo:lo + step]) for column in block]
                 fh.write(_joined_rows(fields, lineterminator))
+            rows += len(block[0])
+    return rows
 
 
 def _quoted_ids(ids, lineterminator: str) -> tuple:
@@ -299,18 +304,24 @@ def check_size(fh, need: int) -> None:
 
 
 def write_feature_array(path, ids, values: np.ndarray) -> None:
-    """Write ids and their values, (count, channels, locations), as a features file in order:
-    the mirror of ``feature_blocks``, refusing the empty sizes and ids that it rejects."""
+    """Write ids and their values, (count, channels, locations), as a features file in order: the mirror of
+    ``feature_blocks``, refusing what it rejects before the file is opened, so that no file is left behind."""
     if not len(ids):
         raise ValueError("no feature maps to write")
     if 0 in values.shape:
         raise ValueError(f"feature map must be (channels, locations), got {values.shape[1:]}")
     if "" in ids:
         raise ValueError("feature map id must be nonempty")
-    raw_ids = [ident.encode("utf-8") for ident in ids]
-    for ident, raw in zip(ids, raw_ids):  # before the file is opened, so a bad id leaves no file behind
+    raw_ids, seen = [ident.encode("utf-8") for ident in ids], set()
+    for ident, raw in zip(ids, raw_ids):
         if len(raw) > 0xFFFF:
             raise ValueError(f"id too long to serialize: {ident!r}")
+        if ident in seen:
+            raise ValueError(f"duplicate feature id {ident!r}")
+        seen.add(ident)
+    top = 2.0 ** 128 - 2.0 ** 103  # float32's largest value and half its last step: from here up, a cast is inf
+    if not -top < float(values.min()) <= float(values.max()) < top:  # NaN fails too
+        raise ValueError("feature values must be finite in float32")
     per_block = max(1, _FEATURE_BLOCK_BYTES // (4 * values[0].size))
     with open(path, "wb") as fh:
         fh.write(FEATURES_MAGIC + struct.pack("<IIII", FORMAT_VERSION, *values.shape))

@@ -11,9 +11,9 @@ positive (psi >= 0.5), soft negative (0 < psi < 0.5) and hard negative
 A PoseTable holds its poses as columns: ids, scenes and one (n, 3)
 array of (t0, t1, alpha) rows, checked and wrapped as CameraPose2D is.
 CameraPose2Ds are built from the rows only where ``fov_overlap`` needs
-them, once per table. One walk yields a table's same-scene pairs i < j in
-row-major order, a row block at a time; on the rows ranked by id, that is
-the labels file's order, so labels are written as they are made.
+them, once per table. One walk, shared with ``surf3d.iou_pairs``, yields
+a group's pairs i < j row-major, a run of rows at a time; on rows ranked by
+id, that is the labels file's order, so labels are written as they are made.
 
 File formats (UTF-8 CSV, `.` decimal point):
   poses:  header `id,scene,t0,t1,alpha_deg`
@@ -102,7 +102,7 @@ def classify(psi: float) -> SimilarityClass:
 
 POSES_HEADER = ["id", "scene", "t0", "t1", "alpha_deg"]
 LABELS_HEADER = ["query_id", "map_id", "psi"]
-_PAIR_BLOCK = 1 << 16  # candidate pairs measured at a time: a scene's whole triangle grows as its poses squared
+_PAIR_BLOCK = 1 << 14  # pairs walked at a time by _pair_runs: a group's whole triangle grows as its rows squared
 
 
 def _pose_rows(rows) -> tuple:
@@ -118,10 +118,7 @@ def _pose_rows(rows) -> tuple:
 @file_reader
 def load_poses(path) -> PoseTable:
     """Parse a poses CSV; heading degrees are converted to radians and wrapped."""
-    blocks = read_csv(path, POSES_HEADER, _pose_rows)
-    return PoseTable(tuple(itertools.chain.from_iterable(b[0] for b in blocks)),
-                     tuple(itertools.chain.from_iterable(b[1] for b in blocks)),
-                     np.concatenate([np.empty((0, 3)), *(b[2] for b in blocks)]))
+    return PoseTable(*read_csv(path, POSES_HEADER, _pose_rows))
 
 
 def save_poses(path, table: PoseTable) -> None:
@@ -142,39 +139,42 @@ def load_labels(path) -> LabelTable:
         codes = (code_of.setdefault(ident, len(code_of)) for row in rows for ident in row[:2])
         return np.fromiter(codes, np.intp, 2 * len(rows)), psi
 
-    blocks = read_csv(path, LABELS_HEADER, parse)
-    codes = np.concatenate([np.empty(0, np.intp), *(b[0] for b in blocks)])
-    psi = np.concatenate([np.empty(0), *(b[1] for b in blocks)])
-    del blocks  # before the codes are ranked: at most the blocks and their join are alive at once
+    codes, psi = read_csv(path, LABELS_HEADER, parse)
     return LabelTable._coded(list(code_of), codes, psi)
 
 
-def save_labels(path, ids, blocks) -> None:
-    """Write labels as a labels CSV: each block is (i, j, psi) arrays, one label (ids[i], ids[j], psi)
-    per index, such as a LabelTable's ``ids`` and ``[(query, map, psi)]`` or ``surf3d.iou_pairs``'s tiles."""
-    write_table(path, LABELS_HEADER, ids, blocks)
+def save_labels(path, ids, blocks) -> int:
+    """Write labels as a labels CSV and return their count: each block is (i, j, psi) arrays, one label
+    (ids[i], ids[j], psi) per index, such as a LabelTable's ``ids`` and ``[(query, map, psi)]``."""
+    return write_table(path, LABELS_HEADER, ids, blocks)
 
 
-def _pair_blocks(table: PoseTable, reach: float):
-    """Arrays (i, j, center distance) of the same-scene pairs i < j within ``reach``, in row-major order:
-    a run of ``_PAIR_BLOCK // (largest scene - 1)`` rows at a time (at least one), each row measured only
-    against the later rows of its own scene, so a block measures at most ``_PAIR_BLOCK`` candidates (or one
-    row's). Measures no geometry."""
-    code_of: dict = {}
-    scene = np.fromiter((code_of.setdefault(s, len(code_of)) for s in table.scenes), np.intp, len(table))
-    order = np.argsort(scene, kind="stable")  # scene by scene, rows ascending in each
+def _pair_runs(group: np.ndarray):
+    """The pairs i < j of rows of one group, for integer group codes, row-major: per run of rows lo, lo + 1, ...,
+    ``(lo, count, i, j)``, each row's number of later rows of its group, and the run's pairs. A run is
+    ``_PAIR_BLOCK // (largest group - 1)`` rows (at least one): at most ``_PAIR_BLOCK`` pairs, or one row's."""
+    order = np.argsort(group, kind="stable")  # group by group, rows ascending in each
     at = np.argsort(order)  # of each row, its position in ``order``
-    sizes = np.bincount(scene)
-    later = np.cumsum(sizes)[scene] - at - 1  # the row's scene holds later rows at order[at + 1 : at + 1 + later]
-    xy, xy_in_order = table.poses[:, :2], table.poses[order, :2]
+    sizes = np.bincount(group)
+    later = np.cumsum(sizes)[group] - at - 1  # the row's group holds later rows at order[at + 1 : at + 1 + later]
     step = max(1, _PAIR_BLOCK // max(int(sizes.max(initial=0)) - 1, 1))
-    for lo in range(0, len(table) - 1, step):
+    for lo in range(0, len(group) - 1, step):
         count = later[lo:lo + step]
         k = np.repeat(at[lo:lo + step] + 1 + count - np.cumsum(count), count)  # positions in ``order``, row by row
         k += np.arange(len(k))
-        dist = planar_distance(np.repeat(xy[lo:lo + step], count, axis=0), np.take(xy_in_order, k, axis=0))
+        yield lo, count, np.repeat(np.arange(lo, lo + len(count)), count), order.take(k)
+
+
+def _pair_blocks(table: PoseTable, reach: float):
+    """Arrays (i, j, center distance) of the same-scene pairs i < j within ``reach``, in row-major order,
+    a run of ``_pair_runs`` over the scenes at a time. Measures no geometry."""
+    code_of: dict = {}
+    scene = np.fromiter((code_of.setdefault(s, len(code_of)) for s in table.scenes), np.intp, len(table))
+    xy = table.poses[:, :2].copy()  # contiguous: a gather from it is fast
+    for lo, count, i, j in _pair_runs(scene):
+        dist = planar_distance(np.repeat(xy[lo:lo + len(count)], count, axis=0), xy.take(j, axis=0))
         kept = dist <= reach
-        yield np.repeat(np.arange(lo, lo + len(count)), count)[kept], order[k[kept]], dist[kept]
+        yield i[kept], j[kept], dist[kept]
 
 
 def _scored_blocks(table: PoseTable, fov: FovParams, arc_segments: int, reach: float):

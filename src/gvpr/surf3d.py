@@ -5,7 +5,7 @@ model; the set of point indices that land inside the image bounds (in
 front of the camera) is that image's visible surface. The similarity of
 two images is the intersection-over-union of their visible index sets.
 Many cameras are compared through ``intersection_counts``, the exact counts
-of the points each pair sees, which ``iou_pairs`` yields as IoU pairs by row tiles.
+of the points each pair sees, which ``iou_pairs`` yields as IoU pairs on relabel's pair walk.
 It walks the cloud in buckets of 512 points ranked along its longest axis, and
 projects a bucket only into the cameras whose frustum its bounding box may meet
 (a conservative test with a relative margin of 1e-9), so a camera costs work only
@@ -28,13 +28,13 @@ from itertools import chain
 import numpy as np
 
 from .io import LineError, file_reader, floats, read_blocks, read_csv, text_lines
+from .relabel import _pair_runs
 
 Z_NEAR = 1e-6
 _ORTHO_TOL = 1e-6
 _BUCKET = 512  # cloud points culled and counted at a time by intersection_counts
 _CULL_TOL = 1e-9  # relative margin of intersection_counts's bucket-frustum test
 _PROJECT_CELLS = 1 << 14  # points x cameras projected by one product, or counts added at a time, in intersection_counts
-_PAIR_CELLS = 1 << 14  # counts turned into pairs at a time by iou_pairs
 _CLOUD_BLOCK_CHARS = 1 << 14
 
 
@@ -310,16 +310,14 @@ def intersection_counts(cloud: PointCloud, rotations: np.ndarray, translations: 
 
 
 def iou_pairs(inter: np.ndarray):
-    """Yield arrays (i, j, IoU) of the pairs i < j of ``intersection_counts`` whose union is not empty,
-    one tile of rows of at most 2**14 counts at a time, in row-major order: ``inter / union``,
-    ``surface_overlap``'s value, without the pairs of two empty sets (0/0)."""
+    """Yield arrays (i, j, IoU) of the pairs i < j of ``intersection_counts``, a run of ``relabel._pair_runs``
+    at a time: ``inter / union``, ``surface_overlap``'s value, without the pairs of two empty sets (0/0)."""
     sizes = np.diagonal(inter)
-    step = max(1, _PAIR_CELLS // max(len(sizes), 1))
-    for lo in range(0, len(sizes) - 1, step):
-        rows = inter[lo:lo + step, lo + 1:]  # column b is camera lo + 1 + b, after row lo + a
-        union = sizes[lo:lo + step, None] + sizes[lo + 1:] - rows
-        a, b = np.nonzero(np.triu(union > 0))
-        yield lo + a, lo + 1 + b, rows[a, b] / union[a, b]
+    for _, _, i, j in _pair_runs(np.zeros(len(sizes), dtype=np.intp)):
+        both = inter[i, j]
+        union = sizes[i] + sizes[j] - both
+        kept = union > 0
+        yield i[kept], j[kept], both[kept] / union[kept]
 
 
 @file_reader
@@ -349,9 +347,8 @@ def _read_cloud_lines(path) -> np.ndarray:
     """The line rule of ``load_point_cloud``: its (n, 3) points, or its error."""
     with open(path, encoding="utf-8", newline="") as fh:
         blocks = ([line.split() for line in lines] for lines in iter(lambda: fh.readlines(_CLOUD_BLOCK_CHARS), []))
-        runs = read_blocks(blocks, 3, lambda lines: floats(chain.from_iterable(lines), "non-numeric coordinate"),
-                           1, "coordinates")
-    points = np.concatenate([np.empty(0), *runs])
+        (points,) = read_blocks(
+            blocks, 3, lambda lines: (floats(chain.from_iterable(lines), "non-numeric coordinate"),), 1, "coordinates")
     if not len(points):
         raise ValueError("empty point cloud")
     return points.reshape(-1, 3)
@@ -369,24 +366,19 @@ def load_poses_6dof(path) -> PoseTable6DOF:
     """
     seen = set()  # ids of the records parsed so far
 
-    def parse(rows) -> PoseTable6DOF:
+    def parse(rows) -> tuple:
         ids = [row[0] for row in rows]
-        if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
-            first = next(i for k, i in enumerate(ids) if i in seen or i in ids[:k])
-            raise ValueError(f"duplicate id {first!r}")
+        if not seen.isdisjoint(ids):  # a repeat within the block is the table's error
+            raise ValueError(f"duplicate id {next(i for i in ids if i in seen)!r}")
         values = floats(chain.from_iterable(row[1:] for row in rows), "non-numeric pose entry").reshape(-1, 12)
         table = PoseTable6DOF(ids, values[:, :9].reshape(-1, 3, 3), values[:, 9:])
         seen.update(ids)
-        return table
+        return ids, table.rotations, table.translations
 
-    blocks = read_csv(path, _POSE6_HEADER, parse)
-    if len(blocks) == 1:
-        return blocks[0]
-    # each block is a checked table, and no id is in two of them: the joined rows are not checked again
-    joined = object.__new__(PoseTable6DOF)
-    object.__setattr__(joined, "ids", tuple(chain.from_iterable(b.ids for b in blocks)))
-    object.__setattr__(joined, "rotations", np.concatenate([np.empty((0, 3, 3)), *(b.rotations for b in blocks)]))
-    object.__setattr__(joined, "translations", np.concatenate([np.empty((0, 3)), *(b.translations for b in blocks)]))
+    ids, rotations, translations = read_csv(path, _POSE6_HEADER, parse)
+    joined = object.__new__(PoseTable6DOF)  # of checked blocks that share no id: not checked again
+    for name, column in zip(("ids", "rotations", "translations"), (tuple(ids), rotations, translations)):
+        object.__setattr__(joined, name, column)
     return joined
 
 

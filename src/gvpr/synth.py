@@ -226,18 +226,17 @@ def load_ground_truth(path, query_ids, map_ids) -> tuple:
     """
     query_row = {qid: i for i, qid in enumerate(query_ids)}
     map_row = {mid: i for i, mid in enumerate(map_ids)}
-
     width = max(len(map_row), 1)
 
-    def pair_codes(rows) -> np.ndarray:
+    def pair_codes(rows) -> tuple:
         try:
-            return np.array([query_row[qid] * width + map_row[mid] for qid, mid in rows], dtype=np.int64)
+            return (np.array([query_row[qid] * width + map_row[mid] for qid, mid in rows], dtype=np.int64),)
         except KeyError:  # the first unknown id, a query's before its map's
             qid, mid = next(row for row in rows if row[0] not in query_row or row[1] not in map_row)
             unknown = f"query id {qid!r}" if qid not in query_row else f"map id {mid!r}"
             raise ValueError(f"unknown {unknown}") from None
 
-    codes = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *read_csv(path, GT_HEADER, pair_codes)]))
+    codes = np.sort(read_csv(path, GT_HEADER, pair_codes)[0])
     distinct = np.ones(len(codes), dtype=bool)  # np.unique's result, without its hashing cost
     distinct[1:] = codes[1:] != codes[:-1]
     return np.divmod(codes[distinct], width)

@@ -1263,10 +1263,11 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("command", FEATURE_FILE_COMMANDS)
     def test_duplicate_feature_id(self, tmp_path, capsys, world_dir, model_path, command):
-        dup = tmp_path / "dup.bin"
-        shape = (8, file_locations(command))
-        embed.write_features(dup, [embed.FeatureMap(i, np.ones(shape)) for i in ("a", "b", "a")])
-        err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "dup_ids.bin", dup.read_bytes())
+        locations = file_locations(command)  # built by hand: the features writer refuses a repeated id
+        record = np.ones(8 * locations, dtype="<f4").tobytes()
+        content = b"GVPR" + struct.pack("<IIII", 1, 3, 8, locations) + b"".join(
+            struct.pack("<H", 1) + ident + record for ident in (b"a", b"b", b"a"))
+        err = self.run_with(tmp_path, capsys, world_dir, model_path, command, "dup_ids.bin", content)
         assert err == f"error: {tmp_path / 'dup_ids.bin'}: duplicate feature id 'a'\n"
 
     def test_model_truncated_at_every_byte(self, tmp_path, capsys, world_dir, model_path):

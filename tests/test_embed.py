@@ -735,7 +735,8 @@ class TestBinaryFormats:
 
     def test_duplicate_and_empty_ids_named_with_path(self, tmp_path):
         path = tmp_path / "dup.bin"
-        write_features(path, [FeatureMap(i, np.ones((2, 2))) for i in ("a", "b", "c", "b", "a")])
+        # the frozen writer: write_features refuses a repeated id
+        reference_write_features(path, [FeatureMap(i, np.ones((2, 2))) for i in ("a", "b", "c", "b", "a")])
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate feature id 'b'$"):
             read_features(path)
         empty = tmp_path / "empty_id.bin"
@@ -744,6 +745,48 @@ class TestBinaryFormats:
                           + struct.pack("<H", 0) + record)
         with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: feature map id must be nonempty$"):
             read_features(empty)
+
+    def test_repeated_id_is_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "dup.bin"
+        with pytest.raises(ValueError, match="^duplicate feature id 'a'$"):
+            write_features(path, [FeatureMap(i, np.ones((2, 2))) for i in ("a", "b", "a")])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [1e300, -3.5e38, np.inf, np.nan])
+    def test_values_beyond_float32_are_refused_before_the_file_is_opened(self, tmp_path, value):
+        """A finite float64 beyond float32 would be written as inf, which the reader rejects."""
+        path = tmp_path / "features.bin"
+        values = np.ones((3, 2, 2))
+        values[2, 1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^feature values must be finite in float32$"):
+                io.write_feature_array(path, ["a", "b", "c"], values)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_largest_float32_is_written(self, tmp_path, dtype):
+        """Float32's largest value, given as float64 or float32, with no overflow warning in the range check."""
+        path = tmp_path / "features.bin"
+        top = float(np.finfo(np.float32).max)
+        io.write_feature_array(path, ["a"], np.array([[[top, -top]]], dtype=dtype))
+        assert read_features(path)[0].values.tolist() == [[top, -top]]
+
+    def test_the_refused_values_are_those_the_cast_makes_inf(self, tmp_path):
+        """Half a float32 step above its largest value casts to inf and is refused; just below, it rounds
+        to the largest value and is written, with no warning."""
+        path = tmp_path / "features.bin"
+        edge = 2.0 ** 128 - 2.0 ** 103
+        for value in (edge, -edge):
+            with pytest.raises(ValueError, match="^feature values must be finite in float32$"):
+                write_features(path, [FeatureMap("a", np.array([[1.0, value]]))])
+            assert not path.exists()
+        below = np.nextafter(edge, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_features(path, [FeatureMap("a", np.array([[below, -below]]))])
+        top = float(np.finfo(np.float32).max)
+        assert read_features(path)[0].values.tolist() == [[top, -top]]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_unwritable_id_leaves_the_path_as_it_was(self, tmp_path, existing):

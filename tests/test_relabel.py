@@ -25,7 +25,8 @@ from gvpr.relabel import (
     save_labels,
     save_poses,
 )
-from gvpr.surf3d import load_poses_6dof
+from gvpr.io import read_blocks
+from gvpr.surf3d import load_point_cloud, load_poses_6dof
 from gvpr.synth import load_ground_truth
 
 FOV = FovParams(theta=math.radians(90.0), r=50.0)
@@ -481,6 +482,53 @@ class TestBlockWalk:
         assert dense_peak > bound, f"{dense_peak / 1e6:.1f} MB"
 
 
+def _dense_group_pairs(group):
+    """The pairs i < j of rows of one group, frozen: ``np.triu_indices`` of all rows, then the same-group cut."""
+    i, j = np.triu_indices(len(group), k=1)
+    same = group[i] == group[j]
+    return i[same], j[same]
+
+
+class TestPairRuns:
+    """``_pair_runs``, the one pair walk of relabel and overlap3d, against the frozen dense enumerator."""
+
+    GROUPS = {
+        "one_group": np.zeros(40, dtype=np.intp),
+        "six_interleaved": np.random.default_rng(3).permutation(np.repeat(np.arange(6), [40, 7, 1, 23, 1, 2])),
+        "one_row_groups": np.arange(9),
+        "no_rows": np.empty(0, dtype=np.intp),
+    }
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_runs_equal_the_dense_enumerator(self, monkeypatch, name, block):
+        """Consecutive runs of rows, each of at most ``_PAIR_BLOCK`` pairs or one row's, whose pairs are the
+        dense enumerator's in its row-major order, byte for byte."""
+        if block is not None:
+            monkeypatch.setattr(relabel, "_PAIR_BLOCK", block)
+        group = self.GROUPS[name]
+        runs = list(relabel._pair_runs(group))
+        first = 0
+        for lo, count, i, j in runs:
+            assert lo == first and len(j) == count.sum() and j.dtype == np.intp
+            assert i.tobytes() == np.repeat(np.arange(lo, lo + len(count)), count).tobytes()
+            assert count.sum() <= relabel._PAIR_BLOCK or len(count) == 1
+            first = lo + len(count)
+        assert len(group) - 1 <= first <= len(group)  # every row that has a later row
+        empty = [np.empty(0, dtype=np.intp)]
+        i = np.concatenate(empty + [i for _, _, i, _ in runs])
+        j = np.concatenate(empty + [j for _, _, _, j in runs])
+        want_i, want_j = _dense_group_pairs(group)
+        assert (i.dtype, j.dtype) == (want_i.dtype, want_j.dtype)
+        assert i.tobytes() == want_i.tobytes() and j.tobytes() == want_j.tobytes()
+
+    def test_blocks_of_one_run(self, monkeypatch):
+        """A run of three rows of one group of ten: 3 * 9 pairs at most."""
+        monkeypatch.setattr(relabel, "_PAIR_BLOCK", 3 * (10 - 1))
+        runs = list(relabel._pair_runs(np.zeros(10, dtype=np.intp)))
+        assert [(lo, count.tolist()) for lo, count, _, _ in runs] == [(0, [9, 8, 7]), (3, [6, 5, 4]), (6, [3, 2, 1])]
+
+
 class TestPersistence:
     def test_pose_roundtrip_normalizes_heading(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -668,6 +716,48 @@ class TestBulkCsvFirstFault:
         with pytest.raises(ValueError) as err:
             load_poses(path)
         assert str(err.value) == f"{path}: image 'b' has an empty scene name"
+
+
+class TestJoinedBlocks:
+    """``read_blocks`` joins its blocks' columns, and a file with no record is ``parse([])``."""
+
+    def test_lists_and_arrays_are_joined_end_to_end(self):
+        blocks = [[["a", "1"], [], ["b", "2"]], [], [["c", "3"]]]
+        def parse(rows):
+            return [r[0] for r in rows], np.array([float(r[1]) for r in rows])
+
+        ids, values = read_blocks(iter(blocks), 2, parse, 1, "fields")
+        assert ids == ["a", "b", "c"] and values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_no_record_is_parse_of_no_record(self):
+        def parse(rows):
+            return [len(rows)], np.full(len(rows) + 1, 7.0)
+
+        for blocks in ([], [[[], []]]):  # no block, and a block of blank records
+            counts, values = read_blocks(iter(blocks), 2, parse, 1, "fields")
+            assert counts == [0] and values.tolist() == [7.0]
+
+    def test_header_only_files(self, tmp_path):
+        """Each joining reader on a file of no record: the shapes and dtypes of its empty result, or its error."""
+        path = tmp_path / "input.csv"
+        path.write_text("id,scene,t0,t1,alpha_deg\r\n")
+        poses = load_poses(path)
+        assert (poses.ids, poses.scenes, poses.poses.shape, poses.poses.dtype) == ((), (), (0, 3), np.float64)
+        path.write_text("query_id,map_id,psi\r\n")
+        labels = load_labels(path)
+        assert (labels.ids, len(labels)) == ((), 0)
+        assert [(c.shape, c.dtype) for c in (labels.query, labels.map, labels.psi)] == \
+            [((0,), np.intp), ((0,), np.intp), ((0,), np.float64)]
+        path.write_text("query_id,map_id\r\n")
+        assert [(c.shape, c.dtype) for c in read_gt(path)] == [((0,), np.int64), ((0,), np.int64)]
+        path.write_text(POSE6 + "\r\n")
+        cameras = load_poses_6dof(path)
+        assert (cameras.ids, cameras.rotations.shape, cameras.translations.shape) == ((), (0, 3, 3), (0, 3))
+        assert cameras.rotations.dtype == cameras.translations.dtype == np.float64
+        for content in ("", "\n \n\r\n"):
+            path.write_text(content)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty point cloud$"):
+                load_point_cloud(path)
 
 
 def _reference_load_poses(path):

@@ -232,8 +232,8 @@ class TestIouPairs:
         assert list(iou_pairs(np.full((cameras, cameras), 10, dtype=np.int64))) == []
 
     def test_tiles_hold_their_rows_pairs(self, monkeypatch):
-        """Each tile is one run of rows: its pairs' i lie in it, and the tiles keep row-major order."""
-        monkeypatch.setattr("gvpr.surf3d._PAIR_CELLS", 3 * 10)
+        """Each block is one run of rows of relabel's walk: its pairs' i lie in it, in row-major order."""
+        monkeypatch.setattr("gvpr.relabel._PAIR_BLOCK", 3 * (10 - 1))
         masks = np.random.default_rng(4).random((10, 50)) < 0.3
         tiles = list(iou_pairs(mask_counts(masks)))
         assert [np.unique(i).tolist() for i, _, _ in tiles] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
@@ -470,11 +470,11 @@ class TestMatchesReference:
             assert 0.05 < want.mean() < 0.95
             assert_bit_equal(visible_mask(cloud, pose, k), want)
 
-    # tiles of one row, of three rows (a short last tile at 1, 4 and 40 cameras) and one tile for all rows
+    # runs of one row, of three rows (a short last run at 1, 4 and 40 cameras) and one run for all rows
     @pytest.mark.parametrize("tile_rows", [1, 3, 100])
     @pytest.mark.parametrize("shape", [(9, 3 * 4096 + 7), (6, 4096), (1, 5_000), (1, 0), (4, 1), (40, 300)])
     def test_masks_with_empty_rows(self, monkeypatch, shape, tile_rows):
-        monkeypatch.setattr("gvpr.surf3d._PAIR_CELLS", tile_rows * shape[0])
+        monkeypatch.setattr("gvpr.relabel._PAIR_BLOCK", tile_rows * (shape[0] - 1))
         rng = np.random.default_rng(shape[1])
         masks = rng.random(shape) < rng.uniform(0.0, 0.9, size=(shape[0], 1))
         masks[::3] = False  # blind cameras: pairs of them are NaN
@@ -819,8 +819,17 @@ class TestOverlap3dLabels:
         assert (tmp_path / "labels.csv").read_bytes().decode() == "query_id,map_id,psi\r\n" + want
         assert stdout == f"labels={len(rows)}\nskipped_undefined=1\n"
 
+    def test_printed_labels_are_the_rows_written(self, tmp_path):
+        """3 blind cameras among 7: their 3 pairs have no IoU, and ``labels=`` is the writer's row count."""
+        scene = blinded_scene(3_000, 7, 4, blind=3)
+        paths = corridor.write_scene(tmp_path, scene)
+        stdout = run_overlap3d(paths, tmp_path / "labels.csv")
+        rows = len((tmp_path / "labels.csv").read_bytes().splitlines()) - 1
+        assert rows == 7 * 6 // 2 - 3
+        assert stdout == f"labels={rows}\nskipped_undefined=3\n"
+
     def test_labels_hold_no_cameras_squared_floats(self, tmp_path, monkeypatch):
-        """From the counts of 600 cameras to the labels file: one tile of counts, one 4,096-row block of
+        """From the counts of 600 cameras to the labels file: one run of the pair walk, one 4,096-row block of
         records and the poses, whatever the label count. The whole-run label columns took 24 B a label
         (4.3 MB here); before them, the IoU matrix, its triangle's indices and a sort of the labels took
         130 B a label."""
