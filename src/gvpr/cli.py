@@ -20,7 +20,7 @@ import numpy as np
 
 from . import embed, relabel, retrieval, surf3d, synth
 from .fov2d import DEFAULT_ARC_SEGMENTS, FovParams, calibrate_theta, check_arc_segments
-from .io import InputError, feature_blocks, file_reader, write_csv, write_table
+from .io import InputError, file_reader, id_order, write_csv, write_table
 from .sampler import BatchStrategy, EmptyQuotaGroup, check_batch_size
 
 
@@ -69,7 +69,7 @@ def cmd_overlap3d(args) -> int:
         raise InputError(args.poses, "need at least 2 poses to form pairs")
     intr = surf3d.load_intrinsics(args.intrinsics)
     # ranked by id, the cameras' pairs i < j come out in label order: query i, map j
-    order = sorted(range(len(poses)), key=poses.ids.__getitem__)
+    order = id_order(poses.ids)
     inter = surf3d.intersection_counts(cloud, poses.rotations[order], poses.translations[order], intr)
     written = relabel.save_labels(args.out, [poses.ids[k] for k in order], surf3d.iou_pairs(inter))
     print(f"labels={written}")
@@ -97,9 +97,11 @@ def cmd_train(args, parser) -> int:
     labels = relabel.load_labels(args.labels)
     if not len(labels):
         raise InputError(args.labels, "no labels to train on")
-    pooled, missing = _labelled_pools(args.features, labels.ids, args.gem_p)
+    ids, pooled = embed.file_pools(args.features, args.gem_p)
+    rows, missing = _rows_of(ids, labels.ids)
     if missing:
         raise InputError(args.labels, f"ids not in {args.features}: {', '.join(map(repr, missing[:5]))}")
+    pooled = pooled[rows]  # the labelled rows, in the order of labels.ids; the file's rows are freed
     model = embed.init_model(args.d_out, pooled.shape[1], gem_p=args.gem_p, seed=args.seed)
     try:
         trained, trace = embed._train(model, labels, embed._checked_pools(pooled, model.gem_p), cfg)
@@ -116,22 +118,11 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-@file_reader
-def _labelled_pools(path, ids, gem_p: float) -> tuple:
-    """GeM pools of the records ``ids`` of a features file, (len(ids), channels) float64 in the order of
-    ``ids``, and the ids that the file lacks, in that order. Only the named records of each block are pooled,
-    as the block is read, as eval pools them; an overflowing pool is left for ``embed._checked_pools``."""
+def _rows_of(ids, wanted) -> tuple:
+    """The positions in ``ids`` of each id of ``wanted`` that ``ids`` holds, in order, and the others, in order."""
     row_of = {ident: row for row, ident in enumerate(ids)}
-    with open(path, "rb") as fh:
-        (_, channels, _), blocks = feature_blocks(fh)
-        pooled, found = np.empty((len(ids), channels)), np.zeros(len(ids), dtype=bool)
-        for block_ids, values in blocks:
-            records = [k for k, ident in enumerate(block_ids) if ident in row_of]
-            rows = [row_of[block_ids[k]] for k in records]
-            block = np.empty((len(records), channels))
-            embed._pool(values, gem_p, block, records)
-            pooled[rows], found[rows] = block, True
-    return pooled, [ident for ident, hit in zip(ids, found) if not hit]
+    rows = [row_of.get(ident) for ident in wanted]
+    return [row for row in rows if row is not None], [ident for ident, row in zip(wanted, rows) if row is None]
 
 
 def _load_eval_descriptors(parser, args):
@@ -209,11 +200,9 @@ def cmd_eval(args, parser) -> int:
 def _poses_covering(path, ids, kind: str) -> np.ndarray:
     """Pose rows (t0, t1, alpha) of ``ids``, in order, from a poses file that must hold every one."""
     table = relabel.load_poses(path)
-    row_of = {image_id: row for row, image_id in enumerate(table.ids)}
-    try:
-        rows = [row_of[ident] for ident in ids]
-    except KeyError as e:
-        raise ValueError(f"missing {kind} pose for {e.args[0]!r}") from None
+    rows, missing = _rows_of(table.ids, ids)
+    if missing:
+        raise ValueError(f"missing {kind} pose for {missing[0]!r}")
     return table.poses[rows]
 
 

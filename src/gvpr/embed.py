@@ -15,9 +15,10 @@ step. Every pooling, theirs and training's, rejects a pool that
 overflows at the model's ``gem_p`` as a ``PoolingOverflow``. Training
 runs plain SGD over contrastive pairs streamed by the batch sampler, on
 the graded loss (binary labels as psi in {0, 1}), in ``_train``, a core
-on pooled rows that ``gvpr train`` runs on the labelled records of a
-features file's blocks and ``train`` on FeatureMaps; only the linear
-weights are trained, the pooling exponent stays fixed. Features files are read and written by ``gvpr.io``; the
+on pooled rows that ``gvpr train`` runs on the labelled rows of
+``file_pools``, the one pooling of a features file, and ``train`` on
+FeatureMaps; only the linear weights are trained, the pooling exponent
+stays fixed. Features files are read and written by ``gvpr.io``; the
 FeatureMaps ``read_features`` returns are views of one float64 array.
 Model file (little-endian): magic `GVPM`, version u32, d_out u32,
 channels u32, gem_p float32, then d_out*channels float32 weights
@@ -181,15 +182,14 @@ def _pooled(values: np.ndarray, gem_p: float) -> np.ndarray:
     return _checked_pools(pooled, gem_p)
 
 
-def _pool(values: np.ndarray, gem_p: float, out: np.ndarray, rows=None) -> None:
-    """Write ``gem_pool`` of records ``rows`` (default all) of ``values`` to the rows of ``out``, ``_POOL_BLOCK``
-    records at a time: GeM's steps are element-wise or per (record, channel), so the bits are those of one call,
-    whatever the blocks. A row that overflows, or whose values are not finite, is left as it comes out, with no
-    warning, for ``_checked_pools`` or the features file's own error."""
+def _pool(values: np.ndarray, gem_p: float, out: np.ndarray) -> None:
+    """Write ``gem_pool`` of the records of ``values`` to the rows of ``out``, ``_POOL_BLOCK`` records at a time:
+    GeM's steps are element-wise or per (record, channel), so the bits are those of one call, whatever the
+    blocks. A row that overflows, or whose values are not finite, is left as it comes out, with no warning,
+    for ``_checked_pools`` or the features file's own error."""
     with np.errstate(over="ignore", invalid="ignore"):  # invalid: a signalling NaN that a bad file holds
-        for lo in range(0, len(out), _POOL_BLOCK):  # a slice of all records is a view; of ``rows``, a one-block copy
-            block = values[lo:lo + _POOL_BLOCK] if rows is None else values[rows[lo:lo + _POOL_BLOCK]]
-            out[lo:lo + _POOL_BLOCK] = gem_pool(block, gem_p)
+        for lo in range(0, len(out), _POOL_BLOCK):
+            out[lo:lo + _POOL_BLOCK] = gem_pool(values[lo:lo + _POOL_BLOCK], gem_p)
 
 
 def _checked_pools(pooled: np.ndarray, gem_p: float) -> np.ndarray:
@@ -239,12 +239,6 @@ def _embedded(pooled: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u
 
 
-def _descriptors(model: EmbedModel, first_id: str, values: np.ndarray) -> np.ndarray:
-    """Unit descriptor rows, (n, d_out), of a (n, channels, locations) array led by map ``first_id``."""
-    _check_channels(model, first_id, values.shape[1])
-    return _embedded(_pooled(values, model.gem_p), model.W)
-
-
 def forward(model: EmbedModel, fm: FeatureMap) -> np.ndarray:
     """Unit-norm descriptor of one feature map, by the path of ``compute_descriptors``."""
     return compute_descriptors(model, [fm])[1][0]
@@ -271,7 +265,7 @@ def compute_descriptors(model: EmbedModel, feature_maps) -> tuple:
     maps = list(feature_maps)
     if not maps:
         raise ValueError("no feature maps given")
-    return [fm.id for fm in maps], _descriptors(model, maps[0].id, _stack(maps, model))
+    return [fm.id for fm in maps], _embedded(_pooled(_stack(maps, model), model.gem_p), model.W)
 
 
 def _batch_arrays(rows, pooled, query_rows, map_rows):
@@ -395,20 +389,25 @@ def write_features(path, feature_maps) -> None:
 
 
 @file_reader
-def file_descriptors(path, model: EmbedModel) -> tuple:
-    """Descriptors of a features file, (ids, (n, d_out) unit rows), bit-identical to
-    ``compute_descriptors(model, read_features(path))``, and its errors in the same order.
-
-    Each block of ``io.feature_blocks`` is pooled as it is read into one (n, channels) float64 array, which
-    one product embeds: memory is one block of the file and the pooled rows, whatever the record count.
-    """
+def file_pools(path, gem_p: float) -> tuple:
+    """GeM pools of a features file's records, (ids, (n, channels) float64 rows), each block of ``io.feature_blocks``
+    pooled as it is read: memory is one block of the file and the pooled rows, whatever the record count. A pool
+    that overflows at ``gem_p`` is left for ``_checked_pools``."""
     with open(path, "rb") as fh:
         (count, channels, _), blocks = feature_blocks(fh)
         ids, pooled = [], np.empty((count, channels))
         for block_ids, values in blocks:
-            _pool(values, model.gem_p, pooled[len(ids):len(ids) + len(block_ids)])
+            _pool(values, gem_p, pooled[len(ids):len(ids) + len(block_ids)])
             ids += block_ids
-    _check_channels(model, ids[0], channels)
+    return ids, pooled
+
+
+@file_reader
+def file_descriptors(path, model: EmbedModel) -> tuple:
+    """Descriptors of a features file, (ids, (n, d_out) unit rows), the rows of ``file_pools`` embedded by one
+    product: bit-identical to ``compute_descriptors(model, read_features(path))``, and its errors in the same order."""
+    ids, pooled = file_pools(path, model.gem_p)
+    _check_channels(model, ids[0], pooled.shape[1])
     return ids, _embedded(_checked_pools(pooled, model.gem_p), model.W)
 
 

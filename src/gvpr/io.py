@@ -3,7 +3,7 @@
 Every public reader, and the subcommands that reach it:
   relabel.load_poses          relabel, profile; eval --query-poses/--map-poses (cli._poses_covering)
   relabel.load_labels         train --labels
-  cli._labelled_pools         train --features
+  embed.file_pools            train --features; eval --query-features/--map-features (embed.file_descriptors)
   embed.read_features         none: a library reader
   embed.file_descriptors      eval --query-features/--map-features
   embed.load_model            eval --model
@@ -39,11 +39,11 @@ Features file (little-endian; descriptor files have one location): magic
 u16 id byte length, UTF-8 id and channels*locations float32 values. Every
 features reader reads it through ``feature_blocks``, one pass of float32
 blocks of at most ``_FEATURE_BLOCK_BYTES`` of values, with one record rule:
-``cli._labelled_pools`` (``gvpr train``) and ``embed.file_descriptors`` pool
-each block as it is read, and ``read_feature_records`` joins the blocks into
-one array, which ``embed.read_features`` and ``retrieval.read_descriptors``
-widen. The blocks' errors name the path only when a decorated reader drains
-them: ``file_reader`` wraps a call, not the iteration of a generator.
+``embed.file_pools`` (``gvpr train`` and ``gvpr eval``) pools each block as
+it is read, and ``read_feature_records`` joins the blocks into one array,
+which ``embed.read_features`` and ``retrieval.read_descriptors`` widen. The
+blocks' errors name the path only when a decorated reader drains them:
+``file_reader`` wraps a call, not the iteration of a generator.
 """
 
 from __future__ import annotations
@@ -112,6 +112,13 @@ def floats(fields, message: str) -> np.ndarray:
         return np.fromiter(map(float, fields), np.float64)
     except ValueError:
         raise ValueError(message) from None
+
+
+def id_order(ids) -> np.ndarray:
+    """The positions of ``ids`` in Python ``str`` order, as intp: the one order in which ids rank. NumPy's
+    fixed-width strings drop trailing NULs (``np.array(["a", "a\\x00"])`` holds "a" twice), so no NumPy sort
+    or ``np.unique`` of ids may stand in for it."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
 def read_blocks(blocks, width: int, parse, first: int, noun: str) -> tuple:

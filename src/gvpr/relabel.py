@@ -32,7 +32,7 @@ import numpy as np
 
 from .fov2d import (DEFAULT_ARC_SEGMENTS, CameraPose2D, FovParams, check_arc_segments, fov_overlap, planar_distance,
                     wrap_heading, wrapped_angle_diff)
-from .io import file_reader, floats, read_csv, write_csv, write_table
+from .io import file_reader, floats, id_order, read_csv, write_csv, write_table
 from .sampler import Band, LabelTable, _band_codes, band_of
 from .sampler import SimilarityLabel  # noqa: F401 -- public here too, where labels are made
 
@@ -81,7 +81,7 @@ class PoseTable:
 
     def by_id(self) -> PoseTable:
         """The rows in Python ``str`` order of their ids: a same-scene pair i < j is then a label (query i, map j)."""
-        order = sorted(range(len(self)), key=self.ids.__getitem__)
+        order = id_order(self.ids)
         return PoseTable([self.ids[k] for k in order], [self.scenes[k] for k in order], self.poses[order])
 
 

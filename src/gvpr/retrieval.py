@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fov2d import planar_distance, wrapped_angle_diff
-from .io import file_reader, read_feature_records, write_feature_array
+from .io import file_reader, id_order, read_feature_records, write_feature_array
 
 # (meters, radians) thresholds a correctly localized query must meet
 DEFAULT_LOC_THRESHOLDS = (
@@ -169,9 +169,7 @@ def _top_k(queries: DescriptorSet, map_set: DescriptorSet, k: int) -> tuple:
         raise ValueError(f"dimension mismatch: queries {queries.dim}, map {map_set.dim}")
     if not 1 <= k <= len(map_set):
         raise ValueError(f"k must be in [1, {len(map_set)}], got {k}")
-    # canonical id order for tie-breaks: Python's str order, as every id sort here (NumPy's unicode
-    # order holds "a" and "a\x00" equal)
-    order = np.array(sorted(range(len(map_set)), key=map_set.ids.__getitem__), dtype=np.intp)
+    order = id_order(map_set.ids)  # tie-breaks by map id
     n_map = len(order)
     m = np.zeros((-(-n_map // _MAP_PAD_ROWS) * _MAP_PAD_ROWS, map_set.dim))
     m[:n_map] = map_set.matrix[order]

@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .io import id_order
+
 
 class Band(Enum):
     HIGH = "[0.75, 1]"
@@ -82,7 +84,7 @@ class LabelTable:
     def _coded(cls, names, codes: np.ndarray, psi: np.ndarray) -> LabelTable:
         """The table of labels (names[codes[2k]], names[codes[2k + 1]], psi[k]): ``names`` are
         distinct and each is named by some label."""
-        order = sorted(range(len(names)), key=names.__getitem__)
+        order = id_order(names)
         rank = np.empty(len(names), dtype=np.intp)
         rank[order] = np.arange(len(names))
         return cls(tuple(names[k] for k in order), rank[codes[0::2]], rank[codes[1::2]], psi)

@@ -88,8 +88,11 @@ class PoseTable6DOF:
         t = np.asarray(self.translations, dtype=np.float64)
         if r.shape != (len(ids), 3, 3) or t.shape != (len(ids), 3):
             raise ValueError(f"{len(ids)} ids for rotations of shape {r.shape} and translations of shape {t.shape}")
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate id {next(i for k, i in enumerate(ids) if i in ids[:k])!r}")
+        seen = set()
+        for ident in ids:
+            if ident in seen:
+                raise ValueError(f"duplicate id {ident!r}")
+            seen.add(ident)
         check_rigid(r, t)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "rotations", r)

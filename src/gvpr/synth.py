@@ -37,7 +37,7 @@ import numpy as np
 
 from .embed import FeatureMap
 from .fov2d import planar_distance, wrapped_angle_diff
-from .io import file_reader, read_csv, write_feature_array, write_table
+from .io import file_reader, id_order, read_csv, write_feature_array, write_table
 from .relabel import PoseTable, save_poses
 
 PLACE_SPACING_M = 250.0
@@ -185,7 +185,7 @@ def _ground_truth(queries: PoseTable, maps: PoseTable) -> dict:
     """Positive map ids per query, in map-id order: the map rows within 25 m, then under 40 degrees
     heading. Only a query's window of map rows, those with t0 within 25 m (plus ``_WINDOW_MARGIN_M``)
     of its own by one sort of the map's t0, is measured."""
-    order = sorted(range(len(maps)), key=maps.ids.__getitem__)
+    order = id_order(maps.ids)
     ids = [maps.ids[i] for i in order]
     rows = maps.poses[order]
     by_t0 = np.argsort(rows[:, 0])

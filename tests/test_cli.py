@@ -346,7 +346,8 @@ class TestTrain:
 
 
 class TestTrainFromFeatureRows:
-    """`gvpr train` pools the labelled records from the file's float32 values, a block at a time."""
+    """`gvpr train` pools every record from the file's float32 values, a block at a time, and trains on the
+    labelled rows."""
 
     @pytest.mark.parametrize("loss", ["gcl", "cl"])
     @pytest.mark.parametrize("labels, strategy", [("world", "A"), ("world", "B"), ("world", "C"), ("world", "D"),
@@ -366,6 +367,25 @@ class TestTrainFromFeatureRows:
         trained, _ = embed.train(model, relabel.load_labels(labels_csv), embed.read_features(features), cfg)
         embed.save_model(want, trained)
         assert out.read_bytes() == want.read_bytes()
+
+    def test_records_no_label_names_change_no_bit_of_the_model(self, world_dir, labels_csv, tmp_path, capsys):
+        """A file of the labelled records, and the same file with two more records that no label names: one
+        all zeros, which embeds to zero norm, and one that overflows at --gem-p. Both train the same model."""
+        named = set(relabel.load_labels(labels_csv).ids)
+        maps = [fm for fm in embed.read_features(world_dir / "train_features.bin") if fm.id in named]
+        zeros, huge = (embed.FeatureMap(ident, np.full(maps[0].values.shape, v))
+                       for ident, v in (("z", 0.0), ("h", 1e38)))
+        with np.errstate(over="ignore"):
+            assert np.isinf(embed.gem_pool(huge.values, 10.0)).all()
+        models = []
+        for name, records in (("labelled", maps), ("extra", [huge] + maps[:5] + [zeros] + maps[5:])):
+            features, out = tmp_path / f"{name}.bin", tmp_path / f"{name}_model.bin"
+            embed.write_features(features, records)
+            assert main(["train", "--labels", str(labels_csv), "--features", str(features), "--out", str(out),
+                         "--strategy", "D", "--batch-size", "8", "--gem-p", "10"]) == 0
+            models.append(out.read_bytes())
+        capsys.readouterr()
+        assert models[0] == models[1]
 
     def test_memory_is_the_file_one_pooling_block_and_the_pooled_rows(self, tmp_path, capsys):
         """3,841 records of 32 x 8 values, each labelled, the last alone in its pooling block: the file's
@@ -395,7 +415,7 @@ class TestTrainFromFeatureRows:
     def test_memory_is_one_features_block_and_the_labelled_pooled_rows(self, tmp_path, capsys, blocks):
         """Records of 4 x 64 values, 1,024 to a features block, one record more than ``blocks`` blocks, and
         every eighth record labelled: the peak is one block, one pooling block's float64 temporaries, the
-        labelled rows and the file's ids, whatever the size of its values (8.4 MB at 8 blocks)."""
+        labelled rows, and the file's ids and pooled rows, whatever the size of its values (8.4 MB at 8 blocks)."""
         rng = np.random.default_rng(37)
         channels, locations = 4, 64
         n = blocks * (gvpr_io._FEATURE_BLOCK_BYTES // (4 * channels * locations)) + 1
@@ -417,7 +437,7 @@ class TestTrainFromFeatureRows:
         capsys.readouterr()
         pooling = 3 * 8 * embed._POOL_BLOCK * channels * locations  # GeM's float64 temporaries of one pooling block
         rows = len(named) * (8 * channels + 200)  # pooled rows; labels, ids and the trainer's per-label arrays
-        seen = n * 100  # the file's ids, which the duplicate-id rule keeps
+        seen = n * 100  # the file's ids, which the duplicate-id rule keeps, and its pooled rows, 32 B each
         assert peak <= gvpr_io._FEATURE_BLOCK_BYTES + pooling + rows + seen + 1_000_000, f"{peak / 1e6:.2f} MB"
 
 

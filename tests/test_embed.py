@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gvpr import cli, io
+from gvpr import io
 from gvpr.embed import (
     _POOL_BLOCK,
     EmbedModel,
@@ -22,6 +22,7 @@ from gvpr.embed import (
     batch_loss_and_grad,
     compute_descriptors,
     file_descriptors,
+    file_pools,
     forward,
     gem_pool,
     init_model,
@@ -355,7 +356,7 @@ class TestFileDescriptors:
             struct.pack("<H", len(ident)) + ident.encode() + record.tobytes() for ident, record in zip(ids, values))
             + (b"\0" if fault == "trailing" else b""))
         model = init_model(2, 2, seed=1)
-        for read in (read_features, lambda p: file_descriptors(p, model), lambda p: cli._labelled_pools(p, ["a"], 3.0)):
+        for read in (read_features, lambda p: file_descriptors(p, model), lambda p: file_pools(p, 3.0)):
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
                 read(path)
 

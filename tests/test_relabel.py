@@ -25,9 +25,10 @@ from gvpr.relabel import (
     save_labels,
     save_poses,
 )
-from gvpr.io import read_blocks
+from gvpr.io import id_order, read_blocks
+from gvpr.retrieval import DescriptorSet, _top_k
 from gvpr.surf3d import load_point_cloud, load_poses_6dof
-from gvpr.synth import load_ground_truth
+from gvpr.synth import _ground_truth, load_ground_truth
 
 FOV = FovParams(theta=math.radians(90.0), r=50.0)
 
@@ -780,3 +781,42 @@ class TestClassCounts:
         assert counts[SimilarityClass.POSITIVE] == 2
         assert counts[SimilarityClass.SOFT_NEGATIVE] == 1
         assert counts[SimilarityClass.HARD_NEGATIVE] == 1
+
+
+class TestIdOrder:
+    """Ids rank in Python ``str`` order everywhere, by ``io.id_order``. NumPy's fixed-width strings drop
+    trailing NULs, so "a" and "a\\x00" would tie in a NumPy sort. The inputs are library tables: the csv
+    module of Python 3.10 refuses a NUL in a file."""
+
+    IDS = ("a\x00", "b", "a")  # str order: "a" < "a\x00" < "b"
+
+    def test_id_order(self):
+        assert np.array(["a", "a\x00"]).tolist() == ["a", "a"]  # why no NumPy sort may rank ids
+        order = id_order(self.IDS)
+        assert order.dtype == np.intp and order.tolist() == [2, 0, 1]
+        assert id_order(()).tolist() == []
+
+    def test_pose_table_by_id_and_label_blocks(self):
+        table = PoseTable.of(rec(ident, k, 0, 0) for k, ident in enumerate(self.IDS))
+        ranked = table.by_id()
+        assert ranked.ids == ("a", "a\x00", "b")
+        assert ranked.poses[:, 0].tolist() == [2.0, 0.0, 1.0]
+        ids, blocks = relabel.label_blocks(table, FOV)
+        assert tuple(ids) == ("a", "a\x00", "b")
+        pairs = [(ids[i], ids[j]) for i, j, _ in blocks for i, j in zip(i.tolist(), j.tolist())]
+        assert pairs == [("a", "a\x00"), ("a", "b"), ("a\x00", "b")]
+
+    def test_label_table_of(self):
+        table = LabelTable.of([SimilarityLabel("a\x00", "b", 0.5), SimilarityLabel("a", "a\x00", 0.25)])
+        assert table.ids == ("a", "a\x00", "b")
+        assert [(q, m) for q, m, _ in table.records()] == [("a\x00", "b"), ("a", "a\x00")]
+
+    def test_top_k_breaks_ties_by_map_id(self):
+        map_set = DescriptorSet(self.IDS, np.ones((3, 2)))  # every map row at the same distance
+        rows, _ = _top_k(DescriptorSet(("q",), np.ones((1, 2))), map_set, 3)
+        assert [map_set.ids[r] for r in rows[0].tolist()] == ["a", "a\x00", "b"]
+
+    def test_ground_truth_lists_positives_in_map_id_order(self):
+        maps = PoseTable.of(rec(ident, k, 0, 0) for k, ident in enumerate(self.IDS))
+        queries = PoseTable.of([rec("q", 1, 0, 0)])
+        assert _ground_truth(queries, maps) == {"q": ("a", "a\x00", "b")}

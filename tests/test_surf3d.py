@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -84,6 +85,20 @@ class TestTypes:
     def test_pose_shapes_and_values(self, rotation, translation, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Pose6DOF(rotation, translation)
+
+    @pytest.mark.parametrize("ids, repeat", [("abba", "b"), ("abcab", "a"), ("aa", "a")])
+    def test_pose_table_names_the_first_repeat_in_row_order(self, ids, repeat):
+        n = len(ids)
+        with pytest.raises(ValueError, match=f"^duplicate id '{repeat}'$"):
+            surf3d.PoseTable6DOF(list(ids), np.broadcast_to(IDENTITY, (n, 3, 3)), np.zeros((n, 3)))
+
+    def test_pose_table_finds_a_late_repeat_in_one_pass(self):
+        """50,000 ids, the last repeating the first: slicing the ids before each is quadratic (22 s; one pass, 5 ms)."""
+        ids = [f"c{k}" for k in range(49_999)] + ["c0"]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^duplicate id 'c0'$"):
+            surf3d.PoseTable6DOF(ids, np.broadcast_to(IDENTITY, (len(ids), 3, 3)), np.zeros((len(ids), 3)))
+        assert time.perf_counter() - start < 1.0
 
     def test_rotation_must_not_reflect(self):
         flip = np.diag([1.0, 1.0, -1.0])
