@@ -265,10 +265,9 @@ def cmd_profile(args) -> int:
         records = relabel.fov_distance_profile(table, fov, bins=args.bins, arc_segments=args.arc_segments)
     except ValueError as e:
         raise InputError(args.poses, e) from None
-    # degrees 4,096 rows at a time; np.degrees is x * (180 / pi), as math.degrees, bit for bit
-    blocks = ((rows[:, 0], np.degrees(rows[:, 1]), rows[:, 2])
-              for rows in (records[lo:lo + 4096] for lo in range(0, len(records), 4096)))
-    write_table(args.out, ["translation_m", "rotation_deg", "psi"], (), blocks, "\n")
+    # np.degrees is x * (180 / pi), as math.degrees, bit for bit
+    block = (records[:, 0], np.degrees(records[:, 1]), records[:, 2])
+    write_table(args.out, ["translation_m", "rotation_deg", "psi"], (), [block], "\n")
     print(f"records={len(records)}")
     return 0
 

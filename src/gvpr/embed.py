@@ -311,12 +311,13 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     """SGD over contrastive pairs; returns (trained model, per-step loss trace).
 
     ``labels`` is a LabelTable, or what ``LabelTable.of`` takes.
-    ``features`` is an iterable of FeatureMaps or a dict id -> FeatureMap
-    covering every id in ``labels``, of one shape. Descriptors are
-    recomputed from the live weights each step; the gradient flows through
-    normalization and the linear layer, while pooled features are fixed
-    inputs. Binary-loss training derives y = 1 iff psi >= 0.5 and feeds y
-    to the graded formula, which equals the binary one there.
+    ``features`` is an iterable of FeatureMaps with no id repeated, or a
+    dict id -> FeatureMap, covering every id in ``labels``, of one shape.
+    Descriptors are recomputed from the live weights each step; the
+    gradient flows through normalization and the linear layer, while pooled
+    features are fixed inputs. Binary-loss training derives y = 1 iff
+    psi >= 0.5 and feeds y to the graded formula, which equals the binary
+    one there.
     Deterministic for a fixed config and data. A label psi outside [0, 1]
     is a ValueError, a pool that overflows a PoolingOverflow, and a labelled
     row whose embedding at the initial weights has zero norm or is not
@@ -334,7 +335,12 @@ def train(model: EmbedModel, labels, features, cfg: TrainConfig) -> tuple:
     if not len(table):
         raise ValueError("no labels to train on")
     if not isinstance(features, dict):
-        features = {fm.id: fm for fm in features}
+        by_id = {}
+        for fm in features:
+            if fm.id in by_id:
+                raise ValueError(f"duplicate feature id {fm.id!r}")
+            by_id[fm.id] = fm
+        features = by_id
     missing = [ident for ident in table.ids if ident not in features]
     if missing:
         raise ValueError(f"labels reference ids without features: {', '.join(map(repr, missing[:5]))}")

@@ -601,6 +601,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="ids without features: 'p0a'"):
             train(model, labels, maps, TrainConfig(batch_size=8))
 
+    def test_repeated_feature_id_refused(self):
+        """Two maps of one id are refused, as the features reader and writer refuse them, not trained on the last."""
+        rng = np.random.default_rng(12)
+        a1, a2, b = (FeatureMap(ident, rng.uniform(0.5, 1.5, (6, 8))) for ident in ("a", "a", "b"))
+        model = init_model(d_out=4, channels=6, seed=0)
+        with pytest.raises(ValueError, match="^duplicate feature id 'a'$"):
+            train(model, [SimilarityLabel("a", "b", 0.7)], [a1, a2, b], TrainConfig(batch_size=4))
+
     def test_divergence_reports_step(self):
         """A rate near the float limit: step 0 moves the weights so far that step 1's embeddings overflow."""
         rng = np.random.default_rng(1)

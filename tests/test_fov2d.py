@@ -25,6 +25,7 @@ from gvpr.fov2d import (
 from gvpr.synth import SynthConfig, generate_world
 
 FOV90_50 = FovParams(theta=math.radians(90.0), r=50.0)
+WINDOWED_LOW = fov2d._CLIP_ALL_MAX_SEGMENTS + 1  # the fewest arc segments the triage, disk test and windows run at
 
 
 @dataclass(frozen=True)
@@ -456,10 +457,11 @@ class TestReferenceEquivalence:
                 b = CameraPose2D(4.0, -7.0, 0.3 + j * FOV90_50.theta / n)
                 assert fov_overlap(a, b, FOV90_50, n) == pytest.approx((n - j) / n, abs=1e-12)
 
-    @pytest.mark.parametrize("segments", range(2, 9))
+    @pytest.mark.parametrize("segments", range(2, WINDOWED_LOW))
     def test_windows_equal_every_chord_where_they_could_hold_them_all(self, segments, monkeypatch):
-        """Up to 8 segments the kernel clips each edge against every chord and skips the disk and windows.
-        Forced through the disk and windows, the same pairs give the same bits."""
+        """Up to ``_CLIP_ALL_MAX_SEGMENTS`` segments, where it is no slower, the kernel clips each edge against
+        every chord and skips the triage, the disk and the windows. Forced through them, the same pairs give
+        the same bits at every segment count up to there."""
         rng = np.random.default_rng(40 + segments)
         cases = [(a, b, fov) for a, b, fov, n in _degenerate_sweep() if n == segments]
         for theta_deg in (10.0, 45.0, 90.0, 120.0, 180.0):
@@ -606,7 +608,7 @@ class TestCulledKernelBits:
         assert _bits([fov_overlap(a, b, fov, n) for a, b, fov, n in cases]) == \
             _bits([_frozen_fov_overlap(a, b, fov, n) for a, b, fov, n in cases])
 
-    @pytest.mark.parametrize("segments", [9, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("segments", [9, 16, WINDOWED_LOW, 64, 256, 1024])
     @pytest.mark.parametrize("theta_deg", [10.0, 37.0, 90.0, 120.0, 180.0])
     def test_seeded_sweep(self, theta_deg, segments):
         fov, cases = _bit_sweep(theta_deg, segments)
@@ -637,7 +639,7 @@ class TestCulledKernelBits:
                       for lo in (0, n + 2)]
         return psi, per_sector
 
-    @pytest.mark.parametrize("segments", [9, 256])
+    @pytest.mark.parametrize("segments", [WINDOWED_LOW, 256])
     def test_a_sector_with_no_live_edge(self, segments, monkeypatch):
         # B looks away from A with its apex 1.8 r off: A's arc reaches B's disk, behind B, so those edges are
         # outside; B reaches nowhere near A's
@@ -648,7 +650,7 @@ class TestCulledKernelBits:
         assert split_b == [0, 0, 0, 0]
         assert _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, segments)) == _bits(0.0)
 
-    @pytest.mark.parametrize("segments", [9, 256])
+    @pytest.mark.parametrize("segments", [WINDOWED_LOW, 256])
     def test_every_edge_live(self, segments, monkeypatch):
         # a shared apex: every edge of each sector lies within r of the other's apex. The arcs lie on one
         # circle, beyond every chord of the other's, so no edge is interior: those outside the other's wedge
@@ -670,7 +672,7 @@ class TestCulledKernelBits:
         assert split_b == [2, 0, 0, 2]
         assert _bits(psi) == _bits(_frozen_fov_overlap(a, b, FOV90_50, 256))
 
-    @pytest.mark.parametrize("segments", [9, 256, 1024, 4096])
+    @pytest.mark.parametrize("segments", [9, WINDOWED_LOW, 256, 1024, 4096])
     def test_where_the_margin_decides(self, segments):
         """Vertices on either side of the margin m = 1e-9 (1 + |c| + r): A's chord on B's radial line, off it
         by a fraction of tol, by a few tol, by m / 2, by m give or take a millionth of it, and by 2 m; a vertex
